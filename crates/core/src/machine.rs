@@ -592,7 +592,10 @@ impl Machine {
     /// for the equivalence contract: identical final cache state and
     /// identical invalidation counts as sequential application, because
     /// every operation is a destructive removal and no lookup or fill
-    /// interleaves within a batch).
+    /// interleaves within a batch). A swept range reaches the TLB as one
+    /// set-indexed [`TlbHierarchy::invalidate_range`], whose result —
+    /// per-set slot order included — is that of invalidating its 4 KiB
+    /// pages one by one in ascending order.
     fn apply_flush_batch(&mut self, delivered: &[FlushRequest]) {
         if delivered.is_empty() {
             return;
@@ -611,11 +614,7 @@ impl Machine {
         for r in &batch.ranges {
             self.pwc.invalidate_range(r.asid, r.start, r.len);
             if r.tlb_sweep {
-                let mut va = r.start;
-                while va < r.start + r.len {
-                    self.tlb.invalidate_page(r.asid, GuestVirtAddr::new(va));
-                    va += 0x1000;
-                }
+                self.tlb.invalidate_range(r.asid, r.start, r.len);
             }
         }
         let vm = self.vmm.vm();

@@ -33,7 +33,11 @@ pub struct FlushApplyStats {
     pub asid_flushes: u64,
     /// Ranged PWC invalidations applied (after merging).
     pub range_ops: u64,
-    /// Per-page TLB invalidations issued by range sweeps.
+    /// 4 KiB pages covered by the range shootdowns whose TLB side was
+    /// applied range-wise: the modelled shootdown work, and part of the
+    /// pinned step total. The machine applies each such range with one
+    /// set-indexed [`TlbHierarchy::invalidate_range`](agile_tlb::TlbHierarchy::invalidate_range),
+    /// so this is no longer a count of host operations.
     pub pages_swept: u64,
     /// Range requests eliminated: subsumed by a full ASID flush in the
     /// same batch.

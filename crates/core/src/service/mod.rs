@@ -609,8 +609,9 @@ impl Drop for Service {
 }
 
 /// Marks job `id` terminal: stores the outcome, bumps the right counter,
-/// and queues it for [`Service::next_result`]. Caller holds the lock and
-/// notifies `done_cv` afterwards.
+/// releases its checkpoints (a terminal job never resumes), and queues it
+/// for [`Service::next_result`]. Caller holds the lock and notifies
+/// `done_cv` afterwards.
 fn finish_job(inner: &Inner, st: &mut State, id: usize, outcome: RunOutcome) {
     let counter = match &outcome {
         RunOutcome::Completed(_) => &inner.metrics.completed,
@@ -623,6 +624,8 @@ fn finish_job(inner: &Inner, st: &mut State, id: usize, outcome: RunOutcome) {
     debug_assert!(job.outcome.is_none(), "job finished twice");
     job.phase = Phase::Done;
     job.outcome = Some(outcome);
+    drop(job.slot.take());
+    job.resume = None;
     st.live -= 1;
     st.finished.push_back(id);
 }
@@ -912,4 +915,57 @@ fn run_job(
         index,
         events,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::FaultPlan;
+    use crate::config::SystemConfig;
+    use agile_vmm::Technique;
+    use agile_workloads::{ChurnSpec, Pattern, WorkloadSpec};
+
+    fn request(label: &str, seed: u64) -> RunRequest {
+        let spec = WorkloadSpec {
+            name: format!("service-unit-{label}"),
+            footprint: 8 << 20,
+            pattern: Pattern::Uniform,
+            write_fraction: 0.3,
+            accesses: 4_000,
+            accesses_per_tick: 500,
+            churn: ChurnSpec::none(),
+            prefault: false,
+            prefault_writes: true,
+            seed,
+        };
+        RunRequest::new(SystemConfig::new(Technique::Shadow), spec).with_label(label)
+    }
+
+    #[test]
+    fn finished_checkpointing_jobs_hold_no_checkpoint() {
+        let service = Service::new(PlanOptions::with_threads(2).checkpoint_every(1));
+        let plain = service.submit(request("plain", 1));
+        // Killed mid-run, so it runs its second life from `resume`.
+        let resumed = service
+            .submit(request("resumed", 2).with_chaos(FaultPlan::new(7).kill_worker_at_tick(3)));
+        for id in [plain, resumed] {
+            assert!(matches!(service.wait(id), RunOutcome::Completed(_)));
+        }
+        let metrics = service.shutdown();
+        assert!(metrics.checkpoints > 0, "the jobs stored checkpoints");
+        assert_eq!(metrics.resumes, 1, "the killed job resumed");
+        // (slot holds a checkpoint, resume holds a checkpoint) per job,
+        // read under the lock and asserted after it is released.
+        let held: Vec<(bool, bool)> = {
+            let st = service.inner.state.lock().expect("service state");
+            [plain, resumed]
+                .iter()
+                .map(|id| {
+                    let job = &st.jobs[id.index()];
+                    (job.slot.latest().is_some(), job.resume.is_some())
+                })
+                .collect()
+        };
+        assert_eq!(held, [(false, false); 2], "finished jobs kept checkpoints");
+    }
 }

@@ -171,6 +171,34 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
         Some(set.swap_remove(pos).value)
     }
 
+    /// Removes every key matching `pred`, one pass over the sets, and
+    /// returns how many were removed. Within a set the matches go in
+    /// ascending key order, each by the same `swap_remove` as
+    /// [`SetAssocCache::invalidate`], so the surviving slot order is
+    /// exactly that of invalidating the matching keys one by one in
+    /// ascending order. Slot order is simulated state (see
+    /// [`SetAssocCache::save_state`]), which an order-preserving `retain`
+    /// would not reproduce.
+    pub(crate) fn invalidate_ascending(&mut self, mut pred: impl FnMut(&K) -> bool) -> usize
+    where
+        K: Ord,
+    {
+        let mut removed = 0;
+        for set in &mut self.sets {
+            while let Some(pos) = set
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| pred(&s.key))
+                .min_by(|(_, a), (_, b)| a.key.cmp(&b.key))
+                .map(|(i, _)| i)
+            {
+                set.swap_remove(pos);
+                removed += 1;
+            }
+        }
+        removed
+    }
+
     /// Removes every entry matching the predicate, returning how many were
     /// removed.
     pub fn invalidate_if(&mut self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {

@@ -151,6 +151,24 @@ impl SizedTlb {
         }
     }
 
+    /// Removes `asid`'s entries for the VPNs `first..=last` (at this
+    /// partition's page size) in ascending-VPN order per set: a probe per
+    /// VPN when there are fewer VPNs than sets, otherwise one pass over
+    /// the sets. Both give the result of probing every VPN in turn.
+    fn invalidate_vpns(&mut self, asid: Asid, first: u64, last: u64) -> usize {
+        let Some(c) = self.cache.as_mut() else {
+            return 0;
+        };
+        let sets = c.set_count() as u64;
+        if last - first + 1 < sets {
+            (first..=last)
+                .map(|vpn| usize::from(c.invalidate((vpn % sets) as usize, &(asid, vpn)).is_some()))
+                .sum()
+        } else {
+            c.invalidate_ascending(|&(a, vpn)| a == asid && (first..=last).contains(&vpn))
+        }
+    }
+
     fn invalidate_asid(&mut self, asid: Asid) -> usize {
         match self.cache.as_mut() {
             Some(c) => c.invalidate_if(|(a, _), _| *a == asid),
@@ -293,6 +311,33 @@ impl TlbHierarchy {
             .chain(self.l2.iter_mut())
         {
             n += t.invalidate_page(asid, va);
+        }
+        self.stats.invalidations += n as u64;
+    }
+
+    /// Invalidates `asid`'s translations of the 4 KiB pages at `start`,
+    /// `start + 4 KiB`, … below `start + len` in every structure (a ranged
+    /// shootdown). The removed entries, the `invalidations` count and the
+    /// surviving per-set slot order are exactly those of calling
+    /// [`TlbHierarchy::invalidate_page`] on each of those pages in
+    /// ascending order, but the cost is bounded by each structure's size
+    /// instead of growing with the range's page count.
+    pub fn invalidate_range(&mut self, asid: Asid, start: u64, len: u64) {
+        let page = PageSize::Size4K.bytes();
+        let pages = len.div_ceil(page);
+        if pages == 0 {
+            return;
+        }
+        let last_va = start.saturating_add((pages - 1) * page);
+        let mut n = 0;
+        for t in self
+            .l1d
+            .iter_mut()
+            .chain(self.l1i.iter_mut())
+            .chain(self.l2.iter_mut())
+        {
+            let shift = t.size.shift();
+            n += t.invalidate_vpns(asid, start >> shift, last_va >> shift);
         }
         self.stats.invalidations += n as u64;
     }

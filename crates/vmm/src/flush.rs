@@ -25,16 +25,30 @@
 //!    of the same ASID, so a cached span intersects the merged interval
 //!    iff it intersects a constituent.
 //! 3. The per-request TLB escalation rule (a range longer than
-//!    [`TLB_RANGE_SWEEP_CAP`] flushes the whole ASID instead of sweeping
-//!    page-by-page) is decided on *original* request lengths, never on
-//!    merged lengths, so merging can never escalate — or de-escalate — a
-//!    flush the sequential path would have treated differently.
+//!    [`TLB_RANGE_SWEEP_CAP`] flushes the whole ASID instead of being
+//!    invalidated range by range) is decided on *original* request
+//!    lengths, never on merged lengths, so merging can never escalate —
+//!    or de-escalate — a flush the sequential path would have treated
+//!    differently.
+//!
+//! Contents and counts are order-independent; per-set slot order is not
+//! (`swap_remove` reorders a set, and slot order is snapshot state). The
+//! fixed application order below pins it: ranges ascending by
+//! `(asid, start)`, and within a range the TLB side removes each set's
+//! matches in ascending-VPN order
+//! ([`agile_tlb::TlbHierarchy::invalidate_range`]), exactly as a
+//! per-4 KiB `invalidate_page` loop over the range would.
 
 use crate::FlushRequest;
 use agile_types::{Asid, GuestFrame};
 
-/// Ranges longer than this are applied to the TLB as a full ASID flush
-/// rather than a page-by-page sweep (the PWC side is always ranged).
+/// Modelled escalation policy: a range request longer than this is
+/// applied to the TLB as a full ASID flush instead of a ranged
+/// invalidation (the PWC side is always ranged), the way an OS falls back
+/// to a full flush for large shootdowns. It bounds simulated behaviour,
+/// not host cost: the machine applies ranges to the TLB set-indexed
+/// ([`agile_tlb::TlbHierarchy::invalidate_range`]), at a cost bounded by
+/// the TLB's size rather than the range's page count.
 pub const TLB_RANGE_SWEEP_CAP: u64 = 2 << 20;
 
 /// One merged VA range plus how its TLB side is applied.
@@ -46,8 +60,8 @@ pub struct CoalescedRange {
     pub start: u64,
     /// Range length in bytes.
     pub len: u64,
-    /// Sweep the TLB page-by-page over this range. `false` when the ASID
-    /// is already fully flushed (by an `Asid` request or an escalated
+    /// Invalidate this range in the TLB as well as the PWC. `false` when
+    /// the ASID is already fully flushed (by an `Asid` request or an escalated
     /// range in the same batch), in which case only the PWC ranged
     /// invalidation remains to be done.
     pub tlb_sweep: bool,
@@ -78,8 +92,9 @@ pub struct CoalesceStats {
 /// 1. [`FlushBatch::asid_flushes`] — full TLB + PWC flush per ASID.
 /// 2. [`FlushBatch::tlb_escalations`] — full TLB flush per ASID (PWC
 ///    stays ranged for these ASIDs' ranges).
-/// 3. [`FlushBatch::ranges`] — PWC ranged invalidation each; TLB
-///    page-by-page sweep where [`CoalescedRange::tlb_sweep`] is set.
+/// 3. [`FlushBatch::ranges`] — PWC ranged invalidation each; TLB ranged
+///    invalidation too where [`CoalescedRange::tlb_sweep`] is set.
+///    Ranges are applied in their sorted order.
 /// 4. [`FlushBatch::ntlb_frames`] — one nested-TLB invalidation each.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlushBatch {

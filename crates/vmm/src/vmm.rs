@@ -1720,7 +1720,11 @@ impl Vmm {
     }
 
     /// Rewrites the shadow leaf entries derived from one (leaf-level) guest
-    /// table page so they match the guest table again.
+    /// table page so they match the guest table again. The shadow and
+    /// guest L1 table pages covering the page's 2 MiB are found once, and
+    /// only present shadow entries are visited, by index: nothing here
+    /// edits either table's interior path ([`Vmm::hpt_ensure`] edits only
+    /// the host table), so both pages stay put for the whole loop.
     fn reconcile_page(&mut self, mem: &mut PhysMem, pid: ProcessId, page: GuestFrame) {
         let Some(info) = self.proc(pid).pages.get(&page).copied() else {
             return;
@@ -1732,22 +1736,20 @@ impl Vmm {
             return;
         };
         let hw_ad = matches!(self.cfg.technique, Technique::Agile(o) if o.hw_ad_bits);
-        for i in 0..agile_types::ENTRIES_PER_TABLE as u64 {
-            let va = info.va_base + i * PageSize::Size4K.bytes();
-            let Some(spte) = spt.entry(mem, &HostSpace, va, Level::L1) else {
-                continue;
-            };
-            if !spte.is_present() {
-                continue;
-            }
-            let gpte = self.proc(pid).gpt.entry(mem, &self.gmap, va, Level::L1);
-            match gpte {
-                Some(g) if g.is_present() => {
-                    let gframe = GuestFrame::new(g.frame_raw());
-                    if self.gmap.backing(gframe).is_none() {
-                        spt.unmap(mem, &HostSpace, va, PageSize::Size4K);
-                        continue;
-                    }
+        if let Some(shadow) = spt.table_frame(mem, &HostSpace, info.va_base, Level::L1) {
+            let shadow = HostFrame::new(shadow);
+            let guest = self
+                .proc(pid)
+                .gpt
+                .table_frame(mem, &self.gmap, info.va_base, Level::L1)
+                .map(|g| self.gmap.resolve(g));
+            for i in 0..agile_types::ENTRIES_PER_TABLE {
+                if !mem.read_pte(shadow, i).is_present() {
+                    continue;
+                }
+                let g = guest.map_or(Pte::empty(), |g| mem.read_pte(g, i));
+                let gframe = GuestFrame::new(g.frame_raw());
+                let rebuilt = if g.is_present() && self.gmap.backing(gframe).is_some() {
                     let (backing, _, host_w) = self.hpt_ensure(mem, gframe);
                     let writable =
                         host_w && g.is_writable() && (hw_ad || g.flags().contains(PteFlags::DIRTY));
@@ -1755,17 +1757,12 @@ impl Vmm {
                     if writable {
                         flags |= PteFlags::WRITABLE;
                     }
-                    let _ = spt.set_entry(
-                        mem,
-                        &HostSpace,
-                        va,
-                        Level::L1,
-                        Pte::new(backing.raw(), flags),
-                    );
-                }
-                _ => {
-                    spt.unmap(mem, &HostSpace, va, PageSize::Size4K);
-                }
+                    Pte::new(backing.raw(), flags)
+                } else {
+                    // Gone from the guest table, or backed by no frame.
+                    Pte::empty()
+                };
+                mem.write_pte(shadow, i, rebuilt);
             }
         }
         self.flush_range(pid, info.va_base, Level::L2);
