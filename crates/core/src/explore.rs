@@ -25,23 +25,29 @@
 //!
 //! The explorer is *stateless* in the model-checking sense: each schedule
 //! re-executes the workload from scratch under a [`Scheduler`] that
-//! replays a scripted choice prefix and defaults after it. Visited states
-//! are deduplicated by the FNV digest of the machine's byte-stable
-//! snapshot ([`crate::snapshot::digest`]) keyed with the event cursor, so
-//! schedules that commute back into an already-seen state stop spawning
-//! extensions. Identical-scope flush twins are never branched on at all —
-//! the sleep-set-style reduction argued sound in DESIGN §5j.
+//! replays a scripted choice prefix and defaults after it. Each distinct
+//! state is checked once: an event that ends inside the replayed prefix
+//! reproduces a state the parent schedule already checked and keyed —
+//! the same choices give the same state, the determinism the dedup key
+//! itself relies on — so it skips the checks and the snapshot. Visited
+//! states are deduplicated by a hash of the machine's byte-stable
+//! snapshot plus the event cursor, so schedules that commute back into
+//! an already-seen state stop spawning extensions. Identical-scope flush
+//! twins are never branched on at all — the sleep-set-style reduction
+//! argued sound in DESIGN §5j.
 //!
 //! On a violating state the failing schedule is shrunk to a minimal
 //! [`CounterexampleTrace`]: a byte-stable JSON artifact whose choice
 //! script replays through the same runner path to the identical findings.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
 
 use crate::machine::Machine;
 use crate::runner::json::Json;
-use crate::snapshot::{self, machine_findings};
+use crate::snapshot::machine_findings;
 use agile_workloads::{Workload, WorkloadSpec};
 
 /// One concurrency decision point reached during a run. The machine
@@ -135,7 +141,8 @@ pub struct ExploreConfig {
     pub fuel: usize,
     /// Maximum schedules (workload re-executions) to run.
     pub max_schedules: u64,
-    /// Maximum unique states to insert into the dedup set.
+    /// Maximum unique states to insert into the dedup set. Checked before
+    /// each schedule, so the last schedule run can insert states past it.
     pub max_states: u64,
 }
 
@@ -252,11 +259,12 @@ impl CounterexampleTrace {
 pub struct ExploreReport {
     /// Schedules executed (workload re-runs, shrinking excluded).
     pub schedules: u64,
-    /// Unique explored states (fresh snapshot digests at event
-    /// boundaries).
+    /// Unique explored states (fresh state keys at event boundaries).
     pub states: u64,
-    /// Event boundaries whose state digest was already visited — the
-    /// measure of how often distinct schedules commute back together.
+    /// Event boundaries whose state was already visited — the measure of
+    /// how often distinct schedules commute back together. Includes the
+    /// boundaries of each extension's replayed prefix, whose states the
+    /// parent schedule visited.
     pub deduped: u64,
     /// Extension alternatives suppressed because their branch state was
     /// already visited via another schedule.
@@ -321,11 +329,26 @@ impl ExploreReport {
     }
 }
 
-/// One event boundary of a scripted run: the machine's state digest and
-/// how many choice points had been passed when the event completed.
+/// One event boundary of a scripted run: the machine's state key and how
+/// many choice points had been passed when the event completed.
 struct Boundary {
-    digest: u64,
+    /// Visited-set key of the state, or `None` when the event replayed the
+    /// parent schedule's prefix (the parent keyed that state).
+    key: Option<u64>,
     trail_len: usize,
+}
+
+/// Visited-set key of `machine`'s state after `events` workload events:
+/// the byte-stable snapshot plus the workload cursor. Equal keys mean
+/// "same state, same remaining events" — the suffix tree behind them is
+/// identical by determinism. The key never leaves the process, so only
+/// equality matters and the std hasher serves; the printed and pinned
+/// digest stays [`crate::snapshot::digest`].
+fn state_key(machine: &Machine, events: u64) -> u64 {
+    let mut h = DefaultHasher::new();
+    h.write(&machine.snapshot().to_bytes());
+    h.write_u64(events);
+    h.finish()
 }
 
 struct RunOutcome {
@@ -335,12 +358,21 @@ struct RunOutcome {
 }
 
 /// Executes `spec` on a fresh machine from `setup` under the scripted
-/// schedule, checking oracles and analyzer after every event.
+/// schedule, checking oracles and analyzer after every event that ends
+/// at or past `prefix` choice points.
+///
+/// An event that ends before the trail reaches `prefix` entries has made
+/// only the script's first choices, so when those replay a schedule that
+/// already ran clean, the state is one that run checked and keyed: the
+/// event skips the checks and the key, and its boundary records `None`.
+/// The explorer passes `script.len()` (an extension is its parent's
+/// chosen prefix plus one new alternative); shrinking and replay pass 0.
 fn run_one<F: Fn() -> Machine>(
     setup: &F,
     spec: &WorkloadSpec,
     script: &[u32],
     fuel: usize,
+    prefix: usize,
 ) -> RunOutcome {
     let mut machine = setup();
     let trail: Arc<Mutex<Vec<TrailEntry>>> = Arc::default();
@@ -356,20 +388,21 @@ fn run_one<F: Fn() -> Machine>(
     for event in Workload::new(spec.clone()) {
         machine.run_event(event);
         events += 1;
-        let findings = machine_findings(&mut machine);
-        if !findings.is_empty() {
-            violation = Some((events, findings));
-            break;
-        }
-        // The dedup key is the byte-stable snapshot plus the workload
-        // cursor: equal keys mean "same state, same remaining events" —
-        // the suffix tree behind them is identical by determinism.
-        let mut bytes = machine.snapshot().to_bytes();
-        bytes.extend_from_slice(&events.to_le_bytes());
-        boundaries.push(Boundary {
-            digest: snapshot::digest(&bytes),
-            trail_len: trail.lock().expect("trail poisoned").len(),
-        });
+        let trail_len = trail.lock().expect("trail poisoned").len();
+        let key = if trail_len < prefix {
+            // The skipped `lint` would have logged allocator reuse into
+            // the shootdown log, which is snapshot state: keep that.
+            machine.note_frame_reuse();
+            None
+        } else {
+            let findings = machine_findings(&mut machine);
+            if !findings.is_empty() {
+                violation = Some((events, findings));
+                break;
+            }
+            Some(state_key(&machine, events))
+        };
+        boundaries.push(Boundary { key, trail_len });
     }
     drop(machine);
     let trail = trail.lock().expect("trail poisoned").clone();
@@ -404,7 +437,7 @@ fn shrink<F: Fn() -> Machine>(
             while cand.last() == Some(&0) {
                 cand.pop();
             }
-            if run_one(setup, spec, &cand, fuel).violation.is_some() {
+            if run_one(setup, spec, &cand, fuel, 0).violation.is_some() {
                 best = cand;
                 improved = true;
                 break;
@@ -420,10 +453,12 @@ fn shrink<F: Fn() -> Machine>(
 ///
 /// `setup` builds one fresh machine per schedule — arm paranoia,
 /// shootdown logging, chaos plans, or planted-bug knobs there; the
-/// explorer installs its own scripted [`Scheduler`] on top. After every
-/// workload event of every schedule the run is checked (paranoia
-/// violations, transition-differ findings, static-analyzer diagnostics);
-/// the first violating schedule is shrunk to a minimal
+/// explorer installs its own scripted [`Scheduler`] on top. Every
+/// distinct state is checked once (paranoia violations, transition-differ
+/// findings, static-analyzer diagnostics): each schedule checks every
+/// workload event except those that end inside its replayed prefix,
+/// whose states the parent schedule checked — the same choices give the
+/// same state. The first violating schedule is shrunk to a minimal
 /// [`CounterexampleTrace`] and the search stops. Everything is
 /// deterministic: the same inputs produce byte-identical reports.
 pub fn explore<F: Fn() -> Machine>(
@@ -440,12 +475,12 @@ pub fn explore<F: Fn() -> Machine>(
             break;
         }
         report.schedules += 1;
-        let run = run_one(&setup, spec, &script, config.fuel);
+        let run = run_one(&setup, spec, &script, config.fuel, script.len());
         report.choice_points += run.trail.len() as u64;
         let fresh: Vec<bool> = run
             .boundaries
             .iter()
-            .map(|b| visited.insert(b.digest))
+            .map(|b| b.key.is_some_and(|k| visited.insert(k)))
             .collect();
         for &f in &fresh {
             if f {
@@ -465,7 +500,7 @@ pub fn explore<F: Fn() -> Machine>(
         if let Some((event, findings)) = run.violation {
             let chosen: Vec<u32> = run.trail.iter().map(|t| t.chosen).collect();
             let minimized = shrink(&setup, spec, config.fuel, chosen);
-            let rerun = run_one(&setup, spec, &minimized, config.fuel);
+            let rerun = run_one(&setup, spec, &minimized, config.fuel, 0);
             let (event, findings) = rerun.violation.unwrap_or((event, findings));
             report.counterexample = Some(CounterexampleTrace {
                 choices: minimized,
@@ -519,7 +554,7 @@ pub fn replay<F: Fn() -> Machine>(
     spec: &WorkloadSpec,
     trace: &CounterexampleTrace,
 ) -> Option<(u64, Vec<String>)> {
-    run_one(&setup, spec, &trace.choices, trace.choices.len().max(1)).violation
+    run_one(&setup, spec, &trace.choices, trace.choices.len().max(1), 0).violation
 }
 
 #[cfg(test)]
@@ -558,5 +593,81 @@ mod tests {
         let t = trail.lock().expect("trail");
         assert!(!t[0].capped);
         assert!(t[1].capped);
+    }
+
+    /// The `mc` gate's workload at its seed.
+    fn mc_spec() -> WorkloadSpec {
+        WorkloadSpec {
+            name: "mc-prefix".into(),
+            footprint: 128 << 10,
+            pattern: agile_workloads::Pattern::Zipf { theta: 0.7 },
+            write_fraction: 0.4,
+            accesses: 160,
+            accesses_per_tick: 40,
+            churn: agile_workloads::ChurnSpec {
+                remap_every: Some(30),
+                remap_pages: 4,
+                cow_every: Some(50),
+                cow_pages: 2,
+                clock_scan_every: None,
+                scan_pages: 0,
+                churn_zone: 0.5,
+                ctx_switch_every: Some(70),
+                processes: 2,
+            },
+            prefault: false,
+            prefault_writes: true,
+            seed: 7,
+        }
+    }
+
+    #[test]
+    fn skipped_prefix_events_reach_the_states_a_full_run_keys() {
+        use agile_vmm::{AgileOptions, ShspOptions, Technique};
+        let spec = mc_spec();
+        let fuel = 4;
+        for t in [
+            Technique::Shadow,
+            Technique::Agile(AgileOptions::default()),
+            Technique::Shsp(ShspOptions::default()),
+        ] {
+            let setup = || {
+                let mut cfg = crate::config::SystemConfig::new(t);
+                cfg.paranoia = true;
+                let mut m = Machine::new(cfg);
+                m.enable_shootdown_log();
+                m
+            };
+            let root = run_one(&setup, &spec, &[], fuel, 0);
+            assert!(root.violation.is_none());
+            let root_keys: HashSet<u64> = root.boundaries.iter().filter_map(|b| b.key).collect();
+            let (mut skipped, mut checked) = (0, 0);
+            for (i, entry) in root.trail.iter().enumerate() {
+                if entry.capped || entry.alternatives <= 1 {
+                    continue;
+                }
+                let mut script: Vec<u32> = root.trail[..i].iter().map(|e| e.chosen).collect();
+                script.push(1);
+                let fast = run_one(&setup, &spec, &script, fuel, script.len());
+                let full = run_one(&setup, &spec, &script, fuel, 0);
+                assert!(fast.violation.is_none() && full.violation.is_none());
+                assert_eq!(fast.boundaries.len(), full.boundaries.len());
+                for (event, (f, b)) in fast.boundaries.iter().zip(&full.boundaries).enumerate() {
+                    let key = b.key.expect("a run with no prefix keys every state");
+                    let at = format!("{} extension at choice {i}, event {}", t.label(), event + 1);
+                    match f.key {
+                        Some(k) => {
+                            assert_eq!(k, key, "post-prefix state differs: {at}");
+                            checked += 1;
+                        }
+                        None => {
+                            assert!(root_keys.contains(&key), "prefix state unseen: {at}");
+                            skipped += 1;
+                        }
+                    }
+                }
+            }
+            assert!(skipped > 0 && checked > 0, "{}: vacuous", t.label());
+        }
     }
 }

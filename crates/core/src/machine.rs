@@ -295,6 +295,10 @@ impl Machine {
     /// Runs the whole-state static analyzer ([`crate::analyze`]) over the
     /// paused machine: the structural page-table passes, plus — when the
     /// shootdown log is enabled — the protocol race detector.
+    ///
+    /// Not read-only: with the shootdown log enabled it first records any
+    /// allocator reuse since the last access as a `FrameReused` event, and
+    /// that log is part of the machine's snapshot state.
     #[must_use]
     pub fn lint(&mut self) -> LintReport {
         // Observe any allocation since the last access before analyzing,
@@ -368,7 +372,7 @@ impl Machine {
     /// Coalesced allocator-reuse observation: one `FrameReused` event per
     /// access in which the allocator handed out new frames (consuming
     /// capacity that table frees credited back).
-    fn note_frame_reuse(&mut self) {
+    pub(crate) fn note_frame_reuse(&mut self) {
         if self.shootdown_log.is_none() {
             return;
         }

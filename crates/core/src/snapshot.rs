@@ -38,11 +38,13 @@ use agile_vmm::{GptPageMode, Vmm};
 /// Leading bytes of every serialized snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AGILSNAP";
 
-/// FNV-1a (64-bit) over arbitrary bytes: the workspace's one cheap
-/// deterministic digest. The snapshot CI gate pins encodings with it,
-/// the bounded explorer ([`mod@crate::explore`]) dedups visited states with
-/// it, and the checkpoint ring labels checkpoints with it — one shared
-/// definition so all three agree on what "the same bytes" means.
+/// FNV-1a (64-bit) over arbitrary bytes: the workspace's one printed,
+/// deterministic digest. The snapshot CI gate pins encodings with it and
+/// the benchmark's output digests use it — one shared definition, so
+/// every pinned value means the same bytes on every build. The bounded
+/// explorer ([`mod@crate::explore`]) does not key visited states with it:
+/// that key never leaves the process, so it hashes the same snapshot
+/// bytes with the faster std hasher.
 #[must_use]
 pub fn digest(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -106,8 +108,9 @@ impl MachineSnapshot {
     }
 
     /// FNV-1a digest of the full serialized form ([`digest`] over
-    /// [`MachineSnapshot::to_bytes`]): equal digests are how the CI gate,
-    /// the explorer, and the bisector decide two machine states match.
+    /// [`MachineSnapshot::to_bytes`]): a stable, printable name for a
+    /// machine state — the same bytes give the same digest in every
+    /// process and on every build.
     #[must_use]
     pub fn digest(&self) -> u64 {
         digest(&self.to_bytes())

@@ -7,10 +7,15 @@ use agile_types::{CodecError, Dec, Enc, HostFrame, Persist, Pte, VmId, ENTRIES_P
 /// a multi-VM host and ownership is recoverable from the number alone.
 pub const VM_FRAME_SPAN: u64 = 1 << 32;
 
-/// One 4 KiB page-table page: 512 PTEs, exactly as hardware would see it.
+/// One 4 KiB page-table page: 512 PTEs, exactly as hardware would see it,
+/// plus a bitmap of which of them are present.
 #[derive(Clone)]
 pub struct TablePage {
     entries: [Pte; ENTRIES_PER_TABLE],
+    /// Bit `i % 64` of word `i / 64` is set iff `entries[i]` is present.
+    /// [`TablePage::set_entry`] is the only writer of `entries` and keeps
+    /// it in step, so present-entry walks never scan empty slots.
+    present: [u64; ENTRIES_PER_TABLE / 64],
 }
 
 impl TablePage {
@@ -19,6 +24,7 @@ impl TablePage {
     pub fn new() -> Self {
         TablePage {
             entries: [Pte::empty(); ENTRIES_PER_TABLE],
+            present: [0; ENTRIES_PER_TABLE / 64],
         }
     }
 
@@ -37,23 +43,36 @@ impl TablePage {
     /// # Panics
     ///
     /// Panics if `index >= 512`.
+    #[inline]
     pub fn set_entry(&mut self, index: usize, pte: Pte) {
         self.entries[index] = pte;
+        let bit = 1u64 << (index % 64);
+        if pte.is_present() {
+            self.present[index / 64] |= bit;
+        } else {
+            self.present[index / 64] &= !bit;
+        }
     }
 
     /// Number of present entries.
     #[must_use]
     pub fn present_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_present()).count()
+        self.present.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterator over `(index, pte)` for present entries.
+    /// Iterator over `(index, pte)` for present entries, in index order.
     pub fn present_entries(&self) -> impl Iterator<Item = (usize, Pte)> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_present())
-            .map(|(i, e)| (i, *e))
+        self.present.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some((i, self.entries[i]))
+            })
+        })
     }
 }
 
@@ -777,5 +796,61 @@ mod tests {
         page.set_entry(7, Pte::leaf(2, true, false));
         let found: Vec<usize> = page.present_entries().map(|(i, _)| i).collect();
         assert_eq!(found, vec![3, 7]);
+
+        // Seeded writes, each followed by a comparison of the present mask
+        // against a naive scan of all 512 slots.
+        fn naive(page: &TablePage) -> Vec<(usize, Pte)> {
+            (0..ENTRIES_PER_TABLE)
+                .map(|i| (i, page.entry(i)))
+                .filter(|(_, e)| e.is_present())
+                .collect()
+        }
+        let mut mem = PhysMem::new();
+        let t = mem.alloc_table_page();
+        let mut rng = agile_types::SplitMix64::new(0x7ab1e);
+        let (mut set, mut absent, mut emptied, mut ends) = (0, 0, 0, 0);
+        for step in 0..4096u64 {
+            let index = match step % 8 {
+                0 => 0,
+                1 => ENTRIES_PER_TABLE - 1,
+                _ => rng.below(ENTRIES_PER_TABLE as u64) as usize,
+            };
+            let frame = rng.below(1 << 20) + 1;
+            let pte = match rng.below(3) {
+                0 => Pte::empty(),
+                // Not present, but with frame and flag bits set.
+                1 => Pte::new(frame, agile_types::PteFlags::WRITABLE),
+                _ => Pte::leaf(frame, rng.below(2) == 0, false),
+            };
+            let was_present = mem.read_pte(t, index).is_present();
+            mem.write_pte(t, index, pte);
+            if pte.is_present() {
+                set += 1;
+                ends += usize::from(index == 0 || index == ENTRIES_PER_TABLE - 1);
+            } else if pte != Pte::empty() {
+                absent += 1;
+            } else if was_present {
+                emptied += 1;
+            }
+            let page = mem.table(t).expect("live table");
+            let want = naive(page);
+            assert_eq!(page.present_entries().collect::<Vec<_>>(), want);
+            assert_eq!(page.present_count(), want.len(), "step {step}");
+        }
+        assert!(set > 0 && absent > 0 && emptied > 0 && ends > 0);
+
+        // The mask survives a snapshot round trip.
+        let mut e = Enc::new();
+        mem.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let mut back = PhysMem::new();
+        back.load_state(&mut Dec::new(&bytes)).expect("round trip");
+        let (page, loaded) = (mem.table(t).unwrap(), back.table(t).unwrap());
+        assert_eq!(
+            loaded.present_entries().collect::<Vec<_>>(),
+            page.present_entries().collect::<Vec<_>>()
+        );
+        assert_eq!(loaded.present_count(), page.present_count());
+        assert_eq!(loaded.present_entries().collect::<Vec<_>>(), naive(loaded));
     }
 }
