@@ -7,7 +7,7 @@
 
 use super::{ExperimentRun, JsonRow};
 use crate::report::Table;
-use crate::runner::{parallel_map, Json};
+use crate::runner::Json;
 use agile_mem::{GuestMemMap, HostSpace, PhysMem, RadixTable, TableSpace};
 use agile_tlb::{NestedTlb, PageWalkCaches, PwcConfig};
 use agile_types::{
@@ -211,11 +211,11 @@ enum Cr3Kind {
     Nested,
 }
 
-/// Runs the Table II measurement across `threads` workers; each walk
-/// configuration builds its own fixture (real guest/host/shadow tables)
-/// so the measurements are independent.
+/// Runs the Table II measurement; each walk configuration builds its own
+/// fixture (real guest/host/shadow tables) so the measurements are
+/// independent.
 #[must_use]
-pub fn table2(threads: usize) -> ExperimentRun<Table2Row> {
+pub fn table2() -> ExperimentRun<Table2Row> {
     let configs = vec![
         Cr3Kind::Native,
         Cr3Kind::Shadow,
@@ -225,13 +225,16 @@ pub fn table2(threads: usize) -> ExperimentRun<Table2Row> {
         Cr3Kind::NestedFromRoot,
         Cr3Kind::Nested,
     ];
-    let rows = parallel_map(threads, configs, |_, kind| {
-        let mut fx = Fixture::new();
-        if let Cr3Kind::SwitchAt(level) = kind {
-            fx.set_switch(level);
-        }
-        fx.measure(kind)
-    });
+    let rows: Vec<Table2Row> = configs
+        .into_iter()
+        .map(|kind| {
+            let mut fx = Fixture::new();
+            if let Cr3Kind::SwitchAt(level) = kind {
+                fx.set_switch(level);
+            }
+            fx.measure(kind)
+        })
+        .collect();
 
     let mut table = Table::new(vec![
         "configuration".into(),
@@ -268,14 +271,14 @@ mod tests {
 
     #[test]
     fn ladder_matches_paper() {
-        let run = table2(2);
+        let run = table2();
         let refs: Vec<u32> = run.rows.iter().map(|r| r.refs).collect();
         assert_eq!(refs, vec![4, 4, 8, 12, 16, 20, 24]);
     }
 
     #[test]
     fn breakdowns_are_consistent() {
-        let run = table2(1);
+        let run = table2();
         for row in &run.rows {
             assert_eq!(
                 u64::from(row.refs),
@@ -292,7 +295,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_rows() {
-        let run = table2(1);
+        let run = table2();
         for row in &run.rows {
             assert!(run.text.contains(&row.label), "{}", row.label);
         }

@@ -43,12 +43,13 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::Hasher;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 
 use crate::machine::Machine;
 use crate::runner::json::Json;
 use crate::snapshot::machine_findings;
-use agile_workloads::{Workload, WorkloadSpec};
+use agile_workloads::WorkloadSpec;
 
 /// One concurrency decision point reached during a run. The machine
 /// passes the point's identity to [`Scheduler::choose`] together with the
@@ -383,11 +384,7 @@ fn run_one<F: Fn() -> Machine>(
         trail: Arc::clone(&trail),
     }));
     let mut boundaries = Vec::new();
-    let mut violation = None;
-    let mut events: u64 = 0;
-    for event in Workload::new(spec.clone()) {
-        machine.run_event(event);
-        events += 1;
+    let (_, violation) = machine.run(spec, 0, None, |machine, at| {
         let trail_len = trail.lock().expect("trail poisoned").len();
         let key = if trail_len < prefix {
             // The skipped `lint` would have logged allocator reuse into
@@ -395,15 +392,15 @@ fn run_one<F: Fn() -> Machine>(
             machine.note_frame_reuse();
             None
         } else {
-            let findings = machine_findings(&mut machine);
+            let findings = machine_findings(machine);
             if !findings.is_empty() {
-                violation = Some((events, findings));
-                break;
+                return ControlFlow::Break((at.events, findings));
             }
-            Some(state_key(&machine, events))
+            Some(state_key(machine, at.events))
         };
         boundaries.push(Boundary { key, trail_len });
-    }
+        ControlFlow::Continue(())
+    });
     drop(machine);
     let trail = trail.lock().expect("trail poisoned").clone();
     RunOutcome {

@@ -63,20 +63,17 @@ pub use explore::{
     explore, replay, ChoicePoint, CounterexampleTrace, ExploreConfig, ExploreReport, Scheduler,
 };
 pub use host::{Host, HostConfig, MigrationOutcome};
-pub use machine::{AccessError, Machine};
+pub use machine::{AccessError, Boundary, Machine};
 pub use profile::{FlushApplyStats, HotPathProfile};
 pub use report::Table;
-pub use runner::{
-    parallel_map, try_parallel_map, Json, RecoveryControls, RunArtifact, RunOutcome, RunPlan,
-    RunRequest, WorkerPanic,
-};
+pub use runner::{Json, RecoveryControls, RunArtifact, RunOutcome, RunPlan, RunRequest};
 pub use service::{
     CancelToken, JobId, JobState, JobStatus, PlanOptions, Service, ServiceMetrics, StopCause,
 };
 pub use snapshot::{
     bisect_violation, bisect_violation_with, diff, digest, BisectReport, Checkpoint,
-    CheckpointRing, CheckpointSlot, DiffIntent, MachineSnapshot, ProcessImage, TransitionView,
-    WorkerKill, SNAPSHOT_VERSION,
+    CheckpointSlot, DiffIntent, MachineSnapshot, ProcessImage, TransitionView, WorkerKill,
+    SNAPSHOT_VERSION,
 };
 pub use stats::{KindCounts, Overheads, RunStats};
 pub use verify::{RefTranslation, Violation, ViolationSite};

@@ -8,8 +8,7 @@ use crate::chaos::{
 };
 use crate::config::SystemConfig;
 use crate::profile::{FlushApplyStats, HotPathProfile};
-use crate::service::{CancelToken, StopCause};
-use crate::snapshot::{self, Checkpoint, CheckpointSlot, DiffIntent, MachineSnapshot, WorkerKill};
+use crate::snapshot::{self, Checkpoint, DiffIntent, MachineSnapshot};
 use crate::stats::{HotCounters, KindCounts, RunStats};
 use crate::verify::{self, Violation, ViolationSite};
 use agile_guest::{FaultError, GuestOs, SegFault, Vma, VmaBacking};
@@ -22,6 +21,7 @@ use agile_types::{
 use agile_vmm::{coalesce, FaultOutcome, FlushRequest, HwRoots, Technique, Vmm};
 use agile_walk::{WalkHw, WalkKind, WalkOk, WalkStats};
 use agile_workloads::{Event, Workload, WorkloadSpec};
+use std::ops::ControlFlow;
 
 /// Why a data access could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,24 +83,6 @@ pub struct Machine {
     flush_batches: u64,
     /// Coalesced shootdown-application counters (see [`FlushApplyStats`]).
     flush_stats: FlushApplyStats,
-    /// Cooperative stop flag, polled at workload tick boundaries; `None`
-    /// until a control plane installs one via
-    /// [`Machine::set_cancel_token`].
-    cancel: Option<CancelToken>,
-    /// Why the last [`Machine::run_spec_measured`] stopped early, if it
-    /// did.
-    stopped: Option<StopCause>,
-    /// Checkpoint sink `(every_ticks, slot)`: when set, the run loop
-    /// stores a [`Checkpoint`] into the slot at every `every_ticks`-th
-    /// tick boundary (see [`Machine::set_checkpoint_sink`]).
-    checkpoint_sink: Option<(u64, CheckpointSlot)>,
-    /// Chaos crash trigger: panic with [`WorkerKill`] at this 1-based
-    /// tick of the current run attempt ([`Machine::set_kill_at_tick`]).
-    kill_at_tick: Option<u64>,
-    /// Checkpoint ring `(every_ticks, ring)`: like the sink, but keeping
-    /// the last K checkpoints for post-hoc violation bisection
-    /// ([`Machine::run_with_ring`], [`snapshot::bisect_violation`]).
-    checkpoint_ring: Option<(u64, snapshot::CheckpointRing)>,
     /// Interleaving scheduler ([`crate::explore::Scheduler`]): when
     /// installed, the machine's concurrency decision points — flush
     /// delivery order, deferred-shootdown timing, agile switch timing —
@@ -108,6 +90,39 @@ pub struct Machine {
     /// (production) is byte-identical to a scheduler that always picks
     /// alternative 0. Control-plane state: excluded from snapshots.
     scheduler: Option<Box<dyn crate::explore::Scheduler>>,
+}
+
+/// Where a [`Machine::run`] stands after one workload event: what the
+/// run passes to its caller's per-event hook.
+#[derive(Debug, Clone, Copy)]
+pub struct Boundary {
+    /// Workload events consumed so far, a resumed run's skipped prefix
+    /// included: the replay cursor a [`Checkpoint`] records.
+    pub events: u64,
+    /// Tick events applied since this run started (a resumed run counts
+    /// from 0).
+    pub ticks: u64,
+    /// Whether the event just applied was a tick: a quiescent boundary,
+    /// with flushes drained and the interval policy run.
+    pub is_tick: bool,
+    /// Whether the warm-up measurement trigger has not fired yet.
+    pub warmup_armed: bool,
+}
+
+/// Which path a drained shootdown batch takes (see
+/// [`Machine::drain_flushes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// Guest-visible VMM work: IPIs roll the chaos shootdown dice and
+    /// arrive in the order an installed scheduler picks.
+    Guest,
+    /// Host-initiated cross-VM operations (balloon reclaim, migration
+    /// teardown, pressure demotion): IPIs roll the separate cross-VM loss
+    /// dice ([`FaultPlan::cross_vm_drop_pm`]).
+    CrossVm,
+    /// Heal and host-maintenance paths: a recovery-issued flush must never
+    /// itself be dropped, so no dice are rolled.
+    Reliable,
 }
 
 /// Worst-case number of host frames the infallible deep-map paths can
@@ -176,72 +191,8 @@ impl Machine {
             alloc_mark: 0,
             flush_batches: 0,
             flush_stats: FlushApplyStats::default(),
-            cancel: None,
-            stopped: None,
-            checkpoint_sink: None,
-            kill_at_tick: None,
-            checkpoint_ring: None,
             scheduler: None,
         }
-    }
-
-    /// Installs the cooperative stop flag. The machine polls it at every
-    /// workload tick boundary — the quiescent point where pending
-    /// shootdowns have drained — and [`Machine::run_spec_measured`] returns
-    /// with the statistics accumulated so far instead of running to
-    /// completion. [`Machine::stop_cause`] reports what stopped it.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Why the last run stopped early (`None` when it ran to completion or
-    /// no run happened yet).
-    #[must_use]
-    pub fn stop_cause(&self) -> Option<StopCause> {
-        self.stopped
-    }
-
-    /// Installs the checkpoint sink: at every `every_ticks`-th tick
-    /// boundary of a run (a quiescent point — flushes drained, interval
-    /// policy run), the machine stores a full [`Checkpoint`] into `slot`.
-    /// Checkpointing reads the machine without mutating it, so a
-    /// checkpointed run's results are byte-identical to an unobserved one.
-    pub fn set_checkpoint_sink(&mut self, every_ticks: u64, slot: CheckpointSlot) {
-        self.checkpoint_sink = Some((every_ticks.max(1), slot));
-    }
-
-    /// Arms the chaos crash trigger: the run loop panics with
-    /// [`WorkerKill`] at the given 1-based tick of the current attempt,
-    /// *after* storing any due checkpoint — modeling a worker dying
-    /// mid-job with its latest checkpoint already durable.
-    pub fn set_kill_at_tick(&mut self, tick: u64) {
-        self.kill_at_tick = Some(tick.max(1));
-    }
-
-    /// Installs the checkpoint ring: at every `every_ticks`-th tick
-    /// boundary the machine pushes a full [`Checkpoint`] into `ring`,
-    /// which retains the last K of them. The recorded window is the
-    /// input to [`snapshot::bisect_violation`]. Like the sink,
-    /// ring-keeping reads the machine without mutating it.
-    pub fn set_checkpoint_ring(&mut self, every_ticks: u64, ring: snapshot::CheckpointRing) {
-        self.checkpoint_ring = Some((every_ticks.max(1), ring));
-    }
-
-    /// Runs a workload while recording a checkpoint ring: every
-    /// `every_ticks` ticks a checkpoint is pushed into a fresh
-    /// [`snapshot::CheckpointRing`] of capacity `keep`, which is returned
-    /// alongside the run's statistics for post-hoc bisection.
-    pub fn run_with_ring(
-        &mut self,
-        spec: &WorkloadSpec,
-        every_ticks: u64,
-        keep: usize,
-    ) -> (RunStats, snapshot::CheckpointRing) {
-        let ring = snapshot::CheckpointRing::new(keep);
-        self.set_checkpoint_ring(every_ticks, ring.clone());
-        let stats = self.run_spec(spec);
-        self.checkpoint_ring = None;
-        (stats, ring)
     }
 
     /// Installs an interleaving [`crate::explore::Scheduler`]: the
@@ -252,11 +203,6 @@ impl Machine {
     /// hook; production machines never install one.
     pub fn set_scheduler(&mut self, scheduler: Box<dyn crate::explore::Scheduler>) {
         self.scheduler = Some(scheduler);
-    }
-
-    /// Removes and returns the installed scheduler, if any.
-    pub fn take_scheduler(&mut self) -> Option<Box<dyn crate::explore::Scheduler>> {
-        self.scheduler.take()
     }
 
     /// Arms the deterministic fault-injection engine with `plan`.
@@ -627,90 +573,116 @@ impl Machine {
         }
     }
 
-    /// Delivers pending VMM shootdowns — through the chaos dice when fault
-    /// injection is armed. `Asid` and `Range` requests (the IPI-carried
-    /// gVA-space shootdowns real systems genuinely lose or delay) can be
-    /// dropped or deferred; `NtlbFrame` requests model the hypervisor's
-    /// *synchronous* local INVEPT on its own EPT edit and always deliver.
-    fn drain_flushes(&mut self) {
-        if self.scheduler.is_some() {
-            return self.drain_flushes_scheduled();
-        }
+    /// Delivers the VMM's pending shootdowns as one drain batch.
+    ///
+    /// The batch first logs every request's `Requested` scope, then each
+    /// request's fate in delivery order. `NtlbFrame` requests model the
+    /// hypervisor's *synchronous* local INVEPT on its own EPT edit: they
+    /// sort last in [`Vmm::take_pending_flushes`], always deliver, and are
+    /// never reordered. The `Asid` and `Range` requests before them are
+    /// the IPI-carried gVA-space shootdowns real systems genuinely lose or
+    /// delay; they roll the dice `via` names, when chaos is armed.
+    ///
+    /// On the guest path an installed scheduler owns the IPIs' arrival
+    /// order, because real shootdown IPIs race each other. Each pick
+    /// offers only requests with *distinct* flush scopes: delivering
+    /// either of two identical-scope twins first reaches the same
+    /// successor state, so branching on the twin is pruned (the sleep-set
+    /// argument of DESIGN §5j); the suppressed permutations are reported
+    /// through [`crate::explore::ChoicePoint::FlushPick`]'s `remaining`.
+    fn drain_flushes(&mut self, via: Via) {
         let batch = self.next_flush_batch();
-        let mut delivered: Vec<FlushRequest> = Vec::new();
-        for req in self.vmm.take_pending_flushes() {
-            if let Some(scope) = FlushScope::of_request(&req) {
-                let access = self.hot.accesses;
+        let mut pending = self.vmm.take_pending_flushes();
+        let access = self.hot.accesses;
+        for req in &pending {
+            if let Some(scope) = FlushScope::of_request(req) {
                 self.log_shootdown(ShootdownEvent::Requested {
                     access,
                     batch,
                     scope,
                 });
             }
-            self.roll_and_deliver(req, batch, &mut delivered);
+        }
+        let ipis = pending
+            .iter()
+            .take_while(|r| !matches!(r, FlushRequest::NtlbFrame(_)))
+            .count();
+        if via == Via::Guest && self.scheduler.is_some() {
+            for next in 0..ipis.saturating_sub(1) {
+                let remaining = &pending[next..ipis];
+                // Distinct scopes in canonical (sorted-batch) order; the
+                // chosen alternative indexes into this list.
+                let mut distinct: Vec<FlushScope> = Vec::new();
+                for r in remaining {
+                    let s = FlushScope::of_request(r).expect("IPI-carried request has a scope");
+                    if !distinct.contains(&s) {
+                        distinct.push(s);
+                    }
+                }
+                let choice = self.schedule(
+                    crate::explore::ChoicePoint::FlushPick {
+                        batch,
+                        remaining: remaining.len() as u32,
+                    },
+                    distinct.len() as u32,
+                );
+                let scope = Some(distinct[choice as usize]);
+                let idx = remaining
+                    .iter()
+                    .position(|r| FlushScope::of_request(r) == scope)
+                    .expect("chosen scope came from the remaining requests");
+                // Move the pick to the front, keeping the rest in order.
+                pending[next..=next + idx].rotate_right(1);
+            }
+        }
+        let mut delivered: Vec<FlushRequest> = Vec::with_capacity(pending.len());
+        for (i, req) in pending.into_iter().enumerate() {
+            let fate = match (via, self.chaos.as_mut()) {
+                (Via::Guest, Some(c)) if i < ipis => c.roll_shootdown(),
+                (Via::CrossVm, Some(c)) if i < ipis => {
+                    if c.roll_cross_vm() {
+                        ShootdownFate::Drop
+                    } else {
+                        ShootdownFate::Deliver
+                    }
+                }
+                _ => ShootdownFate::Deliver,
+            };
+            if fate == ShootdownFate::Deliver {
+                self.log_applied(&req);
+                delivered.push(req);
+                continue;
+            }
+            let gva = flush_gva(&req);
+            let scope = FlushScope::of_request(&req).expect("IPI-carried request has a scope");
+            let chaos = self.chaos.as_mut().expect("chaos rolled the dice");
+            let event = if let ShootdownFate::Defer(delay) = fate {
+                let due = access + delay;
+                let detail = format!("deferred {req:?} until access {due}");
+                chaos.record(access, DegradationKind::DeferredShootdown, gva, detail);
+                chaos.deferred.push((due, req));
+                ShootdownEvent::Deferred {
+                    access,
+                    batch,
+                    due,
+                    scope,
+                }
+            } else {
+                let (kind, what) = match via {
+                    Via::CrossVm => (DegradationKind::CrossVmShootdownLoss, "lost cross-vm"),
+                    _ => (DegradationKind::DroppedShootdown, "dropped"),
+                };
+                chaos.record(access, kind, gva, format!("{what} {req:?}"));
+                ShootdownEvent::Dropped {
+                    access,
+                    batch,
+                    scope,
+                }
+            };
+            self.log_shootdown(event);
         }
         self.apply_flush_batch(&delivered);
         self.log_freed_frames(batch);
-    }
-
-    /// Rolls the chaos shootdown dice (when armed) for one drained request
-    /// and either queues it for delivery or records its drop/deferral —
-    /// the shared fate logic of [`Machine::drain_flushes`] and its
-    /// scheduler-ordered variant.
-    fn roll_and_deliver(
-        &mut self,
-        req: FlushRequest,
-        batch: u64,
-        delivered: &mut Vec<FlushRequest>,
-    ) {
-        let scope = FlushScope::of_request(&req);
-        let fate = match self.chaos.as_mut() {
-            Some(c) if !matches!(req, FlushRequest::NtlbFrame(_)) => c.roll_shootdown(),
-            _ => ShootdownFate::Deliver,
-        };
-        match fate {
-            ShootdownFate::Deliver => {
-                self.log_applied(&req);
-                delivered.push(req);
-            }
-            ShootdownFate::Drop => {
-                let access = self.hot.accesses;
-                let chaos = self.chaos.as_mut().expect("chaos rolled the dice");
-                chaos.record(
-                    access,
-                    DegradationKind::DroppedShootdown,
-                    flush_gva(&req),
-                    format!("dropped {req:?}"),
-                );
-                if let Some(scope) = scope {
-                    self.log_shootdown(ShootdownEvent::Dropped {
-                        access,
-                        batch,
-                        scope,
-                    });
-                }
-            }
-            ShootdownFate::Defer(delay) => {
-                let access = self.hot.accesses;
-                let due = access + delay;
-                let chaos = self.chaos.as_mut().expect("chaos rolled the dice");
-                chaos.record(
-                    access,
-                    DegradationKind::DeferredShootdown,
-                    flush_gva(&req),
-                    format!("deferred {req:?} until access {due}"),
-                );
-                chaos.deferred.push((due, req));
-                if let Some(scope) = scope {
-                    self.log_shootdown(ShootdownEvent::Deferred {
-                        access,
-                        batch,
-                        due,
-                        scope,
-                    });
-                }
-            }
-        }
     }
 
     /// Consults the installed interleaving scheduler at one choice point.
@@ -722,136 +694,6 @@ impl Machine {
             Some(s) => s.choose(point, alternatives).min(alternatives - 1),
             None => 0,
         }
-    }
-
-    /// [`Machine::drain_flushes`] with the IPI delivery order chosen by
-    /// the installed scheduler: real shootdown IPIs race each other, so
-    /// the model checker owns their arrival order. `NtlbFrame` requests
-    /// model the hypervisor's *synchronous* local INVEPT — no IPI, no
-    /// reordering freedom — and deliver first, unconditionally. Each pick
-    /// offers only requests with *distinct* flush scopes: delivering
-    /// either of two identical-scope twins first reaches the same
-    /// successor state, so branching on the twin is pruned (the sleep-set
-    /// argument of DESIGN §5j); the suppressed permutations are reported
-    /// through [`crate::explore::ChoicePoint::FlushPick`]'s `remaining`.
-    fn drain_flushes_scheduled(&mut self) {
-        let batch = self.next_flush_batch();
-        let pending = self.vmm.take_pending_flushes();
-        for req in &pending {
-            if let Some(scope) = FlushScope::of_request(req) {
-                let access = self.hot.accesses;
-                self.log_shootdown(ShootdownEvent::Requested {
-                    access,
-                    batch,
-                    scope,
-                });
-            }
-        }
-        let (sync, mut remaining): (Vec<FlushRequest>, Vec<FlushRequest>) = pending
-            .into_iter()
-            .partition(|r| matches!(r, FlushRequest::NtlbFrame(_)));
-        let mut delivered: Vec<FlushRequest> = Vec::new();
-        for req in sync {
-            self.roll_and_deliver(req, batch, &mut delivered);
-        }
-        while !remaining.is_empty() {
-            // Distinct scopes in canonical (sorted-batch) order; the
-            // chosen alternative indexes into this list.
-            let mut distinct: Vec<FlushScope> = Vec::new();
-            for r in &remaining {
-                let s = FlushScope::of_request(r).expect("IPI-carried request has a scope");
-                if !distinct.contains(&s) {
-                    distinct.push(s);
-                }
-            }
-            let choice = if remaining.len() > 1 {
-                self.schedule(
-                    crate::explore::ChoicePoint::FlushPick {
-                        batch,
-                        remaining: remaining.len() as u32,
-                    },
-                    distinct.len() as u32,
-                )
-            } else {
-                0
-            };
-            let scope = distinct[choice as usize];
-            let idx = remaining
-                .iter()
-                .position(|r| FlushScope::of_request(r) == Some(scope))
-                .expect("chosen scope came from the remaining requests");
-            let req = remaining.remove(idx);
-            self.roll_and_deliver(req, batch, &mut delivered);
-        }
-        self.apply_flush_batch(&delivered);
-        self.log_freed_frames(batch);
-    }
-
-    /// Delivers pending shootdowns without consulting the chaos dice. Heal
-    /// paths use this: a recovery-issued flush must never itself be dropped.
-    fn drain_flushes_reliable(&mut self) {
-        let batch = self.next_flush_batch();
-        let delivered = self.vmm.take_pending_flushes();
-        for req in &delivered {
-            if let Some(scope) = FlushScope::of_request(req) {
-                let access = self.hot.accesses;
-                self.log_shootdown(ShootdownEvent::Requested {
-                    access,
-                    batch,
-                    scope,
-                });
-            }
-            self.log_applied(req);
-        }
-        self.apply_flush_batch(&delivered);
-        self.log_freed_frames(batch);
-    }
-
-    /// Delivers pending shootdowns for a *host-initiated* cross-VM
-    /// operation (balloon reclaim, migration teardown, pressure demotion).
-    /// Each IPI-carried request rolls the separate cross-VM loss dice
-    /// ([`FaultPlan::cross_vm_drop_pm`]); `NtlbFrame` requests model the
-    /// hypervisor's synchronous local INVEPT and always deliver.
-    fn drain_flushes_cross_vm(&mut self) {
-        let batch = self.next_flush_batch();
-        let mut delivered: Vec<FlushRequest> = Vec::new();
-        for req in self.vmm.take_pending_flushes() {
-            let scope = FlushScope::of_request(&req);
-            if let Some(scope) = scope {
-                let access = self.hot.accesses;
-                self.log_shootdown(ShootdownEvent::Requested {
-                    access,
-                    batch,
-                    scope,
-                });
-            }
-            let lost = match self.chaos.as_mut() {
-                Some(c) if !matches!(req, FlushRequest::NtlbFrame(_)) => c.roll_cross_vm(),
-                _ => false,
-            };
-            if lost {
-                let access = self.hot.accesses;
-                let chaos = self.chaos.as_mut().expect("chaos rolled the dice");
-                chaos.record(
-                    access,
-                    DegradationKind::CrossVmShootdownLoss,
-                    flush_gva(&req),
-                    format!("lost cross-vm {req:?}"),
-                );
-                if let Some(scope) = scope {
-                    self.log_shootdown(ShootdownEvent::Dropped {
-                        access,
-                        batch,
-                        scope,
-                    });
-                }
-            } else {
-                self.log_applied(&req);
-                delivered.push(req);
-            }
-        }
-        self.apply_flush_batch(&delivered);
-        self.log_freed_frames(batch);
     }
 
     /// Applies deferred shootdowns whose delivery access has been reached.
@@ -931,14 +773,14 @@ impl Machine {
     /// host-driven service work such as live migration.
     pub fn spawn_process(&mut self) -> ProcessId {
         let pid = self.os.spawn(&mut self.mem, &mut self.vmm);
-        self.drain_flushes_reliable();
+        self.drain_flushes(Via::Reliable);
         pid
     }
 
     /// Context-switches the guest to `pid` (which must be known).
     pub fn switch_to(&mut self, pid: ProcessId) {
         self.os.context_switch(&mut self.mem, &mut self.vmm, pid);
-        self.drain_flushes_reliable();
+        self.drain_flushes(Via::Reliable);
     }
 
     /// Host balloon request: escalating reclaim over *all* guest processes
@@ -954,7 +796,7 @@ impl Machine {
                 .reclaim_pressure(&mut self.mem, &mut self.vmm, pid, passes);
         }
         let ballooned = self.os.balloon_surrender();
-        self.drain_flushes_cross_vm();
+        self.drain_flushes(Via::CrossVm);
         ballooned
     }
 
@@ -970,7 +812,7 @@ impl Machine {
             }
         }
         if demoted > 0 {
-            self.drain_flushes_cross_vm();
+            self.drain_flushes(Via::CrossVm);
         }
         demoted
     }
@@ -1021,7 +863,7 @@ impl Machine {
     pub fn host_munmap(&mut self, pid: ProcessId, start: u64, len: u64) {
         self.os
             .munmap(&mut self.mem, &mut self.vmm, pid, start, len);
-        self.drain_flushes_cross_vm();
+        self.drain_flushes(Via::CrossVm);
         self.tlb.flush_asid(Asid::from(pid));
     }
 
@@ -1177,7 +1019,7 @@ impl Machine {
                     self.handle_guest_fault(pid, va, fault, access)?;
                 }
                 Err(fault) => match self.vmm.handle_fault(&mut self.mem, pid, fault) {
-                    FaultOutcome::Fixed => self.drain_flushes(),
+                    FaultOutcome::Fixed => self.drain_flushes(Via::Guest),
                     FaultOutcome::ReflectToGuest(f) => {
                         self.handle_guest_fault(pid, va, f, access)?;
                     }
@@ -1221,7 +1063,7 @@ impl Machine {
                 .handle_page_fault(&mut self.mem, &mut self.vmm, pid, va, access)
                 .map_err(AccessError::Seg)?;
         }
-        self.drain_flushes();
+        self.drain_flushes(Via::Guest);
         self.tlb
             .invalidate_page(Asid::from(pid), GuestVirtAddr::new(va));
         Ok(())
@@ -1291,7 +1133,7 @@ impl Machine {
                         }
                     }
                 }
-                self.drain_flushes_reliable();
+                self.drain_flushes(Via::Reliable);
                 self.chaos_record(
                     DegradationKind::InjectedFault,
                     Some(base),
@@ -1386,7 +1228,7 @@ impl Machine {
                 let reclaimed = self.vmm.host_share(&mut self.mem, pid, &gvas);
                 // Host-initiated maintenance: its shootdowns are IPIs the
                 // chaos dice never touch.
-                self.drain_flushes_reliable();
+                self.drain_flushes(Via::Reliable);
                 self.chaos_record(
                     DegradationKind::InjectedFault,
                     None,
@@ -1446,7 +1288,7 @@ impl Machine {
             // budget; the guest surrenders its recycle list with them.
             let ballooned = self.os.balloon_surrender();
             self.mem.credit_frames(ballooned);
-            self.drain_flushes_reliable();
+            self.drain_flushes(Via::Reliable);
             self.tlb.flush_asid(Asid::from(pid));
             let remaining = self.mem.frames_remaining().unwrap_or(u64::MAX);
             self.chaos_record(
@@ -1507,7 +1349,7 @@ impl Machine {
         self.log_applied_asid(asid);
         self.ntlb.flush_vm(self.vmm.vm());
         self.vmm.chaos_heal_shadow(&mut self.mem, pid, va);
-        self.drain_flushes_reliable();
+        self.drain_flushes(Via::Reliable);
         true
     }
 
@@ -1537,7 +1379,7 @@ impl Machine {
                 self.vmm.chaos_heal_shadow(&mut self.mem, pid, gva);
             }
         }
-        self.drain_flushes_reliable();
+        self.drain_flushes(Via::Reliable);
         self.audit()
     }
 
@@ -1616,7 +1458,7 @@ impl Machine {
                     if self.vmm.handle_fault(&mut self.mem, pid, fault) != FaultOutcome::Fixed {
                         return;
                     }
-                    self.drain_flushes();
+                    self.drain_flushes(Via::Guest);
                 }
                 Err(_) => return,
             }
@@ -1667,28 +1509,28 @@ impl Machine {
             Event::Munmap { start, len } => {
                 self.os
                     .munmap(&mut self.mem, &mut self.vmm, pid, start, len);
-                self.drain_flushes();
+                self.drain_flushes(Via::Guest);
                 self.tlb.flush_asid(Asid::from(pid));
                 audit = AuditScope::Range(start, len);
             }
             Event::MarkCow { start, len } => {
                 self.os
                     .mark_region_cow(&mut self.mem, &mut self.vmm, pid, start, len);
-                self.drain_flushes();
+                self.drain_flushes(Via::Guest);
                 self.tlb.flush_asid(Asid::from(pid));
                 audit = AuditScope::Range(start, len);
             }
             Event::ClockScan { start, len } => {
                 self.os
                     .clock_scan(&mut self.mem, &mut self.vmm, pid, start, len);
-                self.drain_flushes();
+                self.drain_flushes(Via::Guest);
                 self.tlb.flush_asid(Asid::from(pid));
                 audit = AuditScope::Range(start, len);
             }
             Event::ContextSwitch { to } => {
                 let target = self.ensure_proc(to);
                 self.os.context_switch(&mut self.mem, &mut self.vmm, target);
-                self.drain_flushes();
+                self.drain_flushes(Via::Guest);
                 audit = AuditScope::Full;
             }
             Event::Tick => {
@@ -1704,7 +1546,7 @@ impl Machine {
                     && self.scheduler.is_some()
                     && self.schedule(crate::explore::ChoicePoint::SwitchTiming, 2) == 1;
                 if postpone {
-                    self.drain_flushes();
+                    self.drain_flushes(Via::Guest);
                 } else {
                     // Technique switches happen inside interval_tick;
                     // bracket it with the two-state differ under paranoia
@@ -1717,7 +1559,7 @@ impl Machine {
                     let misses = self.tlb.stats().misses - self.hot.misses_at_last_tick;
                     self.hot.misses_at_last_tick = self.tlb.stats().misses;
                     self.vmm.interval_tick(&mut self.mem, misses);
-                    self.drain_flushes();
+                    self.drain_flushes(Via::Guest);
                     if let Some(before) = before {
                         let after =
                             snapshot::TransitionView::capture_parts(&self.mem, &self.vmm, &self.os);
@@ -1772,75 +1614,52 @@ impl Machine {
     /// table-construction costs are negligible there; in short simulations
     /// they are not, unless excluded).
     pub fn run_spec_measured(&mut self, spec: &WorkloadSpec, warmup_accesses: u64) -> RunStats {
-        self.run_spec_from(spec, warmup_accesses, 0, warmup_accesses > 0)
+        let no_hook = |_: &mut Machine, _| ControlFlow::<()>::Continue(());
+        self.run(spec, warmup_accesses, None, no_hook).0
     }
 
-    /// Runs `spec` from the middle: the first `skip_events` workload
-    /// events are regenerated and discarded (the restored snapshot already
-    /// contains their effects), then the rest are applied normally.
-    /// `armed` carries the warm-up trigger state across the resume (a
-    /// checkpoint's [`Checkpoint::warmup_armed`]). With `skip_events = 0`
-    /// this is exactly [`Machine::run_spec_measured`].
+    /// Runs `spec`, calling `hook` after every workload event: the one
+    /// workload loop. The hook is where a caller's boundary policy lives —
+    /// checkpoints, crash triggers, cancellation, per-state checks — and
+    /// returning [`ControlFlow::Break`] stops the run there, its value
+    /// coming back beside the statistics accumulated so far.
     ///
-    /// # Panics
-    ///
-    /// Panics with a [`WorkerKill`] payload when the chaos crash trigger
-    /// ([`Machine::set_kill_at_tick`]) fires.
-    pub fn run_spec_from(
+    /// The first `warmup_accesses` data accesses are excluded from the
+    /// statistics, as in [`Machine::run_spec_measured`]. With `resume`,
+    /// the machine must already hold that checkpoint's snapshot (see
+    /// [`Machine::restore_from`]): the run regenerates and discards the
+    /// events the checkpoint had consumed, takes its warm-up trigger
+    /// state, and applies the rest.
+    pub fn run<B>(
         &mut self,
         spec: &WorkloadSpec,
         warmup_accesses: u64,
-        skip_events: u64,
-        mut armed: bool,
-    ) -> RunStats {
-        self.stopped = None;
-        let mut consumed: u64 = 0;
-        let mut run_ticks: u64 = 0;
+        resume: Option<&Checkpoint>,
+        mut hook: impl FnMut(&mut Machine, Boundary) -> ControlFlow<B>,
+    ) -> (RunStats, Option<B>) {
+        let skip = resume.map_or(0, |cp| cp.events_consumed);
+        let mut at = Boundary {
+            events: 0,
+            ticks: 0,
+            is_tick: false,
+            warmup_armed: resume.map_or(warmup_accesses > 0, |cp| cp.warmup_armed),
+        };
+        let mut stopped = None;
         for event in Workload::new(spec.clone()) {
-            consumed += 1;
-            if consumed <= skip_events {
+            at.events += 1;
+            if at.events <= skip {
                 continue;
             }
-            let is_tick = matches!(&event, Event::Tick);
+            at.is_tick = matches!(&event, Event::Tick);
             self.run_event(event);
-            if armed && self.hot.accesses >= warmup_accesses {
+            if at.warmup_armed && self.hot.accesses >= warmup_accesses {
                 self.begin_measurement();
-                armed = false;
+                at.warmup_armed = false;
             }
-            // Ticks are the quiescent boundaries (flushes drained,
-            // interval policy run): the checkpoint store, the chaos kill,
-            // and the cooperative cancellation point all live here, in
-            // that order — a killed worker's latest checkpoint is already
-            // durable, so recovery never replays from before it.
-            if is_tick {
-                run_ticks += 1;
-                if let Some((every, slot)) = self.checkpoint_sink.clone() {
-                    if run_ticks.is_multiple_of(every) {
-                        slot.store(Checkpoint {
-                            snapshot: self.snapshot(),
-                            events_consumed: consumed,
-                            warmup_armed: armed,
-                            ticks: run_ticks,
-                        });
-                    }
-                }
-                if let Some((every, ring)) = self.checkpoint_ring.clone() {
-                    if run_ticks.is_multiple_of(every) {
-                        ring.push(Checkpoint {
-                            snapshot: self.snapshot(),
-                            events_consumed: consumed,
-                            warmup_armed: armed,
-                            ticks: run_ticks,
-                        });
-                    }
-                }
-                if self.kill_at_tick == Some(run_ticks) {
-                    std::panic::panic_any(WorkerKill);
-                }
-                if let Some(cause) = self.cancel.as_ref().and_then(CancelToken::check) {
-                    self.stopped = Some(cause);
-                    break;
-                }
+            at.ticks += u64::from(at.is_tick);
+            if let ControlFlow::Break(b) = hook(self, at) {
+                stopped = Some(b);
+                break;
             }
         }
         self.drain_write_trace();
@@ -1849,7 +1668,21 @@ impl Machine {
             let found = verify::check_stats(&stats, &self.cfg);
             self.record_violations(found);
         }
-        stats
+        (stats, stopped)
+    }
+
+    /// A resumable [`Checkpoint`] of the machine at boundary `at` of a
+    /// [`Machine::run`]: the snapshot plus the replay cursor. Read-only,
+    /// so a checkpointed run's results are byte-identical to an
+    /// unobserved one's.
+    #[must_use]
+    pub fn checkpoint(&self, at: Boundary) -> Checkpoint {
+        Checkpoint {
+            snapshot: self.snapshot(),
+            events_consumed: at.events,
+            warmup_armed: at.warmup_armed,
+            ticks: at.ticks,
+        }
     }
 
     /// Snapshots the statistics collected since the measurement window
@@ -1928,9 +1761,10 @@ impl Machine {
     }
 
     /// Restores `snap` into this machine, replacing all simulated state.
-    /// Control-plane wiring (cancel token, checkpoint sink, kill trigger)
-    /// is untouched; the chaos arming and tracing enablement must match
-    /// the snapshot's (arm the same plan before restoring).
+    /// Control-plane state (an installed scheduler, the
+    /// `chaos_suppress_leaf_flush` test knob) is untouched; the chaos
+    /// arming and tracing enablement must match the snapshot's (arm the
+    /// same plan before restoring).
     ///
     /// # Errors
     ///
@@ -1963,10 +1797,9 @@ impl Machine {
     }
 
     /// Serializes all simulated state in declaration order. The encoding
-    /// is the deterministic codec of [`agile_types::codec`]; cooperative
-    /// control-plane state (cancel token, checkpoint sink, kill trigger,
-    /// stop cause) is deliberately excluded — it belongs to the worker,
-    /// not the simulation.
+    /// is the deterministic codec of [`agile_types::codec`]; control-plane
+    /// state (the scheduler, test knobs) is deliberately excluded — it
+    /// belongs to the caller, not the simulation.
     fn save_state(&self, e: &mut Enc) {
         self.mem.save_state(e);
         self.vmm.save_state(e);
@@ -2055,7 +1888,6 @@ impl Machine {
         self.alloc_mark = d.u64()?;
         self.flush_batches = d.u64()?;
         self.flush_stats = FlushApplyStats::load(d)?;
-        self.stopped = None;
         Ok(())
     }
 }
@@ -2193,14 +2025,16 @@ mod tests {
             let stats = m.run_spec(&spec);
             (stats.accesses, stats.tlb, m.snapshot().to_bytes())
         };
-        let slot = crate::snapshot::CheckpointSlot::new();
-        let mut first = Machine::new(cfg);
-        first.set_checkpoint_sink(2, slot.clone());
-        first.run_spec(&spec);
-        assert!(slot.stores() > 0, "checkpoints were taken");
-        let cp = slot.latest().expect("checkpointed");
+        let mut latest = None;
+        Machine::new(cfg).run(&spec, 0, None, |m, at| {
+            if at.is_tick && at.ticks.is_multiple_of(2) {
+                latest = Some(m.checkpoint(at));
+            }
+            ControlFlow::<()>::Continue(())
+        });
+        let cp = latest.expect("checkpoints were taken");
         let mut resumed = Machine::restore(cfg, &cp.snapshot).expect("restores");
-        let stats = resumed.run_spec_from(&spec, 0, cp.events_consumed, cp.warmup_armed);
+        let (stats, _) = resumed.run(&spec, 0, Some(&cp), |_, _| ControlFlow::<()>::Continue(()));
         assert_eq!(stats.accesses, straight.0);
         assert_eq!(stats.tlb, straight.1);
         assert_eq!(

@@ -22,10 +22,6 @@
 //! knobs (threads, timeout, retries, seed stream, checkpoint cadence)
 //! live in one [`PlanOptions`] struct shared with the service.
 //!
-//! [`parallel_map`] is the underlying order-preserving pool, exposed for
-//! experiments (like Table II) whose unit of work is not a full machine
-//! run.
-//!
 //! # Example
 //!
 //! ```
@@ -54,16 +50,14 @@ use crate::chaos::{DegradationEvent, FaultPlan};
 use crate::config::SystemConfig;
 use crate::machine::Machine;
 use crate::service::{CancelToken, PlanOptions, Service, StopCause};
-use crate::snapshot::{Checkpoint, CheckpointSlot};
+use crate::snapshot::{Checkpoint, CheckpointSlot, WorkerKill};
 use crate::stats::{KindCounts, RunStats};
 use agile_trace::TraceLog;
 use agile_types::SplitMix64;
 use agile_vmm::VmtrapKind;
 use agile_walk::WalkKind;
 use agile_workloads::WorkloadSpec;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Schema tag embedded in every serialized artifact.
@@ -149,34 +143,25 @@ impl RunRequest {
     /// the degradation paths did not heal, listing them.
     #[must_use]
     pub fn run(&self) -> RunArtifact {
-        self.run_cancellable(&CancelToken::new()).0
+        self.run_with_recovery(&CancelToken::new(), &RecoveryControls::default())
+            .0
     }
 
-    /// [`RunRequest::run`] with a cooperative stop flag: the machine polls
-    /// `token` at every workload tick boundary and stops there when it is
-    /// cancelled or past its deadline, returning the artifact built from
-    /// the statistics so far plus the cause that stopped it (`None` when
-    /// the run completed).
+    /// [`RunRequest::run`] with a cooperative stop flag and crash-recovery
+    /// wiring. At every workload tick boundary the run checkpoints into
+    /// `recovery.slot` every `recovery.checkpoint_interval` ticks, fires
+    /// the request's [`FaultPlan::kill_worker_midrun`] trigger when
+    /// `recovery.arm_kill` is set, and stops when `token` is cancelled or
+    /// past its deadline. It returns the artifact built from the
+    /// statistics so far plus the cause that stopped it (`None` when the
+    /// run completed). With `recovery.resume` set it restores that
+    /// checkpoint and replays only the workload events past its cursor; a
+    /// resumed run's artifact is byte-identical to an uninterrupted run of
+    /// the same request.
     ///
-    /// # Panics
-    ///
-    /// As [`RunRequest::run`] (unhealed paranoia violations).
-    #[must_use]
-    pub fn run_cancellable(&self, token: &CancelToken) -> (RunArtifact, Option<StopCause>) {
-        self.run_with_recovery(token, &RecoveryControls::default())
-    }
-
-    /// [`RunRequest::run_cancellable`] with crash-recovery wiring: the
-    /// machine checkpoints into `recovery.slot` every
-    /// `recovery.checkpoint_interval` ticks, optionally arms the request's
-    /// [`FaultPlan::kill_worker_midrun`] trigger, and — when
-    /// `recovery.resume` is set — restores that checkpoint and replays
-    /// only the workload events past its cursor. A resumed run's artifact
-    /// is byte-identical to an uninterrupted run of the same request.
-    ///
-    /// The everything-off default ([`RecoveryControls::default`]) is
-    /// exactly [`RunRequest::run_cancellable`]; the service's worker-death
-    /// path is the intended caller of the rest.
+    /// The everything-off default ([`RecoveryControls::default`]) is an
+    /// ordinary run; the service's worker-death path is the intended
+    /// caller of the rest.
     ///
     /// # Panics
     ///
@@ -195,31 +180,42 @@ impl RunRequest {
         }
         let started = Instant::now();
         let mut machine = Machine::new(self.config);
-        machine.set_cancel_token(token.clone());
         if self.capture_trace {
             machine.enable_tracing();
         }
         if let Some(plan) = &self.chaos {
             machine.enable_chaos(plan.clone());
         }
-        if let Some(every) = recovery.checkpoint_interval {
-            machine.set_checkpoint_sink(every, recovery.slot.clone());
+        let resume = recovery.resume.as_ref();
+        if let Some(cp) = resume {
+            machine
+                .restore_from(&cp.snapshot)
+                .expect("checkpoint restores onto a machine built from its own request");
         }
-        if recovery.arm_kill {
-            if let Some(tick) = self.chaos.as_ref().and_then(|p| p.kill_worker_midrun) {
-                machine.set_kill_at_tick(tick);
-            }
-        }
-        let (skip_events, warmup_armed) = match &recovery.resume {
-            Some(cp) => {
-                machine
-                    .restore_from(&cp.snapshot)
-                    .expect("checkpoint restores onto a machine built from its own request");
-                (cp.events_consumed, cp.warmup_armed)
-            }
-            None => (0, self.warmup > 0),
+        let every = recovery.checkpoint_interval.map(|n| n.max(1));
+        let kill_at = match &self.chaos {
+            Some(plan) if recovery.arm_kill => plan.kill_worker_midrun.map(|t| t.max(1)),
+            _ => None,
         };
-        let stats = machine.run_spec_from(&spec, self.warmup, skip_events, warmup_armed);
+        let (stats, stopped) = machine.run(&spec, self.warmup, resume, |m, at| {
+            // Ticks are the quiescent boundaries (flushes drained,
+            // interval policy run). The checkpoint store, the chaos kill
+            // and the cancellation point act there, in that order: a
+            // killed worker's latest checkpoint is already durable, so
+            // recovery never replays from before it.
+            if !at.is_tick {
+                return ControlFlow::Continue(());
+            }
+            if every.is_some_and(|n| at.ticks.is_multiple_of(n)) {
+                recovery.slot.store(m.checkpoint(at));
+            }
+            if kill_at == Some(at.ticks) {
+                std::panic::panic_any(WorkerKill);
+            }
+            token
+                .check()
+                .map_or(ControlFlow::Continue(()), ControlFlow::Break)
+        });
         if self.config.paranoia || self.chaos.is_some() {
             let violations = machine.take_violations();
             assert!(
@@ -246,7 +242,7 @@ impl RunRequest {
             degradation: machine.take_degradation_events(),
             trace: self.capture_trace.then(|| machine.take_trace()),
         };
-        (artifact, machine.stop_cause())
+        (artifact, stopped)
     }
 }
 
@@ -260,7 +256,7 @@ pub struct RecoveryControls {
     /// Store a checkpoint into `slot` every this-many workload ticks
     /// (`None` = no checkpointing).
     pub checkpoint_interval: Option<u64>,
-    /// Shared mailbox the machine checkpoints into; the service keeps a
+    /// Shared mailbox the run checkpoints into; the service keeps a
     /// clone so it can take the latest checkpoint after a worker death.
     pub slot: CheckpointSlot,
     /// Arm the request's [`FaultPlan::kill_worker_midrun`] trigger. The
@@ -725,27 +721,6 @@ impl RunOutcome {
     }
 }
 
-/// A panic raised by one item of a [`try_parallel_map`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Index of the item whose closure panicked.
-    pub index: usize,
-    /// The panic payload, when it was a string.
-    pub message: String,
-}
-
-impl std::fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker panicked on item {}: {}",
-            self.index, self.message
-        )
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
-
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -754,115 +729,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".into()
     }
-}
-
-/// Runs `f` over `items` on up to `threads` workers, returning results in
-/// item order. `f` receives `(index, item)`. With `threads <= 1` this is a
-/// plain serial map with zero thread overhead.
-///
-/// # Panics
-///
-/// Re-raises a panic from any worker, naming the item index (see
-/// [`try_parallel_map`] for the non-panicking form).
-pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    match try_parallel_map(threads, items, f) {
-        Ok(results) => results,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`parallel_map`], but a panicking closure is reported as a
-/// [`WorkerPanic`] carrying the item index instead of tearing down the
-/// caller with a poisoned-lock panic.
-///
-/// The closure runs under [`std::panic::catch_unwind`], so no lock is held
-/// across the unwind and the surviving workers stop claiming new items as
-/// soon as the first panic is observed. The first panic (by observation
-/// order) wins.
-///
-/// # Errors
-///
-/// Returns [`WorkerPanic`] if `f` panicked on any item.
-pub fn try_parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Result<Vec<R>, WorkerPanic>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.min(n).max(1);
-    if workers <= 1 {
-        let mut results = Vec::with_capacity(n);
-        for (i, t) in items.into_iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(i, t))) {
-                Ok(r) => results.push(r),
-                Err(payload) => {
-                    return Err(WorkerPanic {
-                        index: i,
-                        message: panic_message(payload),
-                    })
-                }
-            }
-        }
-        return Ok(results);
-    }
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let first_panic: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("queue lock")
-                    .take()
-                    .expect("each item is claimed once");
-                // The closure runs outside any lock: a panic unwinds into
-                // catch_unwind without poisoning the slot or result mutexes.
-                match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                    Ok(result) => {
-                        *results[i].lock().expect("result lock") = Some(result);
-                    }
-                    Err(payload) => {
-                        abort.store(true, Ordering::Relaxed);
-                        let mut first = first_panic.lock().expect("panic lock");
-                        if first.is_none() {
-                            *first = Some(WorkerPanic {
-                                index: i,
-                                message: panic_message(payload),
-                            });
-                        }
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(panic) = first_panic.into_inner().expect("panic lock") {
-        return Err(panic);
-    }
-    Ok(results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result lock")
-                .expect("every slot is filled")
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -884,15 +750,6 @@ mod tests {
             prefault_writes: true,
             seed,
         }
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let doubled = parallel_map(4, (0..100).collect::<Vec<u64>>(), |i, x| {
-            assert_eq!(i as u64, x);
-            x * 2
-        });
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -919,40 +776,6 @@ mod tests {
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.fingerprint(), b.fingerprint());
         }
-    }
-
-    #[test]
-    fn try_parallel_map_reports_the_panicking_item() {
-        // Pre-fix, the panic poisoned the shared result mutex and the
-        // caller died on an unrelated "result lock" expect, losing the
-        // offending item's identity.
-        let err = try_parallel_map(4, (0..32u64).collect::<Vec<u64>>(), |i, x| {
-            if x == 13 {
-                panic!("boom on {x}");
-            }
-            i as u64 + x
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 13);
-        assert_eq!(err.message, "boom on 13");
-        assert!(err.to_string().contains("item 13"), "{err}");
-    }
-
-    #[test]
-    fn try_parallel_map_serial_path_catches_panics_too() {
-        let err = try_parallel_map(1, vec![1u32, 2, 3], |_, x| {
-            assert_ne!(x, 2, "serial boom");
-            x
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(err.message.contains("serial boom"), "{}", err.message);
-    }
-
-    #[test]
-    fn try_parallel_map_succeeds_without_panics() {
-        let ok = try_parallel_map(3, vec![10u64, 20, 30], |i, x| x + i as u64).unwrap();
-        assert_eq!(ok, vec![10, 21, 32]);
     }
 
     #[test]

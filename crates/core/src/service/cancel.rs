@@ -1,13 +1,15 @@
-//! Cooperative cancellation: the stop flag a running [`crate::Machine`]
-//! checks at tick boundaries.
+//! Cooperative cancellation: the stop flag a running [`crate::Machine`]'s
+//! run hook checks at tick boundaries.
 //!
 //! A [`CancelToken`] is the one communication channel between the control
 //! plane (the job service, a timeout, a client pressing ^C) and a
-//! simulation in flight. The machine polls [`CancelToken::check`] at every
-//! workload tick boundary — the natural quiescent point where all pending
-//! shootdowns are drained — and stops cooperatively, returning the
-//! statistics accumulated so far. Nothing is ever detached or killed: a
-//! cancelled run unwinds through the normal return path within one tick.
+//! simulation in flight. The runner's run hook
+//! ([`crate::RunRequest::run_with_recovery`]) polls [`CancelToken::check`]
+//! at every workload tick boundary — the natural quiescent point where
+//! all pending shootdowns are drained — and stops the run cooperatively,
+//! returning the statistics accumulated so far. Nothing is ever detached
+//! or killed: a cancelled run unwinds through the normal return path
+//! within one tick.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,7 +84,7 @@ impl CancelToken {
     }
 
     /// The stop cause, if any — checking (and latching) the deadline as a
-    /// side effect. This is the call sites in the machine's event loop use.
+    /// side effect. This is the call the runner's tick hook makes.
     #[must_use]
     pub fn check(&self) -> Option<StopCause> {
         match self.inner.state.load(Ordering::Acquire) {

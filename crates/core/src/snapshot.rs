@@ -25,6 +25,7 @@
 //! little-endian codec of `agile_types::codec`.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -191,8 +192,8 @@ struct SlotInner {
     stores: AtomicU64,
 }
 
-/// Shared single-checkpoint mailbox between a running machine and the
-/// service supervising it. The machine overwrites the slot at each
+/// Shared single-checkpoint mailbox between a running job and the
+/// service supervising it. The run's tick hook overwrites the slot at each
 /// checkpointed tick; on a worker kill the service takes the latest
 /// checkpoint and resumes the job elsewhere. Cloning shares the slot.
 #[derive(Debug, Clone, Default)]
@@ -237,79 +238,6 @@ impl CheckpointSlot {
     #[must_use]
     pub fn stores(&self) -> u64 {
         self.inner.stores.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug, Default)]
-struct RingInner {
-    last: Mutex<std::collections::VecDeque<Checkpoint>>,
-    stores: AtomicU64,
-}
-
-/// A bounded ring of the last `K` checkpoints of a run, the time-travel
-/// substrate behind [`bisect_violation`]: where [`CheckpointSlot`] keeps
-/// only the newest checkpoint (enough for crash recovery), the ring keeps
-/// a window of history so a violation discovered at pause can be replayed
-/// from progressively older known states and pinned to the first bad
-/// tick. Cloning shares the ring.
-#[derive(Debug, Clone)]
-pub struct CheckpointRing {
-    inner: Arc<RingInner>,
-    capacity: usize,
-}
-
-impl CheckpointRing {
-    /// An empty ring holding at most `capacity` checkpoints (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        CheckpointRing {
-            inner: Arc::new(RingInner::default()),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Appends a checkpoint, evicting the oldest once over capacity.
-    pub fn push(&self, cp: Checkpoint) {
-        let mut last = self.inner.last.lock().expect("checkpoint ring poisoned");
-        if last.len() == self.capacity {
-            last.pop_front();
-        }
-        last.push_back(cp);
-        self.inner.stores.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The retained checkpoints, oldest first.
-    #[must_use]
-    pub fn checkpoints(&self) -> Vec<Checkpoint> {
-        self.inner
-            .last
-            .lock()
-            .expect("checkpoint ring poisoned")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Checkpoints ever pushed (including evicted ones).
-    #[must_use]
-    pub fn stores(&self) -> u64 {
-        self.inner.stores.load(Ordering::Relaxed)
-    }
-
-    /// Maximum checkpoints retained.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Whether the ring holds no checkpoints.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner
-            .last
-            .lock()
-            .expect("checkpoint ring poisoned")
-            .is_empty()
     }
 }
 
@@ -668,7 +596,7 @@ pub struct BisectReport {
     /// Violation/diagnostic summaries observed at the first bad tick.
     pub findings: Vec<String>,
     /// True when even the oldest retained checkpoint was already dirty:
-    /// the true first bad tick precedes the ring's window, and
+    /// the true first bad tick precedes the window, and
     /// `first_bad_tick` is only an upper bound.
     pub truncated: bool,
 }
@@ -693,10 +621,11 @@ pub(crate) fn machine_findings(machine: &mut Machine) -> Vec<String> {
     findings
 }
 
-/// Replays a run from the retained checkpoints of a [`CheckpointRing`]
-/// and pins the first violating tick — the ROADMAP's time-travel rung.
+/// Replays a run from a window of its checkpoints (oldest first, as a
+/// [`Machine::run`] hook records them with [`Machine::checkpoint`]) and
+/// pins the first violating tick — the ROADMAP's time-travel rung.
 ///
-/// The ring is walked newest-to-oldest for a checkpoint that restores
+/// The window is walked newest-to-oldest for a checkpoint that restores
 /// *clean* (no stored violations, no lint diagnostics); from there the
 /// workload is replayed event by event, checking the paranoia violations
 /// and the static analyzer after each, until the first finding appears.
@@ -705,15 +634,15 @@ pub(crate) fn machine_findings(machine: &mut Machine) -> Vec<String> {
 /// replay; control-plane test knobs do not — re-arm those through
 /// [`bisect_violation_with`].
 ///
-/// Returns `None` when the ring is empty, no checkpoint restores, or the
-/// replay reaches the end of the workload without any finding.
+/// Returns `None` when the window is empty, no checkpoint restores, or
+/// the replay reaches the end of the workload without any finding.
 #[must_use]
 pub fn bisect_violation(
     cfg: crate::config::SystemConfig,
     spec: &agile_workloads::WorkloadSpec,
-    ring: &CheckpointRing,
+    window: &[Checkpoint],
 ) -> Option<BisectReport> {
-    bisect_violation_with(cfg, spec, ring, |_| {})
+    bisect_violation_with(cfg, spec, window, |_| {})
 }
 
 /// [`bisect_violation`] with a `prepare` hook run on every freshly built
@@ -727,24 +656,20 @@ pub fn bisect_violation(
 pub fn bisect_violation_with(
     cfg: crate::config::SystemConfig,
     spec: &agile_workloads::WorkloadSpec,
-    ring: &CheckpointRing,
+    window: &[Checkpoint],
     prepare: impl Fn(&mut Machine),
 ) -> Option<BisectReport> {
-    let mut checkpoints = ring.checkpoints();
-    if checkpoints.is_empty() {
-        return None;
-    }
     // Newest clean checkpoint, else the oldest restorable one (the run
     // was already bad before the window: report a truncated bound).
-    let mut start: Option<(Checkpoint, Machine, bool)> = None;
-    while let Some(cp) = checkpoints.pop() {
+    let mut start: Option<(&Checkpoint, Machine, bool)> = None;
+    for (i, cp) in window.iter().enumerate().rev() {
         let mut machine = Machine::new(cfg);
         prepare(&mut machine);
         if machine.restore_from(&cp.snapshot).is_err() {
             continue;
         }
         let dirty = !machine_findings(&mut machine).is_empty();
-        let truncated = dirty && checkpoints.is_empty();
+        let truncated = dirty && i == 0;
         if dirty && !truncated {
             continue;
         }
@@ -762,34 +687,24 @@ pub fn bisect_violation_with(
             truncated: true,
         });
     }
-    let mut consumed: u64 = 0;
-    let mut replayed: u64 = 0;
-    let mut ticks = cp.ticks;
-    for event in agile_workloads::Workload::new(spec.clone()) {
-        consumed += 1;
-        if consumed <= cp.events_consumed {
-            continue;
+    // The replay's statistics are discarded, so its warm-up boundary is
+    // moot.
+    let (_, report) = machine.run(spec, 0, Some(cp), |machine, at| {
+        let findings = machine_findings(machine);
+        if findings.is_empty() {
+            return ControlFlow::Continue(());
         }
-        let is_tick = matches!(&event, agile_workloads::Event::Tick);
-        if is_tick {
-            ticks += 1;
-        }
-        machine.run_event(event);
-        replayed += 1;
-        let findings = machine_findings(&mut machine);
-        if !findings.is_empty() {
-            return Some(BisectReport {
-                from_ticks: cp.ticks,
-                // A violation between tick boundaries belongs to the
-                // in-progress tick.
-                first_bad_tick: if is_tick { ticks } else { ticks + 1 },
-                events_replayed: replayed,
-                findings,
-                truncated: false,
-            });
-        }
-    }
-    None
+        ControlFlow::Break(BisectReport {
+            from_ticks: cp.ticks,
+            // A violation between tick boundaries belongs to the
+            // in-progress tick.
+            first_bad_tick: cp.ticks + at.ticks + u64::from(!at.is_tick),
+            events_replayed: at.events - cp.events_consumed,
+            findings,
+            truncated: false,
+        })
+    });
+    report
 }
 
 #[cfg(test)]
@@ -835,25 +750,6 @@ mod tests {
         assert_eq!(slot.latest().expect("stored").events_consumed, 9);
         assert_eq!(slot.take().expect("stored").events_consumed, 9);
         assert!(slot.take().is_none());
-    }
-
-    #[test]
-    fn checkpoint_ring_keeps_the_last_k() {
-        let ring = CheckpointRing::new(3);
-        assert!(ring.is_empty());
-        let cp = |n| Checkpoint {
-            snapshot: MachineSnapshot::from_parts("x".into(), VmId::new(0), vec![]),
-            events_consumed: n,
-            warmup_armed: false,
-            ticks: n,
-        };
-        for n in 1..=5 {
-            ring.push(cp(n));
-        }
-        assert_eq!(ring.stores(), 5);
-        assert_eq!(ring.capacity(), 3);
-        let kept: Vec<u64> = ring.checkpoints().iter().map(|c| c.ticks).collect();
-        assert_eq!(kept, vec![3, 4, 5], "oldest two evicted");
     }
 
     #[test]

@@ -10,19 +10,23 @@
 //!    [`CounterexampleTrace`] that replays to the identical findings.
 //! 3. **Trace artifact** — the counterexample's sorted-key JSON
 //!    round-trips byte-stably and replays from the parsed form.
-//! 4. **Bisector** — a checkpoint-ring run with a planted violation is
+//! 4. **Bisector** — a checkpointed run with a planted violation is
 //!    bisected to its first violating tick; a clean run bisects to
 //!    `None`.
 //! 5. **Chaos composition** — exploration over a chaos-deferred plan
 //!    exercises the `DeferredDelivery` choice point and stays clean
 //!    (every injected fault healed), proving scheduler and chaos dice
 //!    compose.
+//! 6. **Answer 0 is production** — a scheduler that always answers 0
+//!    leaves every snapshot byte where the unscheduled run leaves it.
 
 use agile_core::{
-    bisect_violation, bisect_violation_with, explore, replay, AgileOptions, ChurnSpec,
-    CounterexampleTrace, ExploreConfig, FaultPlan, Machine, Pattern, ScenarioKind, ShspOptions,
-    SystemConfig, Technique, WorkloadSpec,
+    bisect_violation, bisect_violation_with, explore, replay, AgileOptions, Checkpoint,
+    ChoicePoint, ChurnSpec, CounterexampleTrace, ExploreConfig, FaultPlan, Machine, Pattern,
+    ScenarioKind, Scheduler, ShspOptions, SystemConfig, Technique, WorkloadSpec,
 };
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 fn all_techniques() -> [Technique; 5] {
     [
@@ -63,6 +67,27 @@ fn spec(label: &str, seed: u64) -> WorkloadSpec {
         prefault_writes: true,
         seed,
     }
+}
+
+/// Runs `spec` on `machine`, checkpointing at every tick, and returns
+/// the last `keep` checkpoints, oldest first: the window the bisector
+/// takes.
+fn run_keeping_checkpoints(
+    machine: &mut Machine,
+    spec: &WorkloadSpec,
+    keep: usize,
+) -> Vec<Checkpoint> {
+    let mut window = VecDeque::new();
+    machine.run(spec, 0, None, |m, at| {
+        if at.is_tick {
+            if window.len() == keep {
+                window.pop_front();
+            }
+            window.push_back(m.checkpoint(at));
+        }
+        ControlFlow::<()>::Continue(())
+    });
+    window.into()
 }
 
 fn paranoid(t: Technique) -> SystemConfig {
@@ -230,12 +255,12 @@ fn counterexample_trace_json_is_byte_stable_and_replays_from_parse() {
 fn bisector_pins_the_first_violating_tick() {
     let cfg = paranoid(Technique::Agile(AgileOptions::default()));
     let spec = spec("bisect", 11);
-    // Clean run: ring fills, nothing to bisect.
+    // Clean run: the window fills, nothing to bisect.
     let mut clean = Machine::new(cfg);
-    let (_, ring) = clean.run_with_ring(&spec, 1, 4);
-    assert!(!ring.is_empty(), "ring recorded checkpoints");
+    let window = run_keeping_checkpoints(&mut clean, &spec, 4);
+    assert!(!window.is_empty(), "the run kept checkpoints");
     assert!(
-        bisect_violation(cfg, &spec, &ring).is_none(),
+        bisect_violation(cfg, &spec, &window).is_none(),
         "a clean run must not bisect to a violation"
     );
     // Planted run: a host merge pass in tick 2 with its shootdown
@@ -244,7 +269,7 @@ fn bisector_pins_the_first_violating_tick() {
     let mut planted = Machine::new(cfg);
     planted.enable_chaos(merge_plan(44));
     planted.chaos_suppress_leaf_flush(true);
-    let (_, ring) = planted.run_with_ring(&spec, 1, 4);
+    let window = run_keeping_checkpoints(&mut planted, &spec, 4);
     assert!(
         !planted.violations().is_empty(),
         "the planted bug must violate during the recorded run"
@@ -252,7 +277,7 @@ fn bisector_pins_the_first_violating_tick() {
     // The chaos dice/cursor state rides along inside each checkpoint,
     // but it only restores into a machine with the plan already armed —
     // and the control-plane suppression knob is never serialized at all.
-    let report = bisect_violation_with(cfg, &spec, &ring, |m| {
+    let report = bisect_violation_with(cfg, &spec, &window, |m| {
         m.enable_chaos(merge_plan(44));
         m.chaos_suppress_leaf_flush(true);
     })
@@ -311,4 +336,52 @@ fn chaos_deferred_exploration_composes_and_heals() {
         report.schedules > 1,
         "deferred delivery must branch the schedule tree"
     );
+}
+
+/// Answers 0 at every choice point: the production schedule, by contract.
+#[derive(Debug)]
+struct AlwaysZero;
+
+impl Scheduler for AlwaysZero {
+    fn choose(&mut self, _: ChoicePoint, _: u32) -> u32 {
+        0
+    }
+}
+
+#[test]
+fn a_scheduler_answering_zero_is_the_production_schedule() {
+    // Remaps, COW breaks, clock scans and context switches between two
+    // processes give multi-request drain batches on every path.
+    let mut spec = spec("zero", 23);
+    spec.churn.clock_scan_every = Some(45);
+    spec.churn.scan_pages = 4;
+    let plans = [
+        None,
+        Some(
+            FaultPlan::new(0x2E60)
+                .drop_shootdowns(150)
+                .defer_shootdowns(150, 3),
+        ),
+    ];
+    let mut differ = Vec::new();
+    for t in all_techniques() {
+        for plan in &plans {
+            let run = |scheduled: bool| {
+                let mut m = Machine::new(SystemConfig::new(t));
+                m.enable_shootdown_log();
+                if let Some(plan) = plan {
+                    m.enable_chaos(plan.clone());
+                }
+                if scheduled {
+                    m.set_scheduler(Box::new(AlwaysZero));
+                }
+                m.run_spec(&spec);
+                m.snapshot().to_bytes()
+            };
+            if run(false) != run(true) {
+                differ.push(format!("{} chaos={}", t.label(), plan.is_some()));
+            }
+        }
+    }
+    assert!(differ.is_empty(), "answer-0 runs diverge: {differ:?}");
 }

@@ -28,10 +28,10 @@ pub mod prelude {
     pub use agile_core::runner::ARTIFACT_SCHEMA;
     pub use agile_core::types::SplitMix64;
     pub use agile_core::{
-        micro_benches, parallel_map, profile, render_log, AgileOptions, CancelToken, ChurnSpec,
-        DegradationKind, FaultPlan, FramePool, Host, HostConfig, JobId, JobState, JobStatus, Json,
-        Machine, MigrationOutcome, Overheads, Pattern, PlanOptions, Profile, RunArtifact,
-        RunOutcome, RunPlan, RunRequest, RunStats, ScenarioKind, Service, ServiceMetrics,
-        ShspOptions, StopCause, SystemConfig, Technique, VmmConfig, WorkloadSpec,
+        micro_benches, profile, render_log, AgileOptions, CancelToken, ChurnSpec, DegradationKind,
+        FaultPlan, FramePool, Host, HostConfig, JobId, JobState, JobStatus, Json, Machine,
+        MigrationOutcome, Overheads, Pattern, PlanOptions, Profile, RunArtifact, RunOutcome,
+        RunPlan, RunRequest, RunStats, ScenarioKind, Service, ServiceMetrics, ShspOptions,
+        StopCause, SystemConfig, Technique, VmmConfig, WorkloadSpec,
     };
 }

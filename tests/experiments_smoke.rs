@@ -23,7 +23,7 @@ fn table1_renders_all_techniques() {
 
 #[test]
 fn table2_reports_reference_breakdowns() {
-    let run = experiments::table2(2);
+    let run = experiments::table2();
     assert_eq!(run.rows.len(), 7);
     assert!(run.text.contains("paper"));
     for row in &run.rows {
@@ -95,7 +95,7 @@ fn shsp_compare_reports_four_rows() {
 
 #[test]
 fn experiment_json_and_csv_are_well_formed() {
-    let run = experiments::table2(1);
+    let run = experiments::table2();
     let json = run.to_json();
     assert_eq!(
         json.get("schema").and_then(|s| s.as_str()),

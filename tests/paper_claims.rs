@@ -177,7 +177,7 @@ fn huge_pages_reduce_overheads_and_agile_still_wins() {
 
 #[test]
 fn table2_ladder_is_exact() {
-    let rows = agile_paging::experiments::table2(1).rows;
+    let rows = agile_paging::experiments::table2().rows;
     let refs: Vec<u32> = rows.iter().map(|r| r.refs).collect();
     assert_eq!(refs, vec![4, 4, 8, 12, 16, 20, 24]);
 }
