@@ -68,10 +68,11 @@ use crate::verify;
 use agile_mem::PhysMem;
 use agile_tlb::TlbHierarchy;
 use agile_types::{
-    CodecError, Dec, Enc, GuestFrame, HostFrame, Level, Persist, ProcessId, Pte, PteFlags, VmId,
+    CodecError, Dec, Enc, GuestFrame, GuestVirtAddr, HostFrame, Level, Persist, ProcessId, Pte,
+    PteFlags, StateSink, VmId,
 };
-use agile_vmm::{FlushRequest, GptPageMode, Technique, Vmm};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use agile_vmm::{FlushRequest, GptPageInfo, GptPageMode, Technique, Vmm};
+use std::collections::{BTreeMap, HashSet};
 
 /// Typed code of one static-analysis diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -479,7 +480,33 @@ fn walk_guest_tree(
     }
 }
 
+/// Who claims a live table page in the frame-ownership pass.
+#[derive(Debug, Clone, Copy)]
+enum Owner {
+    /// The host (EPT) tree.
+    Host,
+    /// One process's shadow tree.
+    Shadow(ProcessId),
+    /// The backing of a registered guest page-table page.
+    GuestTable(GuestFrame),
+}
+
+impl std::fmt::Display for Owner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Owner::Host => write!(f, "host-table"),
+            Owner::Shadow(pid) => write!(f, "shadow(pid {})", pid.raw()),
+            Owner::GuestTable(gframe) => write!(f, "guest-table {gframe}"),
+        }
+    }
+}
+
 /// Frame-ownership pass: every live table page must have exactly one owner.
+///
+/// Claims are recorded as `(frame, owner)` in claim order and matched
+/// against the frame-ordered live table pages after a stable sort, so the
+/// text of a [`LintCode::MultiOwnedFrame`] diagnostic is rendered only
+/// when one fires, with its owners in claim order.
 ///
 /// Returns whether the table graph is *structurally intact* (no dangling
 /// pointers, no unbacked guest tables). The truth-comparison passes walk
@@ -488,15 +515,13 @@ fn walk_guest_tree(
 /// an intact graph; on a broken one, the structural diagnostics emitted
 /// here already pinpoint the breakage.
 fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> bool {
-    let mut owners: HashMap<u64, Vec<String>> = HashMap::new();
-    let mut claim = |frame: HostFrame, owner: String| {
-        owners.entry(frame.raw()).or_default().push(owner);
-    };
+    let mut claims: Vec<(u64, Owner)> = Vec::with_capacity(mem.table_page_count());
+    let mut claim = |frame: HostFrame, owner: Owner| claims.push((frame.raw(), owner));
 
     walk_host_tree(
         mem,
         vmm.hptr(),
-        &mut |frame, _| claim(frame, "host-table".to_string()),
+        &mut |frame, _| claim(frame, Owner::Host),
         &mut |_, _, _| {},
         &mut |gpa, level, child| {
             out.push(
@@ -515,7 +540,7 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
             walk_host_tree(
                 mem,
                 sptr,
-                &mut |frame, _| claim(frame, format!("shadow(pid {})", pid.raw())),
+                &mut |frame, _| claim(frame, Owner::Shadow(pid)),
                 &mut |_, _, _| {},
                 &mut |va, level, child| {
                     out.push(
@@ -549,10 +574,10 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
         }
     }
 
-    for gframe in vmm.guest_table_frames() {
+    for gframe in vmm.gmap().table_gframes() {
         match vmm.backing(gframe) {
             Some(backing) if mem.is_table(backing) => {
-                claim(backing, format!("guest-table {gframe}"));
+                claim(backing, Owner::GuestTable(gframe));
             }
             other => {
                 out.push(LintDiag::new(
@@ -566,27 +591,38 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
         }
     }
 
-    for frame in mem.table_frames() {
-        match owners.get(&frame.raw()) {
-            None => out.push(
+    // Every claimed frame is a live table page, so one pass over the
+    // frame-ordered pages consumes the frame-sorted claims.
+    claims.sort_by_key(|&(frame, _)| frame);
+    let mut next = 0;
+    for (frame, _) in mem.table_pages() {
+        let first = next;
+        while claims.get(next).is_some_and(|&(f, _)| f == frame.raw()) {
+            next += 1;
+        }
+        match next - first {
+            0 => out.push(
                 LintDiag::new(
                     LintCode::OrphanFrame,
                     "live table page reachable from no owner (leaked)".to_string(),
                 )
                 .frame(frame),
             ),
-            Some(claims) if claims.len() > 1 => out.push(
+            1 => {}
+            n => out.push(
                 LintDiag::new(
                     LintCode::MultiOwnedFrame,
                     format!(
-                        "table page claimed by {} owners: {}",
-                        claims.len(),
-                        claims.join(", ")
+                        "table page claimed by {n} owners: {}",
+                        claims[first..next]
+                            .iter()
+                            .map(|(_, owner)| owner.to_string())
+                            .collect::<Vec<_>>()
+                            .join(", ")
                     ),
                 )
                 .frame(frame),
             ),
-            Some(_) => {}
         }
     }
 
@@ -598,85 +634,100 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
     })
 }
 
-/// True when any guest table page on `gva`'s walk path is in the KVM-style
-/// unsynced state — its derived shadow entries are architecturally allowed
-/// to be stale until the next synchronization point, so strict
-/// shadow-vs-truth checks must not fire.
-fn path_unsynced(mem: &PhysMem, vmm: &Vmm, pid: ProcessId, gva: u64) -> bool {
-    Level::top()
-        .walk_order()
-        .any(|level| vmm.page_mode(mem, pid, gva, level) == Some(GptPageMode::Unsynced))
+/// `pid`'s page metadata for `gframe`, from `pages` (sorted by gframe, as
+/// [`Vmm::gpt_pages`] returns it).
+fn page_info(pages: &[(GuestFrame, GptPageInfo)], gframe: GuestFrame) -> Option<&GptPageInfo> {
+    pages
+        .binary_search_by_key(&gframe.raw(), |(g, _)| g.raw())
+        .ok()
+        .map(|i| &pages[i].1)
 }
 
-/// Shadow-table sweep: permission monotonicity, frame agreement, A/D
-/// consistency, huge/4K alias spans, and switching-bit well-formedness.
+/// One descent of the guest table from `root` for `gva`: the guest leaf
+/// (present, not switching), and whether any guest table page on the walk
+/// path is in the KVM-style unsynced state — its derived shadow entries
+/// are architecturally allowed to be stale until the next synchronization
+/// point, so strict shadow-vs-truth checks must not fire. `pages` is the
+/// process's sorted page metadata.
+fn guest_path(
+    mem: &PhysMem,
+    vmm: &Vmm,
+    root: GuestFrame,
+    pages: &[(GuestFrame, GptPageInfo)],
+    gva: u64,
+) -> (bool, Option<(Pte, Level)>) {
+    let va = GuestVirtAddr::new(gva);
+    let mut unsynced = false;
+    let mut gframe = root;
+    for level in Level::top().walk_order() {
+        unsynced |= page_info(pages, gframe).is_some_and(|i| i.mode == GptPageMode::Unsynced);
+        let Some(page) = vmm.backing(gframe).and_then(|h| mem.table(h)) else {
+            break;
+        };
+        let pte = page.entry(va.index(level));
+        if !pte.is_present() || pte.is_switching() {
+            break;
+        }
+        if pte.is_leaf_at(level) {
+            return (unsynced, Some((pte, level)));
+        }
+        gframe = GuestFrame::new(pte.frame_raw());
+    }
+    (unsynced, None)
+}
+
+/// Shadow-table sweep of one process: permission monotonicity, frame
+/// agreement, A/D consistency, huge/4K alias spans, and switching-bit
+/// well-formedness. `pages` is the process's sorted page metadata.
 ///
 /// `tables_intact` gates the truth comparisons (reference translation,
 /// page-mode probes): they dereference table pages through the infallible
 /// simulator read paths and must not run over a structurally broken graph.
-fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut Vec<LintDiag>) {
+fn check_shadow_tables(
+    mem: &PhysMem,
+    vmm: &Vmm,
+    pid: ProcessId,
+    pages: &[(GuestFrame, GptPageInfo)],
+    tables_intact: bool,
+    out: &mut Vec<LintDiag>,
+) {
+    let Some(sptr) = vmm.spt_root(pid) else {
+        return;
+    };
     let technique = vmm.technique();
     let agile = matches!(technique, Technique::Agile(_));
     let hw_ad = matches!(technique, Technique::Agile(o) if o.hw_ad_bits);
     let native = matches!(technique, Technique::Native);
+    // With the whole address space nested (SHSP nested phase, agile
+    // storm fallback / pre-engagement) the walker ignores the shadow
+    // table entirely, so residual shadow content is stale-but-inert:
+    // skip truth comparisons, but still flag switching entries where
+    // the mode forbids them.
+    let inert = vmm.full_nested(pid) || vmm.root_nested(pid);
+    let root = vmm.gpt_root(pid);
 
-    // Backing ⇒ registered guest-table-frame index, for switching-target
-    // validation.
-    let mut guest_backing: HashMap<u64, GuestFrame> = HashMap::new();
-    for gframe in vmm.guest_table_frames() {
-        if let Some(h) = vmm.backing(gframe) {
-            guest_backing.insert(h.raw(), gframe);
-        }
-    }
-
-    for pid in vmm.processes() {
-        let Some(sptr) = vmm.spt_root(pid) else {
-            continue;
-        };
-        // With the whole address space nested (SHSP nested phase, agile
-        // storm fallback / pre-engagement) the walker ignores the shadow
-        // table entirely, so residual shadow content is stale-but-inert:
-        // skip truth comparisons, but still flag switching entries where
-        // the mode forbids them.
-        let inert = vmm.full_nested(pid) || vmm.root_nested(pid);
-        let pages: HashMap<u64, agile_vmm::GptPageInfo> = vmm
-            .gpt_pages(pid)
-            .into_iter()
-            .map(|(g, i)| (g.raw(), i))
-            .collect();
-
-        let mut entries: Vec<(u64, Level, Pte)> = Vec::new();
-        walk_host_tree(
-            mem,
-            sptr,
-            &mut |_, _| {},
-            &mut |va, level, pte| entries.push((va, level, pte)),
-            &mut |_, _, _| {}, // dangling pointers reported by the ownership pass
-        );
-
-        for (va, level, pte) in entries {
+    walk_host_tree(
+        mem,
+        sptr,
+        &mut |_, _| {},
+        &mut |va, level, pte| {
             if pte.is_switching() {
-                check_switching_entry(
-                    mem,
-                    vmm,
-                    pid,
-                    va,
-                    level,
-                    pte,
-                    agile,
-                    inert,
-                    &guest_backing,
-                    &pages,
-                    out,
-                );
-                continue;
+                check_switching_entry(mem, vmm, pid, va, level, pte, agile, inert, pages, out);
+                return;
             }
-            if !pte.is_leaf_at(level) || inert || !tables_intact || path_unsynced(mem, vmm, pid, va)
-            {
-                continue;
+            if !pte.is_leaf_at(level) || inert || !tables_intact {
+                return;
+            }
+            let (unsynced, guest_leaf) =
+                root.map_or((false, None), |root| guest_path(mem, vmm, root, pages, va));
+            if unsynced {
+                return;
             }
             let size = pte.leaf_size(level).expect("leaf entry");
-            let Some(reference) = verify::reference_translate(mem, vmm, pid, va) else {
+            let reference = guest_leaf.and_then(|(gpte, glevel)| {
+                verify::reference_from_guest_leaf(mem, vmm, va, gpte, glevel)
+            });
+            let Some(reference) = reference else {
                 out.push(
                     LintDiag::new(
                         LintCode::ShadowFrameMismatch,
@@ -689,7 +740,7 @@ fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut 
                     .gva(va)
                     .level(level),
                 );
-                continue;
+                return;
             };
             if size > reference.eff_size {
                 out.push(
@@ -742,9 +793,8 @@ fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut 
             // not participate (hardware A/D lands in the guest table
             // directly).
             if !native {
-                let guest_dirty = vmm
-                    .gpt_lookup(mem, pid, va)
-                    .is_some_and(|(g, _)| g.flags().contains(PteFlags::DIRTY));
+                let guest_dirty =
+                    guest_leaf.is_some_and(|(g, _)| g.flags().contains(PteFlags::DIRTY));
                 if pte.flags().contains(PteFlags::DIRTY) && !guest_dirty {
                     out.push(
                         LintDiag::new(
@@ -769,8 +819,9 @@ fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut 
                     );
                 }
             }
-        }
-    }
+        },
+        &mut |_, _, _| {}, // dangling pointers reported by the ownership pass
+    );
 }
 
 /// Validates one switching entry (see module docs for the invariant set).
@@ -784,8 +835,7 @@ fn check_switching_entry(
     pte: Pte,
     agile: bool,
     inert: bool,
-    guest_backing: &HashMap<u64, GuestFrame>,
-    pages: &HashMap<u64, agile_vmm::GptPageInfo>,
+    pages: &[(GuestFrame, GptPageInfo)],
     out: &mut Vec<LintDiag>,
 ) {
     if !agile {
@@ -821,9 +871,16 @@ fn check_switching_entry(
         return; // root_nested: the spt is ignored; stale targets are inert
     }
     let target = pte.host_frame();
-    match guest_backing.get(&target.raw()) {
+    // The registered guest table page backed by the target, if any (the
+    // highest such gframe, should two share a backing).
+    let gmap = vmm.gmap();
+    match gmap
+        .table_gframes()
+        .filter(|&g| gmap.backing(g) == Some(target))
+        .last()
+    {
         Some(gframe) => {
-            let info = pages.get(&gframe.raw());
+            let info = page_info(pages, gframe);
             let child_level = level.child();
             let ok =
                 info.is_some_and(|i| i.mode == GptPageMode::Nested && Some(i.level) == child_level);
@@ -869,46 +926,49 @@ fn check_switching_entry(
     }
 }
 
-/// Guest-side image of the Figure 3 partition: below a nested-mode page,
-/// every page must be nested.
-fn check_mode_partition(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) {
-    for pid in vmm.processes() {
-        let pages = vmm.gpt_pages(pid);
-        let by_frame: HashMap<u64, GptPageMode> =
-            pages.iter().map(|(g, i)| (g.raw(), i.mode)).collect();
-        for (gframe, info) in &pages {
-            if info.mode != GptPageMode::Nested || info.level == Level::leaf() {
+/// Guest-side image of the Figure 3 partition for one process: below a
+/// nested-mode page, every page must be nested. `pages` is the process's
+/// sorted page metadata.
+fn check_mode_partition(
+    mem: &PhysMem,
+    vmm: &Vmm,
+    pid: ProcessId,
+    pages: &[(GuestFrame, GptPageInfo)],
+    out: &mut Vec<LintDiag>,
+) {
+    for (gframe, info) in pages {
+        if info.mode != GptPageMode::Nested || info.level == Level::leaf() {
+            continue;
+        }
+        let Some(backing) = vmm.backing(*gframe) else {
+            continue; // reported as UnbackedGuestTable
+        };
+        let Some(page) = mem.table(backing) else {
+            continue;
+        };
+        for (index, pte) in page.present_entries() {
+            if pte.is_leaf_at(info.level) {
                 continue;
             }
-            let Some(backing) = vmm.backing(*gframe) else {
-                continue; // reported as UnbackedGuestTable
-            };
-            let Some(page) = mem.table(backing) else {
+            let child = pte.frame_raw();
+            let Some(mode) = page_info(pages, GuestFrame::new(child)).map(|i| i.mode) else {
                 continue;
             };
-            for (index, pte) in page.present_entries() {
-                if pte.is_leaf_at(info.level) {
-                    continue;
-                }
-                let child = pte.frame_raw();
-                if let Some(mode) = by_frame.get(&child) {
-                    if *mode != GptPageMode::Nested {
-                        let va = info.va_base + index as u64 * info.level.span_bytes();
-                        out.push(
-                            LintDiag::new(
-                                LintCode::ModePartition,
-                                format!(
-                                    "guest table page {gframe} is nested but its child \
-                                     {child:#x} is {mode:?}: the walk path would switch back \
-                                     from nested to shadow"
-                                ),
-                            )
-                            .pid(pid)
-                            .gva(va)
-                            .level(info.level),
-                        );
-                    }
-                }
+            if mode != GptPageMode::Nested {
+                let va = info.va_base + index as u64 * info.level.span_bytes();
+                out.push(
+                    LintDiag::new(
+                        LintCode::ModePartition,
+                        format!(
+                            "guest table page {gframe} is nested but its child \
+                             {child:#x} is {mode:?}: the walk path would switch back \
+                             from nested to shadow"
+                        ),
+                    )
+                    .pid(pid)
+                    .gva(va)
+                    .level(info.level),
+                );
             }
         }
     }
@@ -917,8 +977,23 @@ fn check_mode_partition(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) {
 /// TLB overlap pass: two entries of one address space covering the same
 /// gVA must agree on the translation of the overlap.
 fn check_tlb_aliases(tlb: &TlbHierarchy, out: &mut Vec<LintDiag>) {
-    let mut entries = tlb.entries();
-    entries.sort_by_key(|(asid, va, e)| (asid.raw(), va.raw(), e.size, e.frame.raw()));
+    // Sorted on every field, so the copies of a translation cached in two
+    // structures sit together and `dedup` drops the repeats. Entries that
+    // agree on (asid, gVA, size, frame) yield the same findings in either
+    // order.
+    let mut entries = Vec::new();
+    tlb.for_each_entry(|entry| entries.push(entry));
+    entries.sort_unstable_by_key(|(asid, va, e)| {
+        (
+            asid.raw(),
+            va.raw(),
+            e.size,
+            e.frame.raw(),
+            e.writable,
+            e.dirty,
+        )
+    });
+    entries.dedup();
     let mut active: Vec<(u64, usize)> = Vec::new(); // (end, index into entries)
     for j in 0..entries.len() {
         let (asid_j, va_j, e_j) = &entries[j];
@@ -963,8 +1038,13 @@ pub fn analyze(
 ) -> LintReport {
     let mut out = Vec::new();
     let tables_intact = check_frame_ownership(mem, vmm, &mut out);
-    check_shadow_tables(mem, vmm, tables_intact, &mut out);
-    check_mode_partition(mem, vmm, &mut out);
+    // Per process; the two passes emit disjoint codes, so interleaving
+    // them by process leaves the canonical order unchanged.
+    for pid in vmm.processes() {
+        let pages = vmm.gpt_pages(pid);
+        check_shadow_tables(mem, vmm, pid, &pages, tables_intact, &mut out);
+        check_mode_partition(mem, vmm, pid, &pages, &mut out);
+    }
     check_tlb_aliases(tlb, &mut out);
     if let Some(log) = log {
         out.extend(detect_shootdown_races(log));
@@ -1306,8 +1386,7 @@ impl Persist for ShootdownEvent {
 
 impl Persist for ShootdownLog {
     fn save(&self, e: &mut Enc) {
-        self.events.save(e);
-        e.u64(self.truncated);
+        self.save_to(e);
     }
     fn load(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(ShootdownLog {
@@ -1345,6 +1424,14 @@ impl ShootdownLog {
         } else {
             self.events.push(event);
         }
+    }
+
+    /// [`Persist::save`] through a [`StateSink`]: the events are an
+    /// append-only sequence, so a hashing sink folds only the new ones.
+    pub(crate) fn save_to<S: StateSink>(&self, s: &mut S) {
+        s.enc().seq(self.events.len());
+        s.append_only(self.events.len(), |i, e| self.events[i].save(e));
+        s.enc().u64(self.truncated);
     }
 
     /// Number of recorded events.

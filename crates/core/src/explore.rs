@@ -29,12 +29,16 @@
 //! state is checked once: an event that ends inside the replayed prefix
 //! reproduces a state the parent schedule already checked and keyed —
 //! the same choices give the same state, the determinism the dedup key
-//! itself relies on — so it skips the checks and the snapshot. Visited
-//! states are deduplicated by a hash of the machine's byte-stable
-//! snapshot plus the event cursor, so schedules that commute back into
-//! an already-seen state stop spawning extensions. Identical-scope flush
-//! twins are never branched on at all — the sleep-set-style reduction
-//! argued sound in DESIGN §5j.
+//! itself relies on — so it skips the checks and the key. Visited states
+//! are deduplicated by a hash of the machine's byte-stable snapshot
+//! payload plus the event cursor (`Machine::state_key`), so schedules
+//! that commute back into an already-seen state stop spawning extensions.
+//! The key never encodes the whole snapshot: it combines cached hashes of
+//! the snapshot's parts (table pages, cache sets, the guest memory map,
+//! the shootdown log), re-hashing a part only when its generation moved,
+//! so a state costs what its event changed. Identical-scope flush twins
+//! are never branched on at all — the sleep-set-style reduction argued
+//! sound in DESIGN §5j.
 //!
 //! On a violating state the failing schedule is shrunk to a minimal
 //! [`CounterexampleTrace`]: a byte-stable JSON artifact whose choice
@@ -49,6 +53,7 @@ use std::sync::{Arc, Mutex};
 use crate::machine::Machine;
 use crate::runner::json::Json;
 use crate::snapshot::machine_findings;
+use agile_types::{Enc, StateSink};
 use agile_workloads::WorkloadSpec;
 
 /// One concurrency decision point reached during a run. The machine
@@ -265,7 +270,10 @@ pub struct ExploreReport {
     /// Event boundaries whose state was already visited — the measure of
     /// how often distinct schedules commute back together. Includes the
     /// boundaries of each extension's replayed prefix, whose states the
-    /// parent schedule visited.
+    /// parent schedule visited. A state counts as visited when its key
+    /// (`Machine::state_key`) was seen; keys built from cached part
+    /// hashes fall into the same classes as snapshot bytes, so this count
+    /// is the one a whole-snapshot key gives.
     pub deduped: u64,
     /// Extension alternatives suppressed because their branch state was
     /// already visited via another schedule.
@@ -339,17 +347,184 @@ struct Boundary {
     trail_len: usize,
 }
 
-/// Visited-set key of `machine`'s state after `events` workload events:
-/// the byte-stable snapshot plus the workload cursor. Equal keys mean
-/// "same state, same remaining events" — the suffix tree behind them is
-/// identical by determinism. The key never leaves the process, so only
-/// equality matters and the std hasher serves; the printed and pinned
-/// digest stays [`crate::snapshot::digest`].
-fn state_key(machine: &Machine, events: u64) -> u64 {
-    let mut h = DefaultHasher::new();
-    h.write(&machine.snapshot().to_bytes());
-    h.write_u64(events);
-    h.finish()
+/// The hashes behind [`Machine::state_key`], cached between calls on one
+/// machine.
+///
+/// The key hashes exactly the snapshot's payload bytes, split the way the
+/// machine saves them through a [`StateSink`]:
+///
+/// - **parts**: each live table page, each set of every set-associative
+///   cache (TLB partitions, page-walk-cache skip tables, nested TLB,
+///   context-pointer cache) and the guest memory map. Each part hashes as
+///   `H(group, id, bytes)`, where the group is the structure's position
+///   in the save; the key takes their wrapping sum. A part whose `(id,
+///   generation)` matches the previous call's reuses its hash.
+/// - **the log**: the shootdown log's events, folded in order into one
+///   running hash from a cursor, since the log only grows.
+/// - **the fresh part**: everything else, each part's header and counts
+///   included, re-encoded into one reused buffer on every call.
+///
+/// Equal keys therefore mean equal snapshot bytes (up to 64-bit hash
+/// collisions, as with any hashed key): the fresh bytes fix every header,
+/// and the group and id in each part's hash fix where its bytes sit. The
+/// cache lives with its machine: a group is known by its position, which
+/// the machine's configuration fixes, and [`Machine::restore_from`]
+/// starts a fresh cache.
+#[derive(Debug, Default)]
+pub(crate) struct PartHashes {
+    /// Per group, in save order, as of the last call.
+    groups: Vec<Group>,
+    fresh: Enc,
+    scratch: Enc,
+    /// Log items folded into `log_hash` so far.
+    log_len: usize,
+    log_hash: DefaultHasher,
+}
+
+#[derive(Debug, Default)]
+struct Group {
+    /// The group's own generation, when its structure keeps one.
+    generation: Option<(u64, u64)>,
+    /// Wrapping sum of `parts`' hashes.
+    sum: u64,
+    /// By ascending id.
+    parts: Vec<PartHash>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct PartHash {
+    id: u64,
+    generation: (u64, u64),
+    hash: u64,
+}
+
+impl PartHashes {
+    /// The key of `machine` after `events` workload events.
+    pub(crate) fn key(&mut self, machine: &Machine, events: u64) -> u64 {
+        self.fresh.clear();
+        let mut sink = KeySink {
+            cache: self,
+            open: None,
+            at: 0,
+            sum: 0,
+        };
+        machine.save_to(&mut sink);
+        sink.close();
+        let sum = sink.sum;
+        let mut h = DefaultHasher::new();
+        h.write(self.fresh.as_bytes());
+        h.write_u64(sum);
+        h.write_u64(self.log_hash.finish());
+        h.write_u64(events);
+        h.finish()
+    }
+}
+
+/// One pass of [`PartHashes::key`] over the machine's save. Each group's
+/// hashes are updated in place: a part that kept its id and generation
+/// keeps its hash, and ids that vanished or appeared since the last call
+/// are removed or inserted.
+struct KeySink<'a> {
+    cache: &'a mut PartHashes,
+    /// The last group opened, and whether its parts follow.
+    open: Option<(usize, bool)>,
+    /// Position of the next part in the open group.
+    at: usize,
+    /// Wrapping sum of the closed groups' sums.
+    sum: u64,
+}
+
+impl KeySink<'_> {
+    /// Closes the open group: drops the parts it no longer has and folds
+    /// its sum into the key's.
+    fn close(&mut self) {
+        let Some((g, rebuilt)) = self.open else {
+            return;
+        };
+        let group = &mut self.cache.groups[g];
+        if rebuilt {
+            for gone in group.parts.drain(self.at..) {
+                group.sum = group.sum.wrapping_sub(gone.hash);
+            }
+        }
+        self.sum = self.sum.wrapping_add(group.sum);
+    }
+}
+
+impl StateSink for KeySink<'_> {
+    fn enc(&mut self) -> &mut Enc {
+        &mut self.cache.fresh
+    }
+
+    fn group(&mut self, generation: Option<(u64, u64)>) -> bool {
+        self.close();
+        let g = self.open.map_or(0, |(g, _)| g + 1);
+        let groups = &mut self.cache.groups;
+        if groups.len() == g {
+            groups.push(Group::default());
+        }
+        let group = &mut groups[g];
+        let rebuild = generation.is_none() || group.generation != generation;
+        group.generation = generation;
+        self.open = Some((g, rebuild));
+        self.at = 0;
+        rebuild
+    }
+
+    #[inline]
+    fn part(&mut self, id: u64, generation: (u64, u64), encode: impl FnOnce(&mut Enc)) {
+        let Some((g, true)) = self.open else {
+            panic!("a part outside any open group");
+        };
+        let PartHashes {
+            groups, scratch, ..
+        } = &mut *self.cache;
+        let group = &mut groups[g];
+        let at = self.at;
+        self.at += 1;
+        while group.parts.get(at).is_some_and(|p| p.id < id) {
+            let gone = group.parts.remove(at);
+            group.sum = group.sum.wrapping_sub(gone.hash);
+        }
+        let old = match group.parts.get(at) {
+            Some(p) if p.id == id && p.generation == generation => return,
+            Some(p) if p.id == id => Some(p.hash),
+            _ => None,
+        };
+        scratch.clear();
+        encode(scratch);
+        let mut h = DefaultHasher::new();
+        h.write_usize(g);
+        h.write_u64(id);
+        h.write(scratch.as_bytes());
+        let part = PartHash {
+            id,
+            generation,
+            hash: h.finish(),
+        };
+        group.sum = group.sum.wrapping_add(part.hash);
+        match old {
+            Some(hash) => {
+                group.sum = group.sum.wrapping_sub(hash);
+                group.parts[at] = part;
+            }
+            None => group.parts.insert(at, part),
+        }
+    }
+
+    fn append_only(&mut self, len: usize, mut encode: impl FnMut(usize, &mut Enc)) {
+        let cache = &mut *self.cache;
+        if len < cache.log_len {
+            cache.log_len = 0;
+            cache.log_hash = DefaultHasher::new();
+        }
+        for i in cache.log_len..len {
+            cache.scratch.clear();
+            encode(i, &mut cache.scratch);
+            cache.log_hash.write(cache.scratch.as_bytes());
+        }
+        cache.log_len = len;
+    }
 }
 
 struct RunOutcome {
@@ -358,22 +533,28 @@ struct RunOutcome {
     violation: Option<(u64, Vec<String>)>,
 }
 
+/// How a run keys a checked state: the machine and its event cursor in,
+/// the visited-set key out.
+type Keyer<'a> = &'a mut dyn FnMut(&mut Machine, u64) -> u64;
+
 /// Executes `spec` on a fresh machine from `setup` under the scripted
 /// schedule, checking oracles and analyzer after every event that ends
-/// at or past `prefix` choice points.
+/// at or past `prefix` choice points and keying its state with `key`.
 ///
 /// An event that ends before the trail reaches `prefix` entries has made
 /// only the script's first choices, so when those replay a schedule that
 /// already ran clean, the state is one that run checked and keyed: the
 /// event skips the checks and the key, and its boundary records `None`.
 /// The explorer passes `script.len()` (an extension is its parent's
-/// chosen prefix plus one new alternative); shrinking and replay pass 0.
+/// chosen prefix plus one new alternative); shrinking and replay pass 0,
+/// and a keyer that returns 0, since they read only the violation.
 fn run_one<F: Fn() -> Machine>(
     setup: &F,
     spec: &WorkloadSpec,
     script: &[u32],
     fuel: usize,
     prefix: usize,
+    key: Keyer,
 ) -> RunOutcome {
     let mut machine = setup();
     let trail: Arc<Mutex<Vec<TrailEntry>>> = Arc::default();
@@ -396,7 +577,7 @@ fn run_one<F: Fn() -> Machine>(
             if !findings.is_empty() {
                 return ControlFlow::Break((at.events, findings));
             }
-            Some(state_key(machine, at.events))
+            Some(key(machine, at.events))
         };
         boundaries.push(Boundary { key, trail_len });
         ControlFlow::Continue(())
@@ -434,7 +615,10 @@ fn shrink<F: Fn() -> Machine>(
             while cand.last() == Some(&0) {
                 cand.pop();
             }
-            if run_one(setup, spec, &cand, fuel, 0).violation.is_some() {
+            if run_one(setup, spec, &cand, fuel, 0, &mut |_, _| 0)
+                .violation
+                .is_some()
+            {
                 best = cand;
                 improved = true;
                 break;
@@ -463,6 +647,19 @@ pub fn explore<F: Fn() -> Machine>(
     spec: &WorkloadSpec,
     config: &ExploreConfig,
 ) -> ExploreReport {
+    explore_keyed(setup, spec, config, &mut |machine, events| {
+        machine.state_key(events)
+    })
+}
+
+/// [`explore`] with the visited-set key of each checked state computed by
+/// `key` (the differential tests wrap [`Machine::state_key`]).
+fn explore_keyed<F: Fn() -> Machine>(
+    setup: F,
+    spec: &WorkloadSpec,
+    config: &ExploreConfig,
+    key: Keyer,
+) -> ExploreReport {
     let mut stack: Vec<Vec<u32>> = vec![Vec::new()];
     let mut visited: HashSet<u64> = HashSet::new();
     let mut report = ExploreReport::default();
@@ -472,7 +669,7 @@ pub fn explore<F: Fn() -> Machine>(
             break;
         }
         report.schedules += 1;
-        let run = run_one(&setup, spec, &script, config.fuel, script.len());
+        let run = run_one(&setup, spec, &script, config.fuel, script.len(), key);
         report.choice_points += run.trail.len() as u64;
         let fresh: Vec<bool> = run
             .boundaries
@@ -497,7 +694,7 @@ pub fn explore<F: Fn() -> Machine>(
         if let Some((event, findings)) = run.violation {
             let chosen: Vec<u32> = run.trail.iter().map(|t| t.chosen).collect();
             let minimized = shrink(&setup, spec, config.fuel, chosen);
-            let rerun = run_one(&setup, spec, &minimized, config.fuel, 0);
+            let rerun = run_one(&setup, spec, &minimized, config.fuel, 0, &mut |_, _| 0);
             let (event, findings) = rerun.violation.unwrap_or((event, findings));
             report.counterexample = Some(CounterexampleTrace {
                 choices: minimized,
@@ -551,12 +748,14 @@ pub fn replay<F: Fn() -> Machine>(
     spec: &WorkloadSpec,
     trace: &CounterexampleTrace,
 ) -> Option<(u64, Vec<String>)> {
-    run_one(&setup, spec, &trace.choices, trace.choices.len().max(1), 0).violation
+    let fuel = trace.choices.len().max(1);
+    run_one(&setup, spec, &trace.choices, fuel, 0, &mut |_, _| 0).violation
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn trace_json_round_trips_with_sorted_keys() {
@@ -618,6 +817,98 @@ mod tests {
         }
     }
 
+    /// The `mc` gate's seven suites: the five clean techniques, then the
+    /// host-merge control and the re-planted missed-flush bug.
+    fn mc_suites() -> Vec<(String, Box<dyn Fn() -> Machine>)> {
+        use agile_vmm::{AgileOptions, ShspOptions, Technique};
+        let paranoid = |t: Technique| {
+            let mut cfg = crate::config::SystemConfig::new(t);
+            cfg.paranoia = true;
+            cfg
+        };
+        let mut suites: Vec<(String, Box<dyn Fn() -> Machine>)> = Vec::new();
+        for t in [
+            Technique::Native,
+            Technique::Nested,
+            Technique::Shadow,
+            Technique::Agile(AgileOptions::default()),
+            Technique::Shsp(ShspOptions::default()),
+        ] {
+            let setup = move || {
+                let mut m = Machine::new(paranoid(t));
+                m.enable_shootdown_log();
+                m
+            };
+            suites.push((t.label().to_string(), Box::new(setup)));
+        }
+        for (name, suppress) in [("control", false), ("replant", true)] {
+            let setup = move || {
+                let mut plan = crate::chaos::FaultPlan::new(0x4A11)
+                    .scenario(20, crate::chaos::ScenarioKind::HostMerge { pages: 8 });
+                plan.max_heals_per_access = 0;
+                let mut m = Machine::new(paranoid(Technique::Agile(AgileOptions::default())));
+                m.enable_shootdown_log();
+                m.enable_chaos(plan);
+                m.chaos_suppress_leaf_flush(suppress);
+                m
+            };
+            suites.push((name.to_string(), Box::new(setup)));
+        }
+        suites
+    }
+
+    #[test]
+    fn cached_keys_equal_fresh_keys_and_snapshot_byte_classes() {
+        let config = ExploreConfig {
+            fuel: 4,
+            max_schedules: 96,
+            max_states: 8_192,
+        };
+        let (mut checked, mut stale) = (0u64, Vec::new());
+        for (name, setup) in mc_suites() {
+            // Snapshot-byte class of each key, and key of each class; the
+            // class is the event cursor plus a 128-bit fingerprint of the
+            // payload-bearing bytes.
+            let mut class_of: HashMap<u64, (u64, usize, u64, u64)> = HashMap::new();
+            let mut key_of: HashMap<(u64, usize, u64, u64), u64> = HashMap::new();
+            let report = explore_keyed(setup, &mc_spec(), &config, &mut |m, events| {
+                let key = m.state_key(events);
+                checked += 1;
+                if key != m.state_key_uncached(events) {
+                    stale.push(format!("{name} event {events}"));
+                }
+                let bytes = m.snapshot().to_bytes();
+                let mut h = DefaultHasher::new();
+                h.write(&bytes);
+                let class = (
+                    events,
+                    bytes.len(),
+                    crate::snapshot::digest(&bytes),
+                    h.finish(),
+                );
+                assert_eq!(
+                    *class_of.entry(key).or_insert(class),
+                    class,
+                    "{name}: one key, two states"
+                );
+                assert_eq!(
+                    *key_of.entry(class).or_insert(key),
+                    key,
+                    "{name}: one state, two keys"
+                );
+                key
+            });
+            assert!(report.states > 0, "{name}: nothing explored");
+        }
+        assert!(
+            stale.is_empty(),
+            "{} of {checked} checked states had a stale cached key, first {:?}",
+            stale.len(),
+            stale.first()
+        );
+        assert!(checked > 7_000, "only {checked} states checked");
+    }
+
     #[test]
     fn skipped_prefix_events_reach_the_states_a_full_run_keys() {
         use agile_vmm::{AgileOptions, ShspOptions, Technique};
@@ -635,7 +926,8 @@ mod tests {
                 m.enable_shootdown_log();
                 m
             };
-            let root = run_one(&setup, &spec, &[], fuel, 0);
+            let mut key = |m: &mut Machine, events| m.state_key(events);
+            let root = run_one(&setup, &spec, &[], fuel, 0, &mut key);
             assert!(root.violation.is_none());
             let root_keys: HashSet<u64> = root.boundaries.iter().filter_map(|b| b.key).collect();
             let (mut skipped, mut checked) = (0, 0);
@@ -645,8 +937,8 @@ mod tests {
                 }
                 let mut script: Vec<u32> = root.trail[..i].iter().map(|e| e.chosen).collect();
                 script.push(1);
-                let fast = run_one(&setup, &spec, &script, fuel, script.len());
-                let full = run_one(&setup, &spec, &script, fuel, 0);
+                let fast = run_one(&setup, &spec, &script, fuel, script.len(), &mut key);
+                let full = run_one(&setup, &spec, &script, fuel, 0, &mut key);
                 assert!(fast.violation.is_none() && full.violation.is_none());
                 assert_eq!(fast.boundaries.len(), full.boundaries.len());
                 for (event, (f, b)) in fast.boundaries.iter().zip(&full.boundaries).enumerate() {

@@ -16,7 +16,7 @@ use agile_mem::PhysMem;
 use agile_tlb::{NestedTlb, PageWalkCaches, TlbEntry, TlbHierarchy};
 use agile_types::{
     AccessKind, Asid, CodecError, Dec, Enc, Fault, GuestVirtAddr, HostFrame, Level, Persist,
-    ProcessId, PteFlags, VmId,
+    ProcessId, PteFlags, StateSink, VmId,
 };
 use agile_vmm::{coalesce, FaultOutcome, FlushRequest, HwRoots, Technique, Vmm};
 use agile_walk::{WalkHw, WalkKind, WalkOk, WalkStats};
@@ -90,6 +90,10 @@ pub struct Machine {
     /// (production) is byte-identical to a scheduler that always picks
     /// alternative 0. Control-plane state: excluded from snapshots.
     scheduler: Option<Box<dyn crate::explore::Scheduler>>,
+    /// Part hashes cached by [`Machine::state_key`] between calls. A memo
+    /// of simulated state, not state: excluded from snapshots and reset
+    /// by [`Machine::restore_from`].
+    key_parts: crate::explore::PartHashes,
 }
 
 /// Where a [`Machine::run`] stands after one workload event: what the
@@ -192,6 +196,7 @@ impl Machine {
             flush_batches: 0,
             flush_stats: FlushApplyStats::default(),
             scheduler: None,
+            key_parts: crate::explore::PartHashes::default(),
         }
     }
 
@@ -1738,7 +1743,7 @@ impl Machine {
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
         let mut e = Enc::new();
-        self.save_state(&mut e);
+        self.save_to(&mut e);
         MachineSnapshot::from_parts(self.cfg.label(), self.vmm.vm(), e.into_bytes())
     }
 
@@ -1791,22 +1796,44 @@ impl Machine {
                 ),
             ));
         }
+        self.key_parts = crate::explore::PartHashes::default();
         let mut d = Dec::new(snap.payload());
         self.load_state(&mut d)?;
         d.finish()
     }
 
-    /// Serializes all simulated state in declaration order. The encoding
-    /// is the deterministic codec of [`agile_types::codec`]; control-plane
-    /// state (the scheduler, test knobs) is deliberately excluded — it
-    /// belongs to the caller, not the simulation.
-    fn save_state(&self, e: &mut Enc) {
-        self.mem.save_state(e);
-        self.vmm.save_state(e);
-        self.os.save_state(e);
-        self.tlb.save_state(e);
-        self.pwc.save_state(e);
-        self.ntlb.save_state(e);
+    /// Visited-state key of the machine after `events` workload events
+    /// (see [`crate::explore`]): equal keys mean equal snapshot bytes and
+    /// equal cursors. Built from the hashes of the snapshot's parts, each
+    /// re-hashed only when its generation moved since the last call.
+    pub(crate) fn state_key(&mut self, events: u64) -> u64 {
+        let mut parts = std::mem::take(&mut self.key_parts);
+        let key = parts.key(self, events);
+        self.key_parts = parts;
+        key
+    }
+
+    /// [`Machine::state_key`] computed from an empty cache: every part
+    /// hashed afresh. The differential tests compare the two.
+    #[cfg(test)]
+    pub(crate) fn state_key_uncached(&self, events: u64) -> u64 {
+        crate::explore::PartHashes::default().key(self, events)
+    }
+
+    /// Serializes all simulated state in declaration order through `s`
+    /// (the snapshot passes its encoder; [`Machine::state_key`] a sink
+    /// that hashes parts). The encoding is the deterministic codec of
+    /// [`agile_types::codec`]; control-plane state (the scheduler, test
+    /// knobs) is deliberately excluded — it belongs to the caller, not the
+    /// simulation.
+    pub(crate) fn save_to<S: StateSink>(&self, s: &mut S) {
+        self.mem.save_to(s);
+        self.vmm.save_to(s);
+        self.os.save_state(s.enc());
+        self.tlb.save_to(s);
+        self.pwc.save_to(s);
+        self.ntlb.save_to(s);
+        let e = s.enc();
         self.walk_stats.save(e);
         self.kinds.save(e);
         self.hot.save(e);
@@ -1830,17 +1857,18 @@ impl Machine {
         }
         match self.shootdown_log.as_ref() {
             Some(log) => {
-                e.u8(1);
-                log.save(e);
+                s.enc().u8(1);
+                log.save_to(s);
             }
-            None => e.u8(0),
+            None => s.enc().u8(0),
         }
+        let e = s.enc();
         e.u64(self.alloc_mark);
         e.u64(self.flush_batches);
         self.flush_stats.save(e);
     }
 
-    /// Restores state saved by [`Machine::save_state`], replacing every
+    /// Restores state saved by [`Machine::save_to`], replacing every
     /// simulated structure.
     fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         self.mem.load_state(d)?;

@@ -44,8 +44,8 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AGILSNAP";
 /// the benchmark's output digests use it — one shared definition, so
 /// every pinned value means the same bytes on every build. The bounded
 /// explorer ([`mod@crate::explore`]) does not key visited states with it:
-/// that key never leaves the process, so it hashes the same snapshot
-/// bytes with the faster std hasher.
+/// that key never leaves the process, so it combines cached std-hasher
+/// hashes of the snapshot's parts instead (`Machine::state_key`).
 #[must_use]
 pub fn digest(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -35,7 +35,9 @@ use crate::config::SystemConfig;
 use crate::stats::RunStats;
 use agile_mem::PhysMem;
 use agile_tlb::{NestedTlb, PageWalkCaches, TlbEntry, TlbHierarchy};
-use agile_types::{Asid, CodecError, Dec, Enc, GuestFrame, Level, PageSize, Persist, ProcessId};
+use agile_types::{
+    Asid, CodecError, Dec, Enc, GuestFrame, Level, PageSize, Persist, ProcessId, Pte,
+};
 use agile_vmm::{Vmm, VmtrapKind};
 use agile_walk::{WalkKind, WalkOk};
 
@@ -174,6 +176,11 @@ pub struct RefTranslation {
 ///
 /// Returns `None` when the guest table has no present leaf for `gva` — in
 /// that case no cached translation may exist either.
+///
+/// Two halves: the guest walk ([`Vmm::gpt_lookup`]) and
+/// [`reference_from_guest_leaf`], the host side from the guest leaf on.
+/// The static analyzer runs the tail alone on the leaf its own descent
+/// already found.
 #[must_use]
 pub fn reference_translate(
     mem: &PhysMem,
@@ -182,6 +189,20 @@ pub fn reference_translate(
     gva: u64,
 ) -> Option<RefTranslation> {
     let (gpte, glevel) = vmm.gpt_lookup(mem, pid, gva)?;
+    reference_from_guest_leaf(mem, vmm, gva, gpte, glevel)
+}
+
+/// The tail of [`reference_translate`]: the reference translation of
+/// `gva` given its guest leaf `gpte` at `glevel`, through the host (EPT)
+/// table or, where the host table has no leaf, the guest memory map.
+#[must_use]
+pub fn reference_from_guest_leaf(
+    mem: &PhysMem,
+    vmm: &Vmm,
+    gva: u64,
+    gpte: Pte,
+    glevel: Level,
+) -> Option<RefTranslation> {
     if !gpte.is_present() {
         return None;
     }

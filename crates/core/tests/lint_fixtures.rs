@@ -11,8 +11,8 @@ use agile_core::FlushScope;
 use agile_mem::PhysMem;
 use agile_tlb::{TlbConfig, TlbEntry, TlbHierarchy};
 use agile_types::{
-    AccessKind, Asid, Fault, FaultCause, GuestVirtAddr, HostFrame, Level, PageSize, ProcessId, Pte,
-    PteFlags,
+    AccessKind, Asid, Fault, FaultCause, GuestFrame, GuestVirtAddr, HostFrame, Level, PageSize,
+    ProcessId, Pte, PteFlags,
 };
 use agile_vmm::{AgileOptions, GptPageMode, Technique, Vmm, VmmConfig};
 
@@ -148,7 +148,53 @@ fn multi_owned_frame_fires() {
     let sptr = f.spt_root();
     let hptr = f.vmm.hptr();
     f.mem.write_pte(hptr, f.free_root_slot(), Pte::table(sptr));
-    assert_fires(&f.lint(), LintCode::MultiOwnedFrame);
+    let report = f.lint();
+    assert_fires(&report, LintCode::MultiOwnedFrame);
+    // The host walk reaches the shadow root and the shadow pages above
+    // the leaf table; each renders its owners in claim order.
+    let details: Vec<&str> = report
+        .diags
+        .iter()
+        .filter(|d| d.code == LintCode::MultiOwnedFrame)
+        .map(|d| d.detail.as_str())
+        .collect();
+    assert_eq!(
+        details,
+        vec!["table page claimed by 2 owners: host-table, shadow(pid 1)"; 3]
+    );
+
+    // The guest leaf table's backing, wired in as the child of a host L2
+    // page and of the shadow L2 page (both walks see it as an L1 page and
+    // stop there), is claimed by all three owner kinds in claim order:
+    // host tree, shadow tree, registered guest table.
+    let va = GuestVirtAddr::new(VA);
+    let mut gtable = f.vmm.gpt_root(f.pid).expect("process has a guest root");
+    for level in [Level::L4, Level::L3, Level::L2] {
+        let backing = f.vmm.backing(gtable).expect("guest tables are backed");
+        gtable = GuestFrame::new(f.mem.read_pte(backing, va.index(level)).frame_raw());
+    }
+    let gleaf = f.vmm.backing(gtable).expect("guest tables are backed");
+    let (data, _) = f.vmm.gpt_lookup(&f.mem, f.pid, VA).expect("VA is mapped");
+    let gpa = GuestVirtAddr::new(data.frame_raw() << 12);
+    let mut host_l2 = f.vmm.hptr();
+    for level in [Level::L4, Level::L3] {
+        host_l2 = f.mem.read_pte(host_l2, gpa.index(level)).host_frame();
+    }
+    let slot = f.free_root_slot();
+    f.mem.write_pte(host_l2, slot, Pte::table(gleaf));
+    f.mem
+        .write_pte(f.spt_table_at(Level::L2), slot, Pte::table(gleaf));
+    let report = f.lint();
+    let diag = report
+        .diags
+        .iter()
+        .find(|d| d.code == LintCode::MultiOwnedFrame && d.frame == Some(gleaf))
+        .expect("the guest leaf table's backing is multi-owned");
+    assert_eq!(gtable, GuestFrame::new(5));
+    assert_eq!(
+        diag.detail,
+        "table page claimed by 3 owners: host-table, shadow(pid 1), guest-table 0x5"
+    );
 }
 
 #[test]

@@ -44,6 +44,8 @@ pub struct GuestMemMap {
     backed: usize,
     huge_runs: HashMap<GuestFrame, PageSize>,
     next_gframe: u64,
+    /// Mutations so far ([`GuestMemMap::generation`]).
+    generation: u64,
 }
 
 /// Sentinel backing value: the guest frame has no host frame assigned.
@@ -62,6 +64,7 @@ impl GuestMemMap {
             backed: 0,
             huge_runs: HashMap::new(),
             next_gframe: 1,
+            generation: 0,
         }
     }
 
@@ -101,6 +104,7 @@ impl GuestMemMap {
         let g = GuestFrame::new(self.next_gframe);
         self.next_gframe += 1;
         self.set_backing(g, h);
+        self.generation += 1;
         Some(g)
     }
 
@@ -129,6 +133,7 @@ impl GuestMemMap {
             self.set_backing(GuestFrame::new(start + i), h.add(i));
         }
         self.huge_runs.insert(GuestFrame::new(start), size);
+        self.generation += 1;
         Some(GuestFrame::new(start))
     }
 
@@ -182,6 +187,14 @@ impl GuestMemMap {
         self.backed
     }
 
+    /// How many times the map has changed. Every mutator bumps it, so the
+    /// bytes [`GuestMemMap::save_state`] writes can change only when this
+    /// does.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Iterator over every `(guest frame, host frame)` backing pair in
     /// ascending gframe order. The VMM uses this when it needs to
     /// pre-populate or scan the host table.
@@ -229,6 +242,7 @@ impl GuestMemMap {
         self.backed = 0;
         self.huge_runs.clear();
         self.next_gframe = next_gframe;
+        self.generation += 1;
         for (g, h) in pairs {
             if g >= next_gframe {
                 return d.fail(format!("gframe {g:#x} beyond bump cursor"));
@@ -261,12 +275,14 @@ impl TableSpace for GuestMemMap {
         let h = mem.alloc_table_page();
         self.set_backing(g, h);
         self.table_flag[g.raw() as usize] = true;
+        self.generation += 1;
         g.raw()
     }
 
     fn free_table(&mut self, mem: &mut PhysMem, frame_raw: u64) {
         let g = frame_raw as usize;
         if let (Some(flag), Some(slot)) = (self.table_flag.get_mut(g), self.backing.get_mut(g)) {
+            self.generation += 1;
             *flag = false;
             if *slot != NO_BACKING {
                 let h = HostFrame::new(*slot);

@@ -1,6 +1,8 @@
 //! Simulated host physical memory.
 
-use agile_types::{CodecError, Dec, Enc, HostFrame, Persist, Pte, VmId, ENTRIES_PER_TABLE};
+use agile_types::{
+    CodecError, Dec, Enc, HostFrame, Persist, Pte, StateSink, VmId, ENTRIES_PER_TABLE,
+};
 
 /// Frame-number span reserved per VM: VM `i` allocates frame numbers from
 /// `i * VM_FRAME_SPAN + 1`, so every frame number is globally unique across
@@ -8,7 +10,7 @@ use agile_types::{CodecError, Dec, Enc, HostFrame, Persist, Pte, VmId, ENTRIES_P
 pub const VM_FRAME_SPAN: u64 = 1 << 32;
 
 /// One 4 KiB page-table page: 512 PTEs, exactly as hardware would see it,
-/// plus a bitmap of which of them are present.
+/// plus a bitmap of which of them are present and a write counter.
 #[derive(Clone)]
 pub struct TablePage {
     entries: [Pte; ENTRIES_PER_TABLE],
@@ -16,6 +18,10 @@ pub struct TablePage {
     /// [`TablePage::set_entry`] is the only writer of `entries` and keeps
     /// it in step, so present-entry walks never scan empty slots.
     present: [u64; ENTRIES_PER_TABLE / 64],
+    /// Entry writes so far. [`TablePage::set_entry`], the only writer,
+    /// bumps it, so the page's bytes change only when it moves: the page's
+    /// part generation in [`PhysMem::save_to`].
+    writes: u64,
 }
 
 impl TablePage {
@@ -25,6 +31,7 @@ impl TablePage {
         TablePage {
             entries: [Pte::empty(); ENTRIES_PER_TABLE],
             present: [0; ENTRIES_PER_TABLE / 64],
+            writes: 0,
         }
     }
 
@@ -52,6 +59,7 @@ impl TablePage {
         } else {
             self.present[index / 64] &= !bit;
         }
+        self.writes += 1;
     }
 
     /// Number of present entries.
@@ -133,6 +141,10 @@ pub struct PhysMem {
     charged: u64,
     track_frees: bool,
     freed_log: Vec<HostFrame>,
+    /// Snapshot loads so far: the second half of every page's part
+    /// generation, since a load rebuilds pages whose write counters can
+    /// repeat earlier values.
+    loads: u64,
 }
 
 /// Sentinel slot value: the frame is not (or no longer) a table page.
@@ -172,6 +184,7 @@ impl PhysMem {
             charged: 0,
             track_frees: false,
             freed_log: Vec::new(),
+            loads: 0,
         }
     }
 
@@ -455,12 +468,22 @@ impl PhysMem {
     /// frame-ownership pass) get a deterministic order by construction.
     #[must_use]
     pub fn table_frames(&self) -> Vec<HostFrame> {
+        self.table_pages().map(|(frame, _)| frame).collect()
+    }
+
+    /// Every live page-table page with its frame, in frame order, without
+    /// collecting them.
+    pub fn table_pages(&self) -> impl Iterator<Item = (HostFrame, &TablePage)> + '_ {
         self.slots
             .iter()
             .enumerate()
             .filter(|&(_, &slot)| slot != NON_TABLE)
-            .map(|(off, _)| HostFrame::new(self.base + off as u64))
-            .collect()
+            .map(|(off, &slot)| {
+                (
+                    HostFrame::new(self.base + off as u64),
+                    &self.slab[slot as usize],
+                )
+            })
     }
 
     /// Number of data frames ever allocated.
@@ -488,6 +511,14 @@ impl PhysMem {
     /// entries are written. Arena slot numbers are *not* saved — they are
     /// an unobservable packing detail; restore re-packs densely.
     pub fn save_state(&self, e: &mut Enc) {
+        self.save_to(e);
+    }
+
+    /// [`PhysMem::save_state`] through a [`StateSink`]: each live table
+    /// page is one part, with its frame number as id and (its write
+    /// counter, this memory's snapshot loads) as generation.
+    pub fn save_to<S: StateSink>(&self, s: &mut S) {
+        let e = s.enc();
         self.owner.save(e);
         e.u64(self.base);
         e.u64(self.next_frame);
@@ -497,15 +528,17 @@ impl PhysMem {
         e.u64(self.charged);
         e.bool(self.track_frees);
         self.freed_log.save(e);
-        let frames = self.table_frames();
-        e.seq(frames.len());
-        for f in frames {
-            e.u64(f.raw());
-            let page = self.table(f).expect("table_frames listed a live table");
-            e.seq(page.present_count());
-            for (i, pte) in page.present_entries() {
-                e.u32(i as u32);
-                pte.save(e);
+        e.seq(self.live_tables);
+        if s.group(None) {
+            for (frame, page) in self.table_pages() {
+                s.part(frame.raw(), (page.writes, self.loads), |e| {
+                    e.u64(frame.raw());
+                    e.seq(page.present_count());
+                    for (i, pte) in page.present_entries() {
+                        e.u32(i as u32);
+                        pte.save(e);
+                    }
+                });
             }
         }
     }
@@ -536,6 +569,7 @@ impl PhysMem {
         self.slots.clear();
         self.free_slots.clear();
         self.live_tables = 0;
+        self.loads += 1;
         let tables = d.len_prefix()?;
         for _ in 0..tables {
             let frame = d.u64()?;

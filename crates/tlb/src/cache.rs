@@ -1,6 +1,6 @@
 //! A generic set-associative cache with true-LRU replacement.
 
-use agile_types::{CodecError, Dec, Enc, Persist};
+use agile_types::{CodecError, Dec, Enc, Persist, StateSink};
 
 /// Hit/miss/eviction counters for one cache structure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,6 +55,12 @@ pub struct SetAssocCache<K, V> {
     ways: usize,
     stamp: u64,
     stats: CacheStats,
+    /// Removal events so far, over all sets.
+    removals: u64,
+    /// Per set, the value of `removals` at the set's last removal: with
+    /// the set's largest `last_use`, its part generation (see
+    /// [`SetAssocCache::save_to`]).
+    set_removals: Vec<u64>,
 }
 
 #[derive(Debug, Clone)]
@@ -78,6 +84,8 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
             ways,
             stamp: 0,
             stats: CacheStats::default(),
+            removals: 0,
+            set_removals: vec![0; sets],
         }
     }
 
@@ -165,10 +173,12 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
 
     /// Removes `key` from set `set_index`, returning its value.
     pub fn invalidate(&mut self, set_index: usize, key: &K) -> Option<V> {
-        let sets = self.sets.len();
-        let set = &mut self.sets[set_index % sets];
+        let i = set_index % self.sets.len();
+        let set = &mut self.sets[i];
         let pos = set.iter().position(|s| s.key == *key)?;
-        Some(set.swap_remove(pos).value)
+        let value = set.swap_remove(pos).value;
+        note_removal(&mut self.removals, &mut self.set_removals[i]);
+        Some(value)
     }
 
     /// Removes every key matching `pred`, one pass over the sets, and
@@ -184,7 +194,8 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
         K: Ord,
     {
         let mut removed = 0;
-        for set in &mut self.sets {
+        for (set, at) in self.sets.iter_mut().zip(&mut self.set_removals) {
+            let before = removed;
             while let Some(pos) = set
                 .iter()
                 .enumerate()
@@ -195,6 +206,9 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
                 set.swap_remove(pos);
                 removed += 1;
             }
+            if removed != before {
+                note_removal(&mut self.removals, at);
+            }
         }
         removed
     }
@@ -203,18 +217,24 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
     /// removed.
     pub fn invalidate_if(&mut self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {
         let mut removed = 0;
-        for set in &mut self.sets {
+        for (set, at) in self.sets.iter_mut().zip(&mut self.set_removals) {
             let before = set.len();
             set.retain(|s| !pred(&s.key, &s.value));
-            removed += before - set.len();
+            if set.len() != before {
+                removed += before - set.len();
+                note_removal(&mut self.removals, at);
+            }
         }
         removed
     }
 
     /// Empties the cache (stats are kept).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
+        for (set, at) in self.sets.iter_mut().zip(&mut self.set_removals) {
+            if !set.is_empty() {
+                set.clear();
+                note_removal(&mut self.removals, at);
+            }
         }
     }
 
@@ -251,6 +271,12 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
     }
 }
 
+/// Records a removal from one set, moving that set's part generation.
+fn note_removal(removals: &mut u64, set_removals: &mut u64) {
+    *removals += 1;
+    *set_removals = *removals;
+}
+
 impl Persist for CacheStats {
     fn save(&self, e: &mut Enc) {
         e.u64(self.hits);
@@ -273,17 +299,35 @@ impl<K: Eq + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
     /// the simulated state (it breaks `min_by_key` ties on eviction), so
     /// it is preserved exactly rather than canonicalized.
     pub fn save_state(&self, e: &mut Enc) {
+        self.save_to(e);
+    }
+
+    /// [`SetAssocCache::save_state`] through a [`StateSink`]: each set is
+    /// one part, with its index as id. Its generation is the pair (the
+    /// set's last removal, its largest `last_use`). Every lookup hit and
+    /// every insert writes the cache's ever-growing stamp into the slot it
+    /// touches, which raises the set's largest `last_use`; every other
+    /// change to a set's slots is a removal, which moves the first half.
+    /// The group's generation is (stamp, removals): it moves with any set.
+    pub fn save_to<S: StateSink>(&self, s: &mut S) {
+        let e = s.enc();
         e.u64(self.ways as u64);
         e.u64(self.stamp);
         self.stats.save(e);
         e.seq(self.sets.len());
-        for set in &self.sets {
-            e.seq(set.len());
-            for slot in set {
-                slot.key.save(e);
-                slot.value.save(e);
-                e.u64(slot.last_use);
-            }
+        if !s.group(Some((self.stamp, self.removals))) {
+            return;
+        }
+        for (i, (set, &removed)) in self.sets.iter().zip(&self.set_removals).enumerate() {
+            let newest = set.iter().map(|slot| slot.last_use).max().unwrap_or(0);
+            s.part(i as u64, (removed, newest), |e| {
+                e.seq(set.len());
+                for slot in set {
+                    slot.key.save(e);
+                    slot.value.save(e);
+                    e.u64(slot.last_use);
+                }
+            });
         }
     }
 
@@ -301,6 +345,9 @@ impl<K: Eq + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
                 self.sets.len(),
                 self.ways
             ));
+        }
+        for at in &mut self.set_removals {
+            note_removal(&mut self.removals, at);
         }
         for set in &mut self.sets {
             let n = d.len_prefix()?;

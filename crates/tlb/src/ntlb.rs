@@ -2,7 +2,9 @@
 
 use crate::cache::{CacheStats, SetAssocCache};
 use crate::config::PwcConfig;
-use agile_types::{CodecError, Dec, Enc, GuestFrame, HostFrame, PageSize, Persist, VmId};
+use agile_types::{
+    CodecError, Dec, Enc, GuestFrame, HostFrame, PageSize, Persist, StateSink, VmId,
+};
 
 /// A cached gPA⇒hPA translation: the backing host frame of one guest 4 KiB
 /// frame, plus the host mapping's page size and writability (so the final
@@ -109,8 +111,14 @@ impl NestedTlb {
 
     /// Appends the structure's contents, LRU state, and counters to `e`.
     pub fn save_state(&self, e: &mut Enc) {
-        e.bool(self.enabled);
-        self.cache.save_state(e);
+        self.save_to(e);
+    }
+
+    /// [`NestedTlb::save_state`] through a [`StateSink`]: the cache's sets
+    /// are parts ([`SetAssocCache::save_to`]).
+    pub fn save_to<S: StateSink>(&self, s: &mut S) {
+        s.enc().bool(self.enabled);
+        self.cache.save_to(s);
     }
 
     /// Restores state captured by [`NestedTlb::save_state`]. The geometry

@@ -14,7 +14,9 @@
 
 use crate::cache::{CacheStats, SetAssocCache};
 use crate::config::PwcConfig;
-use agile_types::{Asid, CodecError, Dec, Enc, GuestVirtAddr, HostFrame, Level, Persist};
+use agile_types::{
+    Asid, CodecError, Dec, Enc, GuestVirtAddr, HostFrame, Level, Persist, StateSink,
+};
 
 /// Which kind of table page a PWC entry points into — determines the mode
 /// in which the walk resumes.
@@ -202,10 +204,16 @@ impl PageWalkCaches {
 
     /// Appends all three tables' contents, LRU state, and counters to `e`.
     pub fn save_state(&self, e: &mut Enc) {
-        e.bool(self.enabled);
-        self.skip1.save_state(e);
-        self.skip2.save_state(e);
-        self.skip3.save_state(e);
+        self.save_to(e);
+    }
+
+    /// [`PageWalkCaches::save_state`] through a [`StateSink`]: each
+    /// table's sets are parts ([`SetAssocCache::save_to`]).
+    pub fn save_to<S: StateSink>(&self, s: &mut S) {
+        s.enc().bool(self.enabled);
+        self.skip1.save_to(s);
+        self.skip2.save_to(s);
+        self.skip3.save_to(s);
     }
 
     /// Restores state captured by [`PageWalkCaches::save_state`]. The

@@ -3,7 +3,7 @@
 use crate::cache::{CacheStats, SetAssocCache};
 use crate::config::{SizedTlbConfig, TlbConfig};
 use agile_types::{
-    AccessKind, Asid, CodecError, Dec, Enc, GuestVirtAddr, HostFrame, PageSize, Persist,
+    AccessKind, Asid, CodecError, Dec, Enc, GuestVirtAddr, HostFrame, PageSize, Persist, StateSink,
 };
 
 /// A TLB entry: the final translation the paper cares about. Under
@@ -377,21 +377,26 @@ impl TlbHierarchy {
     #[must_use]
     pub fn entries(&self) -> Vec<(Asid, GuestVirtAddr, TlbEntry)> {
         let mut out: Vec<(Asid, GuestVirtAddr, TlbEntry)> = Vec::new();
+        self.for_each_entry(|entry| {
+            if !out.contains(&entry) {
+                out.push(entry);
+            }
+        });
+        out
+    }
+
+    /// Calls `f` on every live translation of every structure, as
+    /// `(asid, page-aligned gVA, entry)`, structure by structure: a
+    /// translation cached in two structures comes twice. Read-only.
+    pub fn for_each_entry(&self, mut f: impl FnMut((Asid, GuestVirtAddr, TlbEntry))) {
         for t in self.l1d.iter().chain(self.l1i.iter()).chain(self.l2.iter()) {
             let Some(cache) = t.cache.as_ref() else {
                 continue;
             };
-            for (&(asid, vpn), &entry) in cache.iter() {
-                let va = GuestVirtAddr::new(vpn << t.size.shift());
-                if !out
-                    .iter()
-                    .any(|&(a, v, e)| a == asid && v == va && e == entry)
-                {
-                    out.push((asid, va, entry));
-                }
-            }
+            cache.iter().for_each(|(&(asid, vpn), &entry)| {
+                f((asid, GuestVirtAddr::new(vpn << t.size.shift()), entry));
+            });
         }
-        out
     }
 
     /// Aggregate hit/miss counters.
@@ -414,13 +419,19 @@ impl TlbHierarchy {
     /// Appends the hierarchy's full dynamic state (every structure's
     /// contents, LRU state, and counters) to `e`.
     pub fn save_state(&self, e: &mut Enc) {
-        self.stats.save(e);
+        self.save_to(e);
+    }
+
+    /// [`TlbHierarchy::save_state`] through a [`StateSink`]: each
+    /// partition's sets are parts ([`SetAssocCache::save_to`]).
+    pub fn save_to<S: StateSink>(&self, s: &mut S) {
+        self.stats.save(s.enc());
         for t in self.l1d.iter().chain(self.l1i.iter()).chain(self.l2.iter()) {
             match t.cache.as_ref() {
-                None => e.u8(0),
+                None => s.enc().u8(0),
                 Some(c) => {
-                    e.u8(1);
-                    c.save_state(e);
+                    s.enc().u8(1);
+                    c.save_to(s);
                 }
             }
         }

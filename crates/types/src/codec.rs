@@ -98,6 +98,17 @@ impl Enc {
         self.buf.is_empty()
     }
 
+    /// The bytes written so far.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Discards everything written, keeping the buffer for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends one raw byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -138,6 +149,60 @@ impl Enc {
     /// Appends a `u64` sequence-length prefix (callers then save each item).
     pub fn seq(&mut self, len: usize) {
         self.u64(len as u64);
+    }
+}
+
+/// A consumer of saved state that may keep a structure's parts apart.
+///
+/// A structure made of many small, separately changing parts (table pages,
+/// cache sets) saves itself through a sink: everything outside its parts
+/// goes to [`StateSink::enc`], and each part through [`StateSink::part`]
+/// with a generation that moves whenever the part's bytes could. [`Enc`]
+/// writes every part inline, so saving through it yields the snapshot
+/// bytes. A sink that hashes parts separately may reuse a part's hash
+/// while its generation stands still; the bounded explorer's visited-state
+/// key does (`agile_core::explore`).
+pub trait StateSink {
+    /// The encoder for everything outside the parts.
+    fn enc(&mut self) -> &mut Enc;
+
+    /// Opens a group: the parts that follow, up to the next group, belong
+    /// to one structure and come in ascending `id` order. A structure
+    /// opens its group at the same point of every save. A `generation`,
+    /// when given, moves whenever any of the group's parts could change:
+    /// a sink that already holds the group at that generation returns
+    /// `false`, and the caller skips the parts. Without one, or on
+    /// `true`, the caller saves every part.
+    fn group(&mut self, generation: Option<(u64, u64)>) -> bool;
+
+    /// One part of the open group; `encode` writes its bytes. Within a
+    /// group, equal `id` and `generation` mean equal bytes.
+    fn part(&mut self, id: u64, generation: (u64, u64), encode: impl FnOnce(&mut Enc));
+
+    /// An append-only sequence of `len` items; `encode(i, e)` writes item
+    /// `i`. Saved items never change, so a sink may consume only the
+    /// items it has not seen yet.
+    fn append_only(&mut self, len: usize, encode: impl FnMut(usize, &mut Enc));
+}
+
+impl StateSink for Enc {
+    fn enc(&mut self) -> &mut Enc {
+        self
+    }
+
+    fn group(&mut self, _generation: Option<(u64, u64)>) -> bool {
+        true
+    }
+
+    #[inline]
+    fn part(&mut self, _id: u64, _generation: (u64, u64), encode: impl FnOnce(&mut Enc)) {
+        encode(self);
+    }
+
+    fn append_only(&mut self, len: usize, mut encode: impl FnMut(usize, &mut Enc)) {
+        for i in 0..len {
+            encode(i, self);
+        }
     }
 }
 

@@ -9,7 +9,8 @@ use agile_mem::{GuestMemMap, HostSpace, PhysMem, RadixTable, TableSpace};
 use agile_tlb::SetAssocCache;
 use agile_types::{
     load_map_entries, save_sorted_map, AccessKind, Asid, CodecError, Dec, Enc, Fault, FaultCause,
-    GuestFrame, GuestVirtAddr, HostFrame, Level, PageSize, Persist, ProcessId, Pte, PteFlags, VmId,
+    GuestFrame, GuestVirtAddr, HostFrame, Level, PageSize, Persist, ProcessId, Pte, PteFlags,
+    StateSink, VmId,
 };
 use agile_walk::AgileCr3;
 use std::collections::HashMap;
@@ -320,6 +321,13 @@ impl Vmm {
     #[must_use]
     pub fn gpt_page_count(&self, pid: ProcessId) -> usize {
         self.procs.get(&pid).map_or(0, |p| p.pages.len())
+    }
+
+    /// The VM's guest memory map (read-only): guest-frame backing and the
+    /// registered guest page-table frames, in gframe order.
+    #[must_use]
+    pub fn gmap(&self) -> &GuestMemMap {
+        &self.gmap
     }
 
     /// Machine-memory backing of one guest frame, if the guest memory map
@@ -2030,7 +2038,17 @@ impl Vmm {
     /// configuration, and [`Vmm::load_state`] validates the shape against
     /// it instead.
     pub fn save_state(&self, e: &mut Enc) {
-        self.gmap.save_state(e);
+        self.save_to(e);
+    }
+
+    /// [`Vmm::save_state`] through a [`StateSink`]: the guest memory map
+    /// is one part, with the map's mutation counter as generation, and the
+    /// context-pointer cache's sets are parts.
+    pub fn save_to<S: StateSink>(&self, s: &mut S) {
+        if s.group(None) {
+            s.part(0, (self.gmap.generation(), 0), |e| self.gmap.save_state(e));
+        }
+        let e = s.enc();
         e.u64(self.hpt.root_raw());
         let mut pids: Vec<ProcessId> = self.procs.keys().copied().collect();
         pids.sort_unstable_by_key(|p| p.raw());
@@ -2048,11 +2066,12 @@ impl Vmm {
         self.counters.save(e);
         match self.ctx_cache.as_ref() {
             Some(cache) => {
-                e.u8(1);
-                cache.save_state(e);
+                s.enc().u8(1);
+                cache.save_to(s);
             }
-            None => e.u8(0),
+            None => s.enc().u8(0),
         }
+        let e = s.enc();
         self.current.save(e);
         self.pending_flushes.save(e);
         match self.shsp.as_ref() {
