@@ -12,8 +12,8 @@
 //! binary rather than printing silently-corrupt fingerprints.
 
 use agile_core::{
-    render_log, AgileOptions, ChurnSpec, FaultPlan, Pattern, RunRequest, ScenarioKind, ShspOptions,
-    SystemConfig, Technique, WorkloadSpec,
+    render_log, ChurnSpec, FaultPlan, Pattern, RunRequest, ScenarioKind, SystemConfig, Technique,
+    WorkloadSpec,
 };
 
 /// Scenario victims live inside the workload's data region so the
@@ -71,18 +71,11 @@ fn spec(label: &str) -> WorkloadSpec {
 }
 
 fn main() {
-    let techniques = [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ];
     println!(
         "# chaos smoke: seed {:#x}, {ACCESSES} accesses, paranoia on",
         0xC0FFEEu64
     );
-    for t in techniques {
+    for t in Technique::all() {
         let artifact = RunRequest::new(SystemConfig::new(t), spec(t.label()))
             .with_chaos(fault_matrix())
             .run();

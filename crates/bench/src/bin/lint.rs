@@ -20,22 +20,12 @@ use agile_core::host::{Host, HostConfig};
 use agile_core::types::VmId;
 use agile_core::{
     AgileOptions, ChurnSpec, FaultPlan, Json, LintReport, Machine, Pattern, ScenarioKind,
-    ShspOptions, SystemConfig, Technique, WorkloadSpec,
+    SystemConfig, Technique, WorkloadSpec,
 };
 use std::process::ExitCode;
 
 const BASE: u64 = WorkloadSpec::REGION_BASE;
 const ACCESSES: u64 = 3_000;
-
-fn techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
 
 fn spec(label: &str, seed: u64) -> WorkloadSpec {
     WorkloadSpec {
@@ -103,7 +93,7 @@ fn main() -> ExitCode {
     if !json {
         println!("# agile-lint clean phase: unfaulted churn, shootdown log armed");
     }
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         m.enable_shootdown_log();
         m.run_spec(&spec(t.label(), 7));
@@ -128,7 +118,7 @@ fn main() -> ExitCode {
     if !json {
         println!("# agile-lint chaos phase: fault matrix, report must be deterministic");
     }
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         m.enable_chaos(fault_matrix());
         m.run_spec(&spec(t.label(), 7));

@@ -19,7 +19,7 @@
 
 use agile_core::{
     explore, AgileOptions, ChurnSpec, ExploreConfig, ExploreReport, FaultPlan, Json, Machine,
-    Pattern, ScenarioKind, ShspOptions, SystemConfig, Technique, WorkloadSpec,
+    Pattern, ScenarioKind, SystemConfig, Technique, WorkloadSpec,
 };
 use std::process::ExitCode;
 
@@ -27,16 +27,6 @@ use std::process::ExitCode;
 /// bug before inserting this many unique states (mirrors the
 /// `crates/core/tests/explore.rs` pin).
 const REPLANT_STATE_BUDGET: u64 = 96;
-
-fn techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
 
 /// The explorer workload: churny enough to reach every decision point,
 /// tiny enough (32-page footprint) that stale TLB entries are re-hit
@@ -66,20 +56,6 @@ fn spec(label: &str, seed: u64) -> WorkloadSpec {
     }
 }
 
-fn paranoid(t: Technique) -> SystemConfig {
-    let mut cfg = SystemConfig::new(t);
-    cfg.paranoia = true;
-    cfg
-}
-
-fn budget() -> ExploreConfig {
-    ExploreConfig {
-        fuel: 4,
-        max_schedules: 96,
-        max_states: 8_192,
-    }
-}
-
 /// The host same-page-merge pass that makes `drop_shadow_leaf`'s range
 /// shootdown load-bearing; heals disabled so the oracle records instead
 /// of repairing.
@@ -90,7 +66,9 @@ fn merge_plan() -> FaultPlan {
 }
 
 fn merge_setup(suppress: bool) -> Machine {
-    let mut m = Machine::new(paranoid(Technique::Agile(AgileOptions::default())));
+    let mut m = Machine::new(
+        SystemConfig::new(Technique::Agile(AgileOptions::default())).with_paranoia(true),
+    );
     m.enable_shootdown_log();
     m.enable_chaos(merge_plan());
     m.chaos_suppress_leaf_flush(suppress);
@@ -100,18 +78,19 @@ fn merge_setup(suppress: bool) -> Machine {
 fn main() -> ExitCode {
     let json = std::env::args().any(|a| a == "--json");
     let mut dirty = false;
+    let budget = ExploreConfig::default();
 
-    let clean: Vec<(Technique, ExploreReport)> = techniques()
+    let clean: Vec<(Technique, ExploreReport)> = Technique::all()
         .into_iter()
         .map(|t| {
             let report = explore(
                 || {
-                    let mut m = Machine::new(paranoid(t));
+                    let mut m = Machine::new(SystemConfig::new(t).with_paranoia(true));
                     m.enable_shootdown_log();
                     m
                 },
                 &spec(t.label(), 7),
-                &budget(),
+                &budget,
             );
             (t, report)
         })
@@ -125,8 +104,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let control = explore(|| merge_setup(false), &spec("replant", 7), &budget());
-    let replant = explore(|| merge_setup(true), &spec("replant", 7), &budget());
+    let control = explore(|| merge_setup(false), &spec("replant", 7), &budget);
+    let replant = explore(|| merge_setup(true), &spec("replant", 7), &budget);
     let found = replant.counterexample.is_some() && replant.states <= REPLANT_STATE_BUDGET;
     if control.counterexample.is_some() || !found {
         dirty = true;

@@ -10,9 +10,7 @@
 //! step counts rather than flaky timings. Wall-clock, when requested
 //! with `--timings`, goes to stderr only.
 
-use agile_core::{
-    AgileOptions, ChurnSpec, Machine, Pattern, ShspOptions, SystemConfig, Technique, WorkloadSpec,
-};
+use agile_core::{ChurnSpec, Machine, Pattern, SystemConfig, Technique, WorkloadSpec};
 
 const ACCESSES: u64 = 20_000;
 
@@ -45,16 +43,9 @@ fn spec(label: &str) -> WorkloadSpec {
 
 fn main() {
     let timings = std::env::args().any(|a| a == "--timings");
-    let techniques = [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ];
     println!("# hot-path profile: {ACCESSES} accesses/technique, churn-heavy, seed 7");
     let mut total_steps = 0u64;
-    for t in techniques {
+    for t in Technique::all() {
         let mut machine = Machine::new(SystemConfig::new(t));
         let started = std::time::Instant::now();
         machine.run_spec(&spec(t.label()));

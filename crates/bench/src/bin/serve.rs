@@ -8,9 +8,9 @@
 //! the same job file — at *any* shard count — produce byte-identical
 //! documents. CI compares them with `cmp`.
 
-use agile_bench::{parse_technique, write_artifact};
+use agile_bench::write_artifact;
 use agile_core::service::{JobState, PlanOptions, Service};
-use agile_core::{profile, Json, Profile, RunOutcome, RunRequest, SystemConfig};
+use agile_core::{profile, Json, Profile, RunOutcome, RunRequest, SystemConfig, Technique};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -124,12 +124,11 @@ fn load_jobs(doc: &Json) -> Result<(PlanOptions, Vec<RunRequest>), String> {
         let field = |key: &str| -> Result<&Json, String> {
             job.get(key).ok_or(format!("job {i}: missing \"{key}\""))
         };
-        let technique = parse_technique(
-            field("technique")?
-                .as_str()
-                .ok_or(format!("job {i}: \"technique\" must be a string"))?,
-        )
-        .map_err(|e| format!("job {i}: {e}"))?;
+        let name = field("technique")?
+            .as_str()
+            .ok_or(format!("job {i}: \"technique\" must be a string"))?;
+        let technique =
+            Technique::from_name(name).ok_or(format!("job {i}: unknown technique {name}"))?;
         let prof = parse_profile(
             field("profile")?
                 .as_str()
@@ -150,7 +149,7 @@ fn load_jobs(doc: &Json) -> Result<(PlanOptions, Vec<RunRequest>), String> {
                 .as_str()
                 .ok_or(format!("job {i}: \"label\" must be a string"))?
                 .to_string(),
-            None => format!("{}-{}-{i}", technique_name(technique), prof.name()),
+            None => format!("{}-{}-{i}", technique.name(), prof.name()),
         };
         let mut request = RunRequest::new(SystemConfig::new(technique), profile(prof, accesses))
             .with_warmup(warmup)
@@ -164,17 +163,6 @@ fn load_jobs(doc: &Json) -> Result<(PlanOptions, Vec<RunRequest>), String> {
         requests.push(request);
     }
     Ok((opts, requests))
-}
-
-fn technique_name(t: agile_core::Technique) -> &'static str {
-    use agile_core::Technique;
-    match t {
-        Technique::Native => "native",
-        Technique::Nested => "nested",
-        Technique::Shadow => "shadow",
-        Technique::Agile(_) => "agile",
-        Technique::Shsp(_) => "shsp",
-    }
 }
 
 fn state_of(outcome: &RunOutcome) -> JobState {
@@ -301,5 +289,35 @@ fn main() {
     );
     if metrics.skipped > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn load(technique: &str) -> Result<Vec<RunRequest>, String> {
+        let doc = Json::parse(&format!(
+            r#"{{"jobs": [{{"technique": "{technique}", "profile": "mcf", "accesses": 100}}]}}"#
+        ))
+        .expect("valid JSON");
+        load_jobs(&doc).map(|(_, requests)| requests)
+    }
+
+    #[test]
+    fn every_technique_name_loads_and_labels_its_job() {
+        for t in Technique::all() {
+            let requests = load(t.name()).expect("known technique");
+            assert_eq!(requests[0].config.technique, t);
+            assert_eq!(requests[0].label, format!("{}-mcf-0", t.name()));
+        }
+    }
+
+    #[test]
+    fn unknown_technique_is_an_error_naming_the_job() {
+        assert_eq!(
+            load("hyper").map(|_| ()),
+            Err("job 0: unknown technique hyper".to_string())
+        );
     }
 }

@@ -15,20 +15,10 @@
 use agile_core::snapshot::{diff, digest, DiffIntent, TransitionView};
 use agile_core::{
     AgileOptions, ChurnSpec, FaultPlan, Machine, MachineSnapshot, Pattern, PlanOptions, RunRequest,
-    Service, ShspOptions, SystemConfig, Technique, WorkloadSpec,
+    Service, SystemConfig, Technique, WorkloadSpec,
 };
 
 const ACCESSES: u64 = 2_000;
-
-fn all_techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
 
 fn spec(label: &str, seed: u64) -> WorkloadSpec {
     WorkloadSpec {
@@ -57,7 +47,7 @@ fn spec(label: &str, seed: u64) -> WorkloadSpec {
 
 fn round_trip_phase() {
     println!("# phase 1: snapshot round trip, {ACCESSES} accesses");
-    for t in all_techniques() {
+    for t in Technique::all() {
         let cfg = SystemConfig::new(t);
         let mut machine = Machine::new(cfg);
         machine.run_spec(&spec(t.label(), 11));
@@ -95,7 +85,7 @@ fn kill_request(i: usize, t: Technique) -> RunRequest {
 
 fn kill_resume_phase() {
     println!("# phase 2: kill at tick 4, checkpoint every 2 ticks");
-    let techniques = all_techniques();
+    let techniques = Technique::all();
     // Uninterrupted reference: the kill trigger only fires on a service
     // job's first life, never in a plain run; chaos arming implies
     // paranoia, so the reference itself asserts a clean oracle.

@@ -10,15 +10,11 @@
 //!
 //! The `simulate` binary runs a fully custom workload/configuration from
 //! command-line flags (see [`SimArgs`]).
-//!
-//! Timing harnesses live under `benches/`.
 
 #![forbid(unsafe_code)]
 
 use agile_core::experiments::{ExperimentRun, JsonRow};
-use agile_core::{
-    AgileOptions, ChurnSpec, Pattern, ShspOptions, SystemConfig, Technique, WorkloadSpec,
-};
+use agile_core::{AgileOptions, ChurnSpec, Pattern, SystemConfig, Technique, WorkloadSpec};
 use std::path::PathBuf;
 
 /// The shared command-line surface of every experiment binary.
@@ -230,7 +226,11 @@ simulate — run a custom workload on the agile-paging simulator
             let mut value =
                 || -> Result<&String, String> { it.next().ok_or(format!("{flag} needs a value")) };
             match flag.as_str() {
-                "--technique" => technique = parse_technique(value()?)?,
+                "--technique" => {
+                    let name = value()?;
+                    technique = Technique::from_name(name)
+                        .ok_or_else(|| format!("unknown technique {name}"))?;
+                }
                 "--pattern" => {
                     let v = value()?.clone();
                     pattern = parse_pattern(&v)?;
@@ -296,41 +296,6 @@ simulate — run a custom workload on the agile-paging simulator
             }
         }
     }
-}
-
-/// Minimal timing harness for the `benches/` targets (no external
-/// dependencies): warm up once, loop, report mean ns/iter.
-pub mod timing {
-    use std::time::Instant;
-
-    /// Times `iters` calls of `f` and prints one `name  iters  ns/iter`
-    /// line.
-    pub fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
-        std::hint::black_box(f());
-        let start = Instant::now();
-        for _ in 0..iters.max(1) {
-            std::hint::black_box(f());
-        }
-        let per = start.elapsed().as_nanos() / u128::from(iters.max(1));
-        println!("{name:<24} {:>6} iters  {per:>12} ns/iter", iters.max(1));
-    }
-}
-
-/// Parses a technique name (`native|nested|shadow|agile|shsp`) as accepted
-/// by the `simulate` and `serve` binaries.
-///
-/// # Errors
-///
-/// Returns a message naming the unknown technique.
-pub fn parse_technique(name: &str) -> Result<Technique, String> {
-    Ok(match name {
-        "native" => Technique::Native,
-        "nested" => Technique::Nested,
-        "shadow" => Technique::Shadow,
-        "agile" => Technique::Agile(AgileOptions::default()),
-        "shsp" => Technique::Shsp(ShspOptions::default()),
-        other => return Err(format!("unknown technique {other}")),
-    })
 }
 
 fn parse_num(flag: &str, v: &str) -> Result<u64, String> {

@@ -696,7 +696,7 @@ fn check_shadow_tables(
     };
     let technique = vmm.technique();
     let agile = matches!(technique, Technique::Agile(_));
-    let hw_ad = matches!(technique, Technique::Agile(o) if o.hw_ad_bits);
+    let hw_ad = technique.hw_ad_bits();
     let native = matches!(technique, Technique::Native);
     // With the whole address space nested (SHSP nested phase, agile
     // storm fallback / pre-engagement) the walker ignores the shadow

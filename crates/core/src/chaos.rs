@@ -383,6 +383,66 @@ pub fn render_log(events: &[DegradationEvent]) -> String {
     out
 }
 
+/// A degradation-event log capped at [`MAX_EVENTS`] entries. The first
+/// event past the cap is replaced by one [`DegradationKind::LogTruncated`]
+/// sentinel naming the log; later ones are dropped. `seq` numbers every
+/// appended event, sentinel included, and keeps counting across
+/// [`EventLog::take`]. The machine's chaos state and the multi-VM host
+/// each own one.
+#[derive(Debug)]
+pub(crate) struct EventLog {
+    /// What the truncation sentinel calls this log.
+    name: &'static str,
+    pub(crate) events: Vec<DegradationEvent>,
+    pub(crate) truncated: bool,
+    pub(crate) next_seq: u64,
+}
+
+impl EventLog {
+    pub(crate) fn new(name: &'static str) -> Self {
+        EventLog {
+            name,
+            events: Vec::new(),
+            truncated: false,
+            next_seq: 0,
+        }
+    }
+
+    /// Appends a typed event stamped `access`, or the truncation sentinel
+    /// once the log is full.
+    pub(crate) fn record(
+        &mut self,
+        access: u64,
+        kind: DegradationKind,
+        gva: Option<u64>,
+        detail: String,
+    ) {
+        let (kind, gva, detail) = if self.events.len() < MAX_EVENTS {
+            (kind, gva, detail)
+        } else if !self.truncated {
+            self.truncated = true;
+            let detail = format!("{} capped at {MAX_EVENTS} entries", self.name);
+            (DegradationKind::LogTruncated, None, detail)
+        } else {
+            return;
+        };
+        self.events.push(DegradationEvent {
+            seq: self.next_seq,
+            access,
+            kind,
+            gva,
+            detail,
+        });
+        self.next_seq += 1;
+    }
+
+    /// Drains the log and re-arms the cap; `seq` keeps counting.
+    pub(crate) fn take(&mut self) -> Vec<DegradationEvent> {
+        self.truncated = false;
+        std::mem::take(&mut self.events)
+    }
+}
+
 /// Fate of one shootdown request under the background rates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ShootdownFate {
@@ -398,12 +458,10 @@ pub(crate) struct ChaosState {
     pub(crate) plan: FaultPlan,
     rng: SplitMix64,
     pub(crate) deferred: Vec<(u64, FlushRequest)>,
-    events: Vec<DegradationEvent>,
-    truncated: bool,
+    pub(crate) log: EventLog,
     pub(crate) next_scenario: usize,
     pub(crate) heals_this_access: u32,
     pub(crate) oom_failures: u32,
-    next_seq: u64,
 }
 
 impl ChaosState {
@@ -415,56 +473,11 @@ impl ChaosState {
             plan,
             rng,
             deferred: Vec::new(),
-            events: Vec::new(),
-            truncated: false,
+            log: EventLog::new("event log"),
             next_scenario: 0,
             heals_this_access: 0,
             oom_failures: 0,
-            next_seq: 0,
         }
-    }
-
-    /// Appends a typed event (capped at [`MAX_EVENTS`]).
-    pub(crate) fn record(
-        &mut self,
-        access: u64,
-        kind: DegradationKind,
-        gva: Option<u64>,
-        detail: String,
-    ) {
-        if self.events.len() >= MAX_EVENTS {
-            if !self.truncated {
-                self.truncated = true;
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.events.push(DegradationEvent {
-                    seq,
-                    access,
-                    kind: DegradationKind::LogTruncated,
-                    gva: None,
-                    detail: format!("event log capped at {MAX_EVENTS} entries"),
-                });
-            }
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(DegradationEvent {
-            seq,
-            access,
-            kind,
-            gva,
-            detail,
-        });
-    }
-
-    pub(crate) fn events(&self) -> &[DegradationEvent] {
-        &self.events
-    }
-
-    pub(crate) fn take_events(&mut self) -> Vec<DegradationEvent> {
-        self.truncated = false;
-        std::mem::take(&mut self.events)
     }
 
     /// Rolls the background dice for one shootdown request. The roll is
@@ -504,12 +517,12 @@ impl ChaosState {
     pub(crate) fn save_state(&self, e: &mut Enc) {
         e.u64(self.rng.state());
         self.deferred.save(e);
-        self.events.save(e);
-        e.bool(self.truncated);
+        self.log.events.save(e);
+        e.bool(self.log.truncated);
         e.u64(self.next_scenario as u64);
         e.u32(self.heals_this_access);
         e.u32(self.oom_failures);
-        e.u64(self.next_seq);
+        e.u64(self.log.next_seq);
     }
 
     /// Restores state saved by [`ChaosState::save_state`] into this state,
@@ -517,8 +530,8 @@ impl ChaosState {
     pub(crate) fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         self.rng = SplitMix64::from_state(d.u64()?);
         self.deferred = Vec::load(d)?;
-        self.events = Vec::load(d)?;
-        self.truncated = d.bool()?;
+        self.log.events = Vec::load(d)?;
+        self.log.truncated = d.bool()?;
         let next_scenario = d.u64()? as usize;
         if next_scenario > self.plan.scenarios.len() {
             return d.fail(format!(
@@ -529,7 +542,7 @@ impl ChaosState {
         self.next_scenario = next_scenario;
         self.heals_this_access = d.u32()?;
         self.oom_failures = d.u32()?;
-        self.next_seq = d.u64()?;
+        self.log.next_seq = d.u64()?;
         Ok(())
     }
 
@@ -596,32 +609,33 @@ mod tests {
     #[test]
     fn event_log_renders_deterministically_and_caps() {
         let mut st = ChaosState::new(FaultPlan::new(0));
-        st.record(
+        st.log.record(
             10,
             DegradationKind::DroppedShootdown,
             Some(0x4000),
             "dropped Asid(1)".into(),
         );
-        st.record(
+        st.log.record(
             11,
             DegradationKind::HealedTranslation,
             None,
             "rebuilt".into(),
         );
-        let log = render_log(st.events());
+        let log = render_log(&st.log.events);
         assert_eq!(
             log,
             "#0000 @10 [dropped-shootdown] gva=0x4000: dropped Asid(1)\n\
              #0001 @11 [healed-translation]: rebuilt\n"
         );
         for i in 0..(MAX_EVENTS as u64 + 50) {
-            st.record(i, DegradationKind::OomReclaim, None, "x".into());
+            st.log
+                .record(i, DegradationKind::OomReclaim, None, "x".into());
         }
-        assert_eq!(st.events().len(), MAX_EVENTS + 1);
-        assert_eq!(
-            st.events().last().map(|e| e.kind),
-            Some(DegradationKind::LogTruncated)
-        );
+        assert_eq!(st.log.events.len(), MAX_EVENTS + 1);
+        let last = st.log.events.last().expect("log is full");
+        assert_eq!(last.kind, DegradationKind::LogTruncated);
+        assert_eq!(last.seq, MAX_EVENTS as u64);
+        assert_eq!(last.detail, "event log capped at 4096 entries");
     }
 
     #[test]

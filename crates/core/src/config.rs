@@ -1,35 +1,38 @@
 //! Whole-system configuration.
 
-use agile_tlb::{PwcConfig, TlbConfig};
-use agile_vmm::{Technique, VmmConfig};
+use agile_tlb::PwcConfig;
+use agile_vmm::Technique;
+
+/// Cycles charged per guest/shadow page-walk memory reference that misses
+/// the walk caches (a DRAM/L2-blend; every experiment prints it).
+pub const WALK_REF_CYCLES: u64 = 40;
+
+/// Cycles charged per *host* (EPT) page-table reference. Host-table
+/// entries exhibit extreme temporal locality across walks and sit in the
+/// data caches (Bhargava et al.), so they are much cheaper than
+/// guest/shadow references; this is what makes a 24-reference nested walk
+/// ~2× a native walk rather than 6× on real hardware.
+pub const HOST_REF_CYCLES: u64 = 10;
 
 /// Configuration of one simulated system run.
+///
+/// Each fact is stored once. Everything a run needs beyond these fields is
+/// fixed or derived: the TLB hierarchy is Table III
+/// ([`agile_tlb::TlbConfig::default`]), walk references cost
+/// [`WALK_REF_CYCLES`] and [`HOST_REF_CYCLES`], and the VMtrap cost model
+/// follows from the technique ([`Technique::trap_costs`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Memory-virtualization technique.
     pub technique: Technique,
-    /// TLB hierarchy geometry (defaults to Table III).
-    pub tlb: TlbConfig,
     /// Page-walk-cache / nested-TLB geometry (disable for Table VI runs).
     pub pwc: PwcConfig,
     /// Transparent huge pages in the guest OS (the paper's "2M"
     /// configurations; both translation stages then use 2 MiB pages).
     pub thp: bool,
-    /// Cycles charged per guest/shadow page-walk memory reference that
-    /// misses the walk caches (a DRAM/L2-blend; every experiment prints
-    /// it).
-    pub walk_ref_cycles: u64,
-    /// Cycles charged per *host* (EPT) page-table reference. Host-table
-    /// entries exhibit extreme temporal locality across walks and sit in
-    /// the data caches (Bhargava et al.), so they are much cheaper than
-    /// guest/shadow references; this is what makes a 24-reference nested
-    /// walk ~2× a native walk rather than 6× on real hardware.
-    pub host_ref_cycles: u64,
     /// Cycles of non-translation work represented by one `Access` event
     /// (the performance model's `E_ideal` per access).
     pub base_cycles_per_access: u64,
-    /// VMtrap cost model override (defaults per technique).
-    pub vmm: VmmConfig,
     /// Run the [`crate::verify`] paranoia layer: cross-check every TLB hit
     /// and completed walk against a reference translator, audit stats
     /// conservation identities, and sweep the TLBs/PWCs/nested TLB for
@@ -41,20 +44,16 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Defaults for `technique`: Table III TLBs, walk caches on, 4 KiB
-    /// pages. Paranoia checks default to off unless the `AGILE_PARANOIA`
-    /// environment variable is set.
+    /// Defaults for `technique`: walk caches on, 4 KiB pages. Paranoia
+    /// checks default to off unless the `AGILE_PARANOIA` environment
+    /// variable is set.
     #[must_use]
     pub fn new(technique: Technique) -> Self {
         SystemConfig {
             technique,
-            tlb: TlbConfig::default(),
             pwc: PwcConfig::default(),
             thp: false,
-            walk_ref_cycles: 40,
-            host_ref_cycles: 10,
             base_cycles_per_access: 125,
-            vmm: VmmConfig::new(technique),
             paranoia: std::env::var_os("AGILE_PARANOIA").is_some(),
         }
     }
@@ -71,52 +70,6 @@ impl SystemConfig {
     #[must_use]
     pub fn without_pwc(mut self) -> Self {
         self.pwc = PwcConfig::disabled();
-        self
-    }
-
-    /// Same configuration under a different technique. The VMtrap cost
-    /// model is reset to that technique's defaults (override it afterwards
-    /// with [`SystemConfig::with_vmm`] if needed).
-    #[must_use]
-    pub fn with_technique(mut self, technique: Technique) -> Self {
-        self.technique = technique;
-        self.vmm = VmmConfig::new(technique);
-        self
-    }
-
-    /// Same configuration with a custom TLB hierarchy geometry.
-    #[must_use]
-    pub fn with_tlb(mut self, tlb: TlbConfig) -> Self {
-        self.tlb = tlb;
-        self
-    }
-
-    /// Same configuration with a custom page-walk-cache geometry.
-    #[must_use]
-    pub fn with_pwc(mut self, pwc: PwcConfig) -> Self {
-        self.pwc = pwc;
-        self
-    }
-
-    /// Same configuration with a custom VMM cost model.
-    #[must_use]
-    pub fn with_vmm(mut self, vmm: VmmConfig) -> Self {
-        self.vmm = vmm;
-        self
-    }
-
-    /// Same configuration with a different guest/shadow walk-reference
-    /// cost.
-    #[must_use]
-    pub fn with_walk_ref_cycles(mut self, cycles: u64) -> Self {
-        self.walk_ref_cycles = cycles;
-        self
-    }
-
-    /// Same configuration with a different host (EPT) walk-reference cost.
-    #[must_use]
-    pub fn with_host_ref_cycles(mut self, cycles: u64) -> Self {
-        self.host_ref_cycles = cycles;
         self
     }
 
@@ -163,27 +116,11 @@ mod tests {
     fn builders_compose() {
         let c = SystemConfig::new(Technique::Nested)
             .with_thp()
-            .without_pwc();
+            .without_pwc()
+            .with_base_cycles_per_access(200);
         assert!(c.thp);
         assert!(!c.pwc.enabled);
-    }
-
-    #[test]
-    fn full_builder_surface_sets_every_knob() {
-        let c = SystemConfig::new(Technique::Native)
-            .with_technique(Technique::Shadow)
-            .with_tlb(TlbConfig::default())
-            .with_pwc(PwcConfig::disabled())
-            .with_vmm(VmmConfig::new(Technique::Shadow))
-            .with_walk_ref_cycles(55)
-            .with_host_ref_cycles(7)
-            .with_base_cycles_per_access(200);
-        assert_eq!(c.technique, Technique::Shadow);
-        assert!(!c.pwc.enabled);
-        assert_eq!(c.walk_ref_cycles, 55);
-        assert_eq!(c.host_ref_cycles, 7);
         assert_eq!(c.base_cycles_per_access, 200);
-        assert_eq!(c.label(), "4K:S");
     }
 
     #[test]
@@ -191,11 +128,5 @@ mod tests {
         let c = SystemConfig::new(Technique::Nested).with_paranoia(true);
         assert!(c.paranoia);
         assert!(!c.with_paranoia(false).paranoia);
-    }
-
-    #[test]
-    fn with_technique_resets_trap_costs() {
-        let c = SystemConfig::new(Technique::Nested).with_technique(Technique::Shadow);
-        assert_eq!(c.vmm, VmmConfig::new(Technique::Shadow));
     }
 }

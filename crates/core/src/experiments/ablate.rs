@@ -200,12 +200,7 @@ pub fn ablate_pwc(accesses: u64, threads: usize) -> ExperimentRun<AblateRow> {
     let spec = profile(Profile::Graph500, accesses);
     let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
     let mut labels = Vec::new();
-    for technique in [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-    ] {
+    for technique in super::fig5::techniques() {
         for pwc_on in [true, false] {
             let mut cfg = SystemConfig::new(technique);
             if !pwc_on {

@@ -137,9 +137,10 @@ impl Scheduler for ScriptedScheduler {
     }
 }
 
-/// Exploration budgets. Defaults are sized for the CI suite: deep enough
-/// to branch on every decision point a small workload reaches, bounded
-/// enough to finish in seconds in debug builds.
+/// Exploration budgets. The default is the `mc` gate's budget (fuel 4, 96
+/// schedules, 8,192 states): deep enough to branch on every decision point
+/// a small workload reaches, bounded enough to finish in seconds in debug
+/// builds.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreConfig {
     /// Maximum *branchable* choice points per schedule; points past the
@@ -155,9 +156,9 @@ pub struct ExploreConfig {
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
-            fuel: 6,
-            max_schedules: 512,
-            max_states: 16_384,
+            fuel: 4,
+            max_schedules: 96,
+            max_states: 8_192,
         }
     }
 }
@@ -820,22 +821,12 @@ mod tests {
     /// The `mc` gate's seven suites: the five clean techniques, then the
     /// host-merge control and the re-planted missed-flush bug.
     fn mc_suites() -> Vec<(String, Box<dyn Fn() -> Machine>)> {
-        use agile_vmm::{AgileOptions, ShspOptions, Technique};
-        let paranoid = |t: Technique| {
-            let mut cfg = crate::config::SystemConfig::new(t);
-            cfg.paranoia = true;
-            cfg
-        };
+        use crate::config::SystemConfig;
+        use agile_vmm::{AgileOptions, Technique};
         let mut suites: Vec<(String, Box<dyn Fn() -> Machine>)> = Vec::new();
-        for t in [
-            Technique::Native,
-            Technique::Nested,
-            Technique::Shadow,
-            Technique::Agile(AgileOptions::default()),
-            Technique::Shsp(ShspOptions::default()),
-        ] {
+        for t in Technique::all() {
             let setup = move || {
-                let mut m = Machine::new(paranoid(t));
+                let mut m = Machine::new(SystemConfig::new(t).with_paranoia(true));
                 m.enable_shootdown_log();
                 m
             };
@@ -846,7 +837,10 @@ mod tests {
                 let mut plan = crate::chaos::FaultPlan::new(0x4A11)
                     .scenario(20, crate::chaos::ScenarioKind::HostMerge { pages: 8 });
                 plan.max_heals_per_access = 0;
-                let mut m = Machine::new(paranoid(Technique::Agile(AgileOptions::default())));
+                let mut m = Machine::new(
+                    SystemConfig::new(Technique::Agile(AgileOptions::default()))
+                        .with_paranoia(true),
+                );
                 m.enable_shootdown_log();
                 m.enable_chaos(plan);
                 m.chaos_suppress_leaf_flush(suppress);
@@ -859,11 +853,7 @@ mod tests {
 
     #[test]
     fn cached_keys_equal_fresh_keys_and_snapshot_byte_classes() {
-        let config = ExploreConfig {
-            fuel: 4,
-            max_schedules: 96,
-            max_states: 8_192,
-        };
+        let config = ExploreConfig::default();
         let (mut checked, mut stale) = (0u64, Vec::new());
         for (name, setup) in mc_suites() {
             // Snapshot-byte class of each key, and key of each class; the
@@ -920,9 +910,7 @@ mod tests {
             Technique::Shsp(ShspOptions::default()),
         ] {
             let setup = || {
-                let mut cfg = crate::config::SystemConfig::new(t);
-                cfg.paranoia = true;
-                let mut m = Machine::new(cfg);
+                let mut m = Machine::new(crate::config::SystemConfig::new(t).with_paranoia(true));
                 m.enable_shootdown_log();
                 m
             };

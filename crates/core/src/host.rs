@@ -11,7 +11,7 @@
 //! [`Host::render_full_log`].
 //!
 //! **The frame-pressure arbiter.** Before every dispatched event the host
-//! restores the VM's headroom to the configured watermark: first by
+//! restores the VM's headroom to a fixed watermark: first by
 //! granting free pool frames (lease growth, [`DegradationKind::LeaseChange`]),
 //! then by ballooning the *other* VMs in ascending id order with capped
 //! backoff (×1, ×2, ×4 reclaim passes; [`DegradationKind::BalloonRequest`]),
@@ -48,9 +48,9 @@ use crate::analyze::{
     check_host_frames, detect_host_shootdown_races, LintReport, ShootdownLog, VmFrameView,
     VmShootdownView,
 };
-use crate::chaos::{render_log, DegradationEvent, DegradationKind, FaultPlan, MAX_EVENTS};
+use crate::chaos::{render_log, DegradationEvent, DegradationKind, EventLog, FaultPlan};
 use crate::config::SystemConfig;
-use crate::machine::{AccessError, Machine};
+use crate::machine::{AccessError, Machine, OOM_WATERMARK};
 use crate::snapshot::{self, DiffIntent, ProcessImage, TransitionView};
 use crate::stats::RunStats;
 use crate::verify::Violation;
@@ -65,6 +65,16 @@ use agile_workloads::{Event, Workload, WorkloadSpec};
 /// degrades them gracefully.
 const STARVATION_FLOOR: u64 = 8;
 
+/// Headroom (frames) the arbiter restores before dispatching an event.
+/// Exceeds the machine's own OOM watermark so arbitration engages before
+/// the machine's last-ditch internal reclaim.
+const HEADROOM_WATERMARK: u64 = 24;
+const _: () = assert!(HEADROOM_WATERMARK > OOM_WATERMARK);
+
+/// Minimum frames per lease grant: top-ups are batched so the pool is not
+/// nickel-and-dimed one frame at a time.
+const GRANT_STEP: u64 = 64;
+
 /// Steps a starved VM waits before the arbiter retries the full chain
 /// (grant → balloon → demote). A failed arbitration means the pool and
 /// every balloon are dry; rerunning the reclaim sweeps each event would
@@ -73,7 +83,11 @@ const STARVATION_FLOOR: u64 = 8;
 /// the pacing is in dispatched steps, so it is deterministic.
 const ARBITRATION_RETRY_STEPS: u64 = 64;
 
-/// Host configuration: the shared pool and the arbiter's knobs.
+/// Host configuration: the shared pool and each VM's starting share of
+/// it. The arbiter's own levers are fixed: it restores 24 frames of
+/// headroom (above the machine's OOM watermark of 16), grants in batches
+/// of at least 64 frames, and may always demote a starving VM's agile
+/// processes to nested mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostConfig {
     /// Total physical frames the pool holds (the overcommit target: the
@@ -82,28 +96,16 @@ pub struct HostConfig {
     /// Lease requested for each VM at [`Host::add_vm`] (clamped to what is
     /// free).
     pub initial_lease: u64,
-    /// Headroom (frames) the arbiter restores before dispatching an event.
-    /// Must exceed the machine's own OOM watermark (16) for arbitration to
-    /// engage before the machine's last-ditch internal reclaim.
-    pub watermark: u64,
-    /// Minimum frames per lease grant (top-ups are batched so the pool is
-    /// not nickel-and-dimed one frame at a time).
-    pub grant_step: u64,
-    /// Whether the arbiter may demote a starving VM's agile processes to
-    /// nested mode to free shadow page-table frames.
-    pub demote_under_pressure: bool,
 }
 
 impl HostConfig {
-    /// A host with `pool_frames` of capacity and default arbiter knobs.
+    /// A host with `pool_frames` of capacity and the default initial
+    /// lease.
     #[must_use]
     pub fn new(pool_frames: u64) -> Self {
         HostConfig {
             pool_frames,
             initial_lease: 256,
-            watermark: 24,
-            grant_step: 64,
-            demote_under_pressure: true,
         }
     }
 
@@ -111,13 +113,6 @@ impl HostConfig {
     #[must_use]
     pub fn initial_lease(mut self, frames: u64) -> Self {
         self.initial_lease = frames;
-        self
-    }
-
-    /// Disables agile→nested demotion under pressure.
-    #[must_use]
-    pub fn no_demotion(mut self) -> Self {
-        self.demote_under_pressure = false;
         self
     }
 }
@@ -179,9 +174,7 @@ pub struct Host {
     cfg: HostConfig,
     pool: FramePool,
     vms: Vec<VmSlot>,
-    events: Vec<DegradationEvent>,
-    next_seq: u64,
-    truncated: bool,
+    log: EventLog,
     /// Total events dispatched across all VMs — the host's clock, used as
     /// the `access` stamp of host-level events.
     steps: u64,
@@ -200,9 +193,7 @@ impl Host {
             cfg,
             pool: FramePool::new(cfg.pool_frames),
             vms: Vec::new(),
-            events: Vec::new(),
-            next_seq: 0,
-            truncated: false,
+            log: EventLog::new("host event log"),
             steps: 0,
             balloon_pin: None,
         }
@@ -318,30 +309,7 @@ impl Host {
     }
 
     fn record_host(&mut self, kind: DegradationKind, detail: String) {
-        if self.events.len() >= MAX_EVENTS {
-            if !self.truncated {
-                self.truncated = true;
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.events.push(DegradationEvent {
-                    seq,
-                    access: self.steps,
-                    kind: DegradationKind::LogTruncated,
-                    gva: None,
-                    detail: format!("host event log capped at {MAX_EVENTS} entries"),
-                });
-            }
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(DegradationEvent {
-            seq,
-            access: self.steps,
-            kind,
-            gva: None,
-            detail,
-        });
+        self.log.record(self.steps, kind, None, detail);
     }
 
     /// Runs every VM's workload to completion, round-robin in VM-id order
@@ -454,7 +422,7 @@ impl Host {
                 return;
             }
         }
-        if self.cfg.demote_under_pressure && self.demote_vm(i) && self.headroom_met(i) {
+        if self.demote_vm(i) && self.headroom_met(i) {
             self.vms[i].starved = false;
             return;
         }
@@ -484,11 +452,11 @@ impl Host {
             .machine
             .as_ref()
             .and_then(Machine::frames_remaining)
-            .is_none_or(|r| r >= self.cfg.watermark)
+            .is_none_or(|r| r >= HEADROOM_WATERMARK)
     }
 
     /// Grants free pool frames to VM `i` up to the watermark (batched by
-    /// `grant_step`). Returns whether the watermark is now met.
+    /// [`GRANT_STEP`]). Returns whether the watermark is now met.
     fn grant_to(&mut self, i: usize) -> bool {
         let vm = Self::slot_vm(i);
         let Some(m) = self.vms[i].machine.as_ref() else {
@@ -497,11 +465,11 @@ impl Host {
         let Some(remaining) = m.frames_remaining() else {
             return true;
         };
-        if remaining >= self.cfg.watermark {
+        if remaining >= HEADROOM_WATERMARK {
             return true;
         }
-        let deficit = self.cfg.watermark - remaining;
-        let granted = self.pool.grant(vm, deficit.max(self.cfg.grant_step));
+        let deficit = HEADROOM_WATERMARK - remaining;
+        let granted = self.pool.grant(vm, deficit.max(GRANT_STEP));
         if granted > 0 {
             let lease = self.pool.lease_of(vm);
             let m = self.vms[i].machine.as_mut().expect("checked above");
@@ -512,7 +480,7 @@ impl Host {
                 format!("lease grew by {granted} to {lease}"),
             );
         }
-        remaining + granted >= self.cfg.watermark
+        remaining + granted >= HEADROOM_WATERMARK
     }
 
     /// Balloon request against VM `j`: reclaim with `passes` clock passes,
@@ -885,7 +853,7 @@ impl Host {
     /// Host-level degradation events recorded so far.
     #[must_use]
     pub fn host_events(&self) -> &[DegradationEvent] {
-        &self.events
+        &self.log.events
     }
 
     /// Oracle violations accumulated across every VM (0 is the chaos
@@ -904,7 +872,7 @@ impl Host {
     #[must_use]
     pub fn render_full_log(&self) -> String {
         let mut out = String::from("== host ==\n");
-        out.push_str(&render_log(&self.events));
+        out.push_str(&render_log(&self.log.events));
         for (i, slot) in self.vms.iter().enumerate() {
             out.push_str(&format!("== vm {i} ==\n"));
             match &slot.machine {
@@ -931,6 +899,7 @@ fn event_name(event: &Event) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::MAX_EVENTS;
     use agile_guest::{Vma, VmaBacking};
     use agile_types::PageSize;
     use agile_vmm::{AgileOptions, Technique};
@@ -975,6 +944,24 @@ mod tests {
 
     fn overcommitted_pair(pool: u64) -> Host {
         overcommitted_pair_sized(pool, 800)
+    }
+
+    #[test]
+    fn host_log_caps_with_one_host_sentinel() {
+        let mut host = Host::new(HostConfig::new(64));
+        for i in 0..(MAX_EVENTS + 50) {
+            host.record_host(DegradationKind::LeaseChange, format!("event {i}"));
+        }
+        let events = host.host_events();
+        assert_eq!(events.len(), MAX_EVENTS + 1);
+        let sentinels: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == DegradationKind::LogTruncated)
+            .collect();
+        assert_eq!(sentinels.len(), 1);
+        assert_eq!(sentinels[0].seq, MAX_EVENTS as u64);
+        assert_eq!(sentinels[0].detail, "host event log capped at 4096 entries");
+        assert!(events.iter().enumerate().all(|(i, e)| e.seq == i as u64));
     }
 
     #[test]

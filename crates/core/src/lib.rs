@@ -58,7 +58,7 @@ pub use analyze::{
 pub use chaos::{
     render_log, ChaosScenario, DegradationEvent, DegradationKind, FaultPlan, ScenarioKind,
 };
-pub use config::SystemConfig;
+pub use config::{SystemConfig, HOST_REF_CYCLES, WALK_REF_CYCLES};
 pub use explore::{
     explore, replay, ChoicePoint, CounterexampleTrace, ExploreConfig, ExploreReport, Scheduler,
 };
@@ -83,7 +83,7 @@ pub use agile_mem::{FramePool, PhysMem, VM_FRAME_SPAN};
 pub use agile_tlb::{PwcConfig, TlbConfig, TlbEntry};
 pub use agile_types as types;
 pub use agile_vmm::{
-    AgileOptions, NestedToShadowPolicy, ShspOptions, Technique, VmmConfig, VmtrapCosts, VmtrapKind,
+    AgileOptions, NestedToShadowPolicy, ShspOptions, Technique, VmtrapCosts, VmtrapKind,
     VmtrapStats,
 };
 pub use agile_walk::{WalkKind, WalkStats};

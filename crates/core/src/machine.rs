@@ -6,14 +6,14 @@ use crate::analyze::{
 use crate::chaos::{
     ChaosState, DegradationEvent, DegradationKind, FaultPlan, ScenarioKind, ShootdownFate,
 };
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, HOST_REF_CYCLES, WALK_REF_CYCLES};
 use crate::profile::{FlushApplyStats, HotPathProfile};
 use crate::snapshot::{self, Checkpoint, DiffIntent, MachineSnapshot};
 use crate::stats::{HotCounters, KindCounts, RunStats};
 use crate::verify::{self, Violation, ViolationSite};
 use agile_guest::{FaultError, GuestOs, SegFault, Vma, VmaBacking};
 use agile_mem::PhysMem;
-use agile_tlb::{NestedTlb, PageWalkCaches, TlbEntry, TlbHierarchy};
+use agile_tlb::{NestedTlb, PageWalkCaches, TlbConfig, TlbEntry, TlbHierarchy};
 use agile_types::{
     AccessKind, Asid, CodecError, Dec, Enc, Fault, GuestVirtAddr, HostFrame, Level, Persist,
     ProcessId, PteFlags, StateSink, VmId,
@@ -134,7 +134,7 @@ enum Via {
 /// table pages, with slack). When a frame budget is active and headroom
 /// falls below this, the machine reclaims *before* touching, so the
 /// infallible allocators never fire into an empty budget.
-const OOM_WATERMARK: u64 = 16;
+pub(crate) const OOM_WATERMARK: u64 = 16;
 
 /// Cap on stored paranoia violations — the first few carry the diagnosis;
 /// an unbounded log of a systematically broken structure would swamp
@@ -172,7 +172,7 @@ impl Machine {
     #[must_use]
     pub fn for_vm(cfg: SystemConfig, vm: VmId) -> Self {
         let mut mem = PhysMem::for_vm(vm);
-        let mut vmm = Vmm::new_for_vm(&mut mem, cfg.vmm, vm);
+        let mut vmm = Vmm::new_for_vm(&mut mem, cfg.technique, vm);
         let mut os = GuestOs::new(cfg.thp);
         let first = os.spawn(&mut mem, &mut vmm);
         Machine {
@@ -180,7 +180,7 @@ impl Machine {
             mem,
             vmm,
             os,
-            tlb: TlbHierarchy::new(&cfg.tlb),
+            tlb: TlbHierarchy::new(&TlbConfig::default()),
             pwc: PageWalkCaches::new(&cfg.pwc),
             ntlb: NestedTlb::new(&cfg.pwc),
             walk_stats: WalkStats::default(),
@@ -345,14 +345,12 @@ impl Machine {
     /// Degradation events recorded so far (empty without chaos).
     #[must_use]
     pub fn degradation_events(&self) -> &[DegradationEvent] {
-        self.chaos.as_ref().map_or(&[], |c| c.events())
+        self.chaos.as_ref().map_or(&[], |c| &c.log.events)
     }
 
     /// Drains the recorded degradation events.
     pub fn take_degradation_events(&mut self) -> Vec<DegradationEvent> {
-        self.chaos
-            .as_mut()
-            .map_or_else(Vec::new, |c| c.take_events())
+        self.chaos.as_mut().map_or_else(Vec::new, |c| c.log.take())
     }
 
     /// Records oracle violations found outside the machine's own checks
@@ -664,7 +662,9 @@ impl Machine {
             let event = if let ShootdownFate::Defer(delay) = fate {
                 let due = access + delay;
                 let detail = format!("deferred {req:?} until access {due}");
-                chaos.record(access, DegradationKind::DeferredShootdown, gva, detail);
+                chaos
+                    .log
+                    .record(access, DegradationKind::DeferredShootdown, gva, detail);
                 chaos.deferred.push((due, req));
                 ShootdownEvent::Deferred {
                     access,
@@ -677,7 +677,9 @@ impl Machine {
                     Via::CrossVm => (DegradationKind::CrossVmShootdownLoss, "lost cross-vm"),
                     _ => (DegradationKind::DroppedShootdown, "dropped"),
                 };
-                chaos.record(access, kind, gva, format!("{what} {req:?}"));
+                chaos
+                    .log
+                    .record(access, kind, gva, format!("{what} {req:?}"));
                 ShootdownEvent::Dropped {
                     access,
                     batch,
@@ -1096,7 +1098,7 @@ impl Machine {
     fn chaos_record(&mut self, kind: DegradationKind, gva: Option<u64>, detail: String) {
         let access = self.hot.accesses;
         if let Some(c) = self.chaos.as_mut() {
-            c.record(access, kind, gva, detail);
+            c.log.record(access, kind, gva, detail);
         }
     }
 
@@ -1421,10 +1423,7 @@ impl Machine {
         access: AccessKind,
         kind: WalkKind,
     ) {
-        let Technique::Agile(opts) = self.cfg.technique else {
-            return;
-        };
-        if !opts.hw_ad_bits || kind != WalkKind::FullShadow {
+        if !self.cfg.technique.hw_ad_bits() || kind != WalkKind::FullShadow {
             return;
         }
         let Some((gpte, _)) = self.vmm.gpt_lookup(&self.mem, pid, gva.raw()) else {
@@ -1472,7 +1471,7 @@ impl Machine {
 
     fn walk_cost(&self, refs: u32, host_refs: u32) -> u64 {
         let other = u64::from(refs - host_refs);
-        other * self.cfg.walk_ref_cycles + u64::from(host_refs) * self.cfg.host_ref_cycles
+        other * WALK_REF_CYCLES + u64::from(host_refs) * HOST_REF_CYCLES
     }
 
     /// Applies one workload event.
@@ -1977,19 +1976,27 @@ mod tests {
 
     #[test]
     fn all_techniques_run_the_same_workload() {
-        for technique in [
-            Technique::Native,
-            Technique::Nested,
-            Technique::Shadow,
-            Technique::Agile(AgileOptions::default()),
-            Technique::Shsp(agile_vmm::ShspOptions::default()),
-        ] {
+        for technique in Technique::all() {
             let mut m = Machine::new(SystemConfig::new(technique));
             let stats = m.run_spec(&small_spec(2_000));
             assert_eq!(stats.accesses, 2_000, "{technique:?}");
             assert!(stats.tlb.misses > 0, "{technique:?}");
             assert!(stats.kinds.total() > 0, "{technique:?}");
         }
+    }
+
+    #[test]
+    fn the_technique_field_alone_picks_the_vmm() {
+        let mut cfg = SystemConfig::new(Technique::Nested);
+        cfg.technique = Technique::Shadow;
+        let mut m = Machine::new(cfg);
+        assert_eq!(m.vmm().technique(), Technique::Shadow);
+        let stats = m.run_spec(&small_spec(2_000));
+        assert_eq!(stats.config_label, "4K:S");
+        assert!(stats.walks.refs_shadow > 0, "no shadow references");
+        let fresh = Machine::new(SystemConfig::new(Technique::Shadow)).run_spec(&small_spec(2_000));
+        assert_eq!(stats.walks, fresh.walks);
+        assert_eq!(stats.traps, fresh.traps);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod json;
 pub use json::{to_csv, Json};
 
 use crate::chaos::{DegradationEvent, FaultPlan};
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, HOST_REF_CYCLES, WALK_REF_CYCLES};
 use crate::machine::Machine;
 use crate::service::{CancelToken, PlanOptions, Service, StopCause};
 use crate::snapshot::{Checkpoint, CheckpointSlot, WorkerKill};
@@ -358,8 +358,8 @@ pub fn config_json(cfg: &SystemConfig) -> Json {
         ("technique", Json::Str(cfg.technique.label().into())),
         ("thp", Json::Bool(cfg.thp)),
         ("pwc", Json::Bool(cfg.pwc.enabled)),
-        ("walk_ref_cycles", Json::UInt(cfg.walk_ref_cycles)),
-        ("host_ref_cycles", Json::UInt(cfg.host_ref_cycles)),
+        ("walk_ref_cycles", Json::UInt(WALK_REF_CYCLES)),
+        ("host_ref_cycles", Json::UInt(HOST_REF_CYCLES)),
         (
             "base_cycles_per_access",
             Json::UInt(cfg.base_cycles_per_access),

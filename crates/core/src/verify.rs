@@ -590,10 +590,11 @@ pub fn check_stats(stats: &RunStats, cfg: &SystemConfig) -> Vec<Violation> {
             ));
         }
     }
+    let costs = cfg.technique.trap_costs();
     for kind in VmtrapKind::ALL {
         let count = stats.traps.count(kind);
         let cycles = stats.traps.cycles(kind);
-        let cost = cfg.vmm.costs.cost(kind);
+        let cost = costs.cost(kind);
         if cycles != count * cost {
             fail(format!(
                 "trap {}: {cycles} cycles != {count} × {cost}",

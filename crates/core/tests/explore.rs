@@ -23,20 +23,10 @@
 use agile_core::{
     bisect_violation, bisect_violation_with, explore, replay, AgileOptions, Checkpoint,
     ChoicePoint, ChurnSpec, CounterexampleTrace, ExploreConfig, FaultPlan, Machine, Pattern,
-    ScenarioKind, Scheduler, ShspOptions, SystemConfig, Technique, WorkloadSpec,
+    ScenarioKind, Scheduler, SystemConfig, Technique, WorkloadSpec,
 };
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
-
-fn all_techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
 
 /// Small but churny spec: remaps and COW breaks generate multi-request
 /// flush batches (delivery-order branching) and ticks exercise the
@@ -90,30 +80,16 @@ fn run_keeping_checkpoints(
     window.into()
 }
 
-fn paranoid(t: Technique) -> SystemConfig {
-    let mut cfg = SystemConfig::new(t);
-    cfg.paranoia = true;
-    cfg
-}
-
-fn budget() -> ExploreConfig {
-    ExploreConfig {
-        fuel: 4,
-        max_schedules: 96,
-        max_states: 8_192,
-    }
-}
-
 #[test]
 fn clean_suites_explore_every_technique_without_findings() {
-    for t in all_techniques() {
+    for t in Technique::all() {
         let setup = move || {
-            let mut m = Machine::new(paranoid(t));
+            let mut m = Machine::new(SystemConfig::new(t).with_paranoia(true));
             m.enable_shootdown_log();
             m
         };
         let spec = spec(t.label(), 7);
-        let first = explore(setup, &spec, &budget());
+        let first = explore(setup, &spec, &ExploreConfig::default());
         assert!(
             first.counterexample.is_none(),
             "{}: clean machine must explore clean, got {:?}",
@@ -135,12 +111,12 @@ fn clean_suites_explore_every_technique_without_findings() {
         }
         let second = explore(
             move || {
-                let mut m = Machine::new(paranoid(t));
+                let mut m = Machine::new(SystemConfig::new(t).with_paranoia(true));
                 m.enable_shootdown_log();
                 m
             },
             &spec,
-            &budget(),
+            &ExploreConfig::default(),
         );
         assert_eq!(
             first.render_line(),
@@ -173,7 +149,9 @@ fn merge_plan(at_access: u64) -> FaultPlan {
 }
 
 fn merge_setup(suppress: bool) -> Machine {
-    let mut m = Machine::new(paranoid(Technique::Agile(AgileOptions::default())));
+    let mut m = Machine::new(
+        SystemConfig::new(Technique::Agile(AgileOptions::default())).with_paranoia(true),
+    );
     m.enable_shootdown_log();
     m.enable_chaos(merge_plan(20));
     m.chaos_suppress_leaf_flush(suppress);
@@ -190,13 +168,13 @@ fn explorer_rediscovers_the_replanted_missed_flush_bug() {
     // Control: the same host-merge pass with the shootdown protocol
     // intact explores clean — the finding below is the re-planted bug,
     // not the scenario.
-    let control = explore(|| merge_setup(false), &spec, &budget());
+    let control = explore(|| merge_setup(false), &spec, &ExploreConfig::default());
     assert!(
         control.counterexample.is_none(),
         "host merge with the flush intact must be invisible, got {:?}",
         control.counterexample
     );
-    let report = explore(replanted_setup, &spec, &budget());
+    let report = explore(replanted_setup, &spec, &ExploreConfig::default());
     let trace = report
         .counterexample
         .as_ref()
@@ -237,7 +215,7 @@ fn explorer_rediscovers_the_replanted_missed_flush_bug() {
 #[test]
 fn counterexample_trace_json_is_byte_stable_and_replays_from_parse() {
     let spec = spec("replant", 7);
-    let report = explore(replanted_setup, &spec, &budget());
+    let report = explore(replanted_setup, &spec, &ExploreConfig::default());
     let trace = report.counterexample.expect("bug found");
     let rendered = trace.to_json().render();
     let parsed = CounterexampleTrace::from_json(&rendered).expect("artifact parses");
@@ -253,7 +231,7 @@ fn counterexample_trace_json_is_byte_stable_and_replays_from_parse() {
 
 #[test]
 fn bisector_pins_the_first_violating_tick() {
-    let cfg = paranoid(Technique::Agile(AgileOptions::default()));
+    let cfg = SystemConfig::new(Technique::Agile(AgileOptions::default())).with_paranoia(true);
     let spec = spec("bisect", 11);
     // Clean run: the window fills, nothing to bisect.
     let mut clean = Machine::new(cfg);
@@ -364,7 +342,7 @@ fn a_scheduler_answering_zero_is_the_production_schedule() {
         ),
     ];
     let mut differ = Vec::new();
-    for t in all_techniques() {
+    for t in Technique::all() {
         for plan in &plans {
             let run = |scheduled: bool| {
                 let mut m = Machine::new(SystemConfig::new(t));

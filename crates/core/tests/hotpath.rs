@@ -19,19 +19,9 @@
 use agile_core::verify::check_stats;
 use agile_core::{
     render_log, AgileOptions, ChurnSpec, FaultPlan, Machine, Pattern, PlanOptions, RunOutcome,
-    RunPlan, RunRequest, ScenarioKind, ShspOptions, SystemConfig, Technique, WorkloadSpec,
+    RunPlan, RunRequest, ScenarioKind, SystemConfig, Technique, WorkloadSpec,
 };
 use std::time::Duration;
-
-fn all_techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
 
 /// Churn-heavy spec: frequent multi-page remap and COW bursts inside a
 /// small churn zone, so delivered flush batches carry overlapping and
@@ -66,7 +56,7 @@ fn coalesced_flush_application_preserves_stats_identities() {
     let mut merged_total = 0;
     let mut requests_total = 0;
     let mut ops_total = 0;
-    for t in all_techniques() {
+    for t in Technique::all() {
         let cfg = SystemConfig::new(t);
         let mut machine = Machine::new(cfg);
         let stats = machine.run_spec(&churny_spec(t.label(), 8_000, 21));
@@ -123,7 +113,7 @@ fn fault_matrix() -> FaultPlan {
 
 #[test]
 fn chaos_runs_are_byte_deterministic_across_replays() {
-    for t in all_techniques() {
+    for t in Technique::all() {
         let run = || {
             RunRequest::new(SystemConfig::new(t), churny_spec(t.label(), 2_000, 99))
                 .with_chaos(fault_matrix())

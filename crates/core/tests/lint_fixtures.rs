@@ -14,7 +14,7 @@ use agile_types::{
     AccessKind, Asid, Fault, FaultCause, GuestFrame, GuestVirtAddr, HostFrame, Level, PageSize,
     ProcessId, Pte, PteFlags,
 };
-use agile_vmm::{AgileOptions, GptPageMode, Technique, Vmm, VmmConfig};
+use agile_vmm::{AgileOptions, GptPageMode, Technique, Vmm};
 
 /// One mapped data page: L4 index 0, L3 index 1, L2 index 0, L1 index 0.
 const VA: u64 = 0x4000_0000;
@@ -35,7 +35,7 @@ impl Fixture {
     /// shadow-fault path.
     fn new(technique: Technique, guest_writable: bool, write_access: bool) -> Fixture {
         let mut mem = PhysMem::new();
-        let mut vmm = Vmm::new(&mut mem, VmmConfig::new(technique));
+        let mut vmm = Vmm::new(&mut mem, technique);
         let pid = ProcessId::new(1);
         vmm.create_process(&mut mem, pid);
         let gframe = vmm.alloc_guest_frame(&mut mem);

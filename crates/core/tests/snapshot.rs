@@ -21,16 +21,6 @@ use agile_core::{
     Service, ShspOptions, SystemConfig, Technique, TransitionView, WorkloadSpec,
 };
 
-fn all_techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
-
 /// Churny multi-process spec so snapshots carry non-trivial state:
 /// several address spaces, COW sharing, huge pages broken by remaps.
 fn spec(label: &str, accesses: u64, seed: u64) -> WorkloadSpec {
@@ -60,7 +50,7 @@ fn spec(label: &str, accesses: u64, seed: u64) -> WorkloadSpec {
 
 #[test]
 fn snapshot_round_trips_byte_stable_for_every_technique() {
-    for t in all_techniques() {
+    for t in Technique::all() {
         let cfg = SystemConfig::new(t);
         let mut machine = Machine::new(cfg);
         machine.run_spec(&spec(t.label(), 2_000, 11));
@@ -125,7 +115,7 @@ fn restore_mismatches_are_rejected() {
 
 #[test]
 fn checkpoint_resume_is_byte_identical_to_straight_through() {
-    for t in all_techniques() {
+    for t in Technique::all() {
         let request = RunRequest::new(SystemConfig::new(t), spec(t.label(), 2_400, 27));
         let reference = request.run().fingerprint();
 

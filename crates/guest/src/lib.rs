@@ -14,10 +14,10 @@
 //! use agile_guest::GuestOs;
 //! use agile_mem::PhysMem;
 //! use agile_types::AccessKind;
-//! use agile_vmm::{Technique, Vmm, VmmConfig};
+//! use agile_vmm::{Technique, Vmm};
 //!
 //! let mut mem = PhysMem::new();
-//! let mut vmm = Vmm::new(&mut mem, VmmConfig::new(Technique::Nested));
+//! let mut vmm = Vmm::new(&mut mem, Technique::Nested);
 //! let mut os = GuestOs::new(false);
 //! let pid = os.spawn(&mut mem, &mut vmm);
 //! os.mmap(pid, 0x1000_0000, 1 << 20, true);

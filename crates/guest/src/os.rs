@@ -678,11 +678,11 @@ impl Persist for OsStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agile_vmm::{Technique, VmmConfig, VmtrapKind};
+    use agile_vmm::{Technique, VmtrapKind};
 
     fn rig(technique: Technique, thp: bool) -> (PhysMem, Vmm, GuestOs, ProcessId) {
         let mut mem = PhysMem::new();
-        let mut vmm = Vmm::new(&mut mem, VmmConfig::new(technique));
+        let mut vmm = Vmm::new(&mut mem, technique);
         let mut os = GuestOs::new(thp);
         let pid = os.spawn(&mut mem, &mut vmm);
         (mem, vmm, os, pid)

@@ -1,5 +1,5 @@
-//! VMM configuration: which memory-virtualization technique runs, and the
-//! agile-paging policy and hardware-optimization knobs.
+//! Which memory-virtualization technique runs, and the agile-paging
+//! policy and hardware-optimization knobs.
 
 use crate::traps::VmtrapCosts;
 
@@ -122,6 +122,21 @@ pub enum Technique {
 }
 
 impl Technique {
+    /// Every technique with default options, in label order B, N, S, A,
+    /// SHSP. This is the simulator's one list of techniques: every gate
+    /// and every all-technique test iterates it, so their output rows come
+    /// in this order.
+    #[must_use]
+    pub fn all() -> [Technique; 5] {
+        [
+            Technique::Native,
+            Technique::Nested,
+            Technique::Shadow,
+            Technique::Agile(AgileOptions::default()),
+            Technique::Shsp(ShspOptions::default()),
+        ]
+    }
+
     /// Short label used in experiment output columns ("B", "N", "S", "A").
     #[must_use]
     pub fn label(&self) -> &'static str {
@@ -134,6 +149,26 @@ impl Technique {
         }
     }
 
+    /// Command-line and job-file name (`native`, `nested`, `shadow`,
+    /// `agile`, `shsp`); [`Technique::from_name`] is its inverse.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Technique::Native => "native",
+            Technique::Nested => "nested",
+            Technique::Shadow => "shadow",
+            Technique::Agile(_) => "agile",
+            Technique::Shsp(_) => "shsp",
+        }
+    }
+
+    /// The technique of [`Technique::all`] named `name`, with default
+    /// options; `None` for an unknown name.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Technique> {
+        Technique::all().into_iter().find(|t| t.name() == name)
+    }
+
     /// True for the techniques that maintain a shadow table at least some
     /// of the time.
     #[must_use]
@@ -143,27 +178,25 @@ impl Technique {
             Technique::Shadow | Technique::Agile(_) | Technique::Shsp(_) | Technique::Native
         )
     }
-}
 
-/// Full VMM configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VmmConfig {
-    /// Active technique.
-    pub technique: Technique,
-    /// Trap cost model.
-    pub costs: VmtrapCosts,
-}
-
-impl VmmConfig {
-    /// Configuration with default costs for `technique`. Native uses the
-    /// free cost model (there is no hypervisor).
+    /// True when the page walker sets accessed/dirty bits in all three
+    /// tables (agile paging's hardware optimization 1,
+    /// [`AgileOptions::hw_ad_bits`]), so shadow leaves need no
+    /// write-protection trick and `AdBitSync` VMtraps never happen.
     #[must_use]
-    pub fn new(technique: Technique) -> Self {
-        let costs = match technique {
+    pub fn hw_ad_bits(&self) -> bool {
+        matches!(self, Technique::Agile(o) if o.hw_ad_bits)
+    }
+
+    /// The VMtrap cost model: free for [`Technique::Native`] (there is no
+    /// hypervisor), the calibrated [`VmtrapCosts::default`] table for every
+    /// virtualized technique.
+    #[must_use]
+    pub fn trap_costs(&self) -> VmtrapCosts {
+        match self {
             Technique::Native => VmtrapCosts::free(),
             _ => VmtrapCosts::default(),
-        };
-        VmmConfig { technique, costs }
+        }
     }
 }
 
@@ -179,10 +212,32 @@ mod tests {
 
     #[test]
     fn native_config_is_free() {
-        let c = VmmConfig::new(Technique::Native);
-        assert_eq!(c.costs, VmtrapCosts::free());
-        let s = VmmConfig::new(Technique::Shadow);
-        assert_ne!(s.costs, VmtrapCosts::free());
+        assert_eq!(Technique::Native.trap_costs(), VmtrapCosts::free());
+        for t in &Technique::all()[1..] {
+            assert_eq!(t.trap_costs(), VmtrapCosts::default(), "{t:?}");
+        }
+    }
+
+    #[test]
+    fn registry_lists_every_technique_once_in_label_order() {
+        let all = Technique::all();
+        let labels: Vec<_> = all.iter().map(Technique::label).collect();
+        assert_eq!(labels, ["B", "N", "S", "A", "SHSP"]);
+        let mut names: Vec<_> = all.iter().map(Technique::name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), all.len(), "names are unique");
+        for t in all {
+            assert_eq!(Technique::from_name(t.name()), Some(t));
+        }
+        assert_eq!(Technique::from_name("hyper"), None);
+    }
+
+    #[test]
+    fn only_agile_with_the_option_sets_ad_bits_in_hardware() {
+        let hw: Vec<_> = Technique::all().iter().map(Technique::hw_ad_bits).collect();
+        assert_eq!(hw, [false, false, false, true, false]);
+        assert!(!Technique::Agile(AgileOptions::without_hw_opts()).hw_ad_bits());
     }
 
     #[test]

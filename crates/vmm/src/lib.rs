@@ -20,11 +20,11 @@
 //!
 //! ```
 //! use agile_mem::PhysMem;
-//! use agile_vmm::{Technique, Vmm, VmmConfig};
+//! use agile_vmm::{Technique, Vmm};
 //! use agile_types::{PageSize, PteFlags, ProcessId};
 //!
 //! let mut mem = PhysMem::new();
-//! let mut vmm = Vmm::new(&mut mem, VmmConfig::new(Technique::Shadow));
+//! let mut vmm = Vmm::new(&mut mem, Technique::Shadow);
 //! let pid = ProcessId::new(1);
 //! vmm.create_process(&mut mem, pid);
 //! let gframe = vmm.alloc_guest_frame(&mut mem);
@@ -42,7 +42,7 @@ mod shsp;
 mod traps;
 mod vmm;
 
-pub use config::{AgileOptions, NestedToShadowPolicy, ShspOptions, Technique, VmmConfig};
+pub use config::{AgileOptions, NestedToShadowPolicy, ShspOptions, Technique};
 pub use flush::{coalesce, CoalesceStats, CoalescedRange, FlushBatch, TLB_RANGE_SWEEP_CAP};
 pub use proc::{GptPageInfo, GptPageMode, HwRoots};
 pub use shsp::{ShspController, ShspMode};

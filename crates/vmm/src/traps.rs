@@ -110,13 +110,6 @@ impl VmtrapCosts {
         self.cycles[kind.index()]
     }
 
-    /// Returns a copy with `kind` costing `cycles`.
-    #[must_use]
-    pub fn with_cost(mut self, kind: VmtrapKind, cycles: u64) -> Self {
-        self.cycles[kind.index()] = cycles;
-        self
-    }
-
     /// A zero-cost model (used to express "this mode has no VMM"):
     /// accounting still counts events but charges nothing.
     #[must_use]
@@ -218,16 +211,6 @@ mod tests {
             assert!(c.cost(kind) >= 1000, "{kind} should cost 1000s of cycles");
             assert!(c.cost(kind) <= 10_000);
         }
-    }
-
-    #[test]
-    fn with_cost_overrides_one_kind() {
-        let c = VmtrapCosts::default().with_cost(VmtrapKind::GptWrite, 1);
-        assert_eq!(c.cost(VmtrapKind::GptWrite), 1);
-        assert_eq!(
-            c.cost(VmtrapKind::ContextSwitch),
-            VmtrapCosts::default().cost(VmtrapKind::ContextSwitch)
-        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The VMM proper: interception, shadow synchronization, agile mode
 //! management, and fault handling.
 
-use crate::config::{NestedToShadowPolicy, Technique, VmmConfig};
+use crate::config::{NestedToShadowPolicy, Technique};
 use crate::proc::{GptPageInfo, GptPageMode, HwRoots, ProcState};
 use crate::shsp::{ShspController, ShspMode};
-use crate::traps::{VmtrapKind, VmtrapStats};
+use crate::traps::{VmtrapCosts, VmtrapKind, VmtrapStats};
 use agile_mem::{GuestMemMap, HostSpace, PhysMem, RadixTable, TableSpace};
 use agile_tlb::SetAssocCache;
 use agile_types::{
@@ -159,7 +159,9 @@ impl Persist for VmmCounters {
 #[derive(Debug)]
 pub struct Vmm {
     vm: VmId,
-    cfg: VmmConfig,
+    technique: Technique,
+    /// [`Technique::trap_costs`], derived once at construction.
+    costs: VmtrapCosts,
     gmap: GuestMemMap,
     hpt: RadixTable,
     procs: HashMap<ProcessId, ProcState>,
@@ -183,29 +185,33 @@ pub struct Vmm {
 }
 
 impl Vmm {
-    /// Creates the VMM for a fresh VM (VM 0 — the single-VM case).
-    pub fn new(mem: &mut PhysMem, cfg: VmmConfig) -> Self {
-        Vmm::new_for_vm(mem, cfg, VmId::new(0))
+    /// Creates the VMM running `technique` for a fresh VM (VM 0 — the
+    /// single-VM case). Everything else the VMM needs is derived from the
+    /// technique: its options, and the VMtrap cost model
+    /// ([`Technique::trap_costs`]).
+    pub fn new(mem: &mut PhysMem, technique: Technique) -> Self {
+        Vmm::new_for_vm(mem, technique, VmId::new(0))
     }
 
     /// Creates the VMM for a fresh VM with an explicit id, for multi-VM
     /// hosts where each VM's substrate carries its owner identity.
-    pub fn new_for_vm(mem: &mut PhysMem, cfg: VmmConfig, vm: VmId) -> Self {
+    pub fn new_for_vm(mem: &mut PhysMem, technique: Technique, vm: VmId) -> Self {
         let mut host = HostSpace;
         let hpt = RadixTable::new(mem, &mut host);
-        let ctx_cache = match cfg.technique {
+        let ctx_cache = match technique {
             Technique::Agile(o) if o.hw_ctx_cache => {
                 Some(SetAssocCache::fully_associative(o.ctx_cache_entries.max(1)))
             }
             _ => None,
         };
-        let shsp = match cfg.technique {
+        let shsp = match technique {
             Technique::Shsp(o) => Some(ShspController::new(o)),
             _ => None,
         };
         Vmm {
             vm,
-            cfg,
+            technique,
+            costs: technique.trap_costs(),
             gmap: GuestMemMap::new(),
             hpt,
             procs: HashMap::new(),
@@ -251,7 +257,7 @@ impl Vmm {
     /// The active technique.
     #[must_use]
     pub fn technique(&self) -> Technique {
-        self.cfg.technique
+        self.technique
     }
 
     /// Host page-table root (`hptr`).
@@ -398,7 +404,7 @@ impl Vmm {
     /// shadow engagement). Read-only.
     #[must_use]
     pub fn full_nested(&self, pid: ProcessId) -> bool {
-        matches!(self.cfg.technique, Technique::Nested)
+        matches!(self.technique, Technique::Nested)
             || self.procs.get(&pid).is_some_and(|p| p.full_nested)
     }
 
@@ -464,12 +470,12 @@ impl Vmm {
     /// root and, for shadow-maintaining techniques, a shadow root.
     pub fn create_process(&mut self, mem: &mut PhysMem, pid: ProcessId) {
         let gpt = RadixTable::new(mem, &mut self.gmap);
-        let spt = if self.cfg.technique.uses_shadow() {
+        let spt = if self.technique.uses_shadow() {
             Some(RadixTable::new(mem, &mut HostSpace))
         } else {
             None
         };
-        let full_nested = match self.cfg.technique {
+        let full_nested = match self.technique {
             Technique::Nested => true,
             Technique::Agile(o) => o.start_in_nested,
             Technique::Shsp(_) => self
@@ -606,7 +612,7 @@ impl Vmm {
                 .expect("guest mapping conflict");
         }
         self.register_gpt_pages(mem, pid, gva);
-        if matches!(self.cfg.technique, Technique::Native) {
+        if matches!(self.technique, Technique::Native) {
             self.native_mirror_leaf(mem, pid, gva);
         }
     }
@@ -647,7 +653,7 @@ impl Vmm {
             proc.gpt.update_entry(mem, &self.gmap, gva, level, f).ok()
         };
         if new.is_some() {
-            if matches!(self.cfg.technique, Technique::Native) {
+            if matches!(self.technique, Technique::Native) {
                 self.native_mirror_leaf(mem, pid, gva);
             } else {
                 self.drop_shadow_leaf(mem, pid, gva);
@@ -659,7 +665,7 @@ impl Vmm {
     /// Whether the process's address space is currently walked fully
     /// nested (technique nested, SHSP nested phase, or agile pre-shadow).
     fn is_fully_nested(&self, pid: ProcessId) -> bool {
-        matches!(self.cfg.technique, Technique::Nested) || self.proc(pid).full_nested
+        matches!(self.technique, Technique::Nested) || self.proc(pid).full_nested
     }
 
     /// Central write-interception accounting (see crate docs). Runs
@@ -670,7 +676,7 @@ impl Vmm {
         if let Some(trace) = self.write_trace.as_mut() {
             trace.push((pid, gva, level));
         }
-        match self.cfg.technique {
+        match self.technique {
             Technique::Native => {
                 self.counters.gpt_writes_direct += 1;
                 return;
@@ -731,7 +737,7 @@ impl Vmm {
         {
             info.writes_this_interval = writes;
         }
-        let agile_threshold = match self.cfg.technique {
+        let agile_threshold = match self.technique {
             Technique::Agile(o) => Some(o.write_threshold),
             _ => None,
         };
@@ -823,7 +829,7 @@ impl Vmm {
     }
 
     fn trap(&mut self, kind: VmtrapKind, n: u64) {
-        self.traps.record(kind, n, self.cfg.costs.cost(kind));
+        self.traps.record(kind, n, self.costs.cost(kind));
     }
 
     fn flush_range(&mut self, pid: ProcessId, va: u64, level: Level) {
@@ -996,7 +1002,7 @@ impl Vmm {
         if !self.knows_process(pid) {
             return;
         }
-        if matches!(self.cfg.technique, Technique::Native) {
+        if matches!(self.technique, Technique::Native) {
             self.native_mirror_leaf(mem, pid, gva);
             self.flush_range(pid, gva, Level::L2);
         } else {
@@ -1158,7 +1164,7 @@ impl Vmm {
         let eff = guest_size.min(host_size);
         let eff_offset = va_gframe.raw() % eff.base_pages();
         let hframe = HostFrame::new(host_frame_4k.raw() - eff_offset);
-        let hw_ad = matches!(self.cfg.technique, Technique::Agile(o) if o.hw_ad_bits);
+        let hw_ad = self.technique.hw_ad_bits();
         // Dirty-bit tracking trick: without the hardware A/D optimization,
         // the shadow leaf starts read-only unless the guest dirty bit is
         // already set, so the first write traps and the VMM can set D. A
@@ -1285,7 +1291,7 @@ impl Vmm {
     /// technique is not agile, the process is unknown, or it is already
     /// running nested from the root.
     pub fn demote_to_nested(&mut self, mem: &mut PhysMem, pid: ProcessId) -> bool {
-        let Technique::Agile(opts) = self.cfg.technique else {
+        let Technique::Agile(opts) = self.technique else {
             return false;
         };
         let Some(proc) = self.procs.get(&pid) else {
@@ -1366,7 +1372,7 @@ impl Vmm {
         let Some(spt) = self.proc(pid).spt else {
             return;
         };
-        let hw_ad = matches!(self.cfg.technique, Technique::Agile(o) if o.hw_ad_bits);
+        let hw_ad = self.technique.hw_ad_bits();
         for i in 0..agile_types::ENTRIES_PER_TABLE as u64 {
             let va = info.va_base + i * PageSize::Size4K.bytes();
             let Some(g) = self.proc(pid).gpt.entry(mem, &self.gmap, va, Level::L1) else {
@@ -1586,7 +1592,7 @@ impl Vmm {
                         FaultOutcome::Fixed
                     }
                     _ => {
-                        if !matches!(self.cfg.technique, Technique::Native) {
+                        if !matches!(self.technique, Technique::Native) {
                             self.trap(VmtrapKind::GuestFaultReflection, 1);
                         }
                         FaultOutcome::ReflectToGuest(Fault::GuestPageFault {
@@ -1600,13 +1606,13 @@ impl Vmm {
             }
             FaultCause::NotPresent => match self.sync_shadow(mem, pid, gva, access) {
                 Ok(()) => {
-                    if !matches!(self.cfg.technique, Technique::Native) {
+                    if !matches!(self.technique, Technique::Native) {
                         self.trap(VmtrapKind::HiddenPageFault, 1);
                     }
                     FaultOutcome::Fixed
                 }
                 Err(guest_fault) => {
-                    if !matches!(self.cfg.technique, Technique::Native) {
+                    if !matches!(self.technique, Technique::Native) {
                         self.trap(VmtrapKind::GuestFaultReflection, 1);
                     }
                     FaultOutcome::ReflectToGuest(guest_fault)
@@ -1624,7 +1630,7 @@ impl Vmm {
         assert!(self.procs.contains_key(&to), "unknown process");
         let from = self.current;
         self.current = Some(to);
-        match self.cfg.technique {
+        match self.technique {
             Technique::Native | Technique::Nested => return,
             Technique::Shsp(_)
                 if self
@@ -1661,7 +1667,7 @@ impl Vmm {
     /// TLB needs no VMM help, exactly as under pure nested paging (this is
     /// a key source of agile paging's copy-on-write win, paper Section V).
     pub fn guest_invlpg(&mut self, mem: &mut PhysMem, pid: ProcessId, gva: u64) {
-        match self.cfg.technique {
+        match self.technique {
             Technique::Native | Technique::Nested => return,
             _ if self.is_fully_nested(pid) => return,
             Technique::Agile(_) => {
@@ -1692,7 +1698,7 @@ impl Vmm {
     /// Guest flushes its TLB (full flush or `invlpg`). Under shadow-style
     /// techniques this traps so the VMM can resynchronize unsynced pages.
     pub fn guest_tlb_flush(&mut self, mem: &mut PhysMem, pid: ProcessId) {
-        match self.cfg.technique {
+        match self.technique {
             Technique::Native | Technique::Nested => return,
             _ if self.is_fully_nested(pid) => return,
             _ => {}
@@ -1743,7 +1749,7 @@ impl Vmm {
         let Some(spt) = self.proc(pid).spt else {
             return;
         };
-        let hw_ad = matches!(self.cfg.technique, Technique::Agile(o) if o.hw_ad_bits);
+        let hw_ad = self.technique.hw_ad_bits();
         if let Some(shadow) = spt.table_frame(mem, &HostSpace, info.va_base, Level::L1) {
             let shadow = HostFrame::new(shadow);
             let guest = self
@@ -1784,7 +1790,7 @@ impl Vmm {
     /// number of TLB misses observed during the interval (fed to SHSP).
     pub fn interval_tick(&mut self, mem: &mut PhysMem, tlb_misses: u64) {
         self.ticks += 1;
-        match self.cfg.technique {
+        match self.technique {
             Technique::Agile(opts) => {
                 // Trap-storm hysteresis (degradation guard): a guest hammering
                 // its page tables makes every shadow-mode subtree a trap
@@ -1982,7 +1988,7 @@ impl Vmm {
     #[must_use]
     pub fn hw_roots(&self, pid: ProcessId) -> HwRoots {
         let proc = self.proc(pid);
-        match self.cfg.technique {
+        match self.technique {
             Technique::Native => HwRoots::Native {
                 root: HostFrame::new(proc.spt.expect("merged table").root_raw()),
             },
@@ -2118,10 +2124,10 @@ impl Vmm {
                 return d.fail(format!("guest-table root {gpt_root} is not a table page"));
             }
             let spt_root: Option<u64> = Option::load(d)?;
-            if spt_root.is_some() != self.cfg.technique.uses_shadow() {
+            if spt_root.is_some() != self.technique.uses_shadow() {
                 return d.fail(format!(
                     "shadow-root presence contradicts technique {}",
-                    self.cfg.technique.label()
+                    self.technique.label()
                 ));
             }
             if let Some(root) = spt_root {

@@ -9,7 +9,7 @@ use agile_types::{
 };
 use agile_vmm::{
     AgileOptions, FaultOutcome, FlushRequest, GptPageMode, HwRoots, ShspMode, ShspOptions,
-    Technique, Vmm, VmmConfig, VmtrapKind,
+    Technique, Vmm, VmtrapKind,
 };
 use agile_walk::{WalkHw, WalkKind, WalkOk, WalkStats};
 
@@ -25,7 +25,7 @@ struct Rig {
 impl Rig {
     fn new(technique: Technique) -> Self {
         let mut mem = PhysMem::new();
-        let mut vmm = Vmm::new(&mut mem, VmmConfig::new(technique));
+        let mut vmm = Vmm::new(&mut mem, technique);
         let pid = ProcessId::new(1);
         vmm.create_process(&mut mem, pid);
         let cfg = PwcConfig::disabled();

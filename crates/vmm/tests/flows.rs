@@ -6,7 +6,7 @@ use agile_tlb::{NestedTlb, PageWalkCaches, PwcConfig};
 use agile_types::{AccessKind, Asid, Fault, Level, PageSize, ProcessId, PteFlags, VmId};
 use agile_vmm::{
     AgileOptions, FaultOutcome, GptPageMode, HwRoots, NestedToShadowPolicy, ShspMode, Technique,
-    Vmm, VmmConfig, VmtrapKind,
+    Vmm, VmtrapKind,
 };
 use agile_walk::{WalkHw, WalkKind, WalkOk, WalkStats};
 
@@ -26,7 +26,7 @@ impl Rig {
 
     fn with_pwc(technique: Technique, pwc_cfg: PwcConfig) -> Self {
         let mut mem = PhysMem::new();
-        let mut vmm = Vmm::new(&mut mem, VmmConfig::new(technique));
+        let mut vmm = Vmm::new(&mut mem, technique);
         let pid = ProcessId::new(1);
         vmm.create_process(&mut mem, pid);
         Rig {

@@ -6,7 +6,7 @@
 use agile_mem::PhysMem;
 use agile_tlb::{NestedTlb, PageWalkCaches, PwcConfig};
 use agile_types::{AccessKind, Asid, Fault, GuestVirtAddr, PageSize, ProcessId, PteFlags, VmId};
-use agile_vmm::{AgileOptions, FaultOutcome, FlushRequest, Technique, Vmm, VmmConfig, VmtrapKind};
+use agile_vmm::{AgileOptions, FaultOutcome, FlushRequest, Technique, Vmm, VmtrapKind};
 use agile_walk::{WalkHw, WalkOk, WalkStats};
 
 struct Rig {
@@ -21,7 +21,7 @@ struct Rig {
 impl Rig {
     fn new(technique: Technique) -> Self {
         let mut mem = PhysMem::new();
-        let mut vmm = Vmm::new(&mut mem, VmmConfig::new(technique));
+        let mut vmm = Vmm::new(&mut mem, technique);
         let pid = ProcessId::new(1);
         vmm.create_process(&mut mem, pid);
         let cfg = PwcConfig::default();

@@ -32,6 +32,6 @@ pub mod prelude {
         FaultPlan, FramePool, Host, HostConfig, JobId, JobState, JobStatus, Json, Machine,
         MigrationOutcome, Overheads, Pattern, PlanOptions, Profile, RunArtifact, RunOutcome,
         RunPlan, RunRequest, RunStats, ScenarioKind, Service, ServiceMetrics, ShspOptions,
-        StopCause, SystemConfig, Technique, VmmConfig, WorkloadSpec,
+        StopCause, SystemConfig, Technique, WorkloadSpec,
     };
 }

@@ -11,16 +11,6 @@ use std::time::Duration;
 
 const BASE: u64 = 0x7000_0000_0000;
 
-fn techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
-
 /// A workload with enough page-table churn (remaps, COW marking, clock
 /// scans) to generate a steady stream of shootdown requests for the
 /// background drop/defer dice to bite on.
@@ -59,7 +49,7 @@ fn kinds_in(events: &[agile_paging::DegradationEvent]) -> Vec<DegradationKind> {
 
 #[test]
 fn dropped_shootdowns_heal_or_report_in_every_technique() {
-    for t in techniques() {
+    for t in Technique::all() {
         let plan = FaultPlan::new(0xD0).drop_shootdowns(300);
         // run() itself asserts zero residual oracle violations — the
         // "fully healed" half of the chaos contract.
@@ -322,7 +312,7 @@ fn compound_plan() -> FaultPlan {
 
 #[test]
 fn same_fault_plan_yields_byte_identical_logs() {
-    for t in techniques() {
+    for t in Technique::all() {
         let run = || {
             let mut spec = churny_spec("chaos-det", 2_000, 33);
             spec.name = format!("chaos-det-{}", t.label());

@@ -3,23 +3,13 @@
 //! translations, under protection violations, unmapping races, huge-page
 //! splits, and process interleavings.
 
-use agile_paging::{AgileOptions, Event, Machine, ShspOptions, SystemConfig, Technique};
+use agile_paging::{AgileOptions, Event, Machine, SystemConfig, Technique};
 
 const BASE: u64 = 0x7000_0000_0000;
 
-fn techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
-
 #[test]
 fn access_outside_any_vma_segfaults_in_every_technique() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         let err = m.touch(0xdead_beef000, false).unwrap_err();
         assert_eq!(err.va, 0xdead_beef000, "{t:?}");
@@ -28,7 +18,7 @@ fn access_outside_any_vma_segfaults_in_every_technique() {
 
 #[test]
 fn write_to_readonly_vma_segfaults_but_reads_succeed() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         let pid = m.current_pid();
         m.os_mut().mmap(pid, BASE, 64 << 10, false);
@@ -41,7 +31,7 @@ fn write_to_readonly_vma_segfaults_but_reads_succeed() {
 
 #[test]
 fn touch_after_munmap_segfaults_despite_cached_translations() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         let pid = m.current_pid();
         m.os_mut().mmap(pid, BASE, 64 << 10, true);
@@ -94,7 +84,7 @@ fn partial_munmap_splits_vma_and_huge_pages() {
 
 #[test]
 fn processes_do_not_share_translations() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         // Process 0 maps and touches; process 1 has nothing there.
         let p0 = m.current_pid();
@@ -116,7 +106,7 @@ fn processes_do_not_share_translations() {
 fn cow_isolation_after_break() {
     // After a COW break the written page must stop sharing a frame with
     // the rest of the region, under every technique.
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         let pid = m.current_pid();
         m.os_mut().mmap_cow(pid, BASE, 64 << 10);
@@ -135,7 +125,7 @@ fn cow_isolation_after_break() {
 
 #[test]
 fn reclaim_then_retouch_refaults_cleanly() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         let pid = m.current_pid();
         m.os_mut().mmap(pid, BASE, 128 << 10, true);
@@ -161,7 +151,7 @@ fn reclaim_then_retouch_refaults_cleanly() {
 
 #[test]
 fn interval_ticks_are_harmless_everywhere() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         let pid = m.current_pid();
         m.os_mut().mmap(pid, BASE, 64 << 10, true);

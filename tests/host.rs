@@ -8,16 +8,6 @@ use agile_paging::prelude::*;
 use agile_paging::types::VmId;
 use agile_paging::{Vma, VmaBacking};
 
-fn techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
-
 /// A churny workload small enough to keep the suite fast but busy enough
 /// to keep the balloon, the demotion path, and the shootdown protocol all
 /// exercised (1 MiB footprint = 256 demand-faultable pages per VM).
@@ -71,7 +61,7 @@ fn all_kinds(host: &Host) -> Vec<DegradationKind> {
 
 #[test]
 fn overcommit_heals_clean_in_every_technique() {
-    for t in techniques() {
+    for t in Technique::all() {
         // Two VMs wanting ~280 frames each on a 320-frame pool.
         let mut host = Host::new(HostConfig::new(320).initial_lease(64));
         for i in 0..2u64 {
@@ -151,7 +141,7 @@ fn noisy_neighbor_degrades_victim_gracefully() {
 
 #[test]
 fn migration_rehomes_and_heals_in_every_technique() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut host = Host::new(HostConfig::new(768).initial_lease(64));
         for i in 0..2u64 {
             host.add_vm(

@@ -3,24 +3,14 @@
 //! coexist with smaller pages.
 
 use agile_paging::types::PageSize;
-use agile_paging::{AgileOptions, Machine, ShspOptions, SystemConfig, Technique};
+use agile_paging::{AgileOptions, Machine, SystemConfig, Technique};
 
 // 1 GiB-aligned virtual base.
 const BASE: u64 = 0x40_0000_0000;
 
-fn techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
-
 #[test]
 fn explicit_1g_mappings_work_in_every_technique() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         let pid = m.current_pid();
         m.os_mut()

@@ -8,16 +8,6 @@ use agile_paging::{Event, LintCode, ScenarioKind};
 
 const BASE: u64 = 0x7000_0000_0000;
 
-fn techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
-
 /// Heavy page-table churn: remaps, COW marking, clock scans — the state
 /// transitions most likely to strand a stale shadow entry or leak a
 /// table page if the bookkeeping were wrong.
@@ -48,7 +38,7 @@ fn churny_spec(name: &str, accesses: u64, seed: u64) -> WorkloadSpec {
 
 #[test]
 fn unfaulted_churny_runs_lint_clean_in_every_technique() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut m = Machine::new(SystemConfig::new(t));
         m.enable_shootdown_log();
         m.run_spec(&churny_spec("lint-clean", 3_000, 71));
@@ -63,7 +53,7 @@ fn unfaulted_churny_runs_lint_clean_in_every_technique() {
 
 #[test]
 fn multi_process_context_switching_lints_clean() {
-    for t in techniques() {
+    for t in Technique::all() {
         let mut spec = churny_spec("lint-multi", 4_000, 72);
         spec.churn.ctx_switch_every = Some(300);
         spec.churn.processes = 3;
@@ -112,7 +102,7 @@ fn chaos_lint_reports_are_deterministic() {
             .defer_shootdowns(250, 16)
             .scenario(400, ScenarioKind::CorruptGuestPte { gva: BASE })
     };
-    for t in techniques() {
+    for t in Technique::all() {
         let run = || {
             let mut m = Machine::new(SystemConfig::new(t));
             m.enable_chaos(plan());

@@ -3,10 +3,7 @@
 //! must produce identical guest-visible state (page tables, fault counts,
 //! reclamation decisions). The techniques differ only in *cost*.
 
-use agile_paging::{
-    AgileOptions, ChurnSpec, Machine, OsStats, Pattern, ShspOptions, SystemConfig, Technique,
-    WorkloadSpec,
-};
+use agile_paging::{ChurnSpec, Machine, OsStats, Pattern, SystemConfig, Technique, WorkloadSpec};
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -36,16 +33,6 @@ fn spec() -> WorkloadSpec {
     }
 }
 
-fn techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
-
 /// Guest-visible fingerprint: mappings at sampled addresses plus OS event
 /// counters.
 fn fingerprint(technique: Technique, thp: bool) -> (Vec<Option<(u64, bool)>>, OsStats) {
@@ -68,7 +55,7 @@ fn fingerprint(technique: Technique, thp: bool) -> (Vec<Option<(u64, bool)>>, Os
 #[test]
 fn guest_state_is_technique_independent_4k() {
     let reference = fingerprint(Technique::Native, false);
-    for t in techniques().into_iter().skip(1) {
+    for t in Technique::all().into_iter().skip(1) {
         let got = fingerprint(t, false);
         assert_eq!(got.0, reference.0, "mappings diverged under {t:?}");
         assert_eq!(got.1, reference.1, "OS counters diverged under {t:?}");
@@ -78,7 +65,7 @@ fn guest_state_is_technique_independent_4k() {
 #[test]
 fn guest_state_is_technique_independent_2m() {
     let reference = fingerprint(Technique::Native, true);
-    for t in techniques().into_iter().skip(1) {
+    for t in Technique::all().into_iter().skip(1) {
         let got = fingerprint(t, true);
         assert_eq!(got.0, reference.0, "mappings diverged under {t:?} (THP)");
         assert_eq!(got.1, reference.1, "OS counters diverged under {t:?} (THP)");

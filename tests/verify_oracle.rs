@@ -14,21 +14,11 @@ use agile_paging::types::SplitMix64;
 use agile_paging::types::{Asid, HostFrame, PageSize};
 use agile_paging::verify;
 use agile_paging::{
-    AgileOptions, ChurnSpec, Event, Machine, Pattern, ShspOptions, SystemConfig, Technique,
-    TlbEntry, ViolationSite, WalkKind, WorkloadSpec,
+    ChurnSpec, Event, Machine, Pattern, SystemConfig, Technique, TlbEntry, ViolationSite, WalkKind,
+    WorkloadSpec,
 };
 
 const CASES: u64 = 4;
-
-fn all_techniques() -> [Technique; 5] {
-    [
-        Technique::Native,
-        Technique::Nested,
-        Technique::Shadow,
-        Technique::Agile(AgileOptions::default()),
-        Technique::Shsp(ShspOptions::default()),
-    ]
-}
 
 /// A churn-heavy spec: unmaps, COW markings, clock scans, context switches
 /// and ticks all fire, so every invalidation path crosses the coherence
@@ -86,7 +76,7 @@ fn quiet_spec(name: &str) -> WorkloadSpec {
 fn every_technique_runs_clean_under_paranoia() {
     for case in 0..CASES {
         let spec = churny_spec(case);
-        for technique in all_techniques() {
+        for technique in Technique::all() {
             for thp in [false, true] {
                 let mut cfg = SystemConfig::new(technique).with_paranoia(true);
                 if thp {
@@ -119,7 +109,7 @@ fn every_technique_runs_clean_under_paranoia() {
 #[test]
 fn table_ii_reference_counts_are_exact_without_walk_caches() {
     let spec = quiet_spec("oracle-table2");
-    for technique in all_techniques() {
+    for technique in Technique::all() {
         let cfg = SystemConfig::new(technique)
             .without_pwc()
             .with_paranoia(true);
@@ -260,7 +250,8 @@ fn check_stats_flags_corrupted_counters() {
     // Trap cycles that stop matching count × cost.
     let mut s = stats;
     let kind = agile_paging::VmtrapKind::ALL[0];
-    s.traps.record(kind, 1, cfg.vmm.costs.cost(kind) + 1);
+    s.traps
+        .record(kind, 1, cfg.technique.trap_costs().cost(kind) + 1);
     assert!(verify::check_stats(&s, &cfg)
         .iter()
         .any(|v| v.detail.contains("cycles !=")));
