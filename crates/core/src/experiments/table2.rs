@@ -125,116 +125,78 @@ impl Fixture {
             .expect("switch entry");
     }
 
-    fn measure(&mut self, cr3: Cr3Kind) -> Table2Row {
-        let gpt_root_h = self.guest_table_hframe(Level::L4);
-        let cfg = PwcConfig::disabled();
-        let mut pwc = PageWalkCaches::new(&cfg);
-        let mut ntlb = NestedTlb::new(&cfg);
-        let mut stats = WalkStats::default();
-        let mut hw = WalkHw {
-            mem: &mut self.mem,
-            pwc: &mut pwc,
-            ntlb: &mut ntlb,
-            vm: VmId::new(0),
-            stats: &mut stats,
-        };
-        let asid = Asid::new(1);
-        let gptr = GuestFrame::new(self.gpt.root_raw());
-        let hptr = HostFrame::new(self.hpt.root_raw());
-        let sptr = HostFrame::new(self.spt.root_raw());
-        let (label, ok) = match cr3 {
-            Cr3Kind::Native => (
-                "Base Native".to_string(),
-                hw.shadow_walk(asid, self.gva, sptr, AccessKind::Read)
-                    .map(|mut o| {
-                        o.kind = agile_walk::WalkKind::Native;
-                        o
-                    }),
-            ),
-            Cr3Kind::Shadow => (
-                "Shadow (agile: full shadow)".to_string(),
-                hw.agile_walk(
-                    asid,
-                    self.gva,
-                    AgileCr3::Shadow { spt_root: sptr },
-                    gptr,
-                    hptr,
-                    AccessKind::Read,
-                ),
-            ),
-            Cr3Kind::SwitchAt(level) => (
-                format!("Agile: switch below {level}"),
-                hw.agile_walk(
-                    asid,
-                    self.gva,
-                    AgileCr3::Shadow { spt_root: sptr },
-                    gptr,
-                    hptr,
-                    AccessKind::Read,
-                ),
-            ),
-            Cr3Kind::NestedFromRoot => (
-                "Agile: nested from root".to_string(),
-                hw.agile_walk(
-                    asid,
-                    self.gva,
-                    AgileCr3::NestedFromRoot {
-                        gpt_root: gpt_root_h,
-                    },
-                    gptr,
-                    hptr,
-                    AccessKind::Read,
-                ),
-            ),
-            Cr3Kind::Nested => (
-                "Nested Paging".to_string(),
-                hw.nested_walk(asid, self.gva, gptr, hptr, AccessKind::Read),
-            ),
-        };
-        let ok = ok.expect("walk succeeds");
-        Table2Row {
-            label,
-            refs: ok.refs,
-            shadow_refs: stats.refs_shadow,
-            guest_refs: stats.refs_guest,
-            host_refs: stats.refs_host,
-        }
+    fn sptr(&self) -> HostFrame {
+        HostFrame::new(self.spt.root_raw())
     }
 }
 
-#[derive(Clone, Copy)]
-enum Cr3Kind {
-    Native,
-    Shadow,
-    SwitchAt(Level),
-    NestedFromRoot,
-    Nested,
+/// Measures one walk configuration on a fresh fixture (real guest, host
+/// and shadow tables), so the measurements are independent: optionally
+/// plants a switching entry at `switch`, then walks once from the start
+/// state `cr3` picks.
+fn measure(
+    label: impl Into<String>,
+    switch: Option<Level>,
+    cr3: impl Fn(&Fixture) -> AgileCr3,
+) -> Table2Row {
+    let mut fx = Fixture::new();
+    if let Some(level) = switch {
+        fx.set_switch(level);
+    }
+    let cr3 = cr3(&fx);
+    let gptr = GuestFrame::new(fx.gpt.root_raw());
+    let hptr = HostFrame::new(fx.hpt.root_raw());
+    let cfg = PwcConfig::disabled();
+    let mut pwc = PageWalkCaches::new(&cfg);
+    let mut ntlb = NestedTlb::new(&cfg);
+    let mut stats = WalkStats::default();
+    let mut hw = WalkHw {
+        mem: &mut fx.mem,
+        pwc: &mut pwc,
+        ntlb: &mut ntlb,
+        vm: VmId::new(0),
+        stats: &mut stats,
+    };
+    let ok = hw
+        .agile_walk(Asid::new(1), fx.gva, cr3, gptr, hptr, AccessKind::Read)
+        .expect("walk succeeds");
+    Table2Row {
+        label: label.into(),
+        refs: ok.refs,
+        shadow_refs: stats.refs_shadow,
+        guest_refs: stats.refs_guest,
+        host_refs: stats.refs_host,
+    }
 }
 
-/// Runs the Table II measurement; each walk configuration builds its own
-/// fixture (real guest/host/shadow tables) so the measurements are
-/// independent.
+/// Runs the Table II measurement, one fixture per walk configuration.
+/// Base native walks the fixture's shadow table as its one 1D table: the
+/// shadow table maps gVA straight to the data page, exactly like an OS
+/// page table on bare metal.
 #[must_use]
 pub fn table2() -> ExperimentRun<Table2Row> {
-    let configs = vec![
-        Cr3Kind::Native,
-        Cr3Kind::Shadow,
-        Cr3Kind::SwitchAt(Level::L2),
-        Cr3Kind::SwitchAt(Level::L3),
-        Cr3Kind::SwitchAt(Level::L4),
-        Cr3Kind::NestedFromRoot,
-        Cr3Kind::Nested,
+    let shadow = |fx: &Fixture| AgileCr3::Shadow {
+        spt_root: fx.sptr(),
+    };
+    let mut rows = vec![
+        measure("Base Native", None, |fx| AgileCr3::Native {
+            root: fx.sptr(),
+        }),
+        measure("Shadow (agile: full shadow)", None, shadow),
     ];
-    let rows: Vec<Table2Row> = configs
-        .into_iter()
-        .map(|kind| {
-            let mut fx = Fixture::new();
-            if let Cr3Kind::SwitchAt(level) = kind {
-                fx.set_switch(level);
-            }
-            fx.measure(kind)
-        })
-        .collect();
+    for level in [Level::L2, Level::L3, Level::L4] {
+        rows.push(measure(
+            format!("Agile: switch below {level}"),
+            Some(level),
+            shadow,
+        ));
+    }
+    rows.push(measure("Agile: nested from root", None, |fx| {
+        AgileCr3::NestedFromRoot {
+            gpt_root: fx.guest_table_hframe(Level::L4),
+        }
+    }));
+    rows.push(measure("Nested Paging", None, |_| AgileCr3::FullNested));
 
     let mut table = Table::new(vec![
         "configuration".into(),

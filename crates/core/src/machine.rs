@@ -19,7 +19,7 @@ use agile_types::{
     ProcessId, PteFlags, StateSink, VmId,
 };
 use agile_vmm::{coalesce, FaultOutcome, FlushRequest, HwRoots, Technique, Vmm};
-use agile_walk::{WalkHw, WalkKind, WalkOk, WalkStats};
+use agile_walk::{AgileCr3, WalkHw, WalkKind, WalkOk, WalkStats};
 use agile_workloads::{Event, Workload, WorkloadSpec};
 use std::ops::ControlFlow;
 
@@ -439,10 +439,6 @@ impl Machine {
     /// The configuration this machine runs.
     #[must_use]
     pub fn config(&self) -> &SystemConfig {
-        self.cfg_ref()
-    }
-
-    fn cfg_ref(&self) -> &SystemConfig {
         &self.cfg
     }
 
@@ -1396,8 +1392,7 @@ impl Machine {
         gva: GuestVirtAddr,
         access: AccessKind,
     ) -> Result<WalkOk, Fault> {
-        let roots = self.vmm.hw_roots(pid);
-        let asid = Asid::from(pid);
+        let HwRoots { cr3, gptr, hptr } = self.vmm.hw_roots(pid);
         let mut hw = WalkHw {
             mem: &mut self.mem,
             pwc: &mut self.pwc,
@@ -1405,12 +1400,7 @@ impl Machine {
             vm: self.vmm.vm(),
             stats: &mut self.walk_stats,
         };
-        match roots {
-            HwRoots::Native { root } => hw.native_walk(asid, gva, root, access),
-            HwRoots::Nested { gptr, hptr } => hw.nested_walk(asid, gva, gptr, hptr, access),
-            HwRoots::Shadow { sptr } => hw.shadow_walk(asid, gva, sptr, access),
-            HwRoots::Agile { cr3, gptr, hptr } => hw.agile_walk(asid, gva, cr3, gptr, hptr, access),
-        }
+        hw.agile_walk(Asid::from(pid), gva, cr3, gptr, hptr, access)
     }
 
     /// Hardware optimization 1 (paper Section IV): after a shadow-mode
@@ -1437,14 +1427,11 @@ impl Machine {
             return;
         }
         // The A/D write requires a full nested walk (up to 24 accesses),
-        // still far cheaper than a VMtrap. nested_walk sets the bits. The
-        // walk may itself take EPT violations for guest-table pages the
+        // still far cheaper than a VMtrap. The nested walk sets the bits.
+        // The walk may itself take EPT violations for guest-table pages the
         // host table has not mapped yet; those are handled like any other.
         for _ in 0..8 {
-            let roots = self.vmm.hw_roots(pid);
-            let HwRoots::Agile { gptr, hptr, .. } = roots else {
-                return;
-            };
+            let HwRoots { gptr, hptr, .. } = self.vmm.hw_roots(pid);
             let mut hw = WalkHw {
                 mem: &mut self.mem,
                 pwc: &mut self.pwc,
@@ -1452,7 +1439,14 @@ impl Machine {
                 vm: self.vmm.vm(),
                 stats: &mut self.walk_stats,
             };
-            match hw.nested_walk(Asid::from(pid), gva, gptr, hptr, access) {
+            match hw.agile_walk(
+                Asid::from(pid),
+                gva,
+                AgileCr3::FullNested,
+                gptr,
+                hptr,
+                access,
+            ) {
                 Ok(ok) => {
                     self.hot.walk_cycles += self.walk_cost(ok.refs, ok.host_refs);
                     self.hot.ad_walks += 1;
@@ -1842,7 +1836,7 @@ impl Machine {
         match self.trace.as_ref() {
             Some(trace) => {
                 e.u8(1);
-                e.str(&trace.to_text());
+                trace.save(e);
             }
             None => e.u8(0),
         }
@@ -1889,12 +1883,7 @@ impl Machine {
             ));
         }
         match (d.u8()?, self.trace.is_some()) {
-            (1, true) => {
-                let text = d.str()?;
-                let log = agile_trace::TraceLog::parse(&text)
-                    .map_err(|e| CodecError::new(d.pos(), format!("bad trace: {e}")))?;
-                self.trace = Some(log);
-            }
+            (1, true) => self.trace = Some(agile_trace::TraceLog::load(d)?),
             (0, false) => {}
             (1, false) | (0, true) => return d.fail("tracing enablement contradicts the snapshot"),
             (b, _) => return d.fail(format!("bad trace tag {b}")),

@@ -53,7 +53,6 @@ use crate::service::{CancelToken, PlanOptions, Service, StopCause};
 use crate::snapshot::{Checkpoint, CheckpointSlot, WorkerKill};
 use crate::stats::{KindCounts, RunStats};
 use agile_trace::TraceLog;
-use agile_types::SplitMix64;
 use agile_vmm::VmtrapKind;
 use agile_walk::WalkKind;
 use agile_workloads::WorkloadSpec;
@@ -513,11 +512,6 @@ impl RunPlan {
         &self.opts
     }
 
-    /// Mutable access to the execution options.
-    pub fn options_mut(&mut self) -> &mut PlanOptions {
-        &mut self.opts
-    }
-
     /// Appends a request.
     pub fn push(&mut self, request: RunRequest) -> &mut Self {
         self.requests.push(request);
@@ -548,38 +542,26 @@ impl RunPlan {
     /// and sibling results are bit-identical to an undisturbed plan's.
     #[must_use]
     pub fn run(&self) -> Vec<RunOutcome> {
-        let requests = self.seeded_requests();
-        if requests.is_empty() {
+        if self.requests.is_empty() {
             return Vec::new();
         }
+        // A fresh service numbers jobs 0..n in submission order, so its
+        // seed stream gives request i the seed `derive(seed_base, i)`.
         let service = Service::new(PlanOptions {
-            threads: self.opts.threads.min(requests.len()).max(1),
-            timeout: self.opts.timeout,
-            retries: self.opts.retries,
-            // Seeds were already fixed request-by-request above.
-            seed_base: None,
-            checkpoint_interval: self.opts.checkpoint_interval,
+            threads: self.workers(),
+            ..self.opts.clone()
         });
-        let ids = service.submit_all(requests);
+        let ids = service.submit_all(self.requests.clone());
         let outcomes = ids.into_iter().map(|id| service.wait(id)).collect();
         service.shutdown();
         outcomes
     }
 
-    fn seeded_requests(&self) -> Vec<RunRequest> {
-        self.requests
-            .iter()
-            .enumerate()
-            .map(|(i, req)| {
-                let mut req = req.clone();
-                if req.seed.is_none() {
-                    if let Some(base) = self.opts.seed_base {
-                        req.seed = Some(SplitMix64::derive(base, i as u64));
-                    }
-                }
-                req
-            })
-            .collect()
+    /// Worker count for [`RunPlan::run`]: [`PlanOptions::threads`]
+    /// resolved as the service does (0 = one per available core), and no
+    /// more than there are requests.
+    fn workers(&self) -> usize {
+        self.opts.resolved_threads().min(self.requests.len()).max(1)
     }
 }
 
@@ -702,22 +684,10 @@ impl RunOutcome {
         }
     }
 
-    /// True when the run was skipped.
-    #[must_use]
-    pub fn is_skipped(&self) -> bool {
-        matches!(self, RunOutcome::Skipped { .. })
-    }
-
     /// True when the run stopped at its cooperative deadline.
     #[must_use]
     pub fn is_timed_out(&self) -> bool {
         matches!(self, RunOutcome::TimedOut { .. })
-    }
-
-    /// True when the run was cancelled.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, RunOutcome::Cancelled { .. })
     }
 }
 
@@ -734,6 +704,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agile_types::SplitMix64;
     use agile_vmm::Technique;
     use agile_workloads::{ChurnSpec, Pattern};
 
@@ -828,6 +799,26 @@ mod tests {
             .collect();
         assert_eq!(artifacts[0].seed, SplitMix64::derive(7, 0));
         assert_eq!(artifacts[1].seed, 42);
+    }
+
+    #[test]
+    fn worker_count_resolves_zero_to_the_core_count_and_clamps_to_the_requests() {
+        let plan_of = |threads, requests: usize| {
+            let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
+            for i in 0..requests {
+                plan.push(RunRequest::new(
+                    SystemConfig::new(Technique::Native),
+                    spec(100, i as u64),
+                ));
+            }
+            plan
+        };
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        assert_eq!(plan_of(0, 64).workers(), cores.min(64));
+        assert_eq!(plan_of(0, 1).workers(), 1);
+        assert_eq!(plan_of(3, 2).workers(), 2);
+        assert_eq!(plan_of(3, 8).workers(), 3);
+        assert_eq!(RunPlan::default().options().threads, 0);
     }
 
     #[test]

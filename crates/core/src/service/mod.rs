@@ -104,7 +104,7 @@ impl PlanOptions {
         self
     }
 
-    fn resolved_threads(&self) -> usize {
+    pub(crate) fn resolved_threads(&self) -> usize {
         if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
         } else {

@@ -362,12 +362,6 @@ impl TransitionView {
         self.leaves.len()
     }
 
-    /// Guest page-table pages in the view.
-    #[must_use]
-    pub fn gpt_page_count(&self) -> usize {
-        self.gpt_pages.len()
-    }
-
     /// Test hook: perturbs the recorded translation of the `index`-th leaf
     /// (wrapping), so differ-sensitivity tests can plant a divergence
     /// without corrupting a live machine.

@@ -20,6 +20,7 @@ use agile_core::{
     FaultPlan, Machine, MachineSnapshot, Pattern, PlanOptions, RecoveryControls, RunRequest,
     Service, ShspOptions, SystemConfig, Technique, TransitionView, WorkloadSpec,
 };
+use std::ops::ControlFlow;
 
 /// Churny multi-process spec so snapshots carry non-trivial state:
 /// several address spaces, COW sharing, huge pages broken by remaps.
@@ -154,6 +155,49 @@ fn checkpoint_resume_is_byte_identical_to_straight_through() {
             "{}: resume-from-checkpoint diverged from straight-through",
             t.label()
         );
+    }
+}
+
+/// A traced machine checkpointed mid-run and restored into a fresh traced
+/// machine finishes with the same snapshot bytes and the same §VI trace as
+/// a straight run: the trace travels inside the snapshot.
+#[test]
+fn traced_checkpoint_resume_is_byte_identical_to_straight_through() {
+    let no_hook = |_: &mut Machine, _| ControlFlow::<()>::Continue(());
+    for t in Technique::all() {
+        let cfg = SystemConfig::new(t);
+        let spec = spec(t.label(), 2_400, 27);
+        let traced = || {
+            let mut m = Machine::new(cfg);
+            m.enable_tracing();
+            m
+        };
+        let mut straight = traced();
+        straight.run(&spec, 0, None, no_hook);
+        let want_bytes = straight.snapshot().to_bytes();
+        let want_trace = straight.take_trace();
+        assert!(!want_trace.is_empty(), "{}: nothing traced", t.label());
+
+        let (_, cp) = traced().run(&spec, 0, None, |m, at| {
+            if at.is_tick && at.ticks == 3 {
+                ControlFlow::Break(m.checkpoint(at))
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        let cp = cp.expect("the run reaches tick 3");
+        let mut resumed = traced();
+        resumed
+            .restore_from(&cp.snapshot)
+            .unwrap_or_else(|e| panic!("{}: restore failed: {e}", t.label()));
+        resumed.run(&spec, 0, Some(&cp), no_hook);
+        assert_eq!(
+            resumed.snapshot().to_bytes(),
+            want_bytes,
+            "{}: resumed traced run diverged",
+            t.label()
+        );
+        assert_eq!(resumed.take_trace(), want_trace, "{}", t.label());
     }
 }
 

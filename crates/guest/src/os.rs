@@ -170,12 +170,6 @@ impl GuestOs {
         }
     }
 
-    /// Whether transparent huge pages are on.
-    #[must_use]
-    pub fn thp_enabled(&self) -> bool {
-        self.thp
-    }
-
     /// OS event counters.
     #[must_use]
     pub fn stats(&self) -> OsStats {
@@ -209,13 +203,6 @@ impl GuestOs {
             .get(&pid)
             .map(|p| p.vmas.values().copied().collect())
             .unwrap_or_default()
-    }
-
-    /// Number of frames currently parked on the guest's free list (the
-    /// frames a balloon request would surrender).
-    #[must_use]
-    pub fn free_frame_count(&self) -> u64 {
-        self.free_frames.len() as u64
     }
 
     fn proc_mut(&mut self, pid: ProcessId) -> &mut ProcInfo {

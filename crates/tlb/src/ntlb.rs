@@ -55,12 +55,6 @@ impl NestedTlb {
         }
     }
 
-    /// True if the structure participates in walks.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Looks up the host frame backing `gframe` in `vm`.
     pub fn lookup(&mut self, vm: VmId, gframe: GuestFrame) -> Option<NtlbEntry> {
         if !self.enabled {

@@ -71,12 +71,6 @@ impl PageWalkCaches {
         }
     }
 
-    /// True if the caches participate in walks.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn prefix(va: GuestVirtAddr, consumed_down_to: Level) -> u64 {
         // Key on the VA bits consumed so far: everything above the *next*
         // level's index.

@@ -1,6 +1,6 @@
 //! The TLB hierarchy: split L1 D/I TLBs plus a unified L2.
 
-use crate::cache::{CacheStats, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::config::{SizedTlbConfig, TlbConfig};
 use agile_types::{
     AccessKind, Asid, CodecError, Dec, Enc, GuestVirtAddr, HostFrame, PageSize, Persist, StateSink,
@@ -185,13 +185,6 @@ impl SizedTlb {
             }
             None => 0,
         }
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.cache
-            .as_ref()
-            .map(SetAssocCache::stats)
-            .unwrap_or_default()
     }
 }
 
@@ -408,12 +401,6 @@ impl TlbHierarchy {
     /// Resets counters (contents are kept).
     pub fn reset_stats(&mut self) {
         self.stats = TlbStats::default();
-    }
-
-    /// Raw per-structure stats of the L1-D 4 KiB partition (diagnostics).
-    #[must_use]
-    pub fn l1d_4k_stats(&self) -> CacheStats {
-        self.l1d[0].stats()
     }
 
     /// Appends the hierarchy's full dynamic state (every structure's

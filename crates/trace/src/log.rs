@@ -1,6 +1,6 @@
-//! Trace events and their text serialization.
+//! Trace events and their snapshot encoding.
 
-use agile_types::{Level, ProcessId};
+use agile_types::{CodecError, Dec, Enc, Level, Persist, ProcessId};
 
 /// One traced event. The paper's step 1 trace records page-table updates
 /// (from the instrumented KVM); its step 2 trace records TLB misses (from
@@ -29,58 +29,43 @@ pub enum TraceEvent {
     IntervalEnd,
 }
 
-impl TraceEvent {
-    /// Serializes to one trace line.
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        match self {
+impl Persist for TraceEvent {
+    fn save(&self, e: &mut Enc) {
+        match *self {
             TraceEvent::GptWrite { pid, gva, level } => {
-                format!("W {} {:#x} {}", pid.raw(), gva, level.number())
+                e.u8(0);
+                pid.save(e);
+                e.u64(gva);
+                level.save(e);
             }
             TraceEvent::TlbMiss { pid, gva, write } => {
-                format!("M {} {:#x} {}", pid.raw(), gva, u8::from(*write))
+                e.u8(1);
+                pid.save(e);
+                e.u64(gva);
+                e.bool(write);
             }
-            TraceEvent::IntervalEnd => "T".to_string(),
+            TraceEvent::IntervalEnd => e.u8(2),
         }
     }
-
-    /// Parses one trace line.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed field.
-    pub fn parse(line: &str) -> Result<Self, String> {
-        let mut parts = line.split_whitespace();
-        let tag = parts.next().ok_or("empty line")?;
-        let mut num = |radix_hex: bool| -> Result<u64, String> {
-            let s = parts.next().ok_or("missing field")?;
-            if radix_hex {
-                u64::from_str_radix(s.trim_start_matches("0x"), 16)
-                    .map_err(|e| format!("bad hex {s}: {e}"))
-            } else {
-                s.parse().map_err(|e| format!("bad int {s}: {e}"))
-            }
-        };
-        match tag {
-            "W" => {
-                let pid = ProcessId::new(num(false)? as u32);
-                let gva = num(true)?;
-                let level = Level::from_number(num(false)? as u8).ok_or("bad level")?;
-                Ok(TraceEvent::GptWrite { pid, gva, level })
-            }
-            "M" => {
-                let pid = ProcessId::new(num(false)? as u32);
-                let gva = num(true)?;
-                let write = num(false)? != 0;
-                Ok(TraceEvent::TlbMiss { pid, gva, write })
-            }
-            "T" => Ok(TraceEvent::IntervalEnd),
-            other => Err(format!("unknown tag {other}")),
-        }
+    fn load(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(match d.u8()? {
+            0 => TraceEvent::GptWrite {
+                pid: ProcessId::load(d)?,
+                gva: d.u64()?,
+                level: Level::load(d)?,
+            },
+            1 => TraceEvent::TlbMiss {
+                pid: ProcessId::load(d)?,
+                gva: d.u64()?,
+                write: d.bool()?,
+            },
+            2 => TraceEvent::IntervalEnd,
+            _ => return d.fail("unknown TraceEvent variant tag"),
+        })
     }
 }
 
-/// An in-memory trace with text round-tripping.
+/// An in-memory trace.
 ///
 /// # Example
 ///
@@ -95,9 +80,7 @@ impl TraceEvent {
 ///     level: Level::L1,
 /// });
 /// log.push(TraceEvent::IntervalEnd);
-/// let text = log.to_text();
-/// let back = TraceLog::parse(&text).unwrap();
-/// assert_eq!(back.events(), log.events());
+/// assert_eq!(log.len(), 2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceLog {
@@ -133,80 +116,15 @@ impl TraceLog {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Serializes the whole trace, one event per line.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_line());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a serialized trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first line number and parse error encountered.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut log = TraceLog::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            log.push(TraceEvent::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-        }
-        Ok(log)
-    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_round_trip_text() {
-        let events = [
-            TraceEvent::GptWrite {
-                pid: ProcessId::new(3),
-                gva: 0x7fff_0000_1000,
-                level: Level::L2,
-            },
-            TraceEvent::TlbMiss {
-                pid: ProcessId::new(3),
-                gva: 0xabc_d000,
-                write: true,
-            },
-            TraceEvent::IntervalEnd,
-        ];
-        for e in events {
-            assert_eq!(TraceEvent::parse(&e.to_line()).unwrap(), e);
-        }
+impl Persist for TraceLog {
+    fn save(&self, e: &mut Enc) {
+        self.events.save(e);
     }
-
-    #[test]
-    fn log_round_trips_and_skips_blank_lines() {
-        let mut log = TraceLog::new();
-        log.push(TraceEvent::IntervalEnd);
-        log.push(TraceEvent::TlbMiss {
-            pid: ProcessId::new(1),
-            gva: 0x1000,
-            write: false,
-        });
-        let text = format!("\n{}\n\n", log.to_text());
-        let back = TraceLog::parse(&text).unwrap();
-        assert_eq!(back, log);
-    }
-
-    #[test]
-    fn malformed_lines_error_with_location() {
-        assert!(TraceEvent::parse("X 1 2 3").is_err());
-        assert!(TraceEvent::parse("W 1").is_err());
-        assert!(TraceEvent::parse("W 1 zz 1").is_err());
-        assert!(TraceEvent::parse("W 1 0x10 9").is_err());
-        let err = TraceLog::parse("T\nbogus\n").unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
+    fn load(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(TraceLog {
+            events: Vec::load(d)?,
+        })
     }
 }

@@ -100,37 +100,17 @@ impl ProcState {
     }
 }
 
-/// The architectural roots the hardware walker needs for the current
-/// process, per technique — what the VMM programs into the (virtual) CR3 /
-/// EPTP / sptr registers.
+/// The architectural registers the VMM programs for the current process
+/// (the paper's `sptr`, `gptr` and `hptr`, Section III-A): the state the
+/// hardware walk starts from plus the guest and host page-table roots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HwRoots {
-    /// Base native: a single 1D table.
-    Native {
-        /// Root of the (merged) native page table.
-        root: HostFrame,
-    },
-    /// Nested paging: guest root (a guest frame) + host root.
-    Nested {
-        /// Guest page-table root (`gptr`, a guest frame).
-        gptr: GuestFrame,
-        /// Host page-table root (`hptr`).
-        hptr: HostFrame,
-    },
-    /// Shadow paging: the shadow root only is walked.
-    Shadow {
-        /// Shadow page-table root (`sptr`).
-        sptr: HostFrame,
-    },
-    /// Agile paging: all three pointers (paper Section III-A).
-    Agile {
-        /// Walk starting state.
-        cr3: AgileCr3,
-        /// Guest page-table root.
-        gptr: GuestFrame,
-        /// Host page-table root.
-        hptr: HostFrame,
-    },
+pub struct HwRoots {
+    /// Walk start state.
+    pub cr3: AgileCr3,
+    /// Guest page-table root.
+    pub gptr: GuestFrame,
+    /// Host page-table root.
+    pub hptr: HostFrame,
 }
 
 #[cfg(test)]
@@ -141,21 +121,5 @@ mod tests {
     fn modes_are_distinct() {
         assert_ne!(GptPageMode::Synced, GptPageMode::Unsynced);
         assert_ne!(GptPageMode::Unsynced, GptPageMode::Nested);
-    }
-
-    #[test]
-    fn hw_roots_carry_pointers() {
-        let r = HwRoots::Agile {
-            cr3: AgileCr3::FullNested,
-            gptr: GuestFrame::new(1),
-            hptr: HostFrame::new(2),
-        };
-        match r {
-            HwRoots::Agile { gptr, hptr, .. } => {
-                assert_eq!(gptr.raw(), 1);
-                assert_eq!(hptr.raw(), 2);
-            }
-            _ => unreachable!(),
-        }
     }
 }

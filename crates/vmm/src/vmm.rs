@@ -323,12 +323,6 @@ impl Vmm {
         proc.pages.get(&GuestFrame::new(frame)).map(|i| i.mode)
     }
 
-    /// Number of guest page-table pages the VMM tracks for `pid`.
-    #[must_use]
-    pub fn gpt_page_count(&self, pid: ProcessId) -> usize {
-        self.procs.get(&pid).map_or(0, |p| p.pages.len())
-    }
-
     /// The VM's guest memory map (read-only): guest-frame backing and the
     /// registered guest page-table frames, in gframe order.
     #[must_use]
@@ -569,12 +563,6 @@ impl Vmm {
         self.proc(pid).gpt.lookup(mem, &self.gmap, gva)
     }
 
-    /// Reads `gva`'s guest entry at `level`.
-    #[must_use]
-    pub fn gpt_entry(&self, mem: &PhysMem, pid: ProcessId, gva: u64, level: Level) -> Option<Pte> {
-        self.proc(pid).gpt.entry(mem, &self.gmap, gva, level)
-    }
-
     /// Sets the accessed (and, for writes, dirty) bit on the guest leaf
     /// mapping `gva`, without interception cost — used to model hardware
     /// A/D updates in configurations where the walked table is the guest's
@@ -662,12 +650,6 @@ impl Vmm {
         new
     }
 
-    /// Whether the process's address space is currently walked fully
-    /// nested (technique nested, SHSP nested phase, or agile pre-shadow).
-    fn is_fully_nested(&self, pid: ProcessId) -> bool {
-        matches!(self.technique, Technique::Nested) || self.proc(pid).full_nested
-    }
-
     /// Central write-interception accounting (see crate docs). Runs
     /// *before* the edit is applied.
     fn note_gpt_write(&mut self, mem: &mut PhysMem, pid: ProcessId, gva: u64, level: Level) {
@@ -688,7 +670,7 @@ impl Vmm {
             }
             _ => {}
         }
-        if self.is_fully_nested(pid) {
+        if self.full_nested(pid) {
             self.counters.gpt_writes_direct += 1;
             self.mark_gpt_page_dirty(mem, pid, gva, level);
             return;
@@ -1669,7 +1651,7 @@ impl Vmm {
     pub fn guest_invlpg(&mut self, mem: &mut PhysMem, pid: ProcessId, gva: u64) {
         match self.technique {
             Technique::Native | Technique::Nested => return,
-            _ if self.is_fully_nested(pid) => return,
+            _ if self.full_nested(pid) => return,
             Technique::Agile(_) => {
                 // Deepest tracked page covering gva decides the mode.
                 let proc = self.proc(pid);
@@ -1700,7 +1682,7 @@ impl Vmm {
     pub fn guest_tlb_flush(&mut self, mem: &mut PhysMem, pid: ProcessId) {
         match self.technique {
             Technique::Native | Technique::Nested => return,
-            _ if self.is_fully_nested(pid) => return,
+            _ if self.full_nested(pid) => return,
             _ => {}
         }
         self.trap(VmtrapKind::TlbFlush, 1);
@@ -1984,51 +1966,32 @@ impl Vmm {
     // Hardware-facing state
     // ------------------------------------------------------------------
 
-    /// The architectural roots the hardware should use for `pid`.
+    /// The architectural roots the hardware should use for `pid`. This is
+    /// the one place that chooses a walk by technique: each technique only
+    /// picks the state the one hardware walk starts from.
     #[must_use]
     pub fn hw_roots(&self, pid: ProcessId) -> HwRoots {
         let proc = self.proc(pid);
-        match self.technique {
-            Technique::Native => HwRoots::Native {
-                root: HostFrame::new(proc.spt.expect("merged table").root_raw()),
+        let spt_root = || HostFrame::new(proc.spt.expect("shadow or merged table").root_raw());
+        let cr3 = match (self.technique, proc.full_nested, proc.root_nested) {
+            (Technique::Native, ..) => AgileCr3::Native { root: spt_root() },
+            // Nested paging, SHSP's nested phase, and agile before shadow
+            // engagement: the whole address space is walked nested.
+            (Technique::Nested, ..) | (_, true, _) => AgileCr3::FullNested,
+            (Technique::Shadow | Technique::Shsp(_), false, _) => AgileCr3::ShadowOnly {
+                spt_root: spt_root(),
             },
-            Technique::Nested => HwRoots::Nested {
-                gptr: proc.gptr(),
-                hptr: self.hptr(),
+            (Technique::Agile(_), false, true) => AgileCr3::NestedFromRoot {
+                gpt_root: self.gmap.resolve(proc.gpt.root_raw()),
             },
-            Technique::Shadow => HwRoots::Shadow {
-                sptr: HostFrame::new(proc.spt.expect("shadow table").root_raw()),
+            (Technique::Agile(_), false, false) => AgileCr3::Shadow {
+                spt_root: spt_root(),
             },
-            Technique::Shsp(_) => {
-                if proc.full_nested {
-                    HwRoots::Nested {
-                        gptr: proc.gptr(),
-                        hptr: self.hptr(),
-                    }
-                } else {
-                    HwRoots::Shadow {
-                        sptr: HostFrame::new(proc.spt.expect("shadow table").root_raw()),
-                    }
-                }
-            }
-            Technique::Agile(_) => {
-                let cr3 = if proc.full_nested {
-                    AgileCr3::FullNested
-                } else if proc.root_nested {
-                    AgileCr3::NestedFromRoot {
-                        gpt_root: self.gmap.resolve(proc.gpt.root_raw()),
-                    }
-                } else {
-                    AgileCr3::Shadow {
-                        spt_root: HostFrame::new(proc.spt.expect("shadow table").root_raw()),
-                    }
-                };
-                HwRoots::Agile {
-                    cr3,
-                    gptr: proc.gptr(),
-                    hptr: self.hptr(),
-                }
-            }
+        };
+        HwRoots {
+            cr3,
+            gptr: proc.gptr(),
+            hptr: self.hptr(),
         }
     }
 

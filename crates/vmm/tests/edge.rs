@@ -58,7 +58,7 @@ impl Rig {
     fn access_as(&mut self, pid: ProcessId, gva: u64, access: AccessKind) -> Result<WalkOk, Fault> {
         let asid = Asid::from(pid);
         for _ in 0..16 {
-            let roots = self.vmm.hw_roots(pid);
+            let HwRoots { cr3, gptr, hptr } = self.vmm.hw_roots(pid);
             let mut hw = WalkHw {
                 mem: &mut self.mem,
                 pwc: &mut self.pwc,
@@ -67,14 +67,7 @@ impl Rig {
                 stats: &mut self.stats,
             };
             let va = GuestVirtAddr::new(gva);
-            let out = match roots {
-                HwRoots::Native { root } => hw.native_walk(asid, va, root, access),
-                HwRoots::Nested { gptr, hptr } => hw.nested_walk(asid, va, gptr, hptr, access),
-                HwRoots::Shadow { sptr } => hw.shadow_walk(asid, va, sptr, access),
-                HwRoots::Agile { cr3, gptr, hptr } => {
-                    hw.agile_walk(asid, va, cr3, gptr, hptr, access)
-                }
-            };
+            let out = hw.agile_walk(asid, va, cr3, gptr, hptr, access);
             match out {
                 Ok(ok) => return Ok(ok),
                 Err(f @ Fault::GuestPageFault { .. }) => return Err(f),

@@ -56,7 +56,7 @@ impl Rig {
     fn access(&mut self, gva: u64, access: AccessKind) -> Result<WalkOk, Fault> {
         let asid = Asid::from(self.pid);
         for _ in 0..16 {
-            let roots = self.vmm.hw_roots(self.pid);
+            let HwRoots { cr3, gptr, hptr } = self.vmm.hw_roots(self.pid);
             let mut hw = WalkHw {
                 mem: &mut self.mem,
                 pwc: &mut self.pwc,
@@ -65,14 +65,7 @@ impl Rig {
                 stats: &mut self.stats,
             };
             let va = agile_types::GuestVirtAddr::new(gva);
-            let outcome = match roots {
-                HwRoots::Native { root } => hw.native_walk(asid, va, root, access),
-                HwRoots::Nested { gptr, hptr } => hw.nested_walk(asid, va, gptr, hptr, access),
-                HwRoots::Shadow { sptr } => hw.shadow_walk(asid, va, sptr, access),
-                HwRoots::Agile { cr3, gptr, hptr } => {
-                    hw.agile_walk(asid, va, cr3, gptr, hptr, access)
-                }
-            };
+            let outcome = hw.agile_walk(asid, va, cr3, gptr, hptr, access);
             match outcome {
                 Ok(ok) => return Ok(ok),
                 Err(fault @ Fault::GuestPageFault { .. }) => return Err(fault),

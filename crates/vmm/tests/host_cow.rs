@@ -6,7 +6,7 @@
 use agile_mem::PhysMem;
 use agile_tlb::{NestedTlb, PageWalkCaches, PwcConfig};
 use agile_types::{AccessKind, Asid, Fault, GuestVirtAddr, PageSize, ProcessId, PteFlags, VmId};
-use agile_vmm::{AgileOptions, FaultOutcome, FlushRequest, Technique, Vmm, VmtrapKind};
+use agile_vmm::{AgileOptions, FaultOutcome, FlushRequest, HwRoots, Technique, Vmm, VmtrapKind};
 use agile_walk::{WalkHw, WalkOk, WalkStats};
 
 struct Rig {
@@ -65,7 +65,7 @@ impl Rig {
     fn access(&mut self, gva: u64, access: AccessKind) -> Result<WalkOk, Fault> {
         let asid = Asid::from(self.pid);
         for _ in 0..16 {
-            let roots = self.vmm.hw_roots(self.pid);
+            let HwRoots { cr3, gptr, hptr } = self.vmm.hw_roots(self.pid);
             let mut hw = WalkHw {
                 mem: &mut self.mem,
                 pwc: &mut self.pwc,
@@ -74,16 +74,7 @@ impl Rig {
                 stats: &mut self.stats,
             };
             let va = GuestVirtAddr::new(gva);
-            let out = match roots {
-                agile_vmm::HwRoots::Native { root } => hw.native_walk(asid, va, root, access),
-                agile_vmm::HwRoots::Nested { gptr, hptr } => {
-                    hw.nested_walk(asid, va, gptr, hptr, access)
-                }
-                agile_vmm::HwRoots::Shadow { sptr } => hw.shadow_walk(asid, va, sptr, access),
-                agile_vmm::HwRoots::Agile { cr3, gptr, hptr } => {
-                    hw.agile_walk(asid, va, cr3, gptr, hptr, access)
-                }
-            };
+            let out = hw.agile_walk(asid, va, cr3, gptr, hptr, access);
             match out {
                 Ok(ok) => return Ok(ok),
                 Err(f @ Fault::GuestPageFault { .. }) => return Err(f),

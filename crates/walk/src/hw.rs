@@ -17,23 +17,18 @@ struct Tally {
     host: u32,
 }
 
-/// Which 1D table a walk traverses, determining the fault flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OneDimRole {
-    /// Base native: the OS page table; faults go to the (guest) OS.
-    Native,
-    /// Shadow paging: the shadow table; faults go to the VMM.
-    Shadow,
-}
-
 /// The hardware page-walk unit: borrows the physical memory and the
 /// translation-caching structures for the duration of a walk batch.
 ///
-/// Each `*_walk` method implements one of the paper's state machines
-/// (Figure 2 for native/nested/shadow, Figure 4 for agile) and returns a
-/// [`WalkOk`] carrying the translation plus the number of memory references
-/// the walk performed. Faults abort the walk (references spent so far are
-/// still accounted) and surface as [`Fault`] for the OS or VMM to handle.
+/// Its one walk, [`WalkHw::agile_walk`], is the paper's Figure 4 state
+/// machine. Figure 4 contains both Figure 2 walks it is compared against:
+/// with `sptr == gptr` it is the nested 2D walk, and with no switching bit
+/// it is the 1D walk of native and shadow paging. Each technique therefore
+/// differs only in the [`AgileCr3`] start state its VMM programs. A walk
+/// returns a [`WalkOk`] carrying the translation plus the number of memory
+/// references it performed. Faults abort the walk (references spent so far
+/// are still accounted) and surface as [`Fault`] for the OS or VMM to
+/// handle.
 #[derive(Debug)]
 pub struct WalkHw<'a> {
     /// Simulated host physical memory holding every page table.
@@ -160,118 +155,9 @@ impl<'a> WalkHw<'a> {
         Some((next, e))
     }
 
-    /// Base-native or shadow 1D walk (the paper's Figure 2 (a)/(c)):
-    /// `host_walk(VA, ptr)` over a single radix table.
-    fn one_d_walk(
-        &mut self,
-        tally: &mut Tally,
-        asid: Asid,
-        va: GuestVirtAddr,
-        root: HostFrame,
-        access: AccessKind,
-        role: OneDimRole,
-    ) -> Result<(WalkOk, ()), Fault> {
-        let fault = |level: Level, cause: FaultCause| match role {
-            OneDimRole::Native => Fault::GuestPageFault {
-                gva: va,
-                level,
-                access,
-                cause,
-            },
-            OneDimRole::Shadow => Fault::ShadowPageFault {
-                gva: va,
-                level,
-                access,
-                cause,
-            },
-        };
-        let mut cur = root;
-        let mut level = Level::top();
-        let mut resumed = false;
-        if let Some((next, e)) = self.pwc_resume(asid, va) {
-            if e.kind == PwcTableKind::Shadow {
-                cur = e.frame;
-                level = next;
-                resumed = true;
-            }
-        }
-        loop {
-            let pte = self.read_counted(tally, cur, va.index(level), RefTarget::Shadow);
-            if !pte.is_present() {
-                return Err(fault(level, FaultCause::NotPresent));
-            }
-            if pte.is_leaf_at(level) {
-                if access.is_write() && !pte.is_writable() {
-                    return Err(fault(level, FaultCause::WriteProtected));
-                }
-                let size = pte.leaf_size(level).expect("leaf");
-                let kind = match role {
-                    OneDimRole::Native => WalkKind::Native,
-                    OneDimRole::Shadow => WalkKind::FullShadow,
-                };
-                return Ok((
-                    WalkOk {
-                        frame: pte.host_frame(),
-                        size,
-                        writable: pte.is_writable(),
-                        refs: tally.refs,
-                        host_refs: tally.host,
-                        kind,
-                        resumed_from_pwc: resumed,
-                    },
-                    (),
-                ));
-            }
-            self.pwc.fill(
-                asid,
-                va,
-                level,
-                PwcEntry {
-                    frame: pte.host_frame(),
-                    kind: PwcTableKind::Shadow,
-                },
-            );
-            cur = pte.host_frame();
-            level = level.child().expect("interior level has a child");
-        }
-    }
-
-    /// Base-native walk: 4 references maximum, faults delivered to the OS.
-    pub fn native_walk(
-        &mut self,
-        asid: Asid,
-        va: GuestVirtAddr,
-        root: HostFrame,
-        access: AccessKind,
-    ) -> Result<WalkOk, Fault> {
-        self.stats.attempts += 1;
-        let mut tally = Tally::default();
-        let r = self
-            .one_d_walk(&mut tally, asid, va, root, access, OneDimRole::Native)
-            .map(|(ok, ())| ok);
-        self.finish(tally, r)
-    }
-
-    /// Shadow-paging walk (Figure 2 (c)): a native-speed 1D walk over the
-    /// shadow table; faults are VMM-handled.
-    pub fn shadow_walk(
-        &mut self,
-        asid: Asid,
-        gva: GuestVirtAddr,
-        sptr: HostFrame,
-        access: AccessKind,
-    ) -> Result<WalkOk, Fault> {
-        self.stats.attempts += 1;
-        let mut tally = Tally::default();
-        let r = self
-            .one_d_walk(&mut tally, asid, gva, sptr, access, OneDimRole::Shadow)
-            .map(|(ok, ())| ok);
-        self.finish(tally, r)
-    }
-
     /// The nested portion of a walk: reads guest levels starting at `level`
     /// where the guest table page for that level lives at host frame
-    /// `cur_h` (guest frame `cur_g`, when known, for dirty bookkeeping).
+    /// `cur_h`.
     #[allow(clippy::too_many_arguments)]
     fn nested_from(
         &mut self,
@@ -306,8 +192,6 @@ impl<'a> WalkHw<'a> {
                     });
                 }
                 let guest_size = gpte.leaf_size(level).expect("leaf");
-                // Hardware sets guest A/D bits on nested walks; writing the
-                // guest table dirties its backing page in the host table.
                 // Hardware sets guest A/D bits on nested walks. These
                 // maintenance stores deliberately do NOT dirty the guest
                 // table's backing page in the host table: the dirty-bit
@@ -359,63 +243,9 @@ impl<'a> WalkHw<'a> {
         }
     }
 
-    /// Full nested 2D walk (Figure 2 (b)): up to 24 references.
-    pub fn nested_walk(
-        &mut self,
-        asid: Asid,
-        gva: GuestVirtAddr,
-        gptr: GuestFrame,
-        hptr: HostFrame,
-        access: AccessKind,
-    ) -> Result<WalkOk, Fault> {
-        self.stats.attempts += 1;
-        let mut tally = Tally::default();
-        let r = self.nested_walk_inner(&mut tally, asid, gva, gptr, hptr, access);
-        self.finish(tally, r)
-    }
-
-    fn nested_walk_inner(
-        &mut self,
-        tally: &mut Tally,
-        asid: Asid,
-        gva: GuestVirtAddr,
-        gptr: GuestFrame,
-        hptr: HostFrame,
-        access: AccessKind,
-    ) -> Result<WalkOk, Fault> {
-        // PWC resume: a cached guest-table pointer skips both the gptr
-        // translation and the upper guest levels.
-        if let Some((next, e)) = self.pwc_resume(asid, gva) {
-            if e.kind == PwcTableKind::Guest {
-                return self.nested_from(
-                    tally,
-                    gva,
-                    next,
-                    e.frame,
-                    hptr,
-                    access,
-                    asid,
-                    WalkKind::FullNested,
-                    true,
-                );
-            }
-        }
-        let (gpt_root_h, _, _) = self.translate_gpa(tally, gptr, hptr, AccessKind::Read)?;
-        self.nested_from(
-            tally,
-            gva,
-            Level::top(),
-            gpt_root_h,
-            hptr,
-            access,
-            asid,
-            WalkKind::FullNested,
-            false,
-        )
-    }
-
-    /// The agile walk (Figure 4): starts per the register state and may
-    /// switch from shadow to nested mode at a switching-bit entry.
+    /// The walk (Figure 4): starts in the register state `cr3` and, from
+    /// agile's shadow mode, may switch to nested mode at a switching-bit
+    /// entry. `gptr` and `hptr` are the guest and host page-table roots.
     pub fn agile_walk(
         &mut self,
         asid: Asid,
@@ -442,10 +272,40 @@ impl<'a> WalkHw<'a> {
         hptr: HostFrame,
         access: AccessKind,
     ) -> Result<WalkOk, Fault> {
-        let spt_root = match cr3 {
-            // "if sptr == gptr then return nested_walk(...)" (Figure 4).
+        // `agile`: the walk honours switching entries and guest-mode PWC
+        // entries. Hardware without the switching bit ignores both.
+        let (root, agile) = match cr3 {
+            // "if sptr == gptr then return nested_walk(...)" (Figure 4): the
+            // full 2D walk. A cached guest-table pointer in the PWC skips
+            // both the gptr translation and the upper guest levels.
             AgileCr3::FullNested => {
-                return self.nested_walk_inner(tally, asid, gva, gptr, hptr, access)
+                if let Some((next, e)) = self.pwc_resume(asid, gva) {
+                    if e.kind == PwcTableKind::Guest {
+                        return self.nested_from(
+                            tally,
+                            gva,
+                            next,
+                            e.frame,
+                            hptr,
+                            access,
+                            asid,
+                            WalkKind::FullNested,
+                            true,
+                        );
+                    }
+                }
+                let (gpt_root_h, _, _) = self.translate_gpa(tally, gptr, hptr, AccessKind::Read)?;
+                return self.nested_from(
+                    tally,
+                    gva,
+                    Level::top(),
+                    gpt_root_h,
+                    hptr,
+                    access,
+                    asid,
+                    WalkKind::FullNested,
+                    false,
+                );
             }
             // Register-level switching bit: whole guest table nested, guest
             // root already known in host-physical terms (20 references).
@@ -462,10 +322,32 @@ impl<'a> WalkHw<'a> {
                     false,
                 )
             }
-            AgileCr3::Shadow { spt_root } => spt_root,
+            AgileCr3::Native { root } => (root, false),
+            AgileCr3::ShadowOnly { spt_root } => (spt_root, false),
+            AgileCr3::Shadow { spt_root } => (spt_root, true),
+        };
+        // A 1D walk of the OS's own table faults to the OS; a walk of the
+        // shadow table faults to the VMM.
+        let native = matches!(cr3, AgileCr3::Native { .. });
+        let fault = |level: Level, cause: FaultCause| {
+            if native {
+                Fault::GuestPageFault {
+                    gva,
+                    level,
+                    access,
+                    cause,
+                }
+            } else {
+                Fault::ShadowPageFault {
+                    gva,
+                    level,
+                    access,
+                    cause,
+                }
+            }
         };
 
-        let mut cur = spt_root;
+        let mut cur = root;
         let mut level = Level::top();
         let mut resumed = false;
         if let Some((next, e)) = self.pwc_resume(asid, gva) {
@@ -475,26 +357,22 @@ impl<'a> WalkHw<'a> {
                     level = next;
                     resumed = true;
                 }
-                PwcTableKind::Guest => {
+                PwcTableKind::Guest if agile => {
                     let kind = WalkKind::Switched {
                         nested_levels: next.number(),
                     };
                     return self
                         .nested_from(tally, gva, next, e.frame, hptr, access, asid, kind, true);
                 }
+                PwcTableKind::Guest => {}
             }
         }
         loop {
             let pte = self.read_counted(tally, cur, gva.index(level), RefTarget::Shadow);
             if !pte.is_present() {
-                return Err(Fault::ShadowPageFault {
-                    gva,
-                    level,
-                    access,
-                    cause: FaultCause::NotPresent,
-                });
+                return Err(fault(level, FaultCause::NotPresent));
             }
-            if pte.is_switching() {
+            if agile && pte.is_switching() {
                 // The switching-bit entry holds the host-physical frame of
                 // the *next level's guest table page* (paper Section III-B).
                 let next = level
@@ -526,12 +404,7 @@ impl<'a> WalkHw<'a> {
             }
             if pte.is_leaf_at(level) {
                 if access.is_write() && !pte.is_writable() {
-                    return Err(Fault::ShadowPageFault {
-                        gva,
-                        level,
-                        access,
-                        cause: FaultCause::WriteProtected,
-                    });
+                    return Err(fault(level, FaultCause::WriteProtected));
                 }
                 return Ok(WalkOk {
                     frame: pte.host_frame(),
@@ -539,7 +412,11 @@ impl<'a> WalkHw<'a> {
                     writable: pte.is_writable(),
                     refs: tally.refs,
                     host_refs: tally.host,
-                    kind: WalkKind::FullShadow,
+                    kind: if native {
+                        WalkKind::Native
+                    } else {
+                        WalkKind::FullShadow
+                    },
                     resumed_from_pwc: resumed,
                 });
             }

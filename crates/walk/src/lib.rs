@@ -1,12 +1,15 @@
-//! Hardware page-walk state machines for native, nested, shadow, and agile
-//! paging.
+//! The hardware page walk for native, nested, shadow, and agile paging.
 //!
-//! This crate implements the paper's Figure 2 (native / nested / shadow
-//! walks) and Figure 4 (the agile walk with the switching bit) as *counted*
-//! walks over real radix tables in simulated physical memory: every PTE load
-//! increments a reference counter, so the paper's headline counts — 4
-//! references for native/shadow, 24 for nested, 4–20 for agile depending on
-//! the switch point — are structural outcomes, not assumptions.
+//! This crate implements the paper's Figure 4 walk (agile paging with the
+//! switching bit) as a *counted* walk over real radix tables in simulated
+//! physical memory: every PTE load increments a reference counter, so the
+//! paper's headline counts — 4 references for native/shadow, 24 for nested,
+//! 4–20 for agile depending on the switch point — are structural outcomes,
+//! not assumptions. Figure 4 contains the three Figure 2 walks: `sptr ==
+//! gptr` is the nested 2D walk, and a walk that never meets a switching bit
+//! is the 1D walk of native and shadow paging. So [`WalkHw::agile_walk`] is
+//! the only walk, and a technique differs only in the [`AgileCr3`] state it
+//! starts from.
 //!
 //! The walker also integrates the translation-caching hardware the paper's
 //! measurements include: page walk caches ([`agile_tlb::PageWalkCaches`],

@@ -2,13 +2,30 @@
 
 use agile_types::{CodecError, Dec, Enc, HostFrame, PageSize, Persist};
 
-/// The paging-structure root state the VMM programs for a process under
-/// agile paging (the paper's three architectural page-table pointers,
-/// Section III-A).
+/// The register state a walk starts from: what the OS or VMM programs
+/// into the page-table pointers for the current process (the paper's
+/// three architectural pointers, Section III-A). Agile hardware uses
+/// `FullNested`, `NestedFromRoot` and `Shadow`; `Native` and `ShadowOnly`
+/// are the start states of hardware without the switching bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgileCr3 {
+    /// Base native: a 1D walk of the OS's own page table (Figure 2 (a)).
+    /// Faults go to the OS; a completed walk is [`WalkKind::Native`].
+    Native {
+        /// Host frame of the page table's L4 page.
+        root: HostFrame,
+    },
+    /// Conventional shadow paging: a 1D walk of the shadow table
+    /// (Figure 2 (c)). Faults go to the VMM; a completed walk is
+    /// [`WalkKind::FullShadow`]. Unlike agile's `Shadow`, the walk ignores
+    /// switching entries and guest-mode page-walk-cache entries.
+    ShadowOnly {
+        /// Host frame of the shadow L4 table page.
+        spt_root: HostFrame,
+    },
     /// `sptr == gptr`: the whole address space is in nested mode and walks
-    /// run the full 2D walk, translating `gptr` first (24 references).
+    /// run the full 2D walk of nested paging (Figure 2 (b)), translating
+    /// `gptr` first (24 references).
     FullNested,
     /// The register-level switching state: the whole guest page table is
     /// nested, but the VMM has preloaded the host-physical frame of the

@@ -5,7 +5,7 @@
 //! paper reports (Table II, Figure 1, Figure 3, Table VI header).
 
 use agile_mem::{GuestMemMap, HostSpace, PhysMem, RadixTable, TableSpace};
-use agile_tlb::{NestedTlb, PageWalkCaches, PwcConfig};
+use agile_tlb::{NestedTlb, PageWalkCaches, PwcConfig, PwcEntry, PwcTableKind};
 use agile_types::{
     AccessKind, Asid, Fault, FaultCause, GuestFrame, GuestVirtAddr, HostFrame, Level, PageSize,
     Pte, PteFlags, VmId,
@@ -124,6 +124,14 @@ impl Fixture {
         HostFrame::new(self.spt.root_raw())
     }
 
+    /// Conventional shadow paging's start state: a 1D walk of the shadow
+    /// table.
+    fn shadow_only(&self) -> AgileCr3 {
+        AgileCr3::ShadowOnly {
+            spt_root: self.sptr(),
+        }
+    }
+
     /// Host frame where the guest table page at `level` (on the gva's path)
     /// lives.
     fn gpt_level_hframe(&self, level: Level) -> HostFrame {
@@ -179,10 +187,10 @@ const ASID: Asid = Asid::new(1);
 #[test]
 fn shadow_walk_is_4_refs() {
     let mut fx = Fixture::new(0x7f12_3456_7000, PageSize::Size4K);
-    let sptr = fx.sptr();
-    let gva = fx.gva;
+    let (shadow_only, gptr, hptr, gva) = (fx.shadow_only(), fx.gptr(), fx.hptr(), fx.gva);
     let (r, _) = fx.walk(&PwcConfig::disabled(), |hw| {
-        hw.shadow_walk(ASID, gva, sptr, AccessKind::Read).unwrap()
+        hw.agile_walk(ASID, gva, shadow_only, gptr, hptr, AccessKind::Read)
+            .unwrap()
     });
     assert_eq!(r.refs, 4);
     assert_eq!(r.kind, WalkKind::FullShadow);
@@ -195,8 +203,15 @@ fn nested_walk_is_24_refs() {
     let mut fx = Fixture::new(0x7f12_3456_7000, PageSize::Size4K);
     let (gptr, hptr, gva) = (fx.gptr(), fx.hptr(), fx.gva);
     let (r, stats) = fx.walk(&PwcConfig::disabled(), |hw| {
-        hw.nested_walk(ASID, gva, gptr, hptr, AccessKind::Read)
-            .unwrap()
+        hw.agile_walk(
+            ASID,
+            gva,
+            AgileCr3::FullNested,
+            gptr,
+            hptr,
+            AccessKind::Read,
+        )
+        .unwrap()
     });
     assert_eq!(r.refs, 24, "paper: 4x5+4 references");
     assert_eq!(r.kind, WalkKind::FullNested);
@@ -315,20 +330,26 @@ fn native_walk_is_4_refs_4k_and_3_refs_2m() {
         vm: VmId::new(0),
         stats: &mut stats,
     };
-    let root = HostFrame::new(pt.root_raw());
-    let r = hw
-        .native_walk(ASID, GuestVirtAddr::new(0x40_0000), root, AccessKind::Read)
-        .unwrap();
-    assert_eq!(r.refs, 4);
-    assert_eq!(r.kind, WalkKind::Native);
-    let r2m = hw
-        .native_walk(
+    let native = AgileCr3::Native {
+        root: HostFrame::new(pt.root_raw()),
+    };
+    // A 1D walk reads neither the guest nor the host root.
+    let (gptr, hptr) = (GuestFrame::new(0), HostFrame::new(0));
+    let mut walk = |va: u64| {
+        hw.agile_walk(
             ASID,
-            GuestVirtAddr::new(4 * PageSize::Size2M.bytes() + 0x1234),
-            root,
+            GuestVirtAddr::new(va),
+            native,
+            gptr,
+            hptr,
             AccessKind::Read,
         )
-        .unwrap();
+        .unwrap()
+    };
+    let r = walk(0x40_0000);
+    assert_eq!(r.refs, 4);
+    assert_eq!(r.kind, WalkKind::Native);
+    let r2m = walk(4 * PageSize::Size2M.bytes() + 0x1234);
     assert_eq!(r2m.refs, 3, "huge leaf terminates the walk one level early");
     assert_eq!(r2m.size, PageSize::Size2M);
 }
@@ -338,8 +359,15 @@ fn nested_walk_with_2m_pages_shortens_both_dimensions() {
     let mut fx = Fixture::new(0x7f12_3400_0000, PageSize::Size2M);
     let (gptr, hptr, gva) = (fx.gptr(), fx.hptr(), fx.gva);
     let (r, _) = fx.walk(&PwcConfig::disabled(), |hw| {
-        hw.nested_walk(ASID, gva, gptr, hptr, AccessKind::Read)
-            .unwrap()
+        hw.agile_walk(
+            ASID,
+            gva,
+            AgileCr3::FullNested,
+            gptr,
+            hptr,
+            AccessKind::Read,
+        )
+        .unwrap()
     });
     // gptr translate: 4 (table gframes are 4K-mapped); guest levels L4..L2 =
     // 3 reads; interior translations 2x4; final data translate on the 2M
@@ -384,8 +412,15 @@ fn effective_size_is_min_of_stages() {
     let (gptr, hptr) = (fx.gptr(), fx.hptr());
     let gva = GuestVirtAddr::new(fx.gva.raw() + 5 * 0x1000 + 0x123);
     let (r, _) = fx.walk(&PwcConfig::disabled(), |hw| {
-        hw.nested_walk(ASID, gva, gptr, hptr, AccessKind::Read)
-            .unwrap()
+        hw.agile_walk(
+            ASID,
+            gva,
+            AgileCr3::FullNested,
+            gptr,
+            hptr,
+            AccessKind::Read,
+        )
+        .unwrap()
     });
     assert_eq!(r.size, PageSize::Size4K);
     assert_eq!(
@@ -398,10 +433,14 @@ fn effective_size_is_min_of_stages() {
 #[test]
 fn pwc_cuts_shadow_walk_to_1_ref() {
     let mut fx = Fixture::new(0x7f12_3456_7000, PageSize::Size4K);
-    let (sptr, gva) = (fx.sptr(), fx.gva);
+    let (shadow_only, gptr, hptr, gva) = (fx.shadow_only(), fx.gptr(), fx.hptr(), fx.gva);
     let (refs, _) = fx.walk(&PwcConfig::default(), |hw| {
-        let first = hw.shadow_walk(ASID, gva, sptr, AccessKind::Read).unwrap();
-        let second = hw.shadow_walk(ASID, gva, sptr, AccessKind::Read).unwrap();
+        let first = hw
+            .agile_walk(ASID, gva, shadow_only, gptr, hptr, AccessKind::Read)
+            .unwrap();
+        let second = hw
+            .agile_walk(ASID, gva, shadow_only, gptr, hptr, AccessKind::Read)
+            .unwrap();
         (first.refs, second.refs, second.resumed_from_pwc)
     });
     assert_eq!(refs.0, 4);
@@ -415,10 +454,24 @@ fn pwc_and_ntlb_cut_nested_walk_to_1_ref() {
     let (gptr, hptr, gva) = (fx.gptr(), fx.hptr(), fx.gva);
     let (refs, _) = fx.walk(&PwcConfig::default(), |hw| {
         let first = hw
-            .nested_walk(ASID, gva, gptr, hptr, AccessKind::Read)
+            .agile_walk(
+                ASID,
+                gva,
+                AgileCr3::FullNested,
+                gptr,
+                hptr,
+                AccessKind::Read,
+            )
             .unwrap();
         let second = hw
-            .nested_walk(ASID, gva, gptr, hptr, AccessKind::Read)
+            .agile_walk(
+                ASID,
+                gva,
+                AgileCr3::FullNested,
+                gptr,
+                hptr,
+                AccessKind::Read,
+            )
             .unwrap();
         (first.refs, second.refs)
     });
@@ -454,14 +507,21 @@ fn agile_pwc_resumes_in_correct_mode() {
 #[test]
 fn faults_carry_level_and_space() {
     let mut fx = Fixture::new(0x7f12_3456_7000, PageSize::Size4K);
-    let (gptr, hptr, sptr) = (fx.gptr(), fx.hptr(), fx.sptr());
+    let (gptr, hptr, shadow_only) = (fx.gptr(), fx.hptr(), fx.shadow_only());
     let miss = GuestVirtAddr::new(0x1234_5000);
     let ((sf, nf), stats) = fx.walk(&PwcConfig::disabled(), |hw| {
         let sf = hw
-            .shadow_walk(ASID, miss, sptr, AccessKind::Read)
+            .agile_walk(ASID, miss, shadow_only, gptr, hptr, AccessKind::Read)
             .unwrap_err();
         let nf = hw
-            .nested_walk(ASID, miss, gptr, hptr, AccessKind::Read)
+            .agile_walk(
+                ASID,
+                miss,
+                AgileCr3::FullNested,
+                gptr,
+                hptr,
+                AccessKind::Read,
+            )
             .unwrap_err();
         (sf, nf)
     });
@@ -496,8 +556,15 @@ fn write_to_readonly_guest_pte_faults_with_cause() {
         .unwrap();
     let (gptr, hptr, gva) = (fx.gptr(), fx.hptr(), fx.gva);
     let (err, _) = fx.walk(&PwcConfig::disabled(), |hw| {
-        hw.nested_walk(ASID, gva, gptr, hptr, AccessKind::Write)
-            .unwrap_err()
+        hw.agile_walk(
+            ASID,
+            gva,
+            AgileCr3::FullNested,
+            gptr,
+            hptr,
+            AccessKind::Write,
+        )
+        .unwrap_err()
     });
     assert!(matches!(
         err,
@@ -526,8 +593,15 @@ fn missing_host_mapping_is_a_vmexit() {
         .unwrap();
     let (gptr, hptr, gva) = (fx.gptr(), fx.hptr(), fx.gva);
     let (err, _) = fx.walk(&PwcConfig::disabled(), |hw| {
-        hw.nested_walk(ASID, gva, gptr, hptr, AccessKind::Read)
-            .unwrap_err()
+        hw.agile_walk(
+            ASID,
+            gva,
+            AgileCr3::FullNested,
+            gptr,
+            hptr,
+            AccessKind::Read,
+        )
+        .unwrap_err()
     });
     match err {
         Fault::HostPageFault { gpa, .. } => assert_eq!(gpa, data_gframe.base()),
@@ -540,8 +614,15 @@ fn nested_walk_sets_guest_and_host_ad_bits() {
     let mut fx = Fixture::new(0x7f12_3456_7000, PageSize::Size4K);
     let (gptr, hptr, gva) = (fx.gptr(), fx.hptr(), fx.gva);
     fx.walk(&PwcConfig::disabled(), |hw| {
-        hw.nested_walk(ASID, gva, gptr, hptr, AccessKind::Write)
-            .unwrap()
+        hw.agile_walk(
+            ASID,
+            gva,
+            AgileCr3::FullNested,
+            gptr,
+            hptr,
+            AccessKind::Write,
+        )
+        .unwrap()
     });
     let leaf = fx
         .gpt
@@ -581,4 +662,95 @@ fn agile_shadow_only_region_never_touches_guest_tables() {
     assert_eq!(stats.refs_guest, 0);
     assert_eq!(stats.refs_host, 0);
     assert_eq!(stats.refs_shadow, 4);
+}
+
+/// The hardware contract of the start states. Agile hardware's shadow mode
+/// honours a switching entry and a guest-mode page-walk-cache entry; the
+/// 1D walks of native and conventional shadow paging ignore both, since
+/// their hardware has no switching bit. Chaos reaches both plants in real
+/// runs: a fault plan can flip any PTE bit, and SHSP's shadow phase can
+/// meet a stale guest-mode PWC entry when the flush at a mode switch is
+/// dropped.
+#[test]
+fn only_agile_shadow_mode_honours_switching_and_guest_mode_pwc_entries() {
+    let mut fx = Fixture::new(0x7f12_3456_7000, PageSize::Size4K);
+    // Give the data page the same number as a guest frame and as a host
+    // frame, so a walk that reads the guest leaf as if it were a shadow
+    // leaf (which is what ignoring a switching entry amounts to) still
+    // lands on the data page. Only the kind and the count then tell
+    // whether the walk switched.
+    let data = fx.data_hframe;
+    fx.gpt
+        .update_entry(&mut fx.mem, &fx.gmap, fx.gva.raw(), Level::L1, |p| {
+            Pte::new(data.raw(), p.flags())
+        })
+        .unwrap();
+    fx.hpt
+        .map(
+            &mut fx.mem,
+            &mut HostSpace,
+            GuestFrame::new(data.raw()).base().raw(),
+            data.raw(),
+            PageSize::Size4K,
+            PteFlags::WRITABLE,
+        )
+        .unwrap();
+    let (gptr, hptr, gva) = (fx.gptr(), fx.hptr(), fx.gva);
+    let sptr = fx.sptr();
+    let native = AgileCr3::Native { root: sptr };
+    let shadow_only = fx.shadow_only();
+    let agile = AgileCr3::Shadow { spt_root: sptr };
+    let unplanted = |fx: &mut Fixture, cr3| {
+        fx.walk(&PwcConfig::default(), |hw| {
+            hw.agile_walk(ASID, gva, cr3, gptr, hptr, AccessKind::Read)
+                .unwrap()
+        })
+        .0
+    };
+    let before = [unplanted(&mut fx, native), unplanted(&mut fx, shadow_only)];
+
+    fx.set_switch_at(Level::L2);
+    let guest_l1 = fx.gpt_level_hframe(Level::L1);
+    // Each walk gets fresh caches holding one guest-mode entry: "the walk
+    // below L2 continues in the guest L1 table".
+    let planted = |fx: &mut Fixture, cr3, plant_pwc: bool| {
+        fx.walk(&PwcConfig::default(), |hw| {
+            if plant_pwc {
+                hw.pwc.fill(
+                    ASID,
+                    gva,
+                    Level::L2,
+                    PwcEntry {
+                        frame: guest_l1,
+                        kind: PwcTableKind::Guest,
+                    },
+                );
+            }
+            hw.agile_walk(ASID, gva, cr3, gptr, hptr, AccessKind::Read)
+                .unwrap()
+        })
+        .0
+    };
+    for ((cr3, kind), unplanted) in [
+        (native, WalkKind::Native),
+        (shadow_only, WalkKind::FullShadow),
+    ]
+    .into_iter()
+    .zip(before)
+    {
+        let r = planted(&mut fx, cr3, true);
+        assert_eq!((r.refs, r.kind), (4, kind), "{cr3:?}");
+        assert_eq!(r.frame, unplanted.frame, "{cr3:?}");
+        assert!(!r.resumed_from_pwc, "{cr3:?}");
+    }
+
+    let resumed = planted(&mut fx, agile, true);
+    assert_eq!(resumed.kind, WalkKind::Switched { nested_levels: 1 });
+    assert!(resumed.resumed_from_pwc);
+    assert_eq!(resumed.refs, 1 + 4, "guest leaf + host translation");
+    assert_eq!(resumed.frame, data);
+    let switched = planted(&mut fx, agile, false);
+    assert_eq!(switched.kind, WalkKind::Switched { nested_levels: 1 });
+    assert_eq!(switched.refs, 8);
+    assert_eq!(switched.frame, data);
 }

@@ -1,4 +1,4 @@
-//! Randomized tests over the counted walkers: for seeded-random guest
+//! Randomized tests over the counted walk: for seeded-random guest
 //! addresses and switch points, the reference counts obey the paper's
 //! closed-form ladder and translations resolve to the right frames.
 //! Deterministic (SplitMix64-driven), so every CI run covers the same
@@ -102,6 +102,7 @@ fn reference_ladder_holds_for_random_addresses() {
         let gptr = GuestFrame::new(w.gpt.root_raw());
         let hptr = HostFrame::new(w.hpt.root_raw());
         let sptr = HostFrame::new(w.spt.root_raw());
+        let shadow_only = AgileCr3::ShadowOnly { spt_root: sptr };
         let pages = w.pages.clone();
         for (va, g) in &pages {
             let gva = GuestVirtAddr::new(*va);
@@ -116,7 +117,9 @@ fn reference_ladder_holds_for_random_addresses() {
                 vm: VmId::new(0),
                 stats: &mut stats,
             };
-            let s = hw.shadow_walk(asid, gva, sptr, AccessKind::Read).unwrap();
+            let s = hw
+                .agile_walk(asid, gva, shadow_only, gptr, hptr, AccessKind::Read)
+                .unwrap();
             assert_eq!(s.refs, 4);
             assert_eq!(s.frame, backing);
             let mut ntlb2 = NestedTlb::new(&cfg);
@@ -129,7 +132,14 @@ fn reference_ladder_holds_for_random_addresses() {
                 stats: &mut stats,
             };
             let n = hw
-                .nested_walk(asid, gva, gptr, hptr, AccessKind::Read)
+                .agile_walk(
+                    asid,
+                    gva,
+                    AgileCr3::FullNested,
+                    gptr,
+                    hptr,
+                    AccessKind::Read,
+                )
                 .unwrap();
             assert_eq!(n.refs, 24);
             assert_eq!(n.frame, backing);
@@ -214,7 +224,14 @@ fn caches_preserve_correctness() {
                 stats: &mut stats,
             };
             let first = hw
-                .nested_walk(asid, gva, gptr, hptr, AccessKind::Read)
+                .agile_walk(
+                    asid,
+                    gva,
+                    AgileCr3::FullNested,
+                    gptr,
+                    hptr,
+                    AccessKind::Read,
+                )
                 .unwrap();
             let mut hw = WalkHw {
                 mem: &mut w.mem,
@@ -224,7 +241,14 @@ fn caches_preserve_correctness() {
                 stats: &mut stats,
             };
             let second = hw
-                .nested_walk(asid, gva, gptr, hptr, AccessKind::Read)
+                .agile_walk(
+                    asid,
+                    gva,
+                    AgileCr3::FullNested,
+                    gptr,
+                    hptr,
+                    AccessKind::Read,
+                )
                 .unwrap();
             assert!(second.refs <= first.refs);
             assert_eq!(first.frame, backing);
@@ -244,7 +268,11 @@ fn faults_do_not_corrupt() {
         let mut w = build(&addr_set);
         let cfg = PwcConfig::disabled();
         let asid = Asid::new(1);
-        let sptr = HostFrame::new(w.spt.root_raw());
+        let gptr = GuestFrame::new(w.gpt.root_raw());
+        let hptr = HostFrame::new(w.hpt.root_raw());
+        let shadow_only = AgileCr3::ShadowOnly {
+            spt_root: HostFrame::new(w.spt.root_raw()),
+        };
         let mut stats = WalkStats::default();
         let mut pwc = PageWalkCaches::new(&cfg);
         let mut ntlb = NestedTlb::new(&cfg);
@@ -256,7 +284,14 @@ fn faults_do_not_corrupt() {
             stats: &mut stats,
         };
         assert!(hw
-            .shadow_walk(asid, GuestVirtAddr::new(probe_va), sptr, AccessKind::Read)
+            .agile_walk(
+                asid,
+                GuestVirtAddr::new(probe_va),
+                shadow_only,
+                gptr,
+                hptr,
+                AccessKind::Read
+            )
             .is_err());
         for (va, g) in &w.pages.clone() {
             let mut hw = WalkHw {
@@ -267,7 +302,14 @@ fn faults_do_not_corrupt() {
                 stats: &mut stats,
             };
             let ok = hw
-                .shadow_walk(asid, GuestVirtAddr::new(*va), sptr, AccessKind::Read)
+                .agile_walk(
+                    asid,
+                    GuestVirtAddr::new(*va),
+                    shadow_only,
+                    gptr,
+                    hptr,
+                    AccessKind::Read,
+                )
                 .unwrap();
             assert_eq!(ok.frame, w.gmap.backing(*g).unwrap());
         }
