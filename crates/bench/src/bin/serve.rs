@@ -5,7 +5,7 @@
 //! The streamed lines arrive in **finish order** (nondeterministic — that
 //! is the point of an async service); the `--out` document is ordered by
 //! job id and contains only deterministic artifact bytes, so two runs of
-//! the same job file — at *any* shard count — produce byte-identical
+//! the same job file — at *any* worker count — produce byte-identical
 //! documents. CI compares them with `cmp`.
 
 use agile_bench::write_artifact;
@@ -19,8 +19,8 @@ serve — run a JSON job file through the simulation service
 
 usage: serve JOBFILE [flags]
 
-  --shards N     worker shards (overrides the job file; artifacts are
-                 byte-identical at any value)
+  --shards N     worker count (overrides the job file's threads;
+                 artifacts are byte-identical at any value)
   --out PATH     write the ordered deterministic result document here
   --quiet        suppress the per-completion stream on stdout
   --help         this text
@@ -29,7 +29,7 @@ job file schema:
 
   {
     \"options\": {            // all fields optional
-      \"threads\": 4,          // worker shards (0 = one per core)
+      \"threads\": 4,          // workers (0 = one per core)
       \"timeout_ms\": 60000,   // cooperative per-job deadline
       \"retries\": 1,          // retry budget for panicking jobs
       \"seed_base\": 3405691582, // deterministic seed stream by job id
@@ -191,7 +191,7 @@ fn stream_line(id: agile_core::JobId, outcome: &RunOutcome) -> String {
 }
 
 /// The ordered deterministic document: per-job deterministic artifact
-/// bytes (timing excluded), byte-identical at any shard count.
+/// bytes (timing excluded), byte-identical at any worker count.
 fn result_document(results: &[(agile_core::JobId, RunOutcome)]) -> Json {
     let jobs = results
         .iter()
@@ -250,9 +250,9 @@ fn main() {
 
     let service = Service::new(opts);
     eprintln!(
-        "serve: {} jobs across {} shards",
+        "serve: {} jobs across {} workers",
         requests.len(),
-        service.shards()
+        service.workers()
     );
     service.submit_all(requests);
     let mut results = Vec::new();
@@ -277,8 +277,7 @@ fn main() {
         metrics.submitted, metrics.completed, metrics.timed_out, metrics.cancelled, metrics.skipped
     );
     eprintln!(
-        "serve: {} steals, max queue depth {}, mean queue {:?}, mean run {:?}",
-        metrics.steals,
+        "serve: max queue depth {}, mean queue {:?}, mean run {:?}",
         metrics.max_queue_depth,
         metrics.mean_queue_latency(),
         metrics.mean_run_latency()

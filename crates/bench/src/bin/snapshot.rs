@@ -6,9 +6,9 @@
 //!    byte-stable bytes, decodes back equal, and a restored machine
 //!    re-snapshots to the identical bytes.
 //! 2. **Kill/resume** — a service job checkpointed, its worker killed
-//!    mid-run by seeded chaos, and resumed on another worker produces
-//!    artifacts byte-identical to the same requests run uninterrupted,
-//!    at 1, 2, and 8 shards.
+//!    mid-run by seeded chaos, and resumed from the re-queued checkpoint
+//!    produces artifacts byte-identical to the same requests run
+//!    uninterrupted, at 1, 2, and 8 workers (printed as `shards=N`).
 //! 3. **Differ fixtures** — the transition differ is quiet on identical
 //!    views and loud on planted frame skews and writability flips.
 

@@ -130,12 +130,14 @@ pub struct FaultPlan {
     /// from [`FaultPlan::drop_shootdown_pm`], so adding cross-VM chaos
     /// never perturbs an existing single-VM fault stream.
     pub cross_vm_drop_pm: u32,
-    /// Kills the worker thread executing this job at the given workload
-    /// tick boundary (1 = the first tick). The fault is armed only when the
-    /// job runs under the [`crate::Service`]: the service detects the
-    /// orphaned job and resumes it from its last checkpoint on another
-    /// worker, so direct [`crate::RunRequest::run`] calls (the unkilled
-    /// reference) ignore it and per-seed artifacts stay byte-identical.
+    /// Simulates the death of the worker executing this job at the given
+    /// workload tick boundary (1 = the first tick): the run unwinds with a
+    /// [`crate::WorkerKill`] payload. The fault is armed only when the job
+    /// runs under the [`crate::Service`]. There the worker catches the
+    /// unwind, re-queues the orphaned job with its last checkpoint, and
+    /// keeps serving; whichever worker picks the job up next resumes it.
+    /// Direct [`crate::RunRequest::run`] calls (the unkilled reference)
+    /// ignore it, and per-seed artifacts stay byte-identical.
     pub kill_worker_midrun: Option<u64>,
 }
 
@@ -158,7 +160,7 @@ impl FaultPlan {
     }
 
     /// Kills the executing worker at workload tick `tick` (1-based); the
-    /// service resumes the job from its last checkpoint on another worker.
+    /// service re-queues the job and resumes it from its last checkpoint.
     /// See [`FaultPlan::kill_worker_midrun`].
     #[must_use]
     pub fn kill_worker_at_tick(mut self, tick: u64) -> Self {
@@ -245,7 +247,7 @@ pub enum DegradationKind {
     /// degrades access-by-access (OOM skips) instead of panicking.
     VmStarved,
     /// A worker died mid-job ([`FaultPlan::kill_worker_midrun`]); the
-    /// service restored the job from its last checkpoint on another worker.
+    /// service re-queued the job to resume from its last checkpoint.
     /// Surfaced in the service's degradation log — never grafted into the
     /// artifact, which must stay byte-identical to an unkilled run.
     ResumedFromCheckpoint,

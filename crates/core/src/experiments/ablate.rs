@@ -5,8 +5,8 @@
 use super::{ExperimentRun, JsonRow};
 use crate::config::SystemConfig;
 use crate::report::{pct, Table};
-use crate::runner::{Json, RunOutcome, RunPlan, RunRequest};
-use crate::service::PlanOptions;
+use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::service::{PlanOptions, Service};
 use agile_vmm::{AgileOptions, NestedToShadowPolicy, Technique, VmtrapKind};
 use agile_workloads::{profile, ChurnSpec, Pattern, Profile, WorkloadSpec};
 
@@ -86,16 +86,12 @@ pub fn ablate_hw(accesses: u64, threads: usize) -> ExperimentRun<AblateRow> {
         ),
         ("both (default)", AgileOptions::default()),
     ];
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-    for (name, opts) in variants {
-        plan.push(
-            RunRequest::new(SystemConfig::new(Technique::Agile(opts)), spec.clone())
-                .with_warmup(accesses / 4)
-                .with_label(name),
-        );
-    }
-    let artifacts: Vec<_> = plan
-        .run()
+    let requests = variants.iter().map(|&(name, opts)| {
+        RunRequest::new(SystemConfig::new(Technique::Agile(opts)), spec.clone())
+            .with_warmup(accesses / 4)
+            .with_label(name)
+    });
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();
@@ -145,20 +141,16 @@ pub fn ablate_policy(accesses: u64, threads: usize) -> ExperimentRun<AblateRow> 
         ("periodic-reset", NestedToShadowPolicy::PeriodicReset),
         ("dirty-bit-scan", NestedToShadowPolicy::DirtyBitScan),
     ];
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-    for (name, policy) in policies {
+    let requests = policies.iter().map(|&(name, policy)| {
         let opts = AgileOptions {
             nested_to_shadow: policy,
             ..AgileOptions::default()
         };
-        plan.push(
-            RunRequest::new(SystemConfig::new(Technique::Agile(opts)), spec.clone())
-                .with_warmup(accesses / 4)
-                .with_label(name),
-        );
-    }
-    let artifacts: Vec<_> = plan
-        .run()
+        RunRequest::new(SystemConfig::new(Technique::Agile(opts)), spec.clone())
+            .with_warmup(accesses / 4)
+            .with_label(name)
+    });
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();
@@ -198,8 +190,7 @@ pub fn ablate_policy(accesses: u64, threads: usize) -> ExperimentRun<AblateRow> 
 #[must_use]
 pub fn ablate_pwc(accesses: u64, threads: usize) -> ExperimentRun<AblateRow> {
     let spec = profile(Profile::Graph500, accesses);
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-    let mut labels = Vec::new();
+    let mut requests = Vec::new();
     for technique in super::fig5::techniques() {
         for pwc_on in [true, false] {
             let mut cfg = SystemConfig::new(technique);
@@ -211,26 +202,23 @@ pub fn ablate_pwc(accesses: u64, threads: usize) -> ExperimentRun<AblateRow> {
                 technique.label(),
                 if pwc_on { "on" } else { "off" }
             );
-            plan.push(
+            requests.push(
                 RunRequest::new(cfg, spec.clone())
                     .with_warmup(accesses / 4)
-                    .with_label(label.clone()),
+                    .with_label(label),
             );
-            labels.push(label);
         }
     }
-    let artifacts: Vec<_> = plan
-        .run()
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();
-    let rows: Vec<AblateRow> = labels
+    let rows: Vec<AblateRow> = artifacts
         .iter()
-        .zip(&artifacts)
-        .map(|(label, a)| {
+        .map(|a| {
             let o = a.stats.overheads();
             AblateRow {
-                variant: label.clone(),
+                variant: a.label.clone(),
                 vmm_overhead: o.vmm,
                 total_overhead: o.total(),
                 extras: vec![
@@ -279,21 +267,17 @@ pub fn ablate_pwc(accesses: u64, threads: usize) -> ExperimentRun<AblateRow> {
 #[must_use]
 pub fn ablate_interval(accesses: u64, threads: usize) -> ExperimentRun<AblateRow> {
     let divisors = [50u64, 20, 10, 5, 2];
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-    for divisor in divisors {
+    let requests = divisors.map(|divisor| {
         let mut spec = profile(Profile::Dedup, accesses);
         spec.accesses_per_tick = (accesses / divisor).max(1);
-        plan.push(
-            RunRequest::new(
-                SystemConfig::new(Technique::Agile(AgileOptions::default())),
-                spec,
-            )
-            .with_warmup(accesses / 4)
-            .with_label(divisor.to_string()),
-        );
-    }
-    let artifacts: Vec<_> = plan
-        .run()
+        RunRequest::new(
+            SystemConfig::new(Technique::Agile(AgileOptions::default())),
+            spec,
+        )
+        .with_warmup(accesses / 4)
+        .with_label(divisor.to_string())
+    });
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();

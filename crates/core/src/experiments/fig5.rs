@@ -4,8 +4,8 @@
 use super::{ExperimentRun, JsonRow};
 use crate::config::SystemConfig;
 use crate::report::{pct, Table};
-use crate::runner::{Json, RunOutcome, RunPlan, RunRequest};
-use crate::service::PlanOptions;
+use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::service::{PlanOptions, Service};
 use crate::stats::RunStats;
 use agile_vmm::Technique;
 use agile_workloads::{profile, Profile};
@@ -67,7 +67,7 @@ pub fn fig5(
     threads: usize,
 ) -> ExperimentRun<Fig5Row> {
     let list = workloads.unwrap_or(&Profile::ALL);
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
+    let mut requests = Vec::new();
     for &wl in list {
         for thp in [false, true] {
             for technique in techniques() {
@@ -77,12 +77,12 @@ pub fn fig5(
                 }
                 // Warm-up exclusion: the first third of the run populates
                 // memory and tables; measurement covers the rest.
-                plan.push(RunRequest::new(cfg, profile(wl, accesses)).with_warmup(accesses / 3));
+                requests
+                    .push(RunRequest::new(cfg, profile(wl, accesses)).with_warmup(accesses / 3));
             }
         }
     }
-    let artifacts: Vec<_> = plan
-        .run()
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();

@@ -10,8 +10,8 @@
 use super::{ExperimentRun, JsonRow};
 use crate::config::SystemConfig;
 use crate::report::{pct, Table};
-use crate::runner::{Json, RunOutcome, RunPlan, RunRequest};
-use crate::service::PlanOptions;
+use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::service::{PlanOptions, Service};
 use crate::stats::RunStats;
 use agile_vmm::{AgileOptions, ShspOptions, Technique};
 use agile_workloads::{ChurnSpec, Pattern, WorkloadSpec};
@@ -77,16 +77,12 @@ pub fn shsp_compare(accesses: u64, threads: usize) -> ExperimentRun<ShspRow> {
         ("SHSP", Technique::Shsp(ShspOptions::default())),
         ("Agile", Technique::Agile(AgileOptions::default())),
     ];
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-    for (name, t) in techniques {
-        plan.push(
-            RunRequest::new(SystemConfig::new(t), phase_spec(accesses))
-                .with_warmup(accesses / 4)
-                .with_label(name),
-        );
-    }
-    let artifacts: Vec<_> = plan
-        .run()
+    let requests = techniques.map(|(name, t)| {
+        RunRequest::new(SystemConfig::new(t), phase_spec(accesses))
+            .with_warmup(accesses / 4)
+            .with_label(name)
+    });
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();

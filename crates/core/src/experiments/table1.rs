@@ -8,8 +8,8 @@
 use super::{ExperimentRun, JsonRow};
 use crate::config::SystemConfig;
 use crate::report::Table;
-use crate::runner::{Json, RunOutcome, RunPlan, RunRequest};
-use crate::service::PlanOptions;
+use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::service::{PlanOptions, Service};
 use agile_vmm::{AgileOptions, Technique, VmtrapKind};
 use agile_workloads::{ChurnSpec, Pattern, WorkloadSpec};
 
@@ -82,13 +82,11 @@ pub fn table1(accesses: u64, threads: usize) -> ExperimentRun<Table1Row> {
         ("Shadow Paging", Technique::Shadow),
         ("Agile Paging", Technique::Agile(AgileOptions::default())),
     ];
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-    for (_, t) in techniques {
+    let requests = techniques.map(|(_, t)| {
         let cfg = SystemConfig::new(t).without_pwc();
-        plan.push(RunRequest::new(cfg, probe_spec(accesses)).with_warmup(accesses / 4));
-    }
-    let artifacts: Vec<_> = plan
-        .run()
+        RunRequest::new(cfg, probe_spec(accesses)).with_warmup(accesses / 4)
+    });
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();

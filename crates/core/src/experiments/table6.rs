@@ -4,8 +4,8 @@
 use super::{ExperimentRun, JsonRow};
 use crate::config::SystemConfig;
 use crate::report::Table;
-use crate::runner::{Json, RunOutcome, RunPlan, RunRequest};
-use crate::service::PlanOptions;
+use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::service::{PlanOptions, Service};
 use crate::stats::KindCounts;
 use agile_vmm::{AgileOptions, Technique};
 use agile_workloads::{profile, Profile};
@@ -46,13 +46,11 @@ pub fn table6(
     threads: usize,
 ) -> ExperimentRun<Table6Row> {
     let list = workloads.unwrap_or(&Profile::ALL);
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-    for &wl in list {
+    let requests = list.iter().map(|&wl| {
         let cfg = SystemConfig::new(Technique::Agile(AgileOptions::default())).without_pwc();
-        plan.push(RunRequest::new(cfg, profile(wl, accesses)).with_warmup(accesses / 3));
-    }
-    let artifacts: Vec<_> = plan
-        .run()
+        RunRequest::new(cfg, profile(wl, accesses)).with_warmup(accesses / 3)
+    });
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();

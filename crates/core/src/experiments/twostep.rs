@@ -12,8 +12,8 @@
 use super::{ExperimentRun, JsonRow};
 use crate::config::SystemConfig;
 use crate::report::{pct, Table};
-use crate::runner::{Json, RunArtifact, RunOutcome, RunPlan, RunRequest};
-use crate::service::PlanOptions;
+use crate::runner::{Json, RunArtifact, RunOutcome, RunRequest};
+use crate::service::{PlanOptions, Service};
 use agile_trace::{LinearModel, Step1Analysis, Step2Analysis};
 use agile_vmm::{AgileOptions, Technique};
 use agile_workloads::{profile, Profile, WorkloadSpec};
@@ -114,14 +114,10 @@ pub fn twostep(
     ];
     let list = workloads.unwrap_or(&default);
     let warmup = accesses / 3;
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-    for &wl in list {
-        for req in requests_for(&profile(wl, accesses), warmup) {
-            plan.push(req);
-        }
-    }
-    let artifacts: Vec<_> = plan
-        .run()
+    let requests = list
+        .iter()
+        .flat_map(|&wl| requests_for(&profile(wl, accesses), warmup));
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();

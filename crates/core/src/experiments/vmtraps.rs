@@ -9,8 +9,8 @@
 use super::{ExperimentRun, JsonRow};
 use crate::config::SystemConfig;
 use crate::report::Table;
-use crate::runner::{Json, RunOutcome, RunPlan, RunRequest};
-use crate::service::PlanOptions;
+use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::service::{PlanOptions, Service};
 use agile_vmm::{Technique, VmtrapKind};
 use agile_workloads::micro_benches;
 
@@ -46,15 +46,11 @@ impl JsonRow for VmtrapRow {
 #[must_use]
 pub fn vmtrap_costs(accesses: u64, threads: usize) -> ExperimentRun<VmtrapRow> {
     let micros = micro_benches(accesses);
-    let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-    for micro in &micros {
-        plan.push(
-            RunRequest::new(SystemConfig::new(Technique::Shadow), micro.spec.clone())
-                .with_label(micro.name),
-        );
-    }
-    let artifacts: Vec<_> = plan
-        .run()
+    let requests = micros.iter().map(|micro| {
+        RunRequest::new(SystemConfig::new(Technique::Shadow), micro.spec.clone())
+            .with_label(micro.name)
+    });
+    let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(threads), requests)
         .into_iter()
         .map(RunOutcome::into_artifact)
         .collect();

@@ -1,43 +1,41 @@
-//! The run engine: a unified simulation API with parallel execution and
-//! structured artifacts.
+//! The run engine: one simulation as a request, its structured artifact,
+//! and its outcome.
 //!
 //! Every experiment is a matrix of independent simulations. This module
-//! gives that shape a first-class API:
+//! gives one simulation a first-class API:
 //!
 //! * [`RunRequest`] — one simulation: a [`SystemConfig`], a
 //!   [`WorkloadSpec`], a warm-up boundary, and an optional seed override.
 //! * [`RunArtifact`] — the structured result: the full [`RunStats`], a
 //!   configuration echo, wall-clock timing, and (optionally) the §VI
 //!   trace. Serializes to JSON via [`RunArtifact::to_json`].
-//! * [`RunPlan`] — a batch of requests, now a thin façade over the
-//!   [`crate::service`] job engine: the matrix is submitted to a fresh
-//!   worker fleet and collected in request order. Results are
-//!   **bit-identical at any thread/shard count**: each run owns its
-//!   machine and derives its seed from the request alone, never from
-//!   scheduling.
+//! * [`RunOutcome`] — how a request ended: completed, timed out with
+//!   partial stats, cancelled, or skipped after exhausting its retry
+//!   budget.
 //!
-//! [`RunPlan::run`] is the one execution entry point; it returns a
-//! [`RunOutcome`] per request (completed, timed out with partial stats,
-//! cancelled, or skipped after exhausting its retry budget). Execution
-//! knobs (threads, timeout, retries, seed stream, checkpoint cadence)
-//! live in one [`PlanOptions`] struct shared with the service.
+//! A matrix runs through the [`crate::service`] job engine:
+//! [`Service::run_all`](crate::service::Service::run_all) submits it to a fresh set of workers and returns
+//! one [`RunOutcome`] per request, in request order. Results are
+//! **bit-identical at any worker count**: each run owns its machine and
+//! derives its seed from the request alone, never from scheduling.
+//! Execution knobs (threads, timeout, retries, seed stream, checkpoint
+//! cadence) live in one [`PlanOptions`](crate::service::PlanOptions)
+//! struct.
 //!
 //! # Example
 //!
 //! ```
-//! use agile_core::runner::{RunOutcome, RunPlan, RunRequest};
-//! use agile_core::service::PlanOptions;
+//! use agile_core::runner::{RunOutcome, RunRequest};
+//! use agile_core::service::{PlanOptions, Service};
 //! use agile_core::{SystemConfig, Technique};
 //! use agile_workloads::{profile, Profile};
 //!
-//! let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(2));
-//! for technique in [Technique::Nested, Technique::Shadow] {
-//!     plan.push(RunRequest::new(
-//!         SystemConfig::new(technique),
-//!         profile(Profile::Mcf, 2_000),
-//!     ));
-//! }
-//! let artifacts: Vec<_> = plan.run().into_iter().map(RunOutcome::into_artifact).collect();
+//! let requests = [Technique::Nested, Technique::Shadow]
+//!     .map(|t| RunRequest::new(SystemConfig::new(t), profile(Profile::Mcf, 2_000)));
+//! let artifacts: Vec<_> = Service::run_all(PlanOptions::with_threads(2), requests)
+//!     .into_iter()
+//!     .map(RunOutcome::into_artifact)
+//!     .collect();
 //! assert_eq!(artifacts.len(), 2);
 //! assert!(artifacts[0].stats.tlb.misses > 0);
 //! ```
@@ -49,7 +47,7 @@ pub use json::{to_csv, Json};
 use crate::chaos::{DegradationEvent, FaultPlan};
 use crate::config::{SystemConfig, HOST_REF_CYCLES, WALK_REF_CYCLES};
 use crate::machine::Machine;
-use crate::service::{CancelToken, PlanOptions, Service, StopCause};
+use crate::service::{CancelToken, StopCause};
 use crate::snapshot::{Checkpoint, CheckpointSlot, WorkerKill};
 use crate::stats::{KindCounts, RunStats};
 use agile_trace::TraceLog;
@@ -471,102 +469,9 @@ pub fn stats_json(stats: &RunStats) -> Json {
     ])
 }
 
-/// A batch of [`RunRequest`]s — a thin façade over the [`crate::service`]
-/// job engine.
-///
-/// [`RunPlan::run`] submits the matrix to a fresh worker fleet and
-/// collects one [`RunOutcome`] per request, in request order,
-/// bit-identical at any [`PlanOptions::threads`] value: workers race only
-/// over *which* request they pick up next, and every request is
-/// self-contained.
-#[derive(Debug, Clone, Default)]
-pub struct RunPlan {
-    requests: Vec<RunRequest>,
-    opts: PlanOptions,
-}
-
-impl RunPlan {
-    /// An empty serial plan (one worker, no timeout, no retries).
-    #[must_use]
-    pub fn new() -> Self {
-        RunPlan {
-            requests: Vec::new(),
-            opts: PlanOptions {
-                threads: 1,
-                ..PlanOptions::default()
-            },
-        }
-    }
-
-    /// Replaces the execution options wholesale — the one knob surface
-    /// shared with [`Service`].
-    #[must_use]
-    pub fn with_options(mut self, opts: PlanOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// The execution options.
-    #[must_use]
-    pub fn options(&self) -> &PlanOptions {
-        &self.opts
-    }
-
-    /// Appends a request.
-    pub fn push(&mut self, request: RunRequest) -> &mut Self {
-        self.requests.push(request);
-        self
-    }
-
-    /// Number of queued requests.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// True when no requests are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// Executes every request and returns one [`RunOutcome`] per request,
-    /// in request order — **the** execution entry point.
-    ///
-    /// Fault containment is built in: a panicking request is retried up to
-    /// [`PlanOptions::retries`] times and then skipped; a request past
-    /// [`PlanOptions::timeout`] is cancelled cooperatively at the
-    /// machine's next tick boundary and surfaces as
-    /// [`RunOutcome::TimedOut`] with its partial statistics — no thread is
-    /// ever detached. One poisoned run never loses the rest of the matrix,
-    /// and sibling results are bit-identical to an undisturbed plan's.
-    #[must_use]
-    pub fn run(&self) -> Vec<RunOutcome> {
-        if self.requests.is_empty() {
-            return Vec::new();
-        }
-        // A fresh service numbers jobs 0..n in submission order, so its
-        // seed stream gives request i the seed `derive(seed_base, i)`.
-        let service = Service::new(PlanOptions {
-            threads: self.workers(),
-            ..self.opts.clone()
-        });
-        let ids = service.submit_all(self.requests.clone());
-        let outcomes = ids.into_iter().map(|id| service.wait(id)).collect();
-        service.shutdown();
-        outcomes
-    }
-
-    /// Worker count for [`RunPlan::run`]: [`PlanOptions::threads`]
-    /// resolved as the service does (0 = one per available core), and no
-    /// more than there are requests.
-    fn workers(&self) -> usize {
-        self.opts.resolved_threads().min(self.requests.len()).max(1)
-    }
-}
-
-/// The terminal result of one request under [`RunPlan::run`] (or one
-/// service job).
+/// The terminal result of one service job: one request of a
+/// [`Service::run_all`](crate::service::Service::run_all) batch, or one
+/// [`Service::submit`](crate::service::Service::submit).
 #[derive(Debug, Clone)]
 pub enum RunOutcome {
     /// The run finished (possibly after retries; runner-level events are
@@ -580,7 +485,7 @@ pub enum RunOutcome {
     TimedOut {
         /// Label of the timed-out request.
         label: String,
-        /// Position of that request in the plan (or its job id).
+        /// Position of that request in its batch (its job id).
         index: usize,
         /// Artifact built from the partial run.
         partial: Box<RunArtifact>,
@@ -592,7 +497,7 @@ pub enum RunOutcome {
     Cancelled {
         /// Label of the cancelled request.
         label: String,
-        /// Position of that request in the plan (or its job id).
+        /// Position of that request in its batch (its job id).
         index: usize,
         /// Artifact built from the partial run, when one had started.
         partial: Option<Box<RunArtifact>>,
@@ -602,7 +507,7 @@ pub enum RunOutcome {
     Skipped {
         /// Label of the abandoned request.
         label: String,
-        /// Position of that request in the plan (or its job id).
+        /// Position of that request in its batch (its job id).
         index: usize,
         /// The runner-level degradation events (panics, retries).
         events: Vec<DegradationEvent>,
@@ -670,7 +575,7 @@ impl RunOutcome {
         }
     }
 
-    /// The request's position in its plan (its job id under the service).
+    /// The request's position in its batch (its job id).
     #[must_use]
     pub fn index(&self) -> usize {
         match self {
@@ -704,6 +609,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{PlanOptions, Service};
     use agile_types::SplitMix64;
     use agile_vmm::Technique;
     use agile_workloads::{ChurnSpec, Pattern};
@@ -724,19 +630,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_results_are_thread_count_invariant() {
+    fn batch_results_are_thread_count_invariant() {
         let build = |threads| {
-            let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-            for (i, technique) in [Technique::Nested, Technique::Shadow, Technique::Native]
+            let requests = [Technique::Nested, Technique::Shadow, Technique::Native]
                 .into_iter()
                 .enumerate()
-            {
-                plan.push(
+                .map(|(i, technique)| {
                     RunRequest::new(SystemConfig::new(technique), spec(1_500, i as u64 + 1))
-                        .with_warmup(300),
-                );
-            }
-            plan.run()
+                        .with_warmup(300)
+                });
+            Service::run_all(PlanOptions::with_threads(threads), requests)
                 .into_iter()
                 .map(RunOutcome::into_artifact)
                 .collect::<Vec<_>>()
@@ -750,18 +653,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_surfaces_the_label_of_a_panicking_run() {
-        let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(2));
-        plan.push(RunRequest::new(
-            SystemConfig::new(Technique::Native),
-            spec(200, 1),
-        ));
+    fn batch_surfaces_the_label_of_a_panicking_run() {
         // A zero footprint makes every generated access land outside the
         // workload's VMAs, so the machine panics mid-run.
         let mut bad = spec(200, 2);
         bad.footprint = 0;
-        plan.push(RunRequest::new(SystemConfig::new(Technique::Native), bad).with_label("bad-run"));
-        let outcomes = plan.run();
+        let outcomes = Service::run_all(
+            PlanOptions::with_threads(2),
+            [
+                RunRequest::new(SystemConfig::new(Technique::Native), spec(200, 1)),
+                RunRequest::new(SystemConfig::new(Technique::Native), bad).with_label("bad-run"),
+            ],
+        );
         assert!(outcomes[0].artifact().is_some(), "good run completes");
         match &outcomes[1] {
             RunOutcome::Skipped {
@@ -780,45 +683,19 @@ mod tests {
 
     #[test]
     fn seed_stream_is_deterministic_and_respects_overrides() {
-        let mut plan = RunPlan::new().with_options(PlanOptions {
+        let opts = PlanOptions {
             threads: 1,
             seed_base: Some(7),
             ..PlanOptions::default()
-        });
-        plan.push(RunRequest::new(
-            SystemConfig::new(Technique::Native),
-            spec(500, 1),
-        ));
-        plan.push(
-            RunRequest::new(SystemConfig::new(Technique::Native), spec(500, 1)).with_seed(42),
-        );
-        let artifacts: Vec<RunArtifact> = plan
-            .run()
-            .into_iter()
-            .map(RunOutcome::into_artifact)
-            .collect();
+        };
+        let request = RunRequest::new(SystemConfig::new(Technique::Native), spec(500, 1));
+        let artifacts: Vec<RunArtifact> =
+            Service::run_all(opts, [request.clone(), request.with_seed(42)])
+                .into_iter()
+                .map(RunOutcome::into_artifact)
+                .collect();
         assert_eq!(artifacts[0].seed, SplitMix64::derive(7, 0));
         assert_eq!(artifacts[1].seed, 42);
-    }
-
-    #[test]
-    fn worker_count_resolves_zero_to_the_core_count_and_clamps_to_the_requests() {
-        let plan_of = |threads, requests: usize| {
-            let mut plan = RunPlan::new().with_options(PlanOptions::with_threads(threads));
-            for i in 0..requests {
-                plan.push(RunRequest::new(
-                    SystemConfig::new(Technique::Native),
-                    spec(100, i as u64),
-                ));
-            }
-            plan
-        };
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        assert_eq!(plan_of(0, 64).workers(), cores.min(64));
-        assert_eq!(plan_of(0, 1).workers(), 1);
-        assert_eq!(plan_of(3, 2).workers(), 2);
-        assert_eq!(plan_of(3, 8).workers(), 3);
-        assert_eq!(RunPlan::default().options().threads, 0);
     }
 
     #[test]

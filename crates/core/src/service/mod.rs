@@ -1,17 +1,17 @@
-//! Simulation-as-a-service: an async, cancellable, work-stealing run
-//! engine.
+//! Simulation-as-a-service: an async, cancellable job engine with one
+//! queue.
 //!
-//! The [`crate::runner`] module gives one client one batch: build a
-//! [`RunRequest`] matrix, fan it across threads, block until everything
-//! finishes. This module rebuilds that engine as a **long-running
-//! service** with incremental submission and streamed results:
+//! Every experiment is a matrix of independent [`RunRequest`]s.
+//! [`Service::run_all`] runs one such batch and returns its outcomes in
+//! request order; it is how every experiment runs. Underneath it is a
+//! **long-running service** with incremental submission and streamed
+//! results:
 //!
 //! * [`Service::submit`] enqueues one request and returns a [`JobId`]
 //!   immediately — clients submit while earlier jobs are still running.
-//! * A fleet of long-lived workers pulls jobs from **sharded
-//!   work-stealing queues**: each worker owns a shard (submissions are
-//!   dealt round-robin) and steals from the back of its siblings' queues
-//!   when its own runs dry, so a skewed matrix cannot strand capacity.
+//! * Long-lived workers pop jobs from the front of **one FIFO queue**.
+//!   Queue, job records, metrics and the service-side degradation log all
+//!   sit behind one lock.
 //! * [`Service::poll`] is the non-blocking status probe, [`Service::wait`]
 //!   blocks for one job, and [`Service::next_result`] streams completions
 //!   in finish order — the front end for serving artifacts as they land.
@@ -24,26 +24,23 @@
 //!   [`Service::shutdown`]).
 //! * **Crash recovery**: with [`PlanOptions::checkpoint_interval`] set,
 //!   every running machine checkpoints into its job's
-//!   [`CheckpointSlot`] at tick
-//!   boundaries. When a worker dies mid-job (the chaos layer's
-//!   [`FaultPlan::kill_worker_midrun`](crate::chaos::FaultPlan) fault),
-//!   the service detects the orphan, re-queues it with its last
-//!   checkpoint, and a surviving worker restores the machine and replays
-//!   only the remaining workload events. The resumed artifact is
-//!   **byte-identical** to an uninterrupted run's; the death and resume
-//!   are recorded service-side ([`Service::drain_degradations`],
-//!   [`ServiceMetrics`]) and never grafted into the artifact.
+//!   [`CheckpointSlot`] at tick boundaries. When the chaos layer kills a
+//!   worker mid-job
+//!   ([`FaultPlan::kill_worker_midrun`](crate::chaos::FaultPlan::kill_worker_midrun)),
+//!   the worker catches the unwind, re-queues the orphaned job with its
+//!   last checkpoint, and keeps serving. Whichever worker picks the job up
+//!   next restores the machine and replays only the remaining workload
+//!   events. The resumed artifact is **byte-identical** to an
+//!   uninterrupted run's; the death and resume are recorded service-side
+//!   ([`Service::drain_degradations`], [`ServiceMetrics`]) and never
+//!   grafted into the artifact.
 //!
 //! **Determinism contract:** an artifact is a pure function of its
 //! request. Seeds are fixed at submission (the [`PlanOptions::seed_base`]
 //! stream derives from the job id), never from scheduling, so the same
-//! job file yields byte-identical per-request artifacts at any shard
+//! job file yields byte-identical per-request artifacts at any worker
 //! count. The service adds wall-clock *metrics* ([`ServiceMetrics`]) on
 //! the side; they never touch artifact bytes.
-//!
-//! [`crate::runner::RunPlan`] is now a thin batch façade over this
-//! engine: it submits its matrix, waits in request order, and shuts the
-//! service down.
 
 mod cancel;
 
@@ -55,18 +52,16 @@ use crate::snapshot::{Checkpoint, CheckpointSlot, WorkerKill};
 use agile_types::SplitMix64;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The execution options shared by the batch façade
-/// ([`crate::runner::RunPlan`]) and the service — one struct instead of a
-/// `with_*` builder per knob.
+/// The execution options of a [`Service`] and of [`Service::run_all`] —
+/// one struct instead of a `with_*` builder per knob.
 #[derive(Debug, Clone, Default)]
 pub struct PlanOptions {
-    /// Worker (= shard) count; `0` means one worker per available core.
-    /// Results are byte-identical at any value.
+    /// Worker count; `0` means one worker per available core. Results are
+    /// byte-identical at any value.
     pub threads: usize,
     /// Cooperative per-job wall-clock limit. A job past its deadline stops
     /// at the machine's next tick boundary and surfaces as
@@ -77,12 +72,12 @@ pub struct PlanOptions {
     pub retries: u32,
     /// Deterministic seed stream: job *i* (without an explicit seed
     /// override) runs with `SplitMix64::derive(base, i)`, independent of
-    /// shard count and execution order.
+    /// worker count and execution order.
     pub seed_base: Option<u64>,
     /// Checkpoint the running machine into its job's slot every this-many
     /// workload ticks (`None` = no checkpointing). Powers crash recovery:
     /// a job orphaned by a worker death resumes from its last checkpoint
-    /// on another worker with a byte-identical artifact.
+    /// with a byte-identical artifact.
     pub checkpoint_interval: Option<u64>,
 }
 
@@ -104,13 +99,20 @@ impl PlanOptions {
         self
     }
 
-    pub(crate) fn resolved_threads(&self) -> usize {
+    /// `threads`, with `0` resolved to the available core count.
+    fn resolved_threads(&self) -> usize {
         if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
         } else {
             self.threads
         }
     }
+}
+
+/// Worker count of a [`Service::run_all`] batch of `jobs`: the resolved
+/// [`PlanOptions::threads`], no more than there are jobs, at least one.
+fn batch_workers(opts: &PlanOptions, jobs: usize) -> usize {
+    opts.resolved_threads().min(jobs).max(1)
 }
 
 /// Handle to one submitted job.
@@ -143,7 +145,7 @@ impl std::fmt::Display for JobId {
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// Waiting in a shard queue.
+    /// Waiting in the queue.
     Queued,
     /// Executing on a worker.
     Running,
@@ -183,7 +185,7 @@ pub struct JobStatus {
     pub state: JobState,
 }
 
-/// Aggregate queue/latency/steal counters, snapshot via
+/// Aggregate queue and latency counters, snapshot via
 /// [`Service::metrics`]. Wall-clock values are provenance, never part of
 /// any artifact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -198,9 +200,11 @@ pub struct ServiceMetrics {
     pub cancelled: u64,
     /// Jobs dropped after exhausting their retry budget.
     pub skipped: u64,
-    /// Jobs a worker executed from a shard it does not own.
+    /// Jobs a worker took from another worker's queue. Always 0: every
+    /// worker pops the one shared queue. Kept so that readers of these
+    /// metrics need no change.
     pub steals: u64,
-    /// Deepest any single shard queue ever got.
+    /// Deepest the queue ever got.
     pub max_queue_depth: u64,
     /// Total nanoseconds jobs spent queued before a worker picked them up.
     pub queue_nanos: u64,
@@ -209,7 +213,7 @@ pub struct ServiceMetrics {
     /// Checkpoints stored by running jobs (counted when the job reaches a
     /// terminal state).
     pub checkpoints: u64,
-    /// Orphaned jobs resumed from a checkpoint on another worker.
+    /// Orphaned jobs resumed from a checkpoint.
     pub resumes: u64,
     /// Worker deaths detected mid-job; each orphaned job is re-queued
     /// (from its checkpoint when one exists, from scratch otherwise).
@@ -233,41 +237,6 @@ impl ServiceMetrics {
     #[must_use]
     pub fn mean_run_latency(&self) -> Duration {
         Duration::from_nanos(self.run_nanos.checked_div(self.finished()).unwrap_or(0))
-    }
-}
-
-#[derive(Default)]
-struct MetricCells {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    timed_out: AtomicU64,
-    cancelled: AtomicU64,
-    skipped: AtomicU64,
-    steals: AtomicU64,
-    max_queue_depth: AtomicU64,
-    queue_nanos: AtomicU64,
-    run_nanos: AtomicU64,
-    checkpoints: AtomicU64,
-    resumes: AtomicU64,
-    orphans: AtomicU64,
-}
-
-impl MetricCells {
-    fn snapshot(&self) -> ServiceMetrics {
-        ServiceMetrics {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            skipped: self.skipped.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            queue_nanos: self.queue_nanos.load(Ordering::Relaxed),
-            run_nanos: self.run_nanos.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            resumes: self.resumes.load(Ordering::Relaxed),
-            orphans: self.orphans.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -295,35 +264,104 @@ struct Job {
     killed: bool,
 }
 
+/// Everything the service shares, behind its one lock.
+#[derive(Default)]
 struct State {
     jobs: Vec<Job>,
-    /// One deque of job indices per worker; submissions are dealt
-    /// round-robin, owners pop the front, thieves pop the back.
-    shards: Vec<VecDeque<usize>>,
-    next_shard: usize,
+    /// Queued job indices, oldest first. Workers pop the front.
+    queue: VecDeque<usize>,
     /// Jobs not yet in a terminal state.
     live: usize,
     /// Terminal jobs not yet handed out by [`Service::next_result`].
     finished: VecDeque<usize>,
     shutdown: bool,
+    metrics: ServiceMetrics,
+    /// Service-side degradation log (worker deaths, checkpoint resumes).
+    /// Provenance only — never grafted into artifacts.
+    degradations: Vec<DegradationEvent>,
+}
+
+impl State {
+    /// Puts job `id` at the back of the queue.
+    fn enqueue(&mut self, id: usize) {
+        self.jobs[id].phase = Phase::Queued;
+        self.jobs[id].enqueued = Instant::now();
+        self.queue.push_back(id);
+        let depth = self.queue.len() as u64;
+        self.metrics.max_queue_depth = self.metrics.max_queue_depth.max(depth);
+    }
+
+    /// Marks job `id` terminal: stores the outcome, bumps the right
+    /// counter, releases its checkpoints (a terminal job never resumes),
+    /// and queues it for [`Service::next_result`]. The caller notifies
+    /// `done_cv`.
+    fn finish(&mut self, id: usize, outcome: RunOutcome) {
+        let counter = match &outcome {
+            RunOutcome::Completed(_) => &mut self.metrics.completed,
+            RunOutcome::TimedOut { .. } => &mut self.metrics.timed_out,
+            RunOutcome::Cancelled { .. } => &mut self.metrics.cancelled,
+            RunOutcome::Skipped { .. } => &mut self.metrics.skipped,
+        };
+        *counter += 1;
+        let job = &mut self.jobs[id];
+        debug_assert!(job.outcome.is_none(), "job finished twice");
+        job.phase = Phase::Done;
+        job.outcome = Some(outcome);
+        drop(job.slot.take());
+        job.resume = None;
+        self.live -= 1;
+        self.finished.push_back(id);
+    }
+
+    /// Handles a worker death: takes the orphaned job's last checkpoint,
+    /// puts the job back in the queue, and logs the resume service-side.
+    /// The job's carried runner-level events survive in the job record.
+    fn requeue_orphan(&mut self, w: usize, id: usize, events: Vec<DegradationEvent>) {
+        self.metrics.orphans += 1;
+        let job = &mut self.jobs[id];
+        let resume = job.slot.take();
+        let label = &job.request.label;
+        let detail = match &resume {
+            Some(cp) => {
+                self.metrics.resumes += 1;
+                format!(
+                    "job-{id} ({label}): worker {w} died mid-run; re-queued, resuming from the \
+                     checkpoint at workload event {}",
+                    cp.events_consumed
+                )
+            }
+            None => format!(
+                "job-{id} ({label}): worker {w} died mid-run with no checkpoint stored; \
+                 re-queued, restarting from scratch"
+            ),
+        };
+        job.killed = true;
+        job.resume = resume;
+        job.events = events;
+        self.enqueue(id);
+        self.degradations.push(DegradationEvent {
+            seq: self.degradations.len() as u64,
+            access: 0,
+            kind: DegradationKind::ResumedFromCheckpoint,
+            gva: None,
+            detail,
+        });
+    }
 }
 
 struct Inner {
     state: Mutex<State>,
-    /// Workers sleep here when every shard is empty.
+    /// Workers sleep here when the queue is empty.
     work_cv: Condvar,
     /// Waiters ([`Service::wait`]/[`Service::next_result`]) sleep here.
     done_cv: Condvar,
-    metrics: MetricCells,
-    timeout: Option<Duration>,
-    retries: u32,
-    seed_base: Option<u64>,
-    checkpoint_interval: Option<u64>,
-    /// Service-side degradation log (worker deaths, checkpoint resumes).
-    /// Provenance only — never grafted into artifacts.
-    degradations: Mutex<Vec<DegradationEvent>>,
-    /// Replacement workers spawned after a death; joined at shutdown.
-    replacements: Mutex<Vec<JoinHandle<()>>>,
+    opts: PlanOptions,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("service state")
+    }
 }
 
 /// The long-running job engine. See the [module docs](self) for the
@@ -331,12 +369,13 @@ struct Inner {
 pub struct Service {
     inner: Arc<Inner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    threads: usize,
 }
 
 impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
-            .field("metrics", &self.inner.metrics.snapshot())
+            .field("metrics", &self.metrics())
             .finish_non_exhaustive()
     }
 }
@@ -358,33 +397,20 @@ fn silence_worker_kills() {
 }
 
 impl Service {
-    /// Starts the worker fleet: one long-lived worker (and queue shard)
-    /// per `opts.threads` (0 = one per core). Timeout, retries, and the
-    /// seed stream come from `opts` too.
+    /// Starts `opts.threads` long-lived workers (0 = one per core).
+    /// Timeout, retries, the seed stream and the checkpoint cadence come
+    /// from `opts` too.
     #[must_use]
     pub fn new(opts: PlanOptions) -> Self {
         silence_worker_kills();
-        let shards = opts.resolved_threads().max(1);
+        let threads = opts.resolved_threads().max(1);
         let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                jobs: Vec::new(),
-                shards: (0..shards).map(|_| VecDeque::new()).collect(),
-                next_shard: 0,
-                live: 0,
-                finished: VecDeque::new(),
-                shutdown: false,
-            }),
+            state: Mutex::new(State::default()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            metrics: MetricCells::default(),
-            timeout: opts.timeout,
-            retries: opts.retries,
-            seed_base: opts.seed_base,
-            checkpoint_interval: opts.checkpoint_interval,
-            degradations: Mutex::new(Vec::new()),
-            replacements: Mutex::new(Vec::new()),
+            opts,
         });
-        let workers = (0..shards)
+        let workers = (0..threads)
             .map(|w| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
@@ -396,13 +422,47 @@ impl Service {
         Service {
             inner,
             workers: Mutex::new(workers),
+            threads,
         }
     }
 
-    /// Number of worker shards.
+    /// Runs `requests` as one batch on a fresh service and returns one
+    /// [`RunOutcome`] per request, in request order — how every
+    /// experiment runs its matrix.
+    ///
+    /// The batch runs on the resolved [`PlanOptions::threads`] workers,
+    /// but on no more workers than there are requests. Job *i* is request
+    /// *i*, so the [`PlanOptions::seed_base`] stream gives it the seed
+    /// `derive(seed_base, i)`. Outcomes are bit-identical at any worker
+    /// count: workers race only over *which* request they pick up next,
+    /// and every request is self-contained.
+    ///
+    /// Fault containment is built in: a panicking request is retried up to
+    /// [`PlanOptions::retries`] times and then skipped; a request past
+    /// [`PlanOptions::timeout`] stops cooperatively at the machine's next
+    /// tick boundary and surfaces as [`RunOutcome::TimedOut`] with its
+    /// partial statistics. One poisoned run never loses the rest of the
+    /// matrix, and sibling results are bit-identical to an undisturbed
+    /// batch's.
     #[must_use]
-    pub fn shards(&self) -> usize {
-        self.inner.state.lock().expect("service state").shards.len()
+    pub fn run_all(
+        opts: PlanOptions,
+        requests: impl IntoIterator<Item = RunRequest>,
+    ) -> Vec<RunOutcome> {
+        let requests: Vec<RunRequest> = requests.into_iter().collect();
+        let service = Service::new(PlanOptions {
+            threads: batch_workers(&opts, requests.len()),
+            ..opts
+        });
+        let ids = service.submit_all(requests);
+        // Dropping the service at the end joins its workers.
+        ids.into_iter().map(|id| service.wait(id)).collect()
+    }
+
+    /// Number of workers.
+    #[must_use]
+    pub fn workers(&self) -> usize {
+        self.threads
     }
 
     /// Enqueues one request and returns its job handle immediately.
@@ -414,13 +474,12 @@ impl Service {
     /// # Panics
     ///
     /// Panics if the service has been shut down.
-    pub fn submit(&self, request: RunRequest) -> JobId {
-        let mut request = request;
-        let mut st = self.inner.state.lock().expect("service state");
+    pub fn submit(&self, mut request: RunRequest) -> JobId {
+        let mut st = self.inner.lock();
         assert!(!st.shutdown, "submit on a shut-down service");
         let id = st.jobs.len();
         if request.seed.is_none() {
-            if let Some(base) = self.inner.seed_base {
+            if let Some(base) = self.inner.opts.seed_base {
                 request.seed = Some(SplitMix64::derive(base, id as u64));
             }
         }
@@ -435,16 +494,9 @@ impl Service {
             events: Vec::new(),
             killed: false,
         });
-        let shard = st.next_shard;
-        st.next_shard = (st.next_shard + 1) % st.shards.len();
-        st.shards[shard].push_back(id);
+        st.enqueue(id);
         st.live += 1;
-        let depth = st.shards[shard].len() as u64;
-        self.inner
-            .metrics
-            .max_queue_depth
-            .fetch_max(depth, Ordering::Relaxed);
-        self.inner.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+        st.metrics.submitted += 1;
         drop(st);
         self.inner.work_cv.notify_one();
         JobId(id as u64)
@@ -458,7 +510,7 @@ impl Service {
     /// Non-blocking status probe; `None` for an unknown id.
     #[must_use]
     pub fn poll(&self, id: JobId) -> Option<JobStatus> {
-        let st = self.inner.state.lock().expect("service state");
+        let st = self.inner.lock();
         let job = st.jobs.get(id.index())?;
         let state = match job.phase {
             Phase::Queued => JobState::Queued,
@@ -484,7 +536,7 @@ impl Service {
     /// Panics on an id this service never issued.
     #[must_use]
     pub fn wait(&self, id: JobId) -> RunOutcome {
-        let mut st = self.inner.state.lock().expect("service state");
+        let mut st = self.inner.lock();
         assert!(id.index() < st.jobs.len(), "wait on unknown {id}");
         loop {
             if let Some(outcome) = st.jobs[id.index()].outcome.as_ref() {
@@ -499,7 +551,7 @@ impl Service {
     /// outcome has been claimed and nothing is in flight.
     #[must_use]
     pub fn next_result(&self) -> Option<(JobId, RunOutcome)> {
-        let mut st = self.inner.state.lock().expect("service state");
+        let mut st = self.inner.lock();
         loop {
             if let Some(id) = st.finished.pop_front() {
                 let outcome = st.jobs[id].outcome.clone().expect("finished job");
@@ -518,8 +570,8 @@ impl Service {
     /// tick boundary with partial stats. Returns `false` when the job was
     /// already terminal (or unknown) — cancellation lost the race.
     pub fn cancel(&self, id: JobId) -> bool {
-        let mut st = self.inner.state.lock().expect("service state");
-        let Some(job) = st.jobs.get_mut(id.index()) else {
+        let mut st = self.inner.lock();
+        let Some(job) = st.jobs.get(id.index()) else {
             return false;
         };
         match job.phase {
@@ -535,7 +587,8 @@ impl Service {
                     index: id.index(),
                     partial: None,
                 };
-                self.finish_locked(&mut st, id.index(), outcome);
+                st.queue.retain(|&q| q != id.index());
+                st.finish(id.index(), outcome);
                 drop(st);
                 self.inner.done_cv.notify_all();
                 true
@@ -546,7 +599,7 @@ impl Service {
     /// Current metric counters.
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
-        self.inner.metrics.snapshot()
+        self.inner.lock().metrics.clone()
     }
 
     /// Drains the service-side degradation log: one
@@ -556,49 +609,20 @@ impl Service {
     /// artifacts, which stay byte-identical to an undisturbed run's.
     #[must_use]
     pub fn drain_degradations(&self) -> Vec<DegradationEvent> {
-        std::mem::take(
-            &mut *self
-                .inner
-                .degradations
-                .lock()
-                .expect("service degradations"),
-        )
+        std::mem::take(&mut self.inner.lock().degradations)
     }
 
-    /// Drains the queues and stops the fleet: already-submitted jobs run
+    /// Drains the queue and stops the workers: already-submitted jobs run
     /// to a terminal state, further submissions panic, and every worker
     /// thread is joined before this returns (the no-detached-threads
     /// guarantee). Idempotent. Returns the final metrics.
     pub fn shutdown(&self) -> ServiceMetrics {
-        {
-            let mut st = self.inner.state.lock().expect("service state");
-            st.shutdown = true;
-        }
+        self.inner.lock().shutdown = true;
         self.inner.work_cv.notify_all();
-        let workers = std::mem::take(&mut *self.workers.lock().expect("worker handles"));
-        for handle in workers {
+        for handle in std::mem::take(&mut *self.workers.lock().expect("worker handles")) {
             handle.join().expect("service worker never panics");
         }
-        // Replacement workers (spawned after a death) can themselves die
-        // and spawn further replacements while we join, so drain until the
-        // list stays empty. Kills are finite — at most one per job — so
-        // this terminates.
-        loop {
-            let replacements =
-                std::mem::take(&mut *self.inner.replacements.lock().expect("replacement handles"));
-            if replacements.is_empty() {
-                break;
-            }
-            for handle in replacements {
-                handle.join().expect("service worker never panics");
-            }
-        }
-        self.inner.metrics.snapshot()
-    }
-
-    /// Marks a job terminal under the state lock (does not notify).
-    fn finish_locked(&self, st: &mut State, id: usize, outcome: RunOutcome) {
-        finish_job(&self.inner, st, id, outcome);
+        self.metrics()
     }
 }
 
@@ -608,177 +632,56 @@ impl Drop for Service {
     }
 }
 
-/// Marks job `id` terminal: stores the outcome, bumps the right counter,
-/// releases its checkpoints (a terminal job never resumes), and queues it
-/// for [`Service::next_result`]. Caller holds the lock and notifies
-/// `done_cv` afterwards.
-fn finish_job(inner: &Inner, st: &mut State, id: usize, outcome: RunOutcome) {
-    let counter = match &outcome {
-        RunOutcome::Completed(_) => &inner.metrics.completed,
-        RunOutcome::TimedOut { .. } => &inner.metrics.timed_out,
-        RunOutcome::Cancelled { .. } => &inner.metrics.cancelled,
-        RunOutcome::Skipped { .. } => &inner.metrics.skipped,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    let job = &mut st.jobs[id];
-    debug_assert!(job.outcome.is_none(), "job finished twice");
-    job.phase = Phase::Done;
-    job.outcome = Some(outcome);
-    drop(job.slot.take());
-    job.resume = None;
-    st.live -= 1;
-    st.finished.push_back(id);
-}
-
-/// Claims the next runnable job for worker `w`: front of its own shard
-/// first, then — stealing — the back of the fullest sibling shard.
-/// Already-retired (queue-cancelled) jobs are skipped. Returns
-/// `(job, stolen)`.
-fn claim_job(st: &mut State, w: usize) -> Option<(usize, bool)> {
-    while let Some(id) = st.shards[w].pop_front() {
-        if st.jobs[id].outcome.is_none() {
-            return Some((id, false));
-        }
-    }
+/// One worker: pops the queue's front job, runs it outside the lock, and
+/// records the result. A job killed by chaos goes back in the queue, and
+/// the worker carries on — the kill simulates a crash of the attempt, and
+/// `run_job` already caught its unwind on this thread. Returns once the
+/// service is shut down and the queue is empty.
+fn worker_loop(inner: &Inner, w: usize) {
+    let mut st = inner.lock();
     loop {
-        let victim = st
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(s, q)| *s != w && !q.is_empty())
-            .max_by_key(|(_, q)| q.len())
-            .map(|(s, _)| s)?;
-        while let Some(id) = st.shards[victim].pop_back() {
-            if st.jobs[id].outcome.is_none() {
-                return Some((id, true));
-            }
-        }
-    }
-}
-
-fn worker_loop(inner: &Arc<Inner>, w: usize) {
-    loop {
-        let claimed = {
-            let mut st = inner.state.lock().expect("service state");
-            loop {
-                if let Some(claim) = claim_job(&mut st, w) {
-                    let (id, stolen) = claim;
-                    let job = &mut st.jobs[id];
-                    job.phase = Phase::Running;
-                    let queue_nanos = saturating_nanos(job.enqueued.elapsed());
-                    inner
-                        .metrics
-                        .queue_nanos
-                        .fetch_add(queue_nanos, Ordering::Relaxed);
-                    if stolen {
-                        inner.metrics.steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let recovery = RecoveryControls {
-                        checkpoint_interval: inner.checkpoint_interval,
-                        slot: job.slot.clone(),
-                        // The kill trigger fires at most once per job: a
-                        // resumed (or restarted) life runs it disarmed.
-                        arm_kill: !job.killed,
-                        resume: job.resume.clone(),
-                    };
-                    let events = std::mem::take(&mut job.events);
-                    break Some((id, job.request.clone(), job.token.clone(), recovery, events));
-                }
-                if st.shutdown {
-                    break None;
-                }
-                st = inner.work_cv.wait(st).expect("service state");
-            }
-        };
-        let Some((id, request, token, recovery, events)) = claimed else {
-            return;
-        };
-        let started = Instant::now();
-        if let Some(limit) = inner.timeout {
-            token.set_deadline(started + limit);
-        }
-        let run = run_job(&request, &token, id, inner.retries, &recovery, events);
-        inner
-            .metrics
-            .run_nanos
-            .fetch_add(saturating_nanos(started.elapsed()), Ordering::Relaxed);
-        match run {
-            JobRun::Done(outcome) => {
-                inner
-                    .metrics
-                    .checkpoints
-                    .fetch_add(recovery.slot.stores(), Ordering::Relaxed);
-                {
-                    let mut st = inner.state.lock().expect("service state");
-                    finish_job(inner, &mut st, id, outcome);
-                }
-                inner.done_cv.notify_all();
-            }
-            JobRun::Killed(events) => {
-                orphan_job(inner, w, id, &request.label, events);
-                // This worker is dead. Spawn its replacement on the same
-                // shard, then let the thread exit.
-                let replacement = {
-                    let inner = Arc::clone(inner);
-                    std::thread::Builder::new()
-                        .name(format!("agile-svc-{w}r"))
-                        .spawn(move || worker_loop(&inner, w))
-                        .expect("spawn replacement service worker")
-                };
-                inner
-                    .replacements
-                    .lock()
-                    .expect("replacement handles")
-                    .push(replacement);
+        let Some(id) = st.queue.pop_front() else {
+            if st.shutdown {
                 return;
             }
-        }
-    }
-}
+            st = inner.work_cv.wait(st).expect("service state");
+            continue;
+        };
+        let job = &mut st.jobs[id];
+        job.phase = Phase::Running;
+        let queued = saturating_nanos(job.enqueued.elapsed());
+        let recovery = RecoveryControls {
+            checkpoint_interval: inner.opts.checkpoint_interval,
+            slot: job.slot.clone(),
+            // The kill trigger fires at most once per job: a resumed (or
+            // restarted) life runs it disarmed.
+            arm_kill: !job.killed,
+            resume: job.resume.clone(),
+        };
+        let (request, token) = (job.request.clone(), job.token.clone());
+        let events = std::mem::take(&mut job.events);
+        st.metrics.queue_nanos += queued;
+        drop(st);
 
-/// Handles a worker death: takes the orphaned job's last checkpoint,
-/// re-queues it on the next shard over, logs the resume service-side, and
-/// bumps the orphan/resume metrics. The job's carried runner-level events
-/// survive in the job record.
-fn orphan_job(inner: &Arc<Inner>, w: usize, id: usize, label: &str, events: Vec<DegradationEvent>) {
-    inner.metrics.orphans.fetch_add(1, Ordering::Relaxed);
-    let mut st = inner.state.lock().expect("service state");
-    let resume = st.jobs[id].slot.take();
-    let detail = match &resume {
-        Some(cp) => {
-            inner.metrics.resumes.fetch_add(1, Ordering::Relaxed);
-            format!(
-                "job-{id} ({label}): worker {w} died mid-run; resuming from the checkpoint \
-                 at workload event {} on another worker",
-                cp.events_consumed
-            )
+        let started = Instant::now();
+        if let Some(limit) = inner.opts.timeout {
+            token.set_deadline(started + limit);
         }
-        None => format!(
-            "job-{id} ({label}): worker {w} died mid-run with no checkpoint stored; \
-             restarting from scratch on another worker"
-        ),
-    };
-    let job = &mut st.jobs[id];
-    job.phase = Phase::Queued;
-    job.killed = true;
-    job.resume = resume;
-    job.events = events;
-    job.enqueued = Instant::now();
-    let shard = (w + 1) % st.shards.len();
-    st.shards[shard].push_back(id);
-    drop(st);
-    {
-        let mut log = inner.degradations.lock().expect("service degradations");
-        let seq = log.len() as u64;
-        log.push(DegradationEvent {
-            seq,
-            access: 0,
-            kind: DegradationKind::ResumedFromCheckpoint,
-            gva: None,
-            detail,
-        });
+        let run = run_job(&request, &token, id, inner.opts.retries, &recovery, events);
+
+        st = inner.lock();
+        st.metrics.run_nanos += saturating_nanos(started.elapsed());
+        match run {
+            JobRun::Done(outcome) => {
+                st.metrics.checkpoints += recovery.slot.stores();
+                st.finish(id, outcome);
+                inner.done_cv.notify_all();
+            }
+            // This worker is still alive and pops the queue next, so no
+            // sleeping worker needs waking.
+            JobRun::Killed(events) => st.requeue_orphan(w, id, events),
+        }
     }
-    inner.work_cv.notify_all();
 }
 
 fn saturating_nanos(d: Duration) -> u64 {
@@ -799,8 +702,8 @@ enum JobRun {
 /// caught and retried up to `retries` times; a cooperative stop (cancel
 /// or deadline) ends the job with its partial artifact. The deadline
 /// spans the whole job, retries included. A [`WorkerKill`] unwind is
-/// *not* a retryable panic — it means this worker died, and the job is
-/// handed back as an orphan.
+/// *not* a retryable panic — it simulates the death of the worker, and
+/// the job is handed back as an orphan.
 fn run_job(
     request: &RunRequest,
     token: &CancelToken,
@@ -939,6 +842,17 @@ mod tests {
             seed,
         };
         RunRequest::new(SystemConfig::new(Technique::Shadow), spec).with_label(label)
+    }
+
+    #[test]
+    fn batch_workers_resolve_zero_to_the_core_count_and_clamp_to_the_batch() {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let workers = |threads, jobs| batch_workers(&PlanOptions::with_threads(threads), jobs);
+        assert_eq!(workers(0, 64), cores.min(64));
+        assert_eq!(workers(0, 1), 1);
+        assert_eq!(workers(3, 2), 2);
+        assert_eq!(workers(3, 8), 3);
+        assert_eq!(workers(3, 0), 1, "an empty batch still gets a worker");
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!    checkpoint/resume machinery and CI's round-trip job both rest on.
 //! 2. **[`Checkpoint`]/[`CheckpointSlot`]** — the crash-recovery protocol:
 //!    workers store a checkpoint at configured tick boundaries; when chaos
-//!    kills a worker mid-job ([`WorkerKill`]), the service restores the
-//!    last checkpoint on another worker and replays only the remaining
-//!    events (see [`crate::service`]).
+//!    kills a worker mid-job ([`WorkerKill`]), the service re-queues the
+//!    job, and the worker that picks it up next restores the last
+//!    checkpoint and replays only the remaining events (see
+//!    [`crate::service`]).
 //! 3. **[`TransitionView`]/[`diff`]** — the transition differ: two cheap
 //!    semantic captures bracketing a technique switch (or a migration)
 //!    prove that the *translation function* did not change and that only

@@ -12,14 +12,14 @@
 //!    degradation logs for all five techniques: batching cache
 //!    invalidations must not perturb event order or content.
 //! 3. **Options invariance** — execution knobs that only affect *how* a
-//!    plan runs (checkpoint cadence, timeouts) never change *what* it
+//!    batch runs (checkpoint cadence, timeouts) never change *what* it
 //!    computes: artifacts stay byte-equivalent, and non-completed
 //!    outcomes surface deterministically.
 
 use agile_core::verify::check_stats;
 use agile_core::{
     render_log, AgileOptions, ChurnSpec, FaultPlan, Machine, Pattern, PlanOptions, RunOutcome,
-    RunPlan, RunRequest, ScenarioKind, SystemConfig, Technique, WorkloadSpec,
+    RunRequest, ScenarioKind, Service, SystemConfig, Technique, WorkloadSpec,
 };
 use std::time::Duration;
 
@@ -140,35 +140,35 @@ fn chaos_runs_are_byte_deterministic_across_replays() {
     }
 }
 
-fn small_plan() -> RunPlan {
-    let mut plan = RunPlan::new();
-    plan.push(RunRequest::new(
-        SystemConfig::new(Technique::Shadow),
-        churny_spec("shadow", 1_500, 3),
-    ));
-    plan.push(RunRequest::new(
-        SystemConfig::new(Technique::Agile(AgileOptions::default())),
-        churny_spec("agile", 1_500, 4),
-    ));
-    plan
+fn small_batch() -> [RunRequest; 2] {
+    [
+        RunRequest::new(
+            SystemConfig::new(Technique::Shadow),
+            churny_spec("shadow", 1_500, 3),
+        ),
+        RunRequest::new(
+            SystemConfig::new(Technique::Agile(AgileOptions::default())),
+            churny_spec("agile", 1_500, 4),
+        ),
+    ]
 }
 
 #[test]
 fn checkpointing_never_touches_artifact_bytes() {
     // Checkpoint capture is a pure read of machine state at tick
-    // boundaries: a plan run with an aggressive checkpoint cadence must
-    // be byte-equivalent to the same plan run without one.
-    let plain: Vec<String> = small_plan()
-        .run()
+    // boundaries: a batch run with an aggressive checkpoint cadence must
+    // be byte-equivalent to the same batch run without one.
+    let plain: Vec<String> = Service::run_all(PlanOptions::with_threads(1), small_batch())
         .into_iter()
         .map(|o| o.into_artifact().fingerprint())
         .collect();
-    let checkpointed: Vec<String> = small_plan()
-        .with_options(PlanOptions::with_threads(2).checkpoint_every(1))
-        .run()
-        .into_iter()
-        .map(|o| o.into_artifact().fingerprint())
-        .collect();
+    let checkpointed: Vec<String> = Service::run_all(
+        PlanOptions::with_threads(2).checkpoint_every(1),
+        small_batch(),
+    )
+    .into_iter()
+    .map(|o| o.into_artifact().fingerprint())
+    .collect();
     assert_eq!(plain, checkpointed);
 }
 
@@ -177,17 +177,18 @@ fn timeouts_surface_deterministic_partial_artifacts() {
     // A zero deadline is already expired at the first tick boundary, so
     // every request deterministically times out with partial statistics.
     let timed = || {
-        small_plan().with_options(PlanOptions {
+        let opts = PlanOptions {
             threads: 1,
             timeout: Some(Duration::ZERO),
             retries: 0,
             seed_base: None,
             checkpoint_interval: None,
-        })
+        };
+        Service::run_all(opts, small_batch())
     };
-    let outcomes = timed().run();
+    let outcomes = timed();
     assert!(outcomes.iter().all(RunOutcome::is_timed_out));
-    let replay = timed().run();
+    let replay = timed();
     assert_eq!(replay.len(), outcomes.len());
     for (r, o) in replay.iter().zip(&outcomes) {
         assert!(r.is_timed_out());

@@ -10,10 +10,10 @@
 //! 3. **Differ sensitivity** — the transition differ is quiet on an
 //!    unchanged view and loud on any planted divergence.
 //! 4. **Kill/resume byte identity** — a service job checkpointed, its
-//!    worker killed mid-run by chaos, and resumed on another worker
-//!    produces byte-identical artifacts to an uninterrupted run, at any
-//!    shard count, with the recovery surfaced in the service log and
-//!    metrics rather than in the artifact.
+//!    worker killed mid-run by chaos, and resumed from the re-queued
+//!    checkpoint produces byte-identical artifacts to an uninterrupted
+//!    run, at any worker count, with the recovery surfaced in the service
+//!    log and metrics rather than in the artifact.
 
 use agile_core::{
     diff, AgileOptions, CancelToken, CheckpointSlot, ChurnSpec, DegradationKind, DiffIntent,

@@ -6,7 +6,7 @@ use agile_types::{
     AccessKind, CodecError, Dec, Enc, GuestFrame, Level, PageSize, Persist, ProcessId, PteFlags,
 };
 use agile_vmm::Vmm;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A guest-visible segmentation violation: access outside any VMA or a
 /// write to a read-only VMA.
@@ -115,7 +115,7 @@ impl ProcInfo {
 /// which is where technique-dependent costs (VMtraps) accrue.
 #[derive(Debug)]
 pub struct GuestOs {
-    procs: HashMap<ProcessId, ProcInfo>,
+    procs: BTreeMap<ProcessId, ProcInfo>,
     next_pid: u32,
     thp: bool,
     stats: OsStats,
@@ -131,7 +131,7 @@ impl GuestOs {
     #[must_use]
     pub fn new(thp: bool) -> Self {
         GuestOs {
-            procs: HashMap::new(),
+            procs: BTreeMap::new(),
             next_pid: 1,
             thp,
             stats: OsStats::default(),
@@ -185,14 +185,12 @@ impl GuestOs {
         pid
     }
 
-    /// All process ids, in ascending id order. The sort matters: host-level
-    /// balloon arbitration iterates processes during reclaim, and hash-map
-    /// order would make same-seed chaos runs diverge byte-for-byte.
+    /// All process ids, in ascending id order (host-level balloon
+    /// arbitration iterates processes during reclaim, so the order is
+    /// simulated state).
     #[must_use]
     pub fn processes(&self) -> Vec<ProcessId> {
-        let mut pids: Vec<ProcessId> = self.procs.keys().copied().collect();
-        pids.sort_unstable();
-        pids
+        self.procs.keys().copied().collect()
     }
 
     /// Snapshot of `pid`'s VMAs in ascending start order (empty for an
@@ -595,12 +593,10 @@ impl GuestOs {
         self.stats.save(e);
         self.shared_cow_frame.save(e);
         self.free_frames.save(e);
-        let mut pids: Vec<ProcessId> = self.procs.keys().copied().collect();
-        pids.sort_unstable();
-        e.seq(pids.len());
-        for pid in pids {
+        e.seq(self.procs.len());
+        for (pid, info) in &self.procs {
             pid.save(e);
-            let vmas: Vec<Vma> = self.procs[&pid].vmas.values().copied().collect();
+            let vmas: Vec<Vma> = info.vmas.values().copied().collect();
             vmas.save(e);
         }
     }
@@ -618,7 +614,7 @@ impl GuestOs {
         let shared_cow_frame = Option::<GuestFrame>::load(d)?;
         let free_frames = Vec::<GuestFrame>::load(d)?;
         let nprocs = d.len_prefix()?;
-        let mut procs = HashMap::new();
+        let mut procs = BTreeMap::new();
         for _ in 0..nprocs {
             let pid = ProcessId::load(d)?;
             let vmas = Vec::<Vma>::load(d)?;

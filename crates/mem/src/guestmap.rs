@@ -5,7 +5,7 @@ use agile_types::{
     load_map_entries, save_sorted_map, CodecError, Dec, Enc, GuestFrame, HostFrame, PageSize,
     Persist,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One virtual machine's guest-physical memory: a guest frame allocator plus
 /// the gPA⇒hPA *backing* assignment.
@@ -42,7 +42,7 @@ pub struct GuestMemMap {
     table_flag: Vec<bool>,
     /// Live backed gframes (entries of `backing` not [`NO_BACKING`]).
     backed: usize,
-    huge_runs: HashMap<GuestFrame, PageSize>,
+    huge_runs: BTreeMap<GuestFrame, PageSize>,
     next_gframe: u64,
     /// Mutations so far ([`GuestMemMap::generation`]).
     generation: u64,
@@ -62,7 +62,7 @@ impl GuestMemMap {
             backing: Vec::new(),
             table_flag: Vec::new(),
             backed: 0,
-            huge_runs: HashMap::new(),
+            huge_runs: BTreeMap::new(),
             next_gframe: 1,
             generation: 0,
         }
@@ -227,7 +227,7 @@ impl GuestMemMap {
             .map(|(g, _)| g as u64)
             .collect();
         tables.save(e);
-        save_sorted_map(e, self.huge_runs.iter());
+        save_sorted_map(e, &self.huge_runs);
     }
 
     /// Restores state captured by [`GuestMemMap::save_state`], replacing

@@ -1,8 +1,6 @@
 //! Simulated host physical memory.
 
-use agile_types::{
-    CodecError, Dec, Enc, HostFrame, Persist, Pte, StateSink, VmId, ENTRIES_PER_TABLE,
-};
+use agile_types::{CodecError, Dec, HostFrame, Persist, Pte, StateSink, VmId, ENTRIES_PER_TABLE};
 
 /// Frame-number span reserved per VM: VM `i` allocates frame numbers from
 /// `i * VM_FRAME_SPAN + 1`, so every frame number is globally unique across
@@ -504,19 +502,15 @@ impl PhysMem {
         self.next_frame - self.base - 1
     }
 
-    /// Appends the memory's full dynamic state to `e`: the allocator
+    /// Appends the memory's full dynamic state to `s`: the allocator
     /// bookkeeping plus every live table page as `(frame, present
     /// entries)`. Byte-stable: table pages are emitted in frame order
     /// (the slot index is frame-ordered by construction) and only present
     /// entries are written. Arena slot numbers are *not* saved — they are
     /// an unobservable packing detail; restore re-packs densely.
-    pub fn save_state(&self, e: &mut Enc) {
-        self.save_to(e);
-    }
-
-    /// [`PhysMem::save_state`] through a [`StateSink`]: each live table
-    /// page is one part, with its frame number as id and (its write
-    /// counter, this memory's snapshot loads) as generation.
+    ///
+    /// Each live table page is one part, with its frame number as id and
+    /// (its write counter, this memory's snapshot loads) as generation.
     pub fn save_to<S: StateSink>(&self, s: &mut S) {
         let e = s.enc();
         self.owner.save(e);
@@ -543,7 +537,7 @@ impl PhysMem {
         }
     }
 
-    /// Restores state captured by [`PhysMem::save_state`] onto this
+    /// Restores state captured by [`PhysMem::save_to`] onto this
     /// memory, replacing everything. The owner VM must match — snapshots
     /// restore onto a machine built for the same VM.
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
@@ -625,6 +619,7 @@ impl std::fmt::Debug for PhysMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agile_types::Enc;
 
     #[test]
     fn frames_are_unique_and_nonzero() {
@@ -875,7 +870,7 @@ mod tests {
 
         // The mask survives a snapshot round trip.
         let mut e = Enc::new();
-        mem.save_state(&mut e);
+        mem.save_to(&mut e);
         let bytes = e.into_bytes();
         let mut back = PhysMem::new();
         back.load_state(&mut Dec::new(&bytes)).expect("round trip");

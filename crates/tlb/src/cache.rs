@@ -187,7 +187,7 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
     /// [`SetAssocCache::invalidate`], so the surviving slot order is
     /// exactly that of invalidating the matching keys one by one in
     /// ascending order. Slot order is simulated state (see
-    /// [`SetAssocCache::save_state`]), which an order-preserving `retain`
+    /// [`SetAssocCache::save_to`]), which an order-preserving `retain`
     /// would not reproduce.
     pub(crate) fn invalidate_ascending(&mut self, mut pred: impl FnMut(&K) -> bool) -> usize
     where
@@ -295,20 +295,17 @@ impl Persist for CacheStats {
 impl<K: Eq + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
     /// Appends the cache's full dynamic state — every slot in per-set
     /// insertion order with its LRU stamp, the global stamp, and the
-    /// counters — to `e`. Byte-stable: slot order within a set is part of
+    /// counters — to `s`. Byte-stable: slot order within a set is part of
     /// the simulated state (it breaks `min_by_key` ties on eviction), so
     /// it is preserved exactly rather than canonicalized.
-    pub fn save_state(&self, e: &mut Enc) {
-        self.save_to(e);
-    }
-
-    /// [`SetAssocCache::save_state`] through a [`StateSink`]: each set is
-    /// one part, with its index as id. Its generation is the pair (the
-    /// set's last removal, its largest `last_use`). Every lookup hit and
-    /// every insert writes the cache's ever-growing stamp into the slot it
-    /// touches, which raises the set's largest `last_use`; every other
-    /// change to a set's slots is a removal, which moves the first half.
-    /// The group's generation is (stamp, removals): it moves with any set.
+    ///
+    /// Each set is one part, with its index as id. Its generation is the
+    /// pair (the set's last removal, its largest `last_use`). Every lookup
+    /// hit and every insert writes the cache's ever-growing stamp into the
+    /// slot it touches, which raises the set's largest `last_use`; every
+    /// other change to a set's slots is a removal, which moves the first
+    /// half. The group's generation is (stamp, removals): it moves with
+    /// any set.
     pub fn save_to<S: StateSink>(&self, s: &mut S) {
         let e = s.enc();
         e.u64(self.ways as u64);
@@ -331,7 +328,7 @@ impl<K: Eq + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
         }
     }
 
-    /// Restores state captured by [`SetAssocCache::save_state`] onto this
+    /// Restores state captured by [`SetAssocCache::save_to`] onto this
     /// cache. The geometry (sets × ways) must match — state moves between
     /// identically configured machines, never across geometries.
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {

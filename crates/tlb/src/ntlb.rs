@@ -103,19 +103,14 @@ impl NestedTlb {
         self.cache.stats()
     }
 
-    /// Appends the structure's contents, LRU state, and counters to `e`.
-    pub fn save_state(&self, e: &mut Enc) {
-        self.save_to(e);
-    }
-
-    /// [`NestedTlb::save_state`] through a [`StateSink`]: the cache's sets
-    /// are parts ([`SetAssocCache::save_to`]).
+    /// Appends the structure's contents, LRU state, and counters to `s`.
+    /// The cache's sets are parts ([`SetAssocCache::save_to`]).
     pub fn save_to<S: StateSink>(&self, s: &mut S) {
         s.enc().bool(self.enabled);
         self.cache.save_to(s);
     }
 
-    /// Restores state captured by [`NestedTlb::save_state`]. The geometry
+    /// Restores state captured by [`NestedTlb::save_to`]. The geometry
     /// (same [`PwcConfig`]) must match.
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         let enabled = d.bool()?;

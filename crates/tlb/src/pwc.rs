@@ -196,13 +196,8 @@ impl PageWalkCaches {
         }
     }
 
-    /// Appends all three tables' contents, LRU state, and counters to `e`.
-    pub fn save_state(&self, e: &mut Enc) {
-        self.save_to(e);
-    }
-
-    /// [`PageWalkCaches::save_state`] through a [`StateSink`]: each
-    /// table's sets are parts ([`SetAssocCache::save_to`]).
+    /// Appends all three tables' contents, LRU state, and counters to `s`.
+    /// Each table's sets are parts ([`SetAssocCache::save_to`]).
     pub fn save_to<S: StateSink>(&self, s: &mut S) {
         s.enc().bool(self.enabled);
         self.skip1.save_to(s);
@@ -210,7 +205,7 @@ impl PageWalkCaches {
         self.skip3.save_to(s);
     }
 
-    /// Restores state captured by [`PageWalkCaches::save_state`]. The
+    /// Restores state captured by [`PageWalkCaches::save_to`]. The
     /// geometry (same [`PwcConfig`]) must match.
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         let enabled = d.bool()?;

@@ -404,13 +404,8 @@ impl TlbHierarchy {
     }
 
     /// Appends the hierarchy's full dynamic state (every structure's
-    /// contents, LRU state, and counters) to `e`.
-    pub fn save_state(&self, e: &mut Enc) {
-        self.save_to(e);
-    }
-
-    /// [`TlbHierarchy::save_state`] through a [`StateSink`]: each
-    /// partition's sets are parts ([`SetAssocCache::save_to`]).
+    /// contents, LRU state, and counters) to `s`. Each partition's sets
+    /// are parts ([`SetAssocCache::save_to`]).
     pub fn save_to<S: StateSink>(&self, s: &mut S) {
         self.stats.save(s.enc());
         for t in self.l1d.iter().chain(self.l1i.iter()).chain(self.l2.iter()) {
@@ -424,7 +419,7 @@ impl TlbHierarchy {
         }
     }
 
-    /// Restores state captured by [`TlbHierarchy::save_state`]. The
+    /// Restores state captured by [`TlbHierarchy::save_to`]. The
     /// hierarchy geometry (same [`TlbConfig`]) must match.
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         let stats = TlbStats::load(d)?;

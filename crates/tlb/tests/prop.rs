@@ -136,7 +136,7 @@ fn invalidate_page_by_page(tlb: &mut TlbHierarchy, asid: Asid, start: u64, len: 
 
 fn state_bytes(tlb: &TlbHierarchy) -> Vec<u8> {
     let mut e = Enc::new();
-    tlb.save_state(&mut e);
+    tlb.save_to(&mut e);
     e.into_bytes()
 }
 

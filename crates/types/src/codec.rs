@@ -37,6 +37,7 @@ use crate::{
     Asid, GuestFrame, GuestPhysAddr, GuestVirtAddr, HostFrame, HostPhysAddr, Level, PageSize,
     ProcessId, Pte, PteFlags, SplitMix64, VmId,
 };
+use std::collections::BTreeMap;
 
 /// A decoding failure: truncated input, a bad tag byte, or a value that
 /// fails domain validation (e.g. a [`Level`] number outside 1..=4).
@@ -575,18 +576,11 @@ impl Persist for SplitMix64 {
     }
 }
 
-/// Saves a map's entries sorted by key so the bytes never depend on
-/// hash-map iteration order. Accepts any `(key, value)` iterator.
-pub fn save_sorted_map<'m, K, V, I>(e: &mut Enc, iter: I)
-where
-    K: Persist + Ord + Copy + 'm,
-    V: Persist + 'm,
-    I: Iterator<Item = (&'m K, &'m V)>,
-{
-    let mut entries: Vec<(&K, &V)> = iter.collect();
-    entries.sort_by_key(|(k, _)| **k);
-    e.seq(entries.len());
-    for (k, v) in entries {
+/// Saves a map's entries in key order. Taking a `BTreeMap` makes that
+/// order a property of the type, never of hash-map iteration.
+pub fn save_sorted_map<K: Persist, V: Persist>(e: &mut Enc, map: &BTreeMap<K, V>) {
+    e.seq(map.len());
+    for (k, v) in map {
         k.save(e);
         v.save(e);
     }
@@ -667,20 +661,17 @@ mod tests {
 
     #[test]
     fn sorted_map_is_order_independent() {
-        use std::collections::HashMap;
-        let mut a: HashMap<u32, u64> = HashMap::new();
-        let mut b: HashMap<u32, u64> = HashMap::new();
-        for i in 0..64 {
-            a.insert(i, u64::from(i) * 3);
-        }
-        for i in (0..64).rev() {
-            b.insert(i, u64::from(i) * 3);
-        }
+        let a: BTreeMap<u32, u64> = (0..64).map(|i| (i, u64::from(i) * 3)).collect();
+        let b: BTreeMap<u32, u64> = (0..64).rev().map(|i| (i, u64::from(i) * 3)).collect();
         let mut ea = Enc::new();
-        save_sorted_map(&mut ea, a.iter());
+        save_sorted_map(&mut ea, &a);
         let mut eb = Enc::new();
-        save_sorted_map(&mut eb, b.iter());
-        assert_eq!(ea.into_bytes(), eb.into_bytes());
+        save_sorted_map(&mut eb, &b);
+        let bytes = ea.into_bytes();
+        assert_eq!(bytes, eb.into_bytes());
+        let mut d = Dec::new(&bytes);
+        let entries = load_map_entries::<u32, u64>(&mut d).unwrap();
+        assert_eq!(entries, a.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

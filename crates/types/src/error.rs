@@ -9,6 +9,10 @@ pub enum FaultCause {
     NotPresent,
     /// The access was a write but the entry was read-only.
     WriteProtected,
+    /// The entry set a bit that is reserved where it sits: the agile
+    /// switching bit on a leaf, which has no next-level table to switch
+    /// to. The analogue of x86's reserved-bit (RSVD) page fault.
+    ReservedBit,
 }
 
 impl std::fmt::Display for FaultCause {
@@ -16,6 +20,7 @@ impl std::fmt::Display for FaultCause {
         f.write_str(match self {
             FaultCause::NotPresent => "not present",
             FaultCause::WriteProtected => "write to read-only mapping",
+            FaultCause::ReservedBit => "reserved bit set",
         })
     }
 }

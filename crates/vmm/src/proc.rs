@@ -3,7 +3,7 @@
 use agile_mem::RadixTable;
 use agile_types::{CodecError, Dec, Enc, GuestFrame, HostFrame, Level, Persist};
 use agile_walk::AgileCr3;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Mode of one guest page-table page, as the VMM tracks it (paper Section
 /// III-B/III-C).
@@ -84,7 +84,7 @@ pub(crate) struct ProcState {
     /// Shadow page table, when the technique maintains one.
     pub spt: Option<RadixTable>,
     /// Metadata per guest page-table page.
-    pub pages: HashMap<GuestFrame, GptPageInfo>,
+    pub pages: BTreeMap<GuestFrame, GptPageInfo>,
     /// Whole address space currently in nested mode (Technique::Nested,
     /// SHSP nested phase, or agile before shadow engagement).
     pub full_nested: bool,

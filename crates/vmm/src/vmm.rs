@@ -13,7 +13,7 @@ use agile_types::{
     StateSink, VmId,
 };
 use agile_walk::AgileCr3;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A translation-structure shootdown the machine must apply after a VMM
 /// operation: either one address space's full TLB/PWC state, or only the
@@ -164,7 +164,7 @@ pub struct Vmm {
     costs: VmtrapCosts,
     gmap: GuestMemMap,
     hpt: RadixTable,
-    procs: HashMap<ProcessId, ProcState>,
+    procs: BTreeMap<ProcessId, ProcState>,
     traps: VmtrapStats,
     counters: VmmCounters,
     ctx_cache: Option<SetAssocCache<u64, u64>>,
@@ -214,7 +214,7 @@ impl Vmm {
             costs: technique.trap_costs(),
             gmap: GuestMemMap::new(),
             hpt,
-            procs: HashMap::new(),
+            procs: BTreeMap::new(),
             traps: VmtrapStats::default(),
             counters: VmmCounters::default(),
             ctx_cache,
@@ -367,9 +367,7 @@ impl Vmm {
     /// analyzer drives its per-process sweeps off this.
     #[must_use]
     pub fn processes(&self) -> Vec<ProcessId> {
-        let mut pids: Vec<ProcessId> = self.procs.keys().copied().collect();
-        pids.sort_unstable_by_key(|p| p.raw());
-        pids
+        self.procs.keys().copied().collect()
     }
 
     /// Guest frame of `pid`'s guest page-table root (`gptr`), when the
@@ -384,13 +382,10 @@ impl Vmm {
     /// switching-bit and mode-partition checks.
     #[must_use]
     pub fn gpt_pages(&self, pid: ProcessId) -> Vec<(GuestFrame, GptPageInfo)> {
-        let mut pages: Vec<(GuestFrame, GptPageInfo)> = self
-            .procs
+        self.procs
             .get(&pid)
             .map(|p| p.pages.iter().map(|(g, i)| (*g, *i)).collect())
-            .unwrap_or_default();
-        pages.sort_unstable_by_key(|(g, _)| g.raw());
-        pages
+            .unwrap_or_default()
     }
 
     /// Whether `pid`'s whole address space is currently walked in nested
@@ -414,9 +409,7 @@ impl Vmm {
     /// host backings of these for the guest tables.
     #[must_use]
     pub fn guest_table_frames(&self) -> Vec<GuestFrame> {
-        let mut frames: Vec<GuestFrame> = self.gmap.table_gframes().collect();
-        frames.sort_unstable_by_key(|g| g.raw());
-        frames
+        self.gmap.table_gframes().collect()
     }
 
     /// Non-draining view of the shootdown requests queued since the last
@@ -481,7 +474,7 @@ impl Vmm {
         let mut proc = ProcState {
             gpt,
             spt,
-            pages: HashMap::new(),
+            pages: BTreeMap::new(),
             full_nested,
             root_nested: false,
         };
@@ -658,17 +651,9 @@ impl Vmm {
         if let Some(trace) = self.write_trace.as_mut() {
             trace.push((pid, gva, level));
         }
-        match self.technique {
-            Technique::Native => {
-                self.counters.gpt_writes_direct += 1;
-                return;
-            }
-            Technique::Nested => {
-                self.counters.gpt_writes_direct += 1;
-                self.mark_gpt_page_dirty(mem, pid, gva, level);
-                return;
-            }
-            _ => {}
+        if matches!(self.technique, Technique::Native) {
+            self.counters.gpt_writes_direct += 1;
+            return;
         }
         if self.full_nested(pid) {
             self.counters.gpt_writes_direct += 1;
@@ -1574,9 +1559,7 @@ impl Vmm {
                         FaultOutcome::Fixed
                     }
                     _ => {
-                        if !matches!(self.technique, Technique::Native) {
-                            self.trap(VmtrapKind::GuestFaultReflection, 1);
-                        }
+                        self.trap(VmtrapKind::GuestFaultReflection, 1);
                         FaultOutcome::ReflectToGuest(Fault::GuestPageFault {
                             gva,
                             level,
@@ -1586,17 +1569,20 @@ impl Vmm {
                     }
                 }
             }
+            // A switching bit on a shadow leaf (a corrupted entry): drop
+            // the leaf so the retried walk rebuilds it from the guest table.
+            FaultCause::ReservedBit => {
+                self.trap(VmtrapKind::HiddenPageFault, 1);
+                self.drop_shadow_leaf(mem, pid, gva.raw());
+                FaultOutcome::Fixed
+            }
             FaultCause::NotPresent => match self.sync_shadow(mem, pid, gva, access) {
                 Ok(()) => {
-                    if !matches!(self.technique, Technique::Native) {
-                        self.trap(VmtrapKind::HiddenPageFault, 1);
-                    }
+                    self.trap(VmtrapKind::HiddenPageFault, 1);
                     FaultOutcome::Fixed
                 }
                 Err(guest_fault) => {
-                    if !matches!(self.technique, Technique::Native) {
-                        self.trap(VmtrapKind::GuestFaultReflection, 1);
-                    }
+                    self.trap(VmtrapKind::GuestFaultReflection, 1);
                     FaultOutcome::ReflectToGuest(guest_fault)
                 }
             },
@@ -1793,11 +1779,7 @@ impl Vmm {
                     self.storm_hold_until = self.ticks + opts.storm_cooldown.max(1);
                 }
                 let holding = self.ticks < self.storm_hold_until;
-                // Id order, not map order: conversions allocate and free
-                // frames, so iteration order shapes frame numbers and logs.
-                let mut pids: Vec<ProcessId> = self.procs.keys().copied().collect();
-                pids.sort_unstable();
-                for pid in pids {
+                for pid in self.processes() {
                     if storming {
                         let root = GuestFrame::new(self.proc(pid).gpt.root_raw());
                         if self.proc(pid).pages.get(&root).map(|i| i.mode)
@@ -1856,9 +1838,8 @@ impl Vmm {
     ) {
         // Candidate pages in parent-first (higher level first) order, with
         // the frame number as a total-order tiebreak: conversions allocate
-        // frames, and same-level pages would otherwise be processed in the
-        // map's per-process iteration order, making the machine's frame
-        // assignment (and thus its snapshot bytes) vary across processes.
+        // frames, so the processing order shapes the machine's frame
+        // assignment (and thus its snapshot bytes).
         let mut nested: Vec<(GuestFrame, Level)> = self
             .proc(pid)
             .pages
@@ -1897,10 +1878,7 @@ impl Vmm {
     }
 
     fn apply_shsp_switch(&mut self, mem: &mut PhysMem, mode: ShspMode) {
-        // Id order, not map order: the shadow rebuild allocates table pages,
-        // so iteration order shapes frame numbers and logs.
-        let mut pids: Vec<ProcessId> = self.procs.keys().copied().collect();
-        pids.sort_unstable();
+        let pids = self.processes();
         match mode {
             ShspMode::Nested => {
                 for pid in pids {
@@ -2006,28 +1984,21 @@ impl Vmm {
     /// written — a restore targets a VMM built from the same system
     /// configuration, and [`Vmm::load_state`] validates the shape against
     /// it instead.
-    pub fn save_state(&self, e: &mut Enc) {
-        self.save_to(e);
-    }
-
-    /// [`Vmm::save_state`] through a [`StateSink`]: the guest memory map
-    /// is one part, with the map's mutation counter as generation, and the
-    /// context-pointer cache's sets are parts.
+    ///
+    /// The guest memory map is one part, with the map's mutation counter
+    /// as generation, and the context-pointer cache's sets are parts.
     pub fn save_to<S: StateSink>(&self, s: &mut S) {
         if s.group(None) {
             s.part(0, (self.gmap.generation(), 0), |e| self.gmap.save_state(e));
         }
         let e = s.enc();
         e.u64(self.hpt.root_raw());
-        let mut pids: Vec<ProcessId> = self.procs.keys().copied().collect();
-        pids.sort_unstable_by_key(|p| p.raw());
-        e.seq(pids.len());
-        for pid in pids {
-            let proc = &self.procs[&pid];
+        e.seq(self.procs.len());
+        for (pid, proc) in &self.procs {
             pid.save(e);
             e.u64(proc.gpt.root_raw());
             proc.spt.map(|t| t.root_raw()).save(e);
-            save_sorted_map(e, proc.pages.iter());
+            save_sorted_map(e, &proc.pages);
             e.bool(proc.full_nested);
             e.bool(proc.root_nested);
         }
@@ -2057,7 +2028,7 @@ impl Vmm {
         self.write_trace.save(e);
     }
 
-    /// Restores state saved by [`Vmm::save_state`] into this VMM. `mem`
+    /// Restores state saved by [`Vmm::save_to`] into this VMM. `mem`
     /// must already hold the restored physical-memory image the table
     /// roots refer to; the VMM must have been built from the same
     /// configuration that produced the snapshot.
@@ -2098,7 +2069,7 @@ impl Vmm {
                     return d.fail(format!("shadow-table root {root} is not a table page"));
                 }
             }
-            let pages: HashMap<GuestFrame, GptPageInfo> =
+            let pages: BTreeMap<GuestFrame, GptPageInfo> =
                 load_map_entries(d)?.into_iter().collect();
             let full_nested = d.bool()?;
             let root_nested = d.bool()?;

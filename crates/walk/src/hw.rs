@@ -375,9 +375,13 @@ impl<'a> WalkHw<'a> {
             if agile && pte.is_switching() {
                 // The switching-bit entry holds the host-physical frame of
                 // the *next level's guest table page* (paper Section III-B).
-                let next = level
-                    .child()
-                    .expect("switching bit is set on interior levels only");
+                // A leaf has no next level, so there the bit is reserved:
+                // the walk faults to the VMM, as x86 raises a reserved-bit
+                // page fault.
+                if pte.is_leaf_at(level) {
+                    return Err(fault(level, FaultCause::ReservedBit));
+                }
+                let next = level.child().expect("a non-leaf level has a child");
                 self.pwc.fill(
                     asid,
                     gva,

@@ -667,10 +667,12 @@ fn agile_shadow_only_region_never_touches_guest_tables() {
 /// The hardware contract of the start states. Agile hardware's shadow mode
 /// honours a switching entry and a guest-mode page-walk-cache entry; the
 /// 1D walks of native and conventional shadow paging ignore both, since
-/// their hardware has no switching bit. Chaos reaches both plants in real
-/// runs: a fault plan can flip any PTE bit, and SHSP's shadow phase can
-/// meet a stale guest-mode PWC entry when the flush at a mode switch is
-/// dropped.
+/// their hardware has no switching bit. On a leaf (L1, or a 2 MiB page)
+/// the switching bit has no next-level table to point to: agile's shadow
+/// mode faults on it as a reserved bit, and the 1D walks translate
+/// through it. Chaos reaches every plant in real runs: a fault plan can
+/// flip any PTE bit, and SHSP's shadow phase can meet a stale guest-mode
+/// PWC entry when the flush at a mode switch is dropped.
 #[test]
 fn only_agile_shadow_mode_honours_switching_and_guest_mode_pwc_entries() {
     let mut fx = Fixture::new(0x7f12_3456_7000, PageSize::Size4K);
@@ -753,4 +755,40 @@ fn only_agile_shadow_mode_honours_switching_and_guest_mode_pwc_entries() {
     assert_eq!(switched.kind, WalkKind::Switched { nested_levels: 1 });
     assert_eq!(switched.refs, 8);
     assert_eq!(switched.frame, data);
+
+    for size in [PageSize::Size4K, PageSize::Size2M] {
+        let mut fx = Fixture::new(0x7f12_3456_7000, size);
+        let level = size.leaf_level();
+        fx.spt
+            .update_entry(&mut fx.mem, &HostSpace, fx.gva.raw(), level, |p| {
+                p.with_flags(PteFlags::SWITCHING)
+            })
+            .unwrap();
+        let (gptr, hptr, gva, sptr) = (fx.gptr(), fx.hptr(), fx.gva, fx.sptr());
+        let walk = |fx: &mut Fixture, cr3| {
+            fx.walk(&PwcConfig::default(), |hw| {
+                hw.agile_walk(ASID, gva, cr3, gptr, hptr, AccessKind::Read)
+            })
+            .0
+        };
+        for (cr3, kind) in [
+            (AgileCr3::Native { root: sptr }, WalkKind::Native),
+            (fx.shadow_only(), WalkKind::FullShadow),
+        ] {
+            let r = walk(&mut fx, cr3).expect("1D walks ignore the switching bit");
+            assert_eq!((r.frame, r.size, r.kind), (fx.data_hframe, size, kind));
+        }
+        let fault = walk(&mut fx, AgileCr3::Shadow { spt_root: sptr })
+            .expect_err("a switching leaf is a reserved-bit fault");
+        assert_eq!(
+            fault,
+            Fault::ShadowPageFault {
+                gva,
+                level,
+                access: AccessKind::Read,
+                cause: FaultCause::ReservedBit,
+            },
+            "{size:?}"
+        );
+    }
 }

@@ -31,7 +31,7 @@ pub mod prelude {
         micro_benches, profile, render_log, AgileOptions, CancelToken, ChurnSpec, DegradationKind,
         FaultPlan, FramePool, Host, HostConfig, JobId, JobState, JobStatus, Json, Machine,
         MigrationOutcome, Overheads, Pattern, PlanOptions, Profile, RunArtifact, RunOutcome,
-        RunPlan, RunRequest, RunStats, ScenarioKind, Service, ServiceMetrics, ShspOptions,
-        StopCause, SystemConfig, Technique, WorkloadSpec,
+        RunRequest, RunStats, ScenarioKind, Service, ServiceMetrics, ShspOptions, StopCause,
+        SystemConfig, Technique, WorkloadSpec,
     };
 }

@@ -137,6 +137,46 @@ fn shadow_pte_bitflip_is_detected_and_healed() {
     }
 }
 
+/// A flipped switching bit (bit 9) on an agile shadow leaf: a leaf has no
+/// next-level table to switch to, so the walk raises a reserved-bit shadow
+/// fault, the VMM drops the leaf, and the retried walk rebuilds it.
+#[test]
+fn switching_bit_on_an_agile_shadow_leaf_faults_and_is_rebuilt() {
+    let victim = BASE + 0x3000;
+    // Start in shadow mode and stay there (no write count moves a page to
+    // nested mode), so the victim has a shadow leaf to corrupt.
+    let opts = AgileOptions {
+        start_in_nested: false,
+        write_threshold: u32::MAX,
+        ..AgileOptions::default()
+    };
+    let mut m = Machine::new(SystemConfig::new(Technique::Agile(opts)));
+    m.enable_chaos(FaultPlan::new(0x59).scenario(
+        20,
+        ScenarioKind::CorruptShadowPte {
+            gva: victim,
+            bit: 9,
+        },
+    ));
+    let pid = m.current_pid();
+    m.os_mut().mmap(pid, BASE, 64 << 10, true);
+    for i in 0..16u64 {
+        m.touch(BASE + i * 0x1000, true).unwrap();
+    }
+    for _ in 0..8 {
+        m.touch(victim, false).unwrap();
+    }
+    assert!(m.violations().is_empty(), "{:?}", m.violations());
+    let events = m.degradation_events();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.kind == DegradationKind::InjectedFault
+                && e.detail.contains("flipped bit 9 of the shadow L1 leaf")),
+        "the corruption must have landed on the leaf: {events:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Scenario 4: guest-PTE present-bit corruption. Nested heals organically
 // (the next walk refaults and the OS remaps); shadow-backed modes are
@@ -355,21 +395,17 @@ fn runner_recovery_isolates_a_poisoned_run() {
     bad_spec.footprint = 0;
     let bad = RunRequest::new(SystemConfig::new(Technique::Shadow), bad_spec).with_label("bad-run");
 
-    let mut clean = RunPlan::new().with_options(PlanOptions::with_threads(2));
-    clean.push(good(1)).push(good(2));
-    let reference: Vec<String> = clean
-        .run()
+    let reference: Vec<String> = Service::run_all(PlanOptions::with_threads(2), [good(1), good(2)])
         .iter()
         .map(|o| o.artifact().expect("clean run completes").fingerprint())
         .collect();
 
-    let mut plan = RunPlan::new().with_options(PlanOptions {
+    let opts = PlanOptions {
         threads: 2,
         retries: 1,
         ..PlanOptions::default()
-    });
-    plan.push(good(1)).push(bad).push(good(2));
-    let outcomes = plan.run();
+    };
+    let outcomes = Service::run_all(opts, [good(1), bad, good(2)]);
     assert_eq!(outcomes.len(), 3);
 
     match &outcomes[1] {
@@ -404,21 +440,21 @@ fn runner_recovery_isolates_a_poisoned_run() {
 
 #[test]
 fn runner_timeout_stops_a_hung_run_cooperatively_and_keeps_siblings() {
-    let mut plan = RunPlan::new().with_options(PlanOptions {
+    let opts = PlanOptions {
         threads: 2,
         timeout: Some(Duration::from_millis(40)),
         ..PlanOptions::default()
-    });
-    plan.push(RunRequest::new(
+    };
+    let quick = RunRequest::new(
         SystemConfig::new(Technique::Native),
         churny_spec("quick", 500, 5),
-    ));
+    );
     // Large enough to blow any 40 ms deadline by orders of magnitude,
     // with frequent tick boundaries so the stop lands promptly.
     let mut slow = churny_spec("slow", 30_000_000, 6);
     slow.accesses_per_tick = 20_000;
-    plan.push(RunRequest::new(SystemConfig::new(Technique::Nested), slow).with_label("hung-run"));
-    let outcomes = plan.run();
+    let hung = RunRequest::new(SystemConfig::new(Technique::Nested), slow).with_label("hung-run");
+    let outcomes = Service::run_all(opts, [quick, hung]);
     assert!(outcomes[0].artifact().is_some(), "quick sibling completes");
     match &outcomes[1] {
         RunOutcome::TimedOut { label, partial, .. } => {

@@ -3,16 +3,12 @@
 
 use agile_paging::experiments;
 use agile_paging::{
-    AgileOptions, Json, PlanOptions, Profile, RunOutcome, RunPlan, RunRequest, Service,
-    SystemConfig, Technique,
+    AgileOptions, Json, PlanOptions, Profile, RunOutcome, RunRequest, Service, SystemConfig,
+    Technique,
 };
 
-fn plan(threads: usize) -> RunPlan {
-    let mut plan = RunPlan::new().with_options(PlanOptions {
-        threads,
-        seed_base: Some(0xd15c),
-        ..PlanOptions::default()
-    });
+fn run_batch(threads: usize) -> Vec<RunOutcome> {
+    let mut requests = Vec::new();
     for technique in [
         Technique::Native,
         Technique::Nested,
@@ -20,7 +16,7 @@ fn plan(threads: usize) -> RunPlan {
         Technique::Agile(AgileOptions::default()),
     ] {
         for profile in [Profile::Astar, Profile::Memcached] {
-            plan.push(
+            requests.push(
                 RunRequest::new(
                     SystemConfig::new(technique),
                     agile_paging::profile(profile, 4_000),
@@ -29,7 +25,12 @@ fn plan(threads: usize) -> RunPlan {
             );
         }
     }
-    plan
+    let opts = PlanOptions {
+        threads,
+        seed_base: Some(0xd15c),
+        ..PlanOptions::default()
+    };
+    Service::run_all(opts, requests)
 }
 
 /// The acceptance bar for the run engine: per-run stats from an 8-thread
@@ -37,8 +38,7 @@ fn plan(threads: usize) -> RunPlan {
 #[test]
 fn plans_are_thread_count_invariant() {
     let artifacts = |threads| {
-        plan(threads)
-            .run()
+        run_batch(threads)
             .into_iter()
             .map(RunOutcome::into_artifact)
             .collect::<Vec<_>>()
@@ -51,9 +51,9 @@ fn plans_are_thread_count_invariant() {
     }
 }
 
-/// The same invariance holds one layer down, at the service: per-request
-/// artifact *bytes* are identical no matter how many worker shards raced
-/// over the queue (and therefore no matter who stole what from whom).
+/// The same invariance holds for a long-running service: per-request
+/// artifact *bytes* are identical no matter how many workers raced over
+/// the queue (and therefore no matter which worker ran which job).
 #[test]
 fn service_artifacts_are_shard_count_invariant() {
     let render = |shards: usize| {
