@@ -4,7 +4,10 @@
 //!
 //! 1. **Round trip** — every technique's machine snapshot encodes to
 //!    byte-stable bytes, decodes back equal, and a restored machine
-//!    re-snapshots to the identical bytes.
+//!    re-snapshots to the identical bytes. The run also digests the
+//!    snapshot at every tick and prints the fold of those digests (the
+//!    `trajectory`), so state that moves mid-run and settles back by the
+//!    end still changes the output.
 //! 2. **Kill/resume** — a service job checkpointed, its worker killed
 //!    mid-run by seeded chaos, and resumed from the re-queued checkpoint
 //!    produces artifacts byte-identical to the same requests run
@@ -17,6 +20,7 @@ use agile_core::{
     AgileOptions, ChurnSpec, FaultPlan, Machine, MachineSnapshot, Pattern, PlanOptions, RunRequest,
     Service, SystemConfig, Technique, WorkloadSpec,
 };
+use std::ops::ControlFlow;
 
 const ACCESSES: u64 = 2_000;
 
@@ -50,7 +54,14 @@ fn round_trip_phase() {
     for t in Technique::all() {
         let cfg = SystemConfig::new(t);
         let mut machine = Machine::new(cfg);
-        machine.run_spec(&spec(t.label(), 11));
+        // The snapshot digest of every tick boundary, in order.
+        let mut ticks = Vec::new();
+        machine.run(&spec(t.label(), 11), 0, None, |m, at| {
+            if at.is_tick {
+                ticks.extend_from_slice(&m.snapshot().digest().to_le_bytes());
+            }
+            ControlFlow::<()>::Continue(())
+        });
         let snap = machine.snapshot();
         let bytes = snap.to_bytes();
         let decoded = MachineSnapshot::from_bytes(&bytes).expect("snapshot decodes");
@@ -73,6 +84,12 @@ fn round_trip_phase() {
             t.label(),
             bytes.len(),
             digest(&bytes)
+        );
+        println!(
+            "technique={} ticks={} trajectory={:#018x}",
+            t.label(),
+            ticks.len() / 8,
+            digest(&ticks)
         );
     }
 }

@@ -31,8 +31,9 @@ struct Fixture {
 
 impl Fixture {
     /// A minimal single-process state with one data page mapped at [`VA`]
-    /// and its shadow (or merged) leaf materialized through the real
-    /// shadow-fault path.
+    /// and its shadow leaf materialized through the real shadow-fault
+    /// path. Native has no shadow faults: `gpt_map` already wrote its
+    /// merged leaf, as a guest-fault fix-up would.
     fn new(technique: Technique, guest_writable: bool, write_access: bool) -> Fixture {
         let mut mem = PhysMem::new();
         let mut vmm = Vmm::new(&mut mem, technique);
@@ -50,16 +51,18 @@ impl Fixture {
         } else {
             AccessKind::Read
         };
-        vmm.handle_fault(
-            &mut mem,
-            pid,
-            Fault::ShadowPageFault {
-                gva: GuestVirtAddr::new(VA),
-                level: Level::L1,
-                access,
-                cause: FaultCause::NotPresent,
-            },
-        );
+        if !matches!(technique, Technique::Native) {
+            vmm.handle_fault(
+                &mut mem,
+                pid,
+                Fault::ShadowPageFault {
+                    gva: GuestVirtAddr::new(VA),
+                    level: Level::L1,
+                    access,
+                    cause: FaultCause::NotPresent,
+                },
+            );
+        }
         let _ = vmm.take_pending_flushes();
         Fixture { mem, vmm, pid }
     }
@@ -122,6 +125,9 @@ fn hand_built_states_are_clean() {
                 "{technique:?} writable={guest_writable} write={write_access}:\n{}",
                 report.render()
             );
+            if matches!(technique, Technique::Native) {
+                assert_eq!(f.vmm.trap_stats().total_traps(), 0, "Native never traps");
+            }
         }
     }
 }

@@ -1,6 +1,8 @@
 //! A generic set-associative cache with true-LRU replacement.
 
 use agile_types::{CodecError, Dec, Enc, Persist, StateSink};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Hit/miss/eviction counters for one cache structure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,6 +39,11 @@ impl CacheStats {
 /// bits; fully associative structures pass 0 and size the single set to the
 /// full capacity).
 ///
+/// A set of 16 or more ways also keeps an index: a key-to-slot map and the
+/// set's recency order, so a probe, a fill and an eviction cost O(1)
+/// instead of a scan of every way. The index is derived from the slots,
+/// never saved, and gives exactly the scan's answers.
+///
 /// # Example
 ///
 /// ```
@@ -52,6 +59,8 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<K, V> {
     sets: Vec<Vec<Slot<K, V>>>,
+    /// One index per set when `ways >= INDEXED_WAYS`, otherwise empty.
+    indexes: Vec<SlotIndex<K>>,
     ways: usize,
     stamp: u64,
     stats: CacheStats,
@@ -70,7 +79,212 @@ struct Slot<K, V> {
     last_use: u64,
 }
 
-impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
+/// Associativity from which a set keeps a [`SlotIndex`]: the nested TLB
+/// (64 ways) and the page-walk caches (16 and 32 ways) are indexed, and
+/// the TLBs (at most 8 ways) scan. Indexing the page-walk caches too ran
+/// `fig5` 3.2% faster than indexing the nested TLB alone (EXPERIMENTS.md).
+const INDEXED_WAYS: usize = 16;
+
+/// End of a recency list.
+const NIL: usize = usize::MAX;
+
+/// Derived state of one large set. Each slot has an id in `0..ways` that
+/// stays with it while it lives, whatever position the slot vector moves
+/// it to: `ids` maps a key to its slot's id, `slot_id`/`slot_at` map
+/// positions to ids and back, and `prev`/`next` link the ids from least
+/// to most recently used. `slot_id` is a permutation of `0..ways` that
+/// mirrors every move of the slot vector, so its positions past the set's
+/// length hold the free ids, and moving a slot never rehashes its key.
+/// Every cache operation changes the slots and this index together, so
+/// the head is always the slot with the smallest `last_use`, the one a
+/// scan of the set would evict (stamps within a set are distinct).
+#[derive(Debug, Clone)]
+struct SlotIndex<K> {
+    ids: HashMap<K, usize, BuildHasherDefault<KeyHasher>>,
+    slot_id: Vec<usize>,
+    slot_at: Vec<usize>,
+    prev: Vec<usize>,
+    next: Vec<usize>,
+    head: usize,
+    tail: usize,
+}
+
+impl<K: Eq + Hash + Clone> SlotIndex<K> {
+    fn new(ways: usize) -> Self {
+        SlotIndex {
+            ids: HashMap::with_capacity_and_hasher(ways, BuildHasherDefault::default()),
+            slot_id: (0..ways).collect(),
+            slot_at: (0..ways).collect(),
+            prev: vec![NIL; ways],
+            next: vec![NIL; ways],
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    /// Re-derives the index from `slots` (after a restore).
+    fn rebuild<V>(&mut self, slots: &[Slot<K, V>]) {
+        *self = SlotIndex::new(self.slot_id.len());
+        let mut order: Vec<usize> = (0..slots.len()).collect();
+        order.sort_by_key(|&at| slots[at].last_use);
+        for at in order {
+            self.push(slots[at].key.clone(), at);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    // The hash-map work stays out of line, so the scanned sets' probes
+    // (the TLBs' hot path) stay small enough to inline.
+
+    /// Where `key` sits.
+    #[inline(never)]
+    fn get(&self, key: &K) -> Option<usize> {
+        self.ids.get(key).map(|&id| self.slot_at[id])
+    }
+
+    /// A slot holding `key` was appended at position `at`.
+    #[inline(never)]
+    fn push(&mut self, key: K, at: usize) {
+        let id = self.slot_id[at];
+        self.ids.insert(key, id);
+        self.link_last(id);
+    }
+
+    /// The least recently used slot of the full set `slots` is about to
+    /// take `key`: returns its position, now the most recently used.
+    #[inline(never)]
+    fn evict<V>(&mut self, slots: &[Slot<K, V>], key: K) -> usize {
+        let id = self.head;
+        let at = self.slot_at[id];
+        self.ids.remove(&slots[at].key);
+        self.ids.insert(key, id);
+        self.touch_id(id);
+        at
+    }
+
+    /// Slot `at` of `slots` is about to be `swap_remove`d.
+    #[inline(never)]
+    fn swap_remove<V>(&mut self, slots: &[Slot<K, V>], at: usize) {
+        self.forget(&slots[at].key, at);
+        self.swap(at, slots.len() - 1);
+    }
+
+    /// If `slots` holds `key`, readies its slot for `swap_remove` and
+    /// returns its position.
+    #[inline(never)]
+    fn remove<V>(&mut self, slots: &[Slot<K, V>], key: &K) -> Option<usize> {
+        let at = self.slot_at[*self.ids.get(key)?];
+        self.swap_remove(slots, at);
+        Some(at)
+    }
+
+    /// `slots.retain` of the slots not matching `pred`, keeping the index
+    /// current. `retain` visits the slots once, in order, and moves the
+    /// one it reads at `from` to `to` when it keeps it; positions
+    /// `to..from` then hold removed slots.
+    #[inline(never)]
+    fn retain<V>(&mut self, slots: &mut Vec<Slot<K, V>>, pred: &mut impl FnMut(&K, &V) -> bool) {
+        let (mut from, mut to) = (0, 0);
+        slots.retain(|s| {
+            let keep = !pred(&s.key, &s.value);
+            if keep {
+                self.swap(from, to);
+                to += 1;
+            } else {
+                self.forget(&s.key, from);
+            }
+            from += 1;
+            keep
+        });
+    }
+
+    /// The slot at `at`, holding `key`, is being removed.
+    fn forget(&mut self, key: &K, at: usize) {
+        self.ids.remove(key);
+        self.unlink(self.slot_id[at]);
+    }
+
+    /// The slots at positions `a` and `b` trade places.
+    fn swap(&mut self, a: usize, b: usize) {
+        self.slot_id.swap(a, b);
+        self.slot_at[self.slot_id[a]] = a;
+        self.slot_at[self.slot_id[b]] = b;
+    }
+
+    /// Marks the slot at `at` most recently used.
+    fn touch(&mut self, at: usize) {
+        self.touch_id(self.slot_id[at]);
+    }
+
+    fn touch_id(&mut self, id: usize) {
+        if self.tail != id {
+            self.unlink(id);
+            self.link_last(id);
+        }
+    }
+
+    fn unlink(&mut self, id: usize) {
+        let (p, n) = (self.prev[id], self.next[id]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p] = n,
+        }
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n] = p,
+        }
+    }
+
+    fn link_last(&mut self, id: usize) {
+        self.prev[id] = self.tail;
+        self.next[id] = NIL;
+        match self.tail {
+            NIL => self.head = id,
+            t => self.next[t] = id,
+        }
+        self.tail = id;
+    }
+}
+
+/// FxHash's multiply-rotate recurrence over the key's words. The indexed
+/// keys are small tuples of `u32` and `u64` ids; against std's SipHash it
+/// makes the traced nested-TLB probe about half as costly
+/// (EXPERIMENTS.md). The index is never iterated and never saved, so no
+/// hash value can reach simulated state.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn finish(&self) -> u64 {
+        // The product's high bits mix every input bit; the table picks
+        // buckets with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     /// Creates a cache with `sets` sets of `ways` ways each.
     ///
     /// # Panics
@@ -79,8 +293,10 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
     #[must_use]
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have capacity");
+        let indexed = if ways >= INDEXED_WAYS { sets } else { 0 };
         SetAssocCache {
             sets: vec![Vec::with_capacity(ways); sets],
+            indexes: vec![SlotIndex::new(ways); indexed],
             ways,
             stamp: 0,
             stats: CacheStats::default(),
@@ -107,76 +323,109 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
         self.sets.len() * self.ways
     }
 
-    /// Looks up `key` in set `set_index % sets`, updating LRU state and
-    /// hit/miss counters.
-    pub fn lookup(&mut self, set_index: usize, key: &K) -> Option<V> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let sets = self.sets.len();
-        let set = &mut self.sets[set_index % sets];
-        if let Some(slot) = set.iter_mut().find(|s| s.key == *key) {
-            slot.last_use = stamp;
-            self.stats.hits += 1;
-            Some(slot.value.clone())
+    /// The set `index` selects, `index % sets`: a mask when the set count
+    /// is a power of two. Taking a `u64` lets callers reduce 64-bit page
+    /// numbers before narrowing them to `usize`.
+    #[inline]
+    pub(crate) fn set_of(&self, index: u64) -> usize {
+        let sets = self.sets.len() as u64;
+        let set = if sets.is_power_of_two() {
+            index & (sets - 1)
         } else {
-            self.stats.misses += 1;
-            None
+            index % sets
+        };
+        set as usize
+    }
+
+    /// Where `key` sits in set `i`.
+    #[inline]
+    fn position(&self, i: usize, key: &K) -> Option<usize> {
+        match self.indexes.get(i) {
+            Some(ix) => ix.get(key),
+            None => self.sets[i].iter().position(|s| s.key == *key),
         }
     }
 
+    /// Looks up `key` in set `set_index % sets`, updating LRU state and
+    /// hit/miss counters.
+    #[inline]
+    pub fn lookup(&mut self, set_index: usize, key: &K) -> Option<V> {
+        self.stamp += 1;
+        let i = self.set_of(set_index as u64);
+        let Some(at) = self.position(i, key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        if let Some(ix) = self.indexes.get_mut(i) {
+            ix.touch(at);
+        }
+        let slot = &mut self.sets[i][at];
+        slot.last_use = self.stamp;
+        self.stats.hits += 1;
+        Some(slot.value.clone())
+    }
+
     /// Probes for `key` without touching LRU state or counters.
+    #[inline]
     #[must_use]
     pub fn peek(&self, set_index: usize, key: &K) -> Option<&V> {
-        self.sets[set_index % self.sets.len()]
-            .iter()
-            .find(|s| s.key == *key)
-            .map(|s| &s.value)
+        let i = self.set_of(set_index as u64);
+        self.position(i, key).map(|at| &self.sets[i][at].value)
     }
 
     /// Inserts or updates `key`, evicting the LRU entry of a full set.
     /// Returns the evicted `(key, value)` pair, if any.
+    #[inline]
     pub fn insert(&mut self, set_index: usize, key: K, value: V) -> Option<(K, V)> {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let sets = self.sets.len();
-        let set = &mut self.sets[set_index % sets];
-        if let Some(slot) = set.iter_mut().find(|s| s.key == key) {
+        let i = self.set_of(set_index as u64);
+        if let Some(at) = self.position(i, &key) {
+            if let Some(ix) = self.indexes.get_mut(i) {
+                ix.touch(at);
+            }
+            let slot = &mut self.sets[i][at];
             slot.value = value;
-            slot.last_use = stamp;
+            slot.last_use = self.stamp;
             return None;
         }
+        let slot = Slot {
+            key,
+            value,
+            last_use: self.stamp,
+        };
+        let index = self.indexes.get_mut(i);
+        let set = &mut self.sets[i];
         if set.len() < self.ways {
-            set.push(Slot {
-                key,
-                value,
-                last_use: stamp,
-            });
+            if let Some(ix) = index {
+                ix.push(slot.key.clone(), set.len());
+            }
+            set.push(slot);
             return None;
         }
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.last_use)
-            .map(|(i, _)| i)
-            .expect("set is full, so non-empty");
-        let victim = std::mem::replace(
-            &mut set[victim_idx],
-            Slot {
-                key,
-                value,
-                last_use: stamp,
-            },
-        );
+        let victim_idx = match index {
+            Some(ix) => ix.evict(set, slot.key.clone()),
+            None => set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| s.last_use)
+                .map(|(i, _)| i)
+                .expect("set is full, so non-empty"),
+        };
+        let victim = std::mem::replace(&mut set[victim_idx], slot);
         self.stats.evictions += 1;
         Some((victim.key, victim.value))
     }
 
     /// Removes `key` from set `set_index`, returning its value.
+    #[inline]
     pub fn invalidate(&mut self, set_index: usize, key: &K) -> Option<V> {
-        let i = set_index % self.sets.len();
+        let i = self.set_of(set_index as u64);
         let set = &mut self.sets[i];
-        let pos = set.iter().position(|s| s.key == *key)?;
-        let value = set.swap_remove(pos).value;
+        let at = match self.indexes.get_mut(i) {
+            Some(ix) => ix.remove(set, key)?,
+            None => set.iter().position(|s| s.key == *key)?,
+        };
+        let value = set.swap_remove(at).value;
         note_removal(&mut self.removals, &mut self.set_removals[i]);
         Some(value)
     }
@@ -189,12 +438,16 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
     /// ascending order. Slot order is simulated state (see
     /// [`SetAssocCache::save_to`]), which an order-preserving `retain`
     /// would not reproduce.
-    pub(crate) fn invalidate_ascending(&mut self, mut pred: impl FnMut(&K) -> bool) -> usize
+    ///
+    /// Public for the differential test in `tests/prop.rs`, which checks
+    /// it on indexed sets; the TLBs are its only callers.
+    pub fn invalidate_ascending(&mut self, mut pred: impl FnMut(&K) -> bool) -> usize
     where
         K: Ord,
     {
+        let indexed = !self.indexes.is_empty();
         let mut removed = 0;
-        for (set, at) in self.sets.iter_mut().zip(&mut self.set_removals) {
+        for (i, (set, at)) in self.sets.iter_mut().zip(&mut self.set_removals).enumerate() {
             let before = removed;
             while let Some(pos) = set
                 .iter()
@@ -203,6 +456,9 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
                 .min_by(|(_, a), (_, b)| a.key.cmp(&b.key))
                 .map(|(i, _)| i)
             {
+                if indexed {
+                    self.indexes[i].swap_remove(set, pos);
+                }
                 set.swap_remove(pos);
                 removed += 1;
             }
@@ -214,12 +470,17 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
     }
 
     /// Removes every entry matching the predicate, returning how many were
-    /// removed.
+    /// removed. Survivors keep their relative slot order.
     pub fn invalidate_if(&mut self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {
+        let indexed = !self.indexes.is_empty();
         let mut removed = 0;
-        for (set, at) in self.sets.iter_mut().zip(&mut self.set_removals) {
+        for (i, (set, at)) in self.sets.iter_mut().zip(&mut self.set_removals).enumerate() {
             let before = set.len();
-            set.retain(|s| !pred(&s.key, &s.value));
+            if indexed {
+                self.indexes[i].retain(set, &mut pred);
+            } else {
+                set.retain(|s| !pred(&s.key, &s.value));
+            }
             if set.len() != before {
                 removed += before - set.len();
                 note_removal(&mut self.removals, at);
@@ -236,6 +497,7 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
                 note_removal(&mut self.removals, at);
             }
         }
+        self.indexes.iter_mut().for_each(SlotIndex::clear);
     }
 
     /// Current number of live entries.
@@ -292,7 +554,7 @@ impl Persist for CacheStats {
     }
 }
 
-impl<K: Eq + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
+impl<K: Eq + Hash + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
     /// Appends the cache's full dynamic state — every slot in per-set
     /// insertion order with its LRU stamp, the global stamp, and the
     /// counters — to `s`. Byte-stable: slot order within a set is part of
@@ -330,8 +592,19 @@ impl<K: Eq + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
 
     /// Restores state captured by [`SetAssocCache::save_to`] onto this
     /// cache. The geometry (sets × ways) must match — state moves between
-    /// identically configured machines, never across geometries.
+    /// identically configured machines, never across geometries. A set
+    /// whose keys or stamps repeat, or whose stamps run past the cache's
+    /// stamp, is refused: no run reaches one, and an index of it could not
+    /// give a scan's answers.
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
+        let loaded = self.load_slots(d);
+        for (ix, set) in self.indexes.iter_mut().zip(&self.sets) {
+            ix.rebuild(set);
+        }
+        loaded
+    }
+
+    fn load_slots(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         let ways = d.u64()? as usize;
         let stamp = d.u64()?;
         let stats = CacheStats::load(d)?;
@@ -346,12 +619,14 @@ impl<K: Eq + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
         for at in &mut self.set_removals {
             note_removal(&mut self.removals, at);
         }
+        let mut stamps = Vec::with_capacity(self.ways);
         for set in &mut self.sets {
             let n = d.len_prefix()?;
             if n > self.ways {
                 return d.fail(format!("set holds {n} slots, ways is {}", self.ways));
             }
             set.clear();
+            stamps.clear();
             for _ in 0..n {
                 let key = K::load(d)?;
                 let value = V::load(d)?;
@@ -361,6 +636,15 @@ impl<K: Eq + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
                     value,
                     last_use,
                 });
+                stamps.push(last_use);
+            }
+            stamps.sort_unstable();
+            let repeats = stamps.windows(2).any(|w| w[0] == w[1])
+                || (1..n).any(|i| set[..i].iter().any(|s| s.key == set[i].key));
+            if repeats || stamps.last() > Some(&stamp) {
+                return d.fail(format!(
+                    "set keys or stamps repeat, or stamps pass the cache stamp {stamp}"
+                ));
             }
         }
         self.stamp = stamp;
@@ -463,6 +747,33 @@ mod tests {
         c.lookup(0, &1);
         c.lookup(0, &2);
         assert!((c.stats().hit_ratio() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn load_refuses_repeated_keys_or_stamps_and_stamps_ahead() {
+        // One set of 64 ways (indexed) holding two slots, saved by hand.
+        let saved = |stamp: u64, slots: [(u32, u64); 2]| {
+            let mut e = Enc::new();
+            e.u64(64);
+            e.u64(stamp);
+            CacheStats::default().save(&mut e);
+            e.seq(1);
+            e.seq(2);
+            for (key, last_use) in slots {
+                e.u32(key);
+                e.u32(0);
+                e.u64(last_use);
+            }
+            e.into_bytes()
+        };
+        let load = |bytes: Vec<u8>| {
+            let mut c: SetAssocCache<u32, u32> = SetAssocCache::new(1, 64);
+            c.load_state(&mut Dec::new(&bytes))
+        };
+        assert!(load(saved(9, [(1, 4), (2, 7)])).is_ok());
+        assert!(load(saved(9, [(1, 4), (1, 7)])).is_err(), "repeated key");
+        assert!(load(saved(9, [(1, 7), (2, 7)])).is_err(), "repeated stamp");
+        assert!(load(saved(6, [(1, 4), (2, 7)])).is_err(), "stamp ahead");
     }
 
     #[test]

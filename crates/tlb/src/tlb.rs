@@ -125,7 +125,7 @@ impl SizedTlb {
         // full `(asid, vpn)`, so correctness never depended on this — but
         // set placement, eviction, and cross-platform determinism do.
         let set = match &self.cache {
-            Some(c) => (vpn % c.set_count() as u64) as usize,
+            Some(c) => c.set_of(vpn),
             None => 0,
         };
         (set, (asid, vpn))
@@ -159,10 +159,9 @@ impl SizedTlb {
         let Some(c) = self.cache.as_mut() else {
             return 0;
         };
-        let sets = c.set_count() as u64;
-        if last - first + 1 < sets {
+        if last - first + 1 < c.set_count() as u64 {
             (first..=last)
-                .map(|vpn| usize::from(c.invalidate((vpn % sets) as usize, &(asid, vpn)).is_some()))
+                .map(|vpn| usize::from(c.invalidate(c.set_of(vpn), &(asid, vpn)).is_some()))
                 .sum()
         } else {
             c.invalidate_ascending(|&(a, vpn)| a == asid && (first..=last).contains(&vpn))

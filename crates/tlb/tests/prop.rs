@@ -1,8 +1,10 @@
 //! Randomized tests for the TLB hierarchy and the generic cache, driven by
 //! seeded SplitMix64 streams so every run covers the same cases.
 
-use agile_tlb::{SetAssocCache, TlbConfig, TlbEntry, TlbHierarchy};
-use agile_types::{AccessKind, Asid, Enc, GuestVirtAddr, HostFrame, PageSize, SplitMix64};
+use agile_tlb::{CacheStats, SetAssocCache, TlbConfig, TlbEntry, TlbHierarchy};
+use agile_types::{
+    AccessKind, Asid, Dec, Enc, GuestVirtAddr, HostFrame, PageSize, Persist, SplitMix64, StateSink,
+};
 use std::collections::HashMap;
 
 const CASES: u64 = 64;
@@ -249,4 +251,330 @@ fn invalidate_range_matches_the_page_by_page_loop() {
         removed > 1000,
         "ranges removed too little to test: {removed}"
     );
+}
+
+type Key = (u32, u64);
+
+/// A sink that keeps the saved bytes and every group and part generation,
+/// the inputs of both the snapshot bytes and the explorer's state key.
+struct Saved {
+    enc: Enc,
+    groups: Vec<Option<(u64, u64)>>,
+    parts: Vec<(u64, (u64, u64))>,
+}
+
+impl Saved {
+    fn new() -> Self {
+        Saved {
+            enc: Enc::new(),
+            groups: Vec::new(),
+            parts: Vec::new(),
+        }
+    }
+
+    fn of(c: &SetAssocCache<Key, u64>) -> Self {
+        let mut s = Saved::new();
+        c.save_to(&mut s);
+        s
+    }
+
+    fn record(self) -> Record {
+        Record {
+            bytes: self.enc.into_bytes(),
+            groups: self.groups,
+            parts: self.parts,
+        }
+    }
+}
+
+/// What a [`Saved`] sink took in.
+#[derive(PartialEq)]
+struct Record {
+    bytes: Vec<u8>,
+    groups: Vec<Option<(u64, u64)>>,
+    parts: Vec<(u64, (u64, u64))>,
+}
+
+impl StateSink for Saved {
+    fn enc(&mut self) -> &mut Enc {
+        &mut self.enc
+    }
+    fn group(&mut self, generation: Option<(u64, u64)>) -> bool {
+        self.groups.push(generation);
+        true
+    }
+    fn part(&mut self, id: u64, generation: (u64, u64), encode: impl FnOnce(&mut Enc)) {
+        self.parts.push((id, generation));
+        encode(&mut self.enc);
+    }
+    fn append_only(&mut self, len: usize, mut encode: impl FnMut(usize, &mut Enc)) {
+        for i in 0..len {
+            encode(i, &mut self.enc);
+        }
+    }
+}
+
+/// The linear-scan LRU cache every set ran before large sets were
+/// indexed: find by scanning the set, evict the first slot with the
+/// smallest stamp, remove by `swap_remove`, predicate removal by `retain`.
+#[derive(Clone)]
+struct ScanModel {
+    sets: Vec<Vec<(Key, u64, u64)>>,
+    ways: usize,
+    stamp: u64,
+    stats: CacheStats,
+    removals: u64,
+    set_removals: Vec<u64>,
+}
+
+impl ScanModel {
+    fn new(sets: usize, ways: usize) -> Self {
+        ScanModel {
+            sets: vec![Vec::new(); sets],
+            ways,
+            stamp: 0,
+            stats: CacheStats::default(),
+            removals: 0,
+            set_removals: vec![0; sets],
+        }
+    }
+
+    fn note_removal(&mut self, set: usize) {
+        self.removals += 1;
+        self.set_removals[set] = self.removals;
+    }
+
+    fn lookup(&mut self, set: usize, key: &Key) -> Option<u64> {
+        self.stamp += 1;
+        let n = self.sets.len();
+        match self.sets[set % n].iter_mut().find(|s| s.0 == *key) {
+            Some(slot) => {
+                slot.2 = self.stamp;
+                self.stats.hits += 1;
+                Some(slot.1)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn peek(&self, set: usize, key: &Key) -> Option<u64> {
+        let n = self.sets.len();
+        self.sets[set % n].iter().find(|s| s.0 == *key).map(|s| s.1)
+    }
+
+    fn insert(&mut self, set: usize, key: Key, value: u64) -> Option<(Key, u64)> {
+        self.stamp += 1;
+        let n = self.sets.len();
+        let set = &mut self.sets[set % n];
+        if let Some(slot) = set.iter_mut().find(|s| s.0 == key) {
+            *slot = (key, value, self.stamp);
+            return None;
+        }
+        if set.len() < self.ways {
+            set.push((key, value, self.stamp));
+            return None;
+        }
+        let victim = (0..set.len()).min_by_key(|&i| set[i].2).unwrap();
+        let old = std::mem::replace(&mut set[victim], (key, value, self.stamp));
+        self.stats.evictions += 1;
+        Some((old.0, old.1))
+    }
+
+    fn invalidate(&mut self, set: usize, key: &Key) -> Option<u64> {
+        let i = set % self.sets.len();
+        let pos = self.sets[i].iter().position(|s| s.0 == *key)?;
+        let value = self.sets[i].swap_remove(pos).1;
+        self.note_removal(i);
+        Some(value)
+    }
+
+    fn invalidate_if(&mut self, pred: impl Fn(&Key, &u64) -> bool) -> usize {
+        let mut removed = 0;
+        for i in 0..self.sets.len() {
+            let before = self.sets[i].len();
+            self.sets[i].retain(|s| !pred(&s.0, &s.1));
+            if self.sets[i].len() != before {
+                removed += before - self.sets[i].len();
+                self.note_removal(i);
+            }
+        }
+        removed
+    }
+
+    fn invalidate_ascending(&mut self, pred: impl Fn(&Key) -> bool) -> usize {
+        let mut removed = 0;
+        for i in 0..self.sets.len() {
+            let before = removed;
+            while let Some(pos) = (0..self.sets[i].len())
+                .filter(|&p| pred(&self.sets[i][p].0))
+                .min_by_key(|&p| self.sets[i][p].0)
+            {
+                self.sets[i].swap_remove(pos);
+                removed += 1;
+            }
+            if removed != before {
+                self.note_removal(i);
+            }
+        }
+        removed
+    }
+
+    fn flush(&mut self) {
+        for i in 0..self.sets.len() {
+            if !self.sets[i].is_empty() {
+                self.sets[i].clear();
+                self.note_removal(i);
+            }
+        }
+    }
+
+    /// What `load_state` does to the generations: one removal per set.
+    fn reload(&mut self) {
+        for i in 0..self.sets.len() {
+            self.note_removal(i);
+        }
+    }
+
+    fn entries(&self) -> Vec<(Key, u64)> {
+        self.sets.iter().flatten().map(|s| (s.0, s.1)).collect()
+    }
+
+    fn saved(&self) -> Saved {
+        let mut s = Saved::new();
+        s.enc.u64(self.ways as u64);
+        s.enc.u64(self.stamp);
+        self.stats.save(&mut s.enc);
+        s.enc.seq(self.sets.len());
+        s.group(Some((self.stamp, self.removals)));
+        for (i, set) in self.sets.iter().enumerate() {
+            let newest = set.iter().map(|slot| slot.2).max().unwrap_or(0);
+            s.part(i as u64, (self.set_removals[i], newest), |e| {
+                e.seq(set.len());
+                for slot in set {
+                    slot.0.save(e);
+                    slot.1.save(e);
+                    e.u64(slot.2);
+                }
+            });
+        }
+        s
+    }
+}
+
+/// Geometries for the differential test: the fully associative sizes that
+/// are indexed (16, 32 and 64 ways: the page-walk caches and the nested
+/// TLB), one just below the threshold, two indexed sets, and every
+/// enabled partition of the default and tiny TLBs.
+fn differential_geometries() -> Vec<(usize, usize)> {
+    let mut out = vec![(1, 16), (1, 32), (1, 64), (1, 15), (2, 16)];
+    for cfg in [TlbConfig::default(), TlbConfig::tiny()] {
+        for part in [
+            cfg.l1d_4k, cfg.l1d_2m, cfg.l1d_1g, cfg.l1i_4k, cfg.l1i_2m, cfg.l2_4k, cfg.l2_2m,
+        ] {
+            if part.entries > 0 {
+                out.push((part.sets(), part.ways.min(part.entries)));
+            }
+        }
+    }
+    out
+}
+
+/// The cache equals the scan model op by op: return values, evicted
+/// pairs, counters, `iter()` order, saved bytes and part generations,
+/// through seeded mixes of every operation, snapshot round trips
+/// included.
+#[test]
+fn cache_matches_the_linear_scan_model() {
+    for (g, (sets, ways)) in differential_geometries().into_iter().enumerate() {
+        let mut evictions = 0;
+        for case in 0..CASES / 4 {
+            let mut rng = SplitMix64::new(SplitMix64::derive(0x71b_0010 + g as u64, case));
+            let mut cache: SetAssocCache<Key, u64> = SetAssocCache::new(sets, ways);
+            let mut model = ScanModel::new(sets, ways);
+            // Enough distinct keys to fill every set and evict.
+            let keys = (sets * ways * 2 + 3) as u64;
+            let key = |rng: &mut SplitMix64| (rng.below(2) as u32, rng.below(keys));
+            // Draws past 99 insert, and larger caches run longer, so every
+            // geometry fills and evicts between the removals.
+            let capacity = sets * ways;
+            let mix = 100 + 4 * capacity as u64;
+            for step in 0..600.max(3 * capacity) {
+                let set = rng.below(3 * sets as u64) as usize;
+                let what = rng.below(mix);
+                let ctx = format!("{sets}x{ways} case {case} step {step} op {what}");
+                match what {
+                    0..=29 => {
+                        let k = key(&mut rng);
+                        assert_eq!(cache.lookup(set, &k), model.lookup(set, &k), "{ctx}");
+                    }
+                    30..=59 | 100.. => {
+                        let (k, v) = (key(&mut rng), rng.below(1 << 20));
+                        assert_eq!(cache.insert(set, k, v), model.insert(set, k, v), "{ctx}");
+                    }
+                    60..=67 => {
+                        let k = key(&mut rng);
+                        assert_eq!(cache.peek(set, &k).copied(), model.peek(set, &k), "{ctx}");
+                    }
+                    68..=79 => {
+                        let k = key(&mut rng);
+                        assert_eq!(
+                            cache.invalidate(set, &k),
+                            model.invalidate(set, &k),
+                            "{ctx}"
+                        );
+                    }
+                    80..=84 => {
+                        let (m, r) = (rng.range(2, 6), rng.below(2));
+                        let pred = |k: &Key, _: &u64| k.1 % m == r;
+                        assert_eq!(
+                            cache.invalidate_if(pred),
+                            model.invalidate_if(pred),
+                            "{ctx}"
+                        );
+                    }
+                    85..=89 => {
+                        let lo = rng.below(keys);
+                        let hi = lo + rng.below(keys / 2 + 1);
+                        let a = rng.below(2) as u32;
+                        let pred = |k: &Key| k.0 == a && (lo..=hi).contains(&k.1);
+                        assert_eq!(
+                            cache.invalidate_ascending(pred),
+                            model.invalidate_ascending(pred),
+                            "{ctx}"
+                        );
+                    }
+                    90..=91 => {
+                        cache.flush();
+                        model.flush();
+                    }
+                    92..=99 => {
+                        let bytes = Saved::of(&cache).record().bytes;
+                        if rng.next_bool(0.5) {
+                            cache = SetAssocCache::new(sets, ways);
+                            model.removals = 0;
+                            model.set_removals = vec![0; sets];
+                        }
+                        cache.load_state(&mut Dec::new(&bytes)).expect("round trip");
+                        model.reload();
+                    }
+                }
+                assert_eq!(cache.stats(), model.stats, "{ctx}");
+                assert_eq!(cache.len(), model.entries().len(), "{ctx}");
+                let live: Vec<(Key, u64)> = cache.iter().map(|(k, v)| (*k, *v)).collect();
+                assert_eq!(live, model.entries(), "{ctx}");
+                assert!(
+                    Saved::of(&cache).record() == model.saved().record(),
+                    "{ctx}: saved state differs"
+                );
+            }
+            evictions += cache.stats().evictions;
+        }
+        assert!(
+            evictions > 1_000,
+            "{sets}x{ways}: too few evictions to test: {evictions}"
+        );
+    }
 }

@@ -40,6 +40,9 @@ pub struct PagePicker {
     cursor: u64,
     /// Cumulative zipf weights, built lazily (index = page).
     zipf_cdf: Vec<f64>,
+    /// Guide table over `zipf_cdf` with K + 1 entries, K a power of two:
+    /// entry b is the first rank whose CDF value is at least b / K.
+    zipf_guide: Vec<u32>,
 }
 
 impl PagePicker {
@@ -70,11 +73,48 @@ impl PagePicker {
             }
             _ => Vec::new(),
         };
+        let zipf_guide = if zipf_cdf.is_empty() {
+            Vec::new()
+        } else {
+            let k = zipf_cdf.len().next_power_of_two();
+            (0..=k)
+                .map(|b| {
+                    let edge = b as f64 / k as f64;
+                    zipf_cdf.partition_point(|p| *p < edge) as u32
+                })
+                .collect()
+        };
         PagePicker {
             pattern,
             pages,
             cursor: 0,
             zipf_cdf,
+            zipf_guide,
+        }
+    }
+
+    /// The Zipf rank a uniform `u` in [0, 1) selects: the rank
+    /// `binary_search_by` finds for `u` in the CDF, clamped to the last.
+    /// With K a power of two, `u * K` is exact, so u's bucket
+    /// b = floor(u * K) has b / K <= u < (b + 1) / K exactly, and the first
+    /// rank whose CDF value is at least `u` lies between guide entries b
+    /// and b + 1: a search of the handful of ranks between them. Where no
+    /// CDF value equals `u`, that first rank is the insertion point
+    /// `binary_search_by` returns. Where one does, which of equal values
+    /// `binary_search_by` reports is its own choice, so that rare case
+    /// asks it.
+    fn zipf_rank(&self, u: f64) -> u64 {
+        let cdf = &self.zipf_cdf;
+        let n = cdf.len();
+        let k = self.zipf_guide.len() - 1;
+        let b = (u * k as f64) as usize;
+        let (lo, hi) = (self.zipf_guide[b] as usize, self.zipf_guide[b + 1] as usize);
+        let first = (lo + cdf[lo..hi].partition_point(|p| *p < u)).min(n - 1);
+        if cdf[first].partial_cmp(&u).expect("finite") != std::cmp::Ordering::Equal {
+            return first as u64;
+        }
+        match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("finite")) {
+            Ok(i) | Err(i) => i.min(n - 1) as u64,
         }
     }
 
@@ -83,14 +123,8 @@ impl PagePicker {
         match &self.pattern {
             Pattern::Uniform => rng.below(self.pages),
             Pattern::Zipf { .. } => {
-                let u: f64 = rng.next_f64();
+                let rank = self.zipf_rank(rng.next_f64());
                 let n = self.zipf_cdf.len();
-                let rank = match self
-                    .zipf_cdf
-                    .binary_search_by(|p| p.partial_cmp(&u).expect("finite"))
-                {
-                    Ok(i) | Err(i) => i.min(n - 1) as u64,
-                };
                 if rank as usize == n - 1 && self.pages > n as u64 {
                     // Tail mass: spread over the remaining pages.
                     rng.range(n as u64 - 1, self.pages)
@@ -204,6 +238,70 @@ mod tests {
             hot > 8000,
             "hot set should absorb ~90% of accesses, got {hot}"
         );
+    }
+
+    /// The Zipf rank before the guide table: a binary search of the whole
+    /// CDF.
+    fn binary_search_rank(cdf: &[f64], u: f64) -> u64 {
+        match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("finite")) {
+            Ok(i) | Err(i) => i.min(cdf.len() - 1) as u64,
+        }
+    }
+
+    /// `next_page` for a Zipf picker before the guide table.
+    fn binary_search_next_page(p: &PagePicker, rng: &mut SplitMix64) -> u64 {
+        let n = p.zipf_cdf.len();
+        let rank = binary_search_rank(&p.zipf_cdf, rng.next_f64());
+        if rank as usize == n - 1 && p.pages > n as u64 {
+            rng.range(n as u64 - 1, p.pages)
+        } else {
+            rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % p.pages
+        }
+    }
+
+    /// The guided search returns the binary search's rank for every u it
+    /// could go wrong on (each bucket edge b / K, each CDF value, and the
+    /// doubles either side of both) and for seeded draws; the last
+    /// footprint is past the CDF cap, so draws take the tail path too.
+    #[test]
+    fn guided_zipf_rank_equals_the_binary_search() {
+        const DRAWS: u64 = 1 << 16;
+        let around = |u: f64| {
+            [
+                f64::from_bits(u.to_bits() - 1),
+                u,
+                f64::from_bits(u.to_bits() + 1),
+            ]
+        };
+        let mut draws = 0;
+        for theta in [0.7, 0.8, 0.85, 1.0] {
+            for pages in [32, 8_192, 32_768, 65_536, 100_000] {
+                let mut p = PagePicker::new(Pattern::Zipf { theta }, pages);
+                let cdf = p.zipf_cdf.clone();
+                let k = p.zipf_guide.len() - 1;
+                assert!(k.is_power_of_two() && k >= cdf.len());
+                let edges = (1..k).map(|b| b as f64 / k as f64);
+                let values = cdf.iter().copied().filter(|&c| c > 0.0 && c < 1.0);
+                for u in edges.chain(values).flat_map(around).chain([0.0]) {
+                    assert_eq!(
+                        p.zipf_rank(u),
+                        binary_search_rank(&cdf, u),
+                        "theta {theta} pages {pages} u {u:e}"
+                    );
+                }
+                let seed = SplitMix64::derive(0x21_9f, pages ^ theta.to_bits());
+                let (mut guided, mut searched) = (SplitMix64::new(seed), SplitMix64::new(seed));
+                for i in 0..DRAWS {
+                    assert_eq!(
+                        p.next_page(&mut guided),
+                        binary_search_next_page(&p, &mut searched),
+                        "theta {theta} pages {pages} draw {i}"
+                    );
+                }
+                draws += DRAWS;
+            }
+        }
+        assert!(draws >= 1_000_000);
     }
 
     #[test]
