@@ -2,7 +2,7 @@
 //! drop/defer dice plus one scenario of every kind) against all five
 //! techniques with paranoia on, and prints **only deterministic content**
 //! — the run fingerprint and the rendered degradation-event log per
-//! technique. CI runs this binary twice and byte-compares the output:
+//! technique. `gates` runs this binary twice and byte-compares the output:
 //! any divergence means the chaos layer leaked nondeterminism (unordered
 //! flush batches, timestamps in events, racy dice).
 //!

@@ -6,7 +6,7 @@
 //! prints the full rendered host log. Phase 2 sweeps host pressure (2 VMs
 //! vs 4 VMs on the same pool) and tabulates what the arbiter did.
 //!
-//! Everything printed is **deterministic content only**: CI runs this
+//! Everything printed is **deterministic content only**: `gates` runs this
 //! binary twice and byte-compares the output, so any divergence means the
 //! host layer leaked nondeterminism (map-order ballooning, unsorted VM
 //! iteration, racy dice).

@@ -1,7 +1,7 @@
 //! `agile-lint`: whole-state static analysis of a paused machine.
 //!
-//! Two phases, both printing **only deterministic content** (CI runs the
-//! binary twice and byte-compares the output):
+//! Two phases, both printing **only deterministic content** (`gates` runs
+//! the binary twice and byte-compares the output):
 //!
 //! 1. **Clean phase** — every technique runs an unfaulted churn-heavy
 //!    workload with the shootdown log armed, then lints. Any diagnostic

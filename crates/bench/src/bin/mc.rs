@@ -1,7 +1,7 @@
 //! `agile-mc`: the bounded interleaving explorer as a CI gate.
 //!
-//! Two phases, printing **only deterministic content** (CI runs the
-//! binary twice and byte-compares the output):
+//! Two phases, printing **only deterministic content** (`gates` runs
+//! the binary twice and byte-compares the output):
 //!
 //! 1. **Clean suites** — every technique explores the shootdown and
 //!    technique-switch protocol to the pinned budgets. Any counterexample

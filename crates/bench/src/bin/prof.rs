@@ -5,7 +5,7 @@
 //! flush-application counters — and a final `total-steps` guardrail line.
 //!
 //! Everything on stdout is a pure function of simulated state (no
-//! wall-clock, no pointers, no map iteration order), so CI runs this
+//! wall-clock, no pointers, no map iteration order), so `gates` runs this
 //! binary twice and byte-compares the output, and regresses on the exact
 //! step counts rather than flaky timings. Wall-clock, when requested
 //! with `--timings`, goes to stderr only.

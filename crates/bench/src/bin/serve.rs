@@ -6,7 +6,8 @@
 //! is the point of an async service); the `--out` document is ordered by
 //! job id and contains only deterministic artifact bytes, so two runs of
 //! the same job file — at *any* worker count — produce byte-identical
-//! documents. CI compares them with `cmp`.
+//! documents. The `gates` binary pins the document of
+//! `crates/bench/jobs/serve-smoke.json` at 1, 2 and 8 shards.
 
 use agile_bench::write_artifact;
 use agile_core::service::{JobState, PlanOptions, Service};
@@ -19,8 +20,9 @@ serve — run a JSON job file through the simulation service
 
 usage: serve JOBFILE [flags]
 
-  --shards N     worker count (overrides the job file's threads;
-                 artifacts are byte-identical at any value)
+  --shards N     worker count (overrides the job file's threads; at
+                 most one per job; artifacts are byte-identical at any
+                 value)
   --out PATH     write the ordered deterministic result document here
   --quiet        suppress the per-completion stream on stdout
   --help         this text
@@ -247,6 +249,8 @@ fn main() {
     if let Some(shards) = args.shards {
         opts.threads = shards;
     }
+    // Service::new starts one thread per worker: none beyond the jobs.
+    opts.threads = opts.workers_for(requests.len());
 
     let service = Service::new(opts);
     eprintln!(

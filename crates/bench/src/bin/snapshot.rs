@@ -1,6 +1,6 @@
 //! Snapshot/crash-recovery CI gate. Three phases, each of which aborts
 //! the binary on violation and prints **only deterministic content**, so
-//! CI runs it twice and byte-compares the output:
+//! `gates` runs it twice and byte-compares the output:
 //!
 //! 1. **Round trip** — every technique's machine snapshot encodes to
 //!    byte-stable bytes, decodes back equal, and a restored machine

@@ -4,14 +4,18 @@
 //! `table2`, `fig5`, `table6`, `vmtrap_costs`, `shsp_compare`, `twostep`,
 //! `ablate_hw`, `ablate_policy`, `ablate_pwc`, `ablate_interval`. Each
 //! accepts the shared [`BenchCli`] flags: `--accesses N`, `--quick`,
-//! `--threads N`, `--json PATH`, `--csv PATH`, `--no-emit`. By default
-//! every binary writes its structured results to `results/<name>.json`
-//! and `results/<name>.csv` alongside the rendered text table.
+//! `--threads N`, `--json PATH`, `--csv PATH`. Each prints its rendered
+//! text table and writes its structured results only where `--json` and
+//! `--csv` say.
 //!
 //! The `simulate` binary runs a fully custom workload/configuration from
-//! command-line flags (see [`SimArgs`]).
+//! command-line flags (see [`SimArgs`]). The `gates` binary checks every
+//! pinned output against its committed reference under `results/` (see
+//! [`gates`]), and `gates --bless` is the one writer of those references.
 
 #![forbid(unsafe_code)]
+
+pub mod gates;
 
 use agile_core::experiments::{ExperimentRun, JsonRow};
 use agile_core::{AgileOptions, ChurnSpec, Pattern, SystemConfig, Technique, WorkloadSpec};
@@ -25,12 +29,10 @@ pub struct BenchCli {
     /// Worker threads for the run matrix (results are identical at any
     /// value).
     pub threads: usize,
-    /// JSON output override (`None` = `results/<name>.json`).
+    /// Write the structured results JSON here (`None` = do not write it).
     pub json: Option<PathBuf>,
-    /// CSV output override (`None` = `results/<name>.csv`).
+    /// Write the flattened rows CSV here (`None` = do not write it).
     pub csv: Option<PathBuf>,
-    /// Skip artifact emission entirely.
-    pub no_emit: bool,
     /// Whether `--quick` was given.
     pub quick: bool,
 }
@@ -43,9 +45,8 @@ common flags (every experiment binary):
   --accesses N    data accesses per run
   --quick         small preset (default/10, at least 1000)
   --threads N     worker threads (default: all cores; results identical)
-  --json PATH     write structured results JSON here (default results/<name>.json)
-  --csv PATH      write flattened rows CSV here (default results/<name>.csv)
-  --no-emit       do not write result files
+  --json PATH     write structured results JSON here
+  --csv PATH      write flattened rows CSV here
   --help          this text
 ";
 
@@ -61,7 +62,6 @@ common flags (every experiment binary):
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             json: None,
             csv: None,
-            no_emit: false,
             quick: false,
         };
         let mut explicit_accesses = false;
@@ -78,7 +78,6 @@ common flags (every experiment binary):
                 "--threads" => cli.threads = parse_num(flag, value()?)?.max(1) as usize,
                 "--json" => cli.json = Some(PathBuf::from(value()?)),
                 "--csv" => cli.csv = Some(PathBuf::from(value()?)),
-                "--no-emit" => cli.no_emit = true,
                 "--help" | "-h" => return Err(Self::USAGE.to_string()),
                 other => return Err(format!("unknown flag {other}\n\n{}", Self::USAGE)),
             }
@@ -104,38 +103,22 @@ common flags (every experiment binary):
         }
     }
 
-    /// Prints the experiment's text table and writes its JSON/CSV
-    /// artifacts (unless `--no-emit`); a failed write aborts the process
-    /// with exit code 1 and an error naming the path.
+    /// Prints the experiment's text table and writes the JSON/CSV
+    /// artifacts that `--json`/`--csv` asked for; a failed write aborts
+    /// the process with exit code 1 and an error naming the path.
     pub fn finish<R: JsonRow>(&self, run: &ExperimentRun<R>) {
-        if let Err(msg) = self.try_finish(run) {
-            eprintln!("error: {msg}");
-            std::process::exit(1);
-        }
-    }
-
-    /// [`BenchCli::finish`], but write failures come back as an error
-    /// naming the offending path instead of exiting the process.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the path that could not be created or
-    /// written.
-    pub fn try_finish<R: JsonRow>(&self, run: &ExperimentRun<R>) -> Result<(), String> {
         println!("{}", run.text);
-        if self.no_emit {
-            return Ok(());
-        }
-        let json_path = self
+        let json = self
             .json
-            .clone()
-            .unwrap_or_else(|| PathBuf::from(format!("results/{}.json", run.name)));
-        let csv_path = self
-            .csv
-            .clone()
-            .unwrap_or_else(|| PathBuf::from(format!("results/{}.csv", run.name)));
-        write_artifact(&json_path, &format!("{}\n", run.to_json().pretty()))?;
-        write_artifact(&csv_path, &run.to_csv())
+            .as_ref()
+            .map(|path| (path, format!("{}\n", run.to_json().pretty())));
+        let csv = self.csv.as_ref().map(|path| (path, run.to_csv()));
+        for (path, contents) in json.into_iter().chain(csv) {
+            if let Err(msg) = write_artifact(path, &contents) {
+                eprintln!("error: {msg}");
+                std::process::exit(1);
+            }
+        }
     }
 }
 
@@ -265,9 +248,15 @@ simulate — run a custom workload on the agile-paging simulator
         if !pwc {
             config = config.without_pwc();
         }
+        let footprint = footprint_mb
+            .checked_mul(1 << 20)
+            .filter(|&bytes| bytes > 0)
+            .ok_or(format!(
+                "--footprint-mb: {footprint_mb} is not a footprint of at least 1 MiB"
+            ))?;
         let spec = WorkloadSpec {
             name: "custom".into(),
-            footprint: footprint_mb << 20,
+            footprint,
             pattern,
             write_fraction: writes,
             accesses,
@@ -313,22 +302,38 @@ fn parse_pattern(v: &str) -> Result<Pattern, String> {
     match kind {
         "uniform" => Ok(Pattern::Uniform),
         "chase" => Ok(Pattern::PointerChase),
-        "zipf" => Ok(Pattern::Zipf {
-            theta: parse_float("--pattern zipf", rest)?,
-        }),
+        "zipf" => {
+            let theta = parse_float("--pattern zipf", rest)?;
+            if !(theta.is_finite() && theta >= 0.0) {
+                return Err(format!(
+                    "--pattern zipf: THETA must be finite and at least 0, got {rest}"
+                ));
+            }
+            Ok(Pattern::Zipf { theta })
+        }
         "seq" => Ok(Pattern::Sequential {
             stride_pages: parse_num("--pattern seq", rest)?,
         }),
         "hotspot" => {
             let (f, p) = rest
                 .split_once(',')
-                .ok_or("hotspot needs FRAC,PROB".to_string())?;
+                .ok_or("--pattern hotspot needs FRAC,PROB".to_string())?;
+            let hot_fraction = parse_float("--pattern hotspot", f)?;
+            let hot_probability = parse_float("--pattern hotspot", p)?;
+            if ![hot_fraction, hot_probability]
+                .iter()
+                .all(|x| (0.0..=1.0).contains(x))
+            {
+                return Err(format!(
+                    "--pattern hotspot: FRAC and PROB must be in [0, 1], got {rest}"
+                ));
+            }
             Ok(Pattern::Hotspot {
-                hot_fraction: parse_float("--pattern hotspot", f)?,
-                hot_probability: parse_float("--pattern hotspot", p)?,
+                hot_fraction,
+                hot_probability,
             })
         }
-        other => Err(format!("unknown pattern {other}")),
+        other => Err(format!("--pattern: unknown pattern {other}")),
     }
 }
 
@@ -362,6 +367,7 @@ mod tests {
         assert!(cli.threads >= 1);
         assert!(!cli.quick);
         assert!(cli.json.is_none());
+        assert!(cli.csv.is_none());
     }
 
     #[test]
@@ -377,7 +383,7 @@ mod tests {
     #[test]
     fn cli_full_flag_set_parses() {
         let cli = parse_cli(
-            "--accesses 42 --threads 8 --json out/a.json --csv out/a.csv --no-emit",
+            "--accesses 42 --threads 8 --json out/a.json --csv out/a.csv",
             100,
         )
         .unwrap();
@@ -388,7 +394,6 @@ mod tests {
             Some(std::path::Path::new("out/a.json"))
         );
         assert_eq!(cli.csv.as_deref(), Some(std::path::Path::new("out/a.csv")));
-        assert!(cli.no_emit);
     }
 
     #[test]
@@ -396,6 +401,7 @@ mod tests {
         assert!(parse_cli("--bogus", 100).is_err());
         assert!(parse_cli("--accesses", 100).is_err());
         assert!(parse_cli("--threads zero", 100).is_err());
+        assert!(parse_cli("--no-emit", 100).is_err());
         let help = parse_cli("--help", 100).unwrap_err();
         assert!(help.contains("--threads"));
     }
@@ -446,6 +452,34 @@ mod tests {
         ));
         assert!(parse_pattern("zipf").is_err());
         assert!(parse_pattern("nope").is_err());
+    }
+
+    #[test]
+    fn inputs_a_workload_cannot_run_are_rejected_naming_the_flag() {
+        for (words, flag) in [
+            ("--pattern zipf:nan", "--pattern zipf:"),
+            ("--pattern zipf:-inf", "--pattern zipf:"),
+            ("--pattern zipf:inf", "--pattern zipf:"),
+            ("--pattern zipf:-100 --footprint-mb 64", "--pattern zipf:"),
+            ("--pattern hotspot:5,0.9", "--pattern hotspot:"),
+            ("--pattern hotspot:0.1,1.5", "--pattern hotspot:"),
+            ("--pattern hotspot:-0.1,0.5", "--pattern hotspot:"),
+            ("--pattern hotspot:nan,0.5", "--pattern hotspot:"),
+            ("--pattern hotspot:0.5", "--pattern hotspot "),
+            ("--footprint-mb 0", "--footprint-mb:"),
+            ("--footprint-mb 18446744073709551615", "--footprint-mb:"),
+        ] {
+            let err = parse(words).unwrap_err();
+            assert!(err.starts_with(flag), "{words}: {err}");
+        }
+        for words in [
+            "--pattern zipf:0",
+            "--pattern hotspot:0,0",
+            "--pattern hotspot:1,1",
+            "--footprint-mb 1",
+        ] {
+            assert!(parse(words).is_ok(), "{words}");
+        }
     }
 
     #[test]

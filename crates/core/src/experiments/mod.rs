@@ -41,7 +41,7 @@ pub trait JsonRow {
 /// and the raw run artifacts behind them.
 #[derive(Debug, Clone)]
 pub struct ExperimentRun<R> {
-    /// Stable experiment name (used for artifact file names).
+    /// Stable experiment name (the stem of its record under `results/`).
     pub name: &'static str,
     /// Rendered text table (what the binaries print).
     pub text: String,
@@ -63,7 +63,8 @@ impl<R: JsonRow> ExperimentRun<R> {
     ///
     /// Artifacts are rendered via [`RunArtifact::deterministic_json`] (no
     /// wall-clock timing), so the document is byte-identical run-to-run and
-    /// at any thread count — CI `cmp`s the emitted files to enforce it.
+    /// at any thread count — the `gates` runner compares the emitted files
+    /// at 1 and 8 threads to enforce it.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![

@@ -161,11 +161,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// or of the first array or object nested deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -207,12 +208,21 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a cap a job file of nested
+/// `[` overflows the stack and aborts the process.
+const MAX_DEPTH: usize = 128;
+
+/// Parses the value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -344,7 +354,7 @@ fn parse_hex4(bytes: &[u8], start: usize) -> Result<u16, String> {
     })
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -353,7 +363,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -366,7 +376,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -379,7 +389,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -485,6 +495,46 @@ mod tests {
                 ]),
             ),
         ])
+    }
+
+    /// Levels of arrays and objects along the first-child path of `v`.
+    fn depth(mut v: &Json) -> usize {
+        let mut levels = 0;
+        loop {
+            let first = match v {
+                Json::Arr(items) => items.first(),
+                Json::Obj(pairs) => pairs.first().map(|(_, x)| x),
+                _ => return levels,
+            };
+            levels += 1;
+            match first {
+                Some(x) => v = x,
+                None => return levels,
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_offset_of_the_first_level_too_deep() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
+        for text in [arrays(MAX_DEPTH), objects(MAX_DEPTH)] {
+            let v = Json::parse(&text).expect("a document exactly at the cap parses");
+            assert_eq!(depth(&v), MAX_DEPTH);
+        }
+        let too_deep = |at: usize| {
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {at}"
+            ))
+        };
+        assert_eq!(Json::parse(&arrays(MAX_DEPTH + 1)), too_deep(MAX_DEPTH));
+        assert_eq!(
+            Json::parse(&objects(MAX_DEPTH + 1)),
+            too_deep(5 * MAX_DEPTH)
+        );
+        // Deep enough to overflow the stack without the cap.
+        assert_eq!(Json::parse(&arrays(100_000)), too_deep(MAX_DEPTH));
+        assert_eq!(Json::parse(&objects(100_000)), too_deep(5 * MAX_DEPTH));
     }
 
     #[test]

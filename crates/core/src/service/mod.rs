@@ -107,12 +107,16 @@ impl PlanOptions {
             self.threads
         }
     }
-}
 
-/// Worker count of a [`Service::run_all`] batch of `jobs`: the resolved
-/// [`PlanOptions::threads`], no more than there are jobs, at least one.
-fn batch_workers(opts: &PlanOptions, jobs: usize) -> usize {
-    opts.resolved_threads().min(jobs).max(1)
+    /// Worker count for a batch of `jobs`: the resolved
+    /// [`PlanOptions::threads`], no more than there are jobs, at least
+    /// one. [`Service::run_all`] sizes its service with it, and so should
+    /// any client that knows its whole batch before [`Service::new`],
+    /// which starts one OS thread per worker.
+    #[must_use]
+    pub fn workers_for(&self, jobs: usize) -> usize {
+        self.resolved_threads().min(jobs).max(1)
+    }
 }
 
 /// Handle to one submitted job.
@@ -451,7 +455,7 @@ impl Service {
     ) -> Vec<RunOutcome> {
         let requests: Vec<RunRequest> = requests.into_iter().collect();
         let service = Service::new(PlanOptions {
-            threads: batch_workers(&opts, requests.len()),
+            threads: opts.workers_for(requests.len()),
             ..opts
         });
         let ids = service.submit_all(requests);
@@ -847,12 +851,16 @@ mod tests {
     #[test]
     fn batch_workers_resolve_zero_to_the_core_count_and_clamp_to_the_batch() {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let workers = |threads, jobs| batch_workers(&PlanOptions::with_threads(threads), jobs);
+        let workers = |threads, jobs| PlanOptions::with_threads(threads).workers_for(jobs);
         assert_eq!(workers(0, 64), cores.min(64));
         assert_eq!(workers(0, 1), 1);
         assert_eq!(workers(3, 2), 2);
         assert_eq!(workers(3, 8), 3);
         assert_eq!(workers(3, 0), 1, "an empty batch still gets a worker");
+        // A shard count or job-file `threads` far past the batch: only the
+        // count is computed here, no thread is started.
+        assert_eq!(workers(usize::MAX, 8), 8);
+        assert_eq!(workers(1_000_000, 0), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!    caches, nested TLB), guest-OS bookkeeping, chaos RNG streams, and all
 //!    statistics. Restoring a snapshot and running the remaining events is
 //!    byte-identical to running straight through — the property the
-//!    checkpoint/resume machinery and CI's round-trip job both rest on.
+//!    checkpoint/resume machinery and the `snapshot` gate both rest on.
 //! 2. **[`Checkpoint`]/[`CheckpointSlot`]** — the crash-recovery protocol:
 //!    workers store a checkpoint at configured tick boundaries; when chaos
 //!    kills a worker mid-job ([`WorkerKill`]), the service re-queues the

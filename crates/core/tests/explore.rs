@@ -2,8 +2,8 @@
 //!
 //! 1. **Clean suites** — every technique explores to the pinned depth
 //!    with zero diagnostics at every explored state, and two independent
-//!    explorations render byte-identical reports (the determinism the CI
-//!    `mc` gate byte-compares across processes).
+//!    explorations render byte-identical reports (the determinism the
+//!    `mc` gate's runs are byte-compared for across processes).
 //! 2. **Teeth** — with the historical `drop_shadow_leaf` missed-flush
 //!    bug re-planted behind its test-only knob, the explorer rediscovers
 //!    it within a pinned state budget and emits a minimized
