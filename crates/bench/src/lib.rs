@@ -220,14 +220,14 @@ simulate — run a custom workload on the agile-paging simulator
                 }
                 "--footprint-mb" => footprint_mb = parse_num(flag, value()?)?,
                 "--accesses" => accesses = parse_num(flag, value()?)?,
-                "--writes" => writes = parse_float(flag, value()?)?,
-                "--remap-every" => churn.remap_every = Some(parse_num(flag, value()?)?),
+                "--writes" => writes = parse_fraction(flag, value()?)?,
+                "--remap-every" => churn.remap_every = Some(parse_count(flag, value()?)?),
                 "--remap-pages" => remap_pages = parse_num(flag, value()?)?,
-                "--cow-every" => churn.cow_every = Some(parse_num(flag, value()?)?),
+                "--cow-every" => churn.cow_every = Some(parse_count(flag, value()?)?),
                 "--cow-pages" => cow_pages = parse_num(flag, value()?)?,
-                "--zone" => churn.churn_zone = parse_float(flag, value()?)?,
-                "--procs" => churn.processes = parse_num(flag, value()?)? as usize,
-                "--ctx-every" => churn.ctx_switch_every = Some(parse_num(flag, value()?)?),
+                "--zone" => churn.churn_zone = parse_fraction(flag, value()?)?,
+                "--procs" => churn.processes = parse_count(flag, value()?)? as usize,
+                "--ctx-every" => churn.ctx_switch_every = Some(parse_count(flag, value()?)?),
                 "--thp" => thp = true,
                 "--no-pwc" => pwc = false,
                 "--no-prefault" => prefault = false,
@@ -297,6 +297,24 @@ fn parse_float(flag: &str, v: &str) -> Result<f64, String> {
         .map_err(|e| format!("{flag}: bad number {v}: {e}"))
 }
 
+/// A period or a count, which means nothing below 1.
+fn parse_count(flag: &str, v: &str) -> Result<u64, String> {
+    match parse_num(flag, v)? {
+        0 => Err(format!("{flag}: must be at least 1, got 0")),
+        n => Ok(n),
+    }
+}
+
+/// A fraction in [0, 1]; NaN is rejected too.
+fn parse_fraction(flag: &str, v: &str) -> Result<f64, String> {
+    let x = parse_float(flag, v)?;
+    if (0.0..=1.0).contains(&x) {
+        Ok(x)
+    } else {
+        Err(format!("{flag}: must be in [0, 1], got {v}"))
+    }
+}
+
 fn parse_pattern(v: &str) -> Result<Pattern, String> {
     let (kind, rest) = v.split_once(':').unwrap_or((v, ""));
     match kind {
@@ -318,19 +336,9 @@ fn parse_pattern(v: &str) -> Result<Pattern, String> {
             let (f, p) = rest
                 .split_once(',')
                 .ok_or("--pattern hotspot needs FRAC,PROB".to_string())?;
-            let hot_fraction = parse_float("--pattern hotspot", f)?;
-            let hot_probability = parse_float("--pattern hotspot", p)?;
-            if ![hot_fraction, hot_probability]
-                .iter()
-                .all(|x| (0.0..=1.0).contains(x))
-            {
-                return Err(format!(
-                    "--pattern hotspot: FRAC and PROB must be in [0, 1], got {rest}"
-                ));
-            }
             Ok(Pattern::Hotspot {
-                hot_fraction,
-                hot_probability,
+                hot_fraction: parse_fraction("--pattern hotspot", f)?,
+                hot_probability: parse_fraction("--pattern hotspot", p)?,
             })
         }
         other => Err(format!("--pattern: unknown pattern {other}")),
@@ -468,6 +476,15 @@ mod tests {
             ("--pattern hotspot:0.5", "--pattern hotspot "),
             ("--footprint-mb 0", "--footprint-mb:"),
             ("--footprint-mb 18446744073709551615", "--footprint-mb:"),
+            ("--writes 2", "--writes:"),
+            ("--writes -0.1", "--writes:"),
+            ("--writes nan", "--writes:"),
+            ("--zone 5", "--zone:"),
+            ("--zone nan", "--zone:"),
+            ("--remap-every 0", "--remap-every:"),
+            ("--cow-every 0", "--cow-every:"),
+            ("--ctx-every 0", "--ctx-every:"),
+            ("--procs 0", "--procs:"),
         ] {
             let err = parse(words).unwrap_err();
             assert!(err.starts_with(flag), "{words}: {err}");
@@ -477,6 +494,13 @@ mod tests {
             "--pattern hotspot:0,0",
             "--pattern hotspot:1,1",
             "--footprint-mb 1",
+            "--writes 0",
+            "--writes 1",
+            "--zone 0",
+            "--zone 1",
+            "--remap-every 1",
+            "--ctx-every 1",
+            "--procs 1",
         ] {
             assert!(parse(words).is_ok(), "{words}");
         }

@@ -1164,16 +1164,18 @@ pub fn check_host_frames(views: &[VmFrameView]) -> Vec<LintDiag> {
 // Part B: shootdown-protocol race detector
 // ---------------------------------------------------------------------
 
-/// The gVA-space scope one flush request covers, for happens-before
-/// matching. An `Asid` request covers the whole address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushScope {
-    /// Raw ASID the flush is tagged with.
-    pub asid: u32,
-    /// First covered gVA.
-    pub start: u64,
-    /// Covered length in bytes (`u64::MAX` for a full-ASID flush).
-    pub len: u64,
+agile_types::record! {
+    /// The gVA-space scope one flush request covers, for happens-before
+    /// matching. An `Asid` request covers the whole address space.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FlushScope {
+        /// Raw ASID the flush is tagged with.
+        pub asid: u32,
+        /// First covered gVA.
+        pub start: u64,
+        /// Covered length in bytes (`u64::MAX` for a full-ASID flush).
+        pub len: u64,
+    }
 }
 
 impl FlushScope {
@@ -1273,21 +1275,6 @@ pub enum ShootdownEvent {
         /// First frame allocated since the last observation.
         frame: HostFrame,
     },
-}
-
-impl Persist for FlushScope {
-    fn save(&self, e: &mut Enc) {
-        e.u32(self.asid);
-        e.u64(self.start);
-        e.u64(self.len);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(FlushScope {
-            asid: d.u32()?,
-            start: d.u64()?,
-            len: d.u64()?,
-        })
-    }
 }
 
 impl Persist for ShootdownEvent {

@@ -321,39 +321,22 @@ impl Persist for DegradationKind {
     }
 }
 
-/// One typed degradation report: what was injected or absorbed, where,
-/// and in which access. Carries no wall-clock state — the log is part of
-/// the deterministic artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradationEvent {
-    /// Monotonic sequence number within the run.
-    pub seq: u64,
-    /// Data-access count when the event was recorded.
-    pub access: u64,
-    /// Recovery-path classification.
-    pub kind: DegradationKind,
-    /// Guest VA involved, when the event concerns one.
-    pub gva: Option<u64>,
-    /// Free-form (but deterministic) description.
-    pub detail: String,
-}
-
-impl Persist for DegradationEvent {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.seq);
-        e.u64(self.access);
-        self.kind.save(e);
-        self.gva.save(e);
-        e.str(&self.detail);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(DegradationEvent {
-            seq: d.u64()?,
-            access: d.u64()?,
-            kind: DegradationKind::load(d)?,
-            gva: Option::<u64>::load(d)?,
-            detail: d.str()?,
-        })
+agile_types::record! {
+    /// One typed degradation report: what was injected or absorbed, where,
+    /// and in which access. Carries no wall-clock state — the log is part of
+    /// the deterministic artifact.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DegradationEvent {
+        /// Monotonic sequence number within the run.
+        pub seq: u64,
+        /// Data-access count when the event was recorded.
+        pub access: u64,
+        /// Recovery-path classification.
+        pub kind: DegradationKind,
+        /// Guest VA involved, when the event concerns one.
+        pub gva: Option<u64>,
+        /// Free-form (but deterministic) description.
+        pub detail: String,
     }
 }
 

@@ -15,8 +15,8 @@ use agile_guest::{FaultError, GuestOs, SegFault, Vma, VmaBacking};
 use agile_mem::PhysMem;
 use agile_tlb::{NestedTlb, PageWalkCaches, TlbConfig, TlbEntry, TlbHierarchy};
 use agile_types::{
-    AccessKind, Asid, CodecError, Dec, Enc, Fault, GuestVirtAddr, HostFrame, Level, Persist,
-    ProcessId, PteFlags, StateSink, VmId,
+    AccessKind, Asid, CodecError, Counters, Dec, Enc, Fault, GuestVirtAddr, HostFrame, Level,
+    Persist, ProcessId, PteFlags, StateSink, VmId,
 };
 use agile_vmm::{coalesce, FaultOutcome, FlushRequest, HwRoots, Technique, Vmm};
 use agile_walk::{AgileCr3, WalkHw, WalkKind, WalkOk, WalkStats};
@@ -141,21 +141,45 @@ pub(crate) const OOM_WATERMARK: u64 = 16;
 /// memory.
 const MAX_VIOLATIONS: usize = 64;
 
-/// Snapshot taken at the start of the measurement window (everything before
-/// it — warm-up — is excluded from reported statistics, the standard
-/// simulator methodology for approximating the paper's run-to-completion
-/// measurements).
-#[derive(Debug, Default, Clone)]
-struct Baseline {
-    accesses: u64,
-    walk_cycles: u64,
-    ad_walks: u64,
-    tlb: agile_tlb::TlbStats,
-    walks: WalkStats,
-    kinds: KindCounts,
-    traps: agile_vmm::VmtrapStats,
-    os: agile_guest::OsStats,
-    vmm: agile_vmm::VmmCounters,
+agile_types::record! {
+    counters;
+    /// Every counter [`Machine::stats`] reports, read at one instant. The
+    /// machine keeps the reading taken at the start of the measurement
+    /// window: everything before it — warm-up — is excluded from reported
+    /// statistics, the standard simulator methodology for approximating the
+    /// paper's run-to-completion measurements.
+    #[derive(Debug, Default, Clone)]
+    struct Baseline {
+        accesses: u64,
+        walk_cycles: u64,
+        ad_walks: u64,
+        tlb: agile_tlb::TlbStats,
+        walks: WalkStats,
+        kinds: KindCounts,
+        traps: agile_vmm::VmtrapStats,
+        os: agile_guest::OsStats,
+        vmm: agile_vmm::VmmCounters,
+    }
+}
+
+impl Baseline {
+    /// The run statistics of a window whose counters are `self`.
+    fn report(self, name: &str, cfg: &SystemConfig) -> RunStats {
+        RunStats {
+            name: name.to_string(),
+            config_label: cfg.label(),
+            accesses: self.accesses,
+            tlb: self.tlb,
+            walks: self.walks,
+            kinds: self.kinds,
+            walk_cycles: self.walk_cycles,
+            ad_walks: self.ad_walks,
+            traps: self.traps,
+            os: self.os,
+            vmm: self.vmm,
+            ideal_cycles: self.accesses * cfg.base_cycles_per_access,
+        }
+    }
 }
 
 impl Machine {
@@ -423,7 +447,11 @@ impl Machine {
     /// [`Machine::stats`] will exclude everything before this point
     /// (warm-up exclusion). Hardware structures stay warm.
     pub fn begin_measurement(&mut self) {
-        self.baseline = Baseline {
+        self.baseline = self.counters_now();
+    }
+
+    fn counters_now(&self) -> Baseline {
+        Baseline {
             accesses: self.hot.accesses,
             walk_cycles: self.hot.walk_cycles,
             ad_walks: self.hot.ad_walks,
@@ -433,7 +461,7 @@ impl Machine {
             traps: self.vmm.trap_stats(),
             os: self.os.stats(),
             vmm: self.vmm.counters(),
-        };
+        }
     }
 
     /// The configuration this machine runs.
@@ -1018,14 +1046,10 @@ impl Machine {
                     }
                     return Ok(());
                 }
-                Err(fault @ Fault::GuestPageFault { .. }) => {
-                    self.handle_guest_fault(pid, va, fault, access)?;
-                }
+                Err(Fault::GuestPageFault { .. }) => self.handle_guest_fault(pid, va, access)?,
                 Err(fault) => match self.vmm.handle_fault(&mut self.mem, pid, fault) {
                     FaultOutcome::Fixed => self.drain_flushes(Via::Guest),
-                    FaultOutcome::ReflectToGuest(f) => {
-                        self.handle_guest_fault(pid, va, f, access)?;
-                    }
+                    FaultOutcome::ReflectToGuest(_) => self.handle_guest_fault(pid, va, access)?,
                 },
             }
         }
@@ -1036,36 +1060,26 @@ impl Machine {
         &mut self,
         pid: ProcessId,
         va: u64,
-        _fault: Fault,
         access: AccessKind,
     ) -> Result<(), AccessError> {
-        if self.chaos.is_some() {
-            // Pressure-aware path: an allocation failure triggers reclaim
-            // with backoff, then one retry; if memory is still exhausted
-            // the access is abandoned rather than the machine killed.
-            let first =
-                self.os
-                    .try_handle_page_fault(&mut self.mem, &mut self.vmm, pid, va, access);
-            match first {
-                Ok(()) => {}
-                Err(FaultError::Seg(s)) => return Err(AccessError::Seg(s)),
-                Err(FaultError::OutOfMemory { .. }) => {
-                    if !self.reclaim_with_backoff() {
-                        return Err(AccessError::OutOfMemory);
-                    }
-                    self.os
-                        .try_handle_page_fault(&mut self.mem, &mut self.vmm, pid, va, access)
-                        .map_err(|e| match e {
-                            FaultError::Seg(s) => AccessError::Seg(s),
-                            FaultError::OutOfMemory { .. } => AccessError::OutOfMemory,
-                        })?;
-                }
-            }
-        } else {
+        // An allocation failure (possible only under a frame budget)
+        // triggers reclaim with backoff, then one retry; if memory is still
+        // exhausted the access is abandoned rather than the machine killed.
+        let mut serviced =
             self.os
-                .handle_page_fault(&mut self.mem, &mut self.vmm, pid, va, access)
-                .map_err(AccessError::Seg)?;
+                .try_handle_page_fault(&mut self.mem, &mut self.vmm, pid, va, access);
+        if matches!(serviced, Err(FaultError::OutOfMemory { .. })) {
+            if !self.reclaim_with_backoff() {
+                return Err(AccessError::OutOfMemory);
+            }
+            serviced = self
+                .os
+                .try_handle_page_fault(&mut self.mem, &mut self.vmm, pid, va, access);
         }
+        serviced.map_err(|e| match e {
+            FaultError::Seg(s) => AccessError::Seg(s),
+            FaultError::OutOfMemory { .. } => AccessError::OutOfMemory,
+        })?;
         self.drain_flushes(Via::Guest);
         self.tlb
             .invalidate_page(Asid::from(pid), GuestVirtAddr::new(va));
@@ -1688,22 +1702,9 @@ impl Machine {
     /// never called).
     #[must_use]
     pub fn stats(&self, name: &str) -> RunStats {
-        let b = &self.baseline;
-        let accesses = self.hot.accesses - b.accesses;
-        RunStats {
-            name: name.to_string(),
-            config_label: self.cfg.label(),
-            accesses,
-            tlb: self.tlb.stats().since(&b.tlb),
-            walks: self.walk_stats.since(&b.walks),
-            kinds: self.kinds.since(&b.kinds),
-            walk_cycles: self.hot.walk_cycles - b.walk_cycles,
-            ad_walks: self.hot.ad_walks - b.ad_walks,
-            traps: self.vmm.trap_stats().since(&b.traps),
-            os: self.os.stats().since(&b.os),
-            vmm: self.vmm.counters().since(&b.vmm),
-            ideal_cycles: accesses * self.cfg.base_cycles_per_access,
-        }
+        self.counters_now()
+            .since(&self.baseline)
+            .report(name, &self.cfg)
     }
 
     /// Deterministic hot-path step/visit totals over the machine's whole
@@ -1905,33 +1906,6 @@ impl Machine {
         self.flush_batches = d.u64()?;
         self.flush_stats = FlushApplyStats::load(d)?;
         Ok(())
-    }
-}
-
-impl Persist for Baseline {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.accesses);
-        e.u64(self.walk_cycles);
-        e.u64(self.ad_walks);
-        self.tlb.save(e);
-        self.walks.save(e);
-        self.kinds.save(e);
-        self.traps.save(e);
-        self.os.save(e);
-        self.vmm.save(e);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(Baseline {
-            accesses: d.u64()?,
-            walk_cycles: d.u64()?,
-            ad_walks: d.u64()?,
-            tlb: agile_tlb::TlbStats::load(d)?,
-            walks: WalkStats::load(d)?,
-            kinds: KindCounts::load(d)?,
-            traps: agile_vmm::VmtrapStats::load(d)?,
-            os: agile_guest::OsStats::load(d)?,
-            vmm: agile_vmm::VmmCounters::load(d)?,
-        })
     }
 }
 

@@ -15,39 +15,40 @@
 //! (`agile-bench --bin prof`).
 
 use agile_tlb::{CacheStats, TlbStats};
-use agile_types::{CodecError, Dec, Enc, Persist};
 use agile_vmm::FlushBatch;
 use agile_walk::WalkStats;
 
-/// Counters for coalesced shootdown application (see
-/// [`agile_vmm::coalesce`]): how many requests were delivered, what the
-/// fold eliminated, and how many per-structure operations actually ran.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FlushApplyStats {
-    /// Delivered batches applied.
-    pub batches: u64,
-    /// Flush requests delivered (before coalescing).
-    pub requests: u64,
-    /// Full ASID flushes applied (explicit `Asid` requests plus
-    /// oversized-range TLB escalations).
-    pub asid_flushes: u64,
-    /// Ranged PWC invalidations applied (after merging).
-    pub range_ops: u64,
-    /// 4 KiB pages covered by the range shootdowns whose TLB side was
-    /// applied range-wise: the modelled shootdown work, and part of the
-    /// pinned step total. The machine applies each such range with one
-    /// set-indexed [`TlbHierarchy::invalidate_range`](agile_tlb::TlbHierarchy::invalidate_range),
-    /// so this is no longer a count of host operations.
-    pub pages_swept: u64,
-    /// Range requests eliminated: subsumed by a full ASID flush in the
-    /// same batch.
-    pub ranges_subsumed: u64,
-    /// Range requests eliminated: merged into a neighbouring range.
-    pub ranges_merged: u64,
-    /// Duplicate nested-TLB requests eliminated.
-    pub ntlb_deduped: u64,
-    /// Nested-TLB invalidations applied.
-    pub ntlb_ops: u64,
+agile_types::record! {
+    /// Counters for coalesced shootdown application (see
+    /// [`agile_vmm::coalesce`]): how many requests were delivered, what the
+    /// fold eliminated, and how many per-structure operations actually ran.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct FlushApplyStats {
+        /// Delivered batches applied.
+        pub batches: u64,
+        /// Flush requests delivered (before coalescing).
+        pub requests: u64,
+        /// Full ASID flushes applied (explicit `Asid` requests plus
+        /// oversized-range TLB escalations).
+        pub asid_flushes: u64,
+        /// Ranged PWC invalidations applied (after merging).
+        pub range_ops: u64,
+        /// 4 KiB pages covered by the range shootdowns whose TLB side was
+        /// applied range-wise: the modelled shootdown work, and part of the
+        /// pinned step total. The machine applies each such range with one set-indexed
+        /// [`TlbHierarchy::invalidate_range`](agile_tlb::TlbHierarchy::invalidate_range),
+        /// so this is no longer a count of host operations.
+        pub pages_swept: u64,
+        /// Range requests eliminated: subsumed by a full ASID flush in the
+        /// same batch.
+        pub ranges_subsumed: u64,
+        /// Range requests eliminated: merged into a neighbouring range.
+        pub ranges_merged: u64,
+        /// Duplicate nested-TLB requests eliminated.
+        pub ntlb_deduped: u64,
+        /// Nested-TLB invalidations applied.
+        pub ntlb_ops: u64,
+    }
 }
 
 impl FlushApplyStats {
@@ -73,33 +74,6 @@ impl FlushApplyStats {
     #[must_use]
     pub fn eliminated(&self) -> u64 {
         self.ranges_subsumed + self.ranges_merged + self.ntlb_deduped
-    }
-}
-
-impl Persist for FlushApplyStats {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.batches);
-        e.u64(self.requests);
-        e.u64(self.asid_flushes);
-        e.u64(self.range_ops);
-        e.u64(self.pages_swept);
-        e.u64(self.ranges_subsumed);
-        e.u64(self.ranges_merged);
-        e.u64(self.ntlb_deduped);
-        e.u64(self.ntlb_ops);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(FlushApplyStats {
-            batches: d.u64()?,
-            requests: d.u64()?,
-            asid_flushes: d.u64()?,
-            range_ops: d.u64()?,
-            pages_swept: d.u64()?,
-            ranges_subsumed: d.u64()?,
-            ranges_merged: d.u64()?,
-            ntlb_deduped: d.u64()?,
-            ntlb_ops: d.u64()?,
-        })
     }
 }
 

@@ -2,50 +2,37 @@
 
 use agile_guest::OsStats;
 use agile_tlb::TlbStats;
-use agile_types::{CodecError, Dec, Enc, Persist};
 use agile_vmm::{VmmCounters, VmtrapStats};
 use agile_walk::{WalkKind, WalkStats};
 
-/// The per-access hot counters the inner access loop bumps on every data
-/// access, grouped structure-of-arrays style into one contiguous block
-/// (a single cache line) instead of four fields scattered across the
-/// machine struct between cold configuration and bookkeeping state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HotCounters {
-    /// Data accesses executed.
-    pub accesses: u64,
-    /// Simulated walk cycles charged.
-    pub walk_cycles: u64,
-    /// Hardware A/D-bit update walks.
-    pub ad_walks: u64,
-    /// TLB miss total at the last interval tick (the agile switching
-    /// policy's MPKI input).
-    pub misses_at_last_tick: u64,
-}
-
-impl Persist for HotCounters {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.accesses);
-        e.u64(self.walk_cycles);
-        e.u64(self.ad_walks);
-        e.u64(self.misses_at_last_tick);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(HotCounters {
-            accesses: d.u64()?,
-            walk_cycles: d.u64()?,
-            ad_walks: d.u64()?,
-            misses_at_last_tick: d.u64()?,
-        })
+agile_types::record! {
+    /// The per-access hot counters the inner access loop bumps on every data
+    /// access, grouped structure-of-arrays style into one contiguous block
+    /// (a single cache line) instead of four fields scattered across the
+    /// machine struct between cold configuration and bookkeeping state.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct HotCounters {
+        /// Data accesses executed.
+        pub accesses: u64,
+        /// Simulated walk cycles charged.
+        pub walk_cycles: u64,
+        /// Hardware A/D-bit update walks.
+        pub ad_walks: u64,
+        /// TLB miss total at the last interval tick (the agile switching
+        /// policy's MPKI input).
+        pub misses_at_last_tick: u64,
     }
 }
 
-/// Completed-walk histogram by [`WalkKind`] — the classification behind
-/// Table VI.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KindCounts {
-    counts: [u64; 7],
-    refs: [u64; 7],
+agile_types::record! {
+    counters;
+    /// Completed-walk histogram by [`WalkKind`] — the classification behind
+    /// Table VI.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct KindCounts {
+        counts: [u64; 7],
+        refs: [u64; 7],
+    }
 }
 
 impl KindCounts {
@@ -67,17 +54,6 @@ impl KindCounts {
         WalkKind::Switched { nested_levels: 4 },
         WalkKind::FullNested,
     ];
-
-    /// Counters accumulated since the `earlier` snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &KindCounts) -> KindCounts {
-        let mut out = *self;
-        for i in 0..out.counts.len() {
-            out.counts[i] -= earlier.counts[i];
-            out.refs[i] -= earlier.refs[i];
-        }
-        out
-    }
 
     /// Records one completed walk of `kind` performing `refs` references.
     pub fn record(&mut self, kind: WalkKind, refs: u32) {
@@ -124,27 +100,6 @@ impl KindCounts {
         } else {
             self.refs.iter().sum::<u64>() as f64 / total as f64
         }
-    }
-}
-
-impl Persist for KindCounts {
-    fn save(&self, e: &mut Enc) {
-        for c in self.counts {
-            e.u64(c);
-        }
-        for r in self.refs {
-            e.u64(r);
-        }
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        let mut out = KindCounts::default();
-        for c in &mut out.counts {
-            *c = d.u64()?;
-        }
-        for r in &mut out.refs {
-            *r = d.u64()?;
-        }
-        Ok(out)
     }
 }
 

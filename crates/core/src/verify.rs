@@ -106,34 +106,19 @@ impl Persist for ViolationSite {
     }
 }
 
-/// One oracle violation: the check that failed, the translation it
-/// concerns, and a human-readable explanation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Which oracle caught it.
-    pub site: ViolationSite,
-    /// Offending guest virtual address, when the check concerns one.
-    pub gva: Option<u64>,
-    /// Page-table level involved, when known.
-    pub level: Option<Level>,
-    /// What exactly disagreed.
-    pub detail: String,
-}
-
-impl Persist for Violation {
-    fn save(&self, e: &mut Enc) {
-        self.site.save(e);
-        self.gva.save(e);
-        self.level.save(e);
-        e.str(&self.detail);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(Violation {
-            site: ViolationSite::load(d)?,
-            gva: Option::<u64>::load(d)?,
-            level: Option::<Level>::load(d)?,
-            detail: d.str()?,
-        })
+agile_types::record! {
+    /// One oracle violation: the check that failed, the translation it
+    /// concerns, and a human-readable explanation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Violation {
+        /// Which oracle caught it.
+        pub site: ViolationSite,
+        /// Offending guest virtual address, when the check concerns one.
+        pub gva: Option<u64>,
+        /// Page-table level involved, when known.
+        pub level: Option<Level>,
+        /// What exactly disagreed.
+        pub detail: String,
     }
 }
 

@@ -56,41 +56,27 @@ impl From<SegFault> for FaultError {
     }
 }
 
-/// Guest-OS event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OsStats {
-    /// Demand-paging faults serviced.
-    pub minor_faults: u64,
-    /// Copy-on-write breaks (private copy made on write).
-    pub cow_breaks: u64,
-    /// Pages mapped (any size, counted as mappings).
-    pub pages_mapped: u64,
-    /// Huge-page mappings among those.
-    pub huge_mappings: u64,
-    /// Pages unmapped.
-    pub pages_unmapped: u64,
-    /// Clock-scan passes run.
-    pub clock_scans: u64,
-    /// Pages reclaimed by the clock algorithm.
-    pub pages_reclaimed: u64,
-    /// Pages marked copy-on-write.
-    pub cow_marked: u64,
-}
-
-impl OsStats {
-    /// Counters accumulated since the `earlier` snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &OsStats) -> OsStats {
-        OsStats {
-            minor_faults: self.minor_faults - earlier.minor_faults,
-            cow_breaks: self.cow_breaks - earlier.cow_breaks,
-            pages_mapped: self.pages_mapped - earlier.pages_mapped,
-            huge_mappings: self.huge_mappings - earlier.huge_mappings,
-            pages_unmapped: self.pages_unmapped - earlier.pages_unmapped,
-            clock_scans: self.clock_scans - earlier.clock_scans,
-            pages_reclaimed: self.pages_reclaimed - earlier.pages_reclaimed,
-            cow_marked: self.cow_marked - earlier.cow_marked,
-        }
+agile_types::record! {
+    counters;
+    /// Guest-OS event counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OsStats {
+        /// Demand-paging faults serviced.
+        pub minor_faults: u64,
+        /// Copy-on-write breaks (private copy made on write).
+        pub cow_breaks: u64,
+        /// Pages mapped (any size, counted as mappings).
+        pub pages_mapped: u64,
+        /// Huge-page mappings among those.
+        pub huge_mappings: u64,
+        /// Pages unmapped.
+        pub pages_unmapped: u64,
+        /// Clock-scan passes run.
+        pub clock_scans: u64,
+        /// Pages reclaimed by the clock algorithm.
+        pub pages_reclaimed: u64,
+        /// Pages marked copy-on-write.
+        pub cow_marked: u64,
     }
 }
 
@@ -630,31 +616,6 @@ impl GuestOs {
         self.free_frames = free_frames;
         self.procs = procs;
         Ok(())
-    }
-}
-
-impl Persist for OsStats {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.minor_faults);
-        e.u64(self.cow_breaks);
-        e.u64(self.pages_mapped);
-        e.u64(self.huge_mappings);
-        e.u64(self.pages_unmapped);
-        e.u64(self.clock_scans);
-        e.u64(self.pages_reclaimed);
-        e.u64(self.cow_marked);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(OsStats {
-            minor_faults: d.u64()?,
-            cow_breaks: d.u64()?,
-            pages_mapped: d.u64()?,
-            huge_mappings: d.u64()?,
-            pages_unmapped: d.u64()?,
-            clock_scans: d.u64()?,
-            pages_reclaimed: d.u64()?,
-            cow_marked: d.u64()?,
-        })
     }
 }
 

@@ -13,22 +13,24 @@ pub enum VmaBacking {
     Cow,
 }
 
-/// One contiguous virtual memory area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Vma {
-    /// First virtual address (page-aligned).
-    pub start: u64,
-    /// Length in bytes (page-aligned).
-    pub len: u64,
-    /// Whether writes are permitted.
-    pub writable: bool,
-    /// Backing semantics.
-    pub backing: VmaBacking,
-    /// Largest page size demand faults may use here. 4 KiB by default;
-    /// 2 MiB via transparent huge pages; 1 GiB only on explicit request
-    /// (matching the paper's note that Linux does not use 1 GiB pages
-    /// transparently but agile paging supports them, §V).
-    pub max_page: PageSize,
+agile_types::record! {
+    /// One contiguous virtual memory area.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Vma {
+        /// First virtual address (page-aligned).
+        pub start: u64,
+        /// Length in bytes (page-aligned).
+        pub len: u64,
+        /// Whether writes are permitted.
+        pub writable: bool,
+        /// Backing semantics.
+        pub backing: VmaBacking,
+        /// Largest page size demand faults may use here. 4 KiB by default;
+        /// 2 MiB via transparent huge pages; 1 GiB only on explicit request
+        /// (matching the paper's note that Linux does not use 1 GiB pages
+        /// transparently but agile paging supports them, §V).
+        pub max_page: PageSize,
+    }
 }
 
 impl Vma {
@@ -66,25 +68,6 @@ impl Persist for VmaBacking {
             1 => Ok(VmaBacking::Cow),
             b => d.fail(format!("bad VmaBacking tag {b}")),
         }
-    }
-}
-
-impl Persist for Vma {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.start);
-        e.u64(self.len);
-        e.bool(self.writable);
-        self.backing.save(e);
-        self.max_page.save(e);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(Vma {
-            start: d.u64()?,
-            len: d.u64()?,
-            writable: d.bool()?,
-            backing: VmaBacking::load(d)?,
-            max_page: PageSize::load(d)?,
-        })
     }
 }
 

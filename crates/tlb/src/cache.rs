@@ -1,18 +1,20 @@
 //! A generic set-associative cache with true-LRU replacement.
 
-use agile_types::{CodecError, Dec, Enc, Persist, StateSink};
+use agile_types::{CodecError, Dec, Persist, StateSink};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Hit/miss/eviction counters for one cache structure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found the key.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Insertions that displaced a live entry.
-    pub evictions: u64,
+agile_types::record! {
+    /// Hit/miss/eviction counters for one cache structure.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Lookups that found the key.
+        pub hits: u64,
+        /// Lookups that missed.
+        pub misses: u64,
+        /// Insertions that displaced a live entry.
+        pub evictions: u64,
+    }
 }
 
 impl CacheStats {
@@ -539,21 +541,6 @@ fn note_removal(removals: &mut u64, set_removals: &mut u64) {
     *set_removals = *removals;
 }
 
-impl Persist for CacheStats {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.hits);
-        e.u64(self.misses);
-        e.u64(self.evictions);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(CacheStats {
-            hits: d.u64()?,
-            misses: d.u64()?,
-            evictions: d.u64()?,
-        })
-    }
-}
-
 impl<K: Eq + Hash + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
     /// Appends the cache's full dynamic state — every slot in per-set
     /// insertion order with its LRU stamp, the global stamp, and the
@@ -656,6 +643,7 @@ impl<K: Eq + Hash + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agile_types::Enc;
 
     #[test]
     fn hit_after_insert() {

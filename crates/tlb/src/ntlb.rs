@@ -2,21 +2,21 @@
 
 use crate::cache::{CacheStats, SetAssocCache};
 use crate::config::PwcConfig;
-use agile_types::{
-    CodecError, Dec, Enc, GuestFrame, HostFrame, PageSize, Persist, StateSink, VmId,
-};
+use agile_types::{CodecError, Dec, GuestFrame, HostFrame, PageSize, StateSink, VmId};
 
-/// A cached gPA⇒hPA translation: the backing host frame of one guest 4 KiB
-/// frame, plus the host mapping's page size and writability (so the final
-/// TLB entry's effective size and permissions can be computed on a hit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NtlbEntry {
-    /// Host frame backing the guest frame.
-    pub frame: HostFrame,
-    /// Page size of the host-table mapping the entry came from.
-    pub size: PageSize,
-    /// Whether the host mapping permits writes.
-    pub writable: bool,
+agile_types::record! {
+    /// A cached gPA⇒hPA translation: the backing host frame of one guest 4 KiB
+    /// frame, plus the host mapping's page size and writability (so the final
+    /// TLB entry's effective size and permissions can be computed on a hit).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct NtlbEntry {
+        /// Host frame backing the guest frame.
+        pub frame: HostFrame,
+        /// Page size of the host-table mapping the entry came from.
+        pub size: PageSize,
+        /// Whether the host mapping permits writes.
+        pub writable: bool,
+    }
 }
 
 /// Caches guest-frame to host-frame translations so the nested portions of
@@ -118,21 +118,6 @@ impl NestedTlb {
             return d.fail("nested-TLB enable bit mismatch");
         }
         self.cache.load_state(d)
-    }
-}
-
-impl Persist for NtlbEntry {
-    fn save(&self, e: &mut Enc) {
-        self.frame.save(e);
-        self.size.save(e);
-        e.bool(self.writable);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(NtlbEntry {
-            frame: HostFrame::load(d)?,
-            size: PageSize::load(d)?,
-            writable: d.bool()?,
-        })
     }
 }
 

@@ -30,14 +30,16 @@ pub enum PwcTableKind {
     Guest,
 }
 
-/// A cached partial translation: the host frame of the next table page to
-/// read, plus the mode to resume in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PwcEntry {
-    /// Host frame of the next-level table page.
-    pub frame: HostFrame,
-    /// Mode bit (shadow/1D vs guest/nested).
-    pub kind: PwcTableKind,
+agile_types::record! {
+    /// A cached partial translation: the host frame of the next table page to
+    /// read, plus the mode to resume in.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PwcEntry {
+        /// Host frame of the next-level table page.
+        pub frame: HostFrame,
+        /// Mode bit (shadow/1D vs guest/nested).
+        pub kind: PwcTableKind,
+    }
 }
 
 type Key = (Asid, u64);
@@ -231,19 +233,6 @@ impl Persist for PwcTableKind {
             1 => Ok(PwcTableKind::Guest),
             b => d.fail(format!("bad PwcTableKind tag {b}")),
         }
-    }
-}
-
-impl Persist for PwcEntry {
-    fn save(&self, e: &mut Enc) {
-        self.frame.save(e);
-        self.kind.save(e);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(PwcEntry {
-            frame: HostFrame::load(d)?,
-            kind: PwcTableKind::load(d)?,
-        })
     }
 }
 

@@ -3,26 +3,28 @@
 use crate::cache::SetAssocCache;
 use crate::config::{SizedTlbConfig, TlbConfig};
 use agile_types::{
-    AccessKind, Asid, CodecError, Dec, Enc, GuestVirtAddr, HostFrame, PageSize, Persist, StateSink,
+    AccessKind, Asid, CodecError, Dec, GuestVirtAddr, HostFrame, PageSize, Persist, StateSink,
 };
 
-/// A TLB entry: the final translation the paper cares about. Under
-/// virtualization this maps gVA⇒hPA regardless of technique (nested, shadow,
-/// and agile paging all produce the same TLB contents — their difference is
-/// the *miss* path); natively it maps VA⇒PA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TlbEntry {
-    /// Host-physical frame of the first 4 KiB page of the mapping.
-    pub frame: HostFrame,
-    /// Page size of the mapping.
-    pub size: PageSize,
-    /// Whether the mapping permits writes (a write to a read-only entry
-    /// must re-walk so the fault path runs).
-    pub writable: bool,
-    /// Whether a store has gone through this entry. A store through a
-    /// clean entry re-walks so the hardware can set dirty bits in the page
-    /// tables, exactly as on x86-64.
-    pub dirty: bool,
+agile_types::record! {
+    /// A TLB entry: the final translation the paper cares about. Under
+    /// virtualization this maps gVA⇒hPA regardless of technique (nested, shadow,
+    /// and agile paging all produce the same TLB contents — their difference is
+    /// the *miss* path); natively it maps VA⇒PA.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct TlbEntry {
+        /// Host-physical frame of the first 4 KiB page of the mapping.
+        pub frame: HostFrame,
+        /// Page size of the mapping.
+        pub size: PageSize,
+        /// Whether the mapping permits writes (a write to a read-only entry
+        /// must re-walk so the fault path runs).
+        pub writable: bool,
+        /// Whether a store has gone through this entry. A store through a
+        /// clean entry re-walks so the hardware can set dirty bits in the page
+        /// tables, exactly as on x86-64.
+        pub dirty: bool,
+    }
 }
 
 impl TlbEntry {
@@ -45,23 +47,26 @@ impl TlbEntry {
     }
 }
 
-/// Per-structure hit counters plus overall miss count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// Lookups issued, counted independently at probe entry (not derived
-    /// from the outcome counters, so `l1_hits + l2_hits + misses == lookups`
-    /// is a real conservation identity the verify layer can check).
-    pub lookups: u64,
-    /// Lookups that hit in an L1 structure.
-    pub l1_hits: u64,
-    /// Lookups that missed L1 but hit the unified L2.
-    pub l2_hits: u64,
-    /// Lookups that missed the whole hierarchy (page walks).
-    pub misses: u64,
-    /// Fills performed after walks.
-    pub fills: u64,
-    /// Entries invalidated by `invlpg`/flush operations.
-    pub invalidations: u64,
+agile_types::record! {
+    counters;
+    /// Per-structure hit counters plus overall miss count.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TlbStats {
+        /// Lookups issued, counted independently at probe entry (not derived
+        /// from the outcome counters, so `l1_hits + l2_hits + misses == lookups`
+        /// is a real conservation identity the verify layer can check).
+        pub lookups: u64,
+        /// Lookups that hit in an L1 structure.
+        pub l1_hits: u64,
+        /// Lookups that missed L1 but hit the unified L2.
+        pub l2_hits: u64,
+        /// Lookups that missed the whole hierarchy (page walks).
+        pub misses: u64,
+        /// Fills performed after walks.
+        pub fills: u64,
+        /// Entries invalidated by `invlpg`/flush operations.
+        pub invalidations: u64,
+    }
 }
 
 impl TlbStats {
@@ -70,19 +75,6 @@ impl TlbStats {
     #[must_use]
     pub fn lookups(&self) -> u64 {
         self.lookups
-    }
-
-    /// Counters accumulated since the `earlier` snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &TlbStats) -> TlbStats {
-        TlbStats {
-            lookups: self.lookups - earlier.lookups,
-            l1_hits: self.l1_hits - earlier.l1_hits,
-            l2_hits: self.l2_hits - earlier.l2_hits,
-            misses: self.misses - earlier.misses,
-            fills: self.fills - earlier.fills,
-            invalidations: self.invalidations - earlier.invalidations,
-        }
     }
 
     /// Overall miss ratio in [0, 1].
@@ -437,44 +429,6 @@ impl TlbHierarchy {
         }
         self.stats = stats;
         Ok(())
-    }
-}
-
-impl Persist for TlbStats {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.lookups);
-        e.u64(self.l1_hits);
-        e.u64(self.l2_hits);
-        e.u64(self.misses);
-        e.u64(self.fills);
-        e.u64(self.invalidations);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(TlbStats {
-            lookups: d.u64()?,
-            l1_hits: d.u64()?,
-            l2_hits: d.u64()?,
-            misses: d.u64()?,
-            fills: d.u64()?,
-            invalidations: d.u64()?,
-        })
-    }
-}
-
-impl Persist for TlbEntry {
-    fn save(&self, e: &mut Enc) {
-        self.frame.save(e);
-        self.size.save(e);
-        e.bool(self.writable);
-        e.bool(self.dirty);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(TlbEntry {
-            frame: HostFrame::load(d)?,
-            size: PageSize::load(d)?,
-            writable: d.bool()?,
-            dirty: d.bool()?,
-        })
     }
 }
 

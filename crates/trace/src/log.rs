@@ -65,26 +65,28 @@ impl Persist for TraceEvent {
     }
 }
 
-/// An in-memory trace.
-///
-/// # Example
-///
-/// ```
-/// use agile_trace::{TraceEvent, TraceLog};
-/// use agile_types::{Level, ProcessId};
-///
-/// let mut log = TraceLog::new();
-/// log.push(TraceEvent::GptWrite {
-///     pid: ProcessId::new(1),
-///     gva: 0x4000,
-///     level: Level::L1,
-/// });
-/// log.push(TraceEvent::IntervalEnd);
-/// assert_eq!(log.len(), 2);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceLog {
-    events: Vec<TraceEvent>,
+agile_types::record! {
+    /// An in-memory trace.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use agile_trace::{TraceEvent, TraceLog};
+    /// use agile_types::{Level, ProcessId};
+    ///
+    /// let mut log = TraceLog::new();
+    /// log.push(TraceEvent::GptWrite {
+    ///     pid: ProcessId::new(1),
+    ///     gva: 0x4000,
+    ///     level: Level::L1,
+    /// });
+    /// log.push(TraceEvent::IntervalEnd);
+    /// assert_eq!(log.len(), 2);
+    /// ```
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct TraceLog {
+        events: Vec<TraceEvent>,
+    }
 }
 
 impl TraceLog {
@@ -115,16 +117,5 @@ impl TraceLog {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-}
-
-impl Persist for TraceLog {
-    fn save(&self, e: &mut Enc) {
-        self.events.save(e);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(TraceLog {
-            events: Vec::load(d)?,
-        })
     }
 }

@@ -19,6 +19,23 @@
 //! * there is no padding, framing, or alignment — concatenation of field
 //!   encodings in declaration order.
 //!
+//! # Records
+//!
+//! A struct whose encoding is that last rule — each field's own encoding,
+//! in declaration order — is declared through [`record!`](crate::record)
+//! instead of implementing [`Persist`] by hand. The macro emits the struct
+//! unchanged and derives `save`/`load` from its field list, so the two can
+//! never list the fields in different orders. Its `counters;` form also
+//! derives [`Counters::since`] for blocks of monotone event counters; a
+//! counters block may hold `u64`s, `[u64; N]` arrays and other counters
+//! blocks. Reordering a record's fields moves its bytes, and with them
+//! every snapshot that holds it.
+//!
+//! Three kinds of encoding stay hand-written: enums (a tag byte, then the
+//! variant's fields), append-only logs whose sinks may skip items already
+//! seen (`ShootdownLog`), and structures saved as parts with generations
+//! through [`StateSink`] (`save_to`/`load_state`).
+//!
 //! # Example
 //!
 //! ```
@@ -339,6 +356,107 @@ pub trait Persist: Sized {
     fn save(&self, e: &mut Enc);
     /// Decodes one value from `d`.
     fn load(d: &mut Dec) -> Result<Self, CodecError>;
+}
+
+/// Declares a record: a struct encoded as its fields' own encodings,
+/// concatenated in declaration order.
+///
+/// The struct is emitted exactly as written (attributes, docs, derives,
+/// visibility), together with a [`Persist`] impl that calls each field's
+/// `save` and `load` in declaration order. Prefixed with `counters;`, the
+/// struct is a block of monotone counters and also gets a [`Counters`]
+/// impl whose `since` differences every field.
+///
+/// ```
+/// use agile_types::{Counters, Dec, Enc, Persist};
+///
+/// agile_types::record! {
+///     counters;
+///     /// Hits and misses per way.
+///     #[derive(Debug, Default, PartialEq, Eq)]
+///     pub struct WayStats {
+///         /// Lookups that hit.
+///         pub hits: u64,
+///         /// Misses, by way.
+///         pub misses: [u64; 2],
+///     }
+/// }
+///
+/// let now = WayStats { hits: 5, misses: [3, 4] };
+/// let then = WayStats { hits: 1, misses: [1, 1] };
+/// assert_eq!(now.since(&then), WayStats { hits: 4, misses: [2, 3] });
+///
+/// let mut e = Enc::new();
+/// now.save(&mut e);
+/// let bytes = e.into_bytes();
+/// assert_eq!(bytes.len(), 3 * 8);
+/// assert_eq!(WayStats::load(&mut Dec::new(&bytes)), Ok(now));
+/// ```
+#[macro_export]
+macro_rules! record {
+    (
+        counters;
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident : $ty:ty),* $(,)?
+        }
+    ) => {
+        $crate::record! {
+            $(#[$meta])*
+            $vis struct $name {
+                $($(#[$field_meta])* $field_vis $field: $ty),*
+            }
+        }
+
+        impl $crate::Counters for $name {
+            fn since(&self, earlier: &Self) -> Self {
+                $name {
+                    $($field: $crate::Counters::since(&self.$field, &earlier.$field),)*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident : $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty,)*
+        }
+
+        impl $crate::Persist for $name {
+            fn save(&self, e: &mut $crate::Enc) {
+                $($crate::Persist::save(&self.$field, e);)*
+            }
+            fn load(d: &mut $crate::Dec) -> ::core::result::Result<Self, $crate::CodecError> {
+                ::core::result::Result::Ok($name {
+                    $($field: <$ty as $crate::Persist>::load(d)?,)*
+                })
+            }
+        }
+    };
+}
+
+/// A block of monotone event counters, read at two instants.
+pub trait Counters {
+    /// What accumulated between `earlier` and `self`, counter by counter.
+    #[must_use]
+    fn since(&self, earlier: &Self) -> Self;
+}
+
+impl Counters for u64 {
+    fn since(&self, earlier: &Self) -> Self {
+        self - earlier
+    }
+}
+
+impl<const N: usize> Counters for [u64; N] {
+    fn since(&self, earlier: &Self) -> Self {
+        std::array::from_fn(|i| self[i] - earlier[i])
+    }
 }
 
 impl Persist for u8 {
@@ -691,6 +809,132 @@ mod tests {
         assert!(bool::load(&mut d).is_err());
         let mut d = Dec::new(&[0]);
         assert!(Level::load(&mut d).is_err());
+    }
+
+    crate::record! {
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Inner {
+            a: u32,
+            flag: bool,
+        }
+    }
+
+    crate::record! {
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Sample {
+            n: u64,
+            small: u32,
+            on: bool,
+            maybe: Option<u64>,
+            name: String,
+            arr: [u64; 3],
+            inner: Inner,
+        }
+    }
+
+    fn sample() -> Sample {
+        Sample {
+            n: 0x0102_0304_0506_0708,
+            small: 0xaabb_ccdd,
+            on: true,
+            maybe: Some(42),
+            name: "rec".into(),
+            arr: [7, 8, 9],
+            inner: Inner { a: 5, flag: false },
+        }
+    }
+
+    /// The sample's bytes written primitive by primitive, and the offset
+    /// at which each field starts.
+    fn sample_by_hand() -> (Vec<u8>, Vec<usize>) {
+        let mut e = Enc::new();
+        let mut starts = vec![0];
+        e.u64(0x0102_0304_0506_0708);
+        starts.push(e.len());
+        e.u32(0xaabb_ccdd);
+        starts.push(e.len());
+        e.bool(true);
+        starts.push(e.len());
+        e.u8(1);
+        e.u64(42);
+        starts.push(e.len());
+        e.str("rec");
+        starts.push(e.len());
+        for v in [7, 8, 9] {
+            e.u64(v);
+        }
+        starts.push(e.len());
+        e.u32(5);
+        e.bool(false);
+        (e.into_bytes(), starts)
+    }
+
+    #[test]
+    fn a_record_is_its_fields_in_declaration_order() {
+        let mut e = Enc::new();
+        sample().save(&mut e);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes, sample_by_hand().0);
+        let mut d = Dec::new(&bytes);
+        assert_eq!(Sample::load(&mut d), Ok(sample()));
+        d.finish().unwrap();
+    }
+
+    #[test]
+    fn a_cut_record_fails_at_its_first_missing_field() {
+        let (bytes, starts) = sample_by_hand();
+        for at in starts {
+            let err = Sample::load(&mut Dec::new(&bytes[..at])).unwrap_err();
+            assert_eq!(err.at, at, "{err}");
+        }
+    }
+
+    crate::record! {
+        counters;
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct Leaf {
+            hits: u64,
+            ways: [u64; 2],
+        }
+    }
+
+    crate::record! {
+        counters;
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct Block {
+            total: u64,
+            kinds: [u64; 3],
+            leaf: Leaf,
+        }
+    }
+
+    #[test]
+    fn counters_since_subtracts_every_field() {
+        let now = Block {
+            total: 10,
+            kinds: [5, 6, 7],
+            leaf: Leaf {
+                hits: 4,
+                ways: [3, 2],
+            },
+        };
+        let earlier = Block {
+            total: 1,
+            kinds: [1, 2, 3],
+            leaf: Leaf {
+                hits: 4,
+                ways: [1, 0],
+            },
+        };
+        let expected = Block {
+            total: 9,
+            kinds: [4, 4, 4],
+            leaf: Leaf {
+                hits: 0,
+                ways: [2, 2],
+            },
+        };
+        assert_eq!(now.since(&earlier), expected);
     }
 
     #[test]

@@ -39,7 +39,9 @@ mod rng;
 
 pub use access::AccessKind;
 pub use addr::{GuestFrame, GuestPhysAddr, GuestVirtAddr, HostFrame, HostPhysAddr};
-pub use codec::{load_map_entries, save_sorted_map, CodecError, Dec, Enc, Persist, StateSink};
+pub use codec::{
+    load_map_entries, save_sorted_map, CodecError, Counters, Dec, Enc, Persist, StateSink,
+};
 pub use error::{Fault, FaultCause};
 pub use ids::{Asid, ProcessId, VmId};
 pub use level::Level;

@@ -20,23 +20,25 @@ pub enum GptPageMode {
     Nested,
 }
 
-/// What the VMM knows about one guest page-table page. Read-only views of
-/// this metadata are exposed through [`crate::Vmm::gpt_pages`] for the
-/// static analyzer and tests; the VMM alone mutates it.
-#[derive(Debug, Clone, Copy)]
-pub struct GptPageInfo {
-    /// Radix level of the entries this page holds.
-    pub level: Level,
-    /// First guest virtual address covered by the page.
-    pub va_base: u64,
-    /// Current interception mode.
-    pub mode: GptPageMode,
-    /// Writes the VMM has observed to the page in the current interval
-    /// (the paper's bimodal write detector).
-    pub writes_this_interval: u32,
-    /// Whether the shadow table currently mirrors entries derived from this
-    /// page. Only shadowed pages are write-protected, so only they trap.
-    pub shadowed: bool,
+agile_types::record! {
+    /// What the VMM knows about one guest page-table page. Read-only views of
+    /// this metadata are exposed through [`crate::Vmm::gpt_pages`] for the
+    /// static analyzer and tests; the VMM alone mutates it.
+    #[derive(Debug, Clone, Copy)]
+    pub struct GptPageInfo {
+        /// Radix level of the entries this page holds.
+        pub level: Level,
+        /// First guest virtual address covered by the page.
+        pub va_base: u64,
+        /// Current interception mode.
+        pub mode: GptPageMode,
+        /// Writes the VMM has observed to the page in the current interval
+        /// (the paper's bimodal write detector).
+        pub writes_this_interval: u32,
+        /// Whether the shadow table currently mirrors entries derived from this
+        /// page. Only shadowed pages are write-protected, so only they trap.
+        pub shadowed: bool,
+    }
 }
 
 impl Persist for GptPageMode {
@@ -54,25 +56,6 @@ impl Persist for GptPageMode {
             2 => Ok(GptPageMode::Nested),
             b => d.fail(format!("bad GptPageMode tag {b}")),
         }
-    }
-}
-
-impl Persist for GptPageInfo {
-    fn save(&self, e: &mut Enc) {
-        self.level.save(e);
-        e.u64(self.va_base);
-        self.mode.save(e);
-        e.u32(self.writes_this_interval);
-        e.bool(self.shadowed);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(GptPageInfo {
-            level: Level::load(d)?,
-            va_base: d.u64()?,
-            mode: GptPageMode::load(d)?,
-            writes_this_interval: d.u32()?,
-            shadowed: d.bool()?,
-        })
     }
 }
 

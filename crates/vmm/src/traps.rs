@@ -1,7 +1,5 @@
 //! VMexit / VMtrap accounting and the cycle cost model.
 
-use agile_types::{CodecError, Dec, Enc, Persist};
-
 /// Why the VMM was entered. Mirrors the trap classes the paper's Section VI
 /// methodology traces ("context switch, page table update and page fault")
 /// plus the host-side EPT fills common to all virtualized techniques.
@@ -118,11 +116,14 @@ impl VmtrapCosts {
     }
 }
 
-/// Per-kind trap counts and cycle totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VmtrapStats {
-    counts: [u64; 8],
-    cycles: [u64; 8],
+agile_types::record! {
+    counters;
+    /// Per-kind trap counts and cycle totals.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct VmtrapStats {
+        counts: [u64; 8],
+        cycles: [u64; 8],
+    }
 }
 
 impl VmtrapStats {
@@ -155,46 +156,6 @@ impl VmtrapStats {
     pub fn total_cycles(&self) -> u64 {
         self.cycles.iter().sum()
     }
-
-    /// Adds another stats block into this one.
-    pub fn merge(&mut self, other: &VmtrapStats) {
-        for i in 0..self.counts.len() {
-            self.counts[i] += other.counts[i];
-            self.cycles[i] += other.cycles[i];
-        }
-    }
-
-    /// Counters accumulated since the `earlier` snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &VmtrapStats) -> VmtrapStats {
-        let mut out = *self;
-        for i in 0..out.counts.len() {
-            out.counts[i] -= earlier.counts[i];
-            out.cycles[i] -= earlier.cycles[i];
-        }
-        out
-    }
-}
-
-impl Persist for VmtrapStats {
-    fn save(&self, e: &mut Enc) {
-        for c in self.counts {
-            e.u64(c);
-        }
-        for c in self.cycles {
-            e.u64(c);
-        }
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        let mut out = VmtrapStats::default();
-        for c in &mut out.counts {
-            *c = d.u64()?;
-        }
-        for c in &mut out.cycles {
-            *c = d.u64()?;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_record_and_merge() {
+    fn stats_record_and_total() {
         let mut s = VmtrapStats::default();
         s.record(VmtrapKind::GptWrite, 3, 100);
         s.record(VmtrapKind::ContextSwitch, 1, 50);
@@ -222,11 +183,6 @@ mod tests {
         assert_eq!(s.cycles(VmtrapKind::GptWrite), 300);
         assert_eq!(s.total_traps(), 4);
         assert_eq!(s.total_cycles(), 350);
-        let mut t = VmtrapStats::default();
-        t.record(VmtrapKind::GptWrite, 1, 10);
-        t.merge(&s);
-        assert_eq!(t.count(VmtrapKind::GptWrite), 4);
-        assert_eq!(t.total_cycles(), 360);
     }
 
     #[test]

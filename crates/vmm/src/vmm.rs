@@ -82,72 +82,30 @@ pub enum FaultOutcome {
     ReflectToGuest(Fault),
 }
 
-/// Event counters beyond VMtraps, used by the experiment reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VmmCounters {
-    /// Guest page-table subtrees moved from shadow to nested mode.
-    pub to_nested: u64,
-    /// Guest page-table pages moved from nested back to shadow mode.
-    pub to_shadow: u64,
-    /// Leaf guest-table pages unsynced (KVM-style).
-    pub unsyncs: u64,
-    /// Unsynced pages re-protected at flush/context-switch points.
-    pub resyncs: u64,
-    /// Shadow leaf entries constructed (lazy or eager).
-    pub shadow_leaves_built: u64,
-    /// Context switches absorbed by the hardware pointer cache (HW opt 2).
-    pub ctx_cache_hits: u64,
-    /// Guest page-table writes observed, total.
-    pub gpt_writes_total: u64,
-    /// Guest page-table writes that were direct (no VMM intervention).
-    pub gpt_writes_direct: u64,
-    /// Whole-process fallbacks to nested mode under trap-storm pressure
-    /// (the agile policy's hysteresis degradation path).
-    pub storm_fallbacks: u64,
-}
-
-impl VmmCounters {
-    /// Counters accumulated since the `earlier` snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &VmmCounters) -> VmmCounters {
-        VmmCounters {
-            to_nested: self.to_nested - earlier.to_nested,
-            to_shadow: self.to_shadow - earlier.to_shadow,
-            unsyncs: self.unsyncs - earlier.unsyncs,
-            resyncs: self.resyncs - earlier.resyncs,
-            shadow_leaves_built: self.shadow_leaves_built - earlier.shadow_leaves_built,
-            ctx_cache_hits: self.ctx_cache_hits - earlier.ctx_cache_hits,
-            gpt_writes_total: self.gpt_writes_total - earlier.gpt_writes_total,
-            gpt_writes_direct: self.gpt_writes_direct - earlier.gpt_writes_direct,
-            storm_fallbacks: self.storm_fallbacks - earlier.storm_fallbacks,
-        }
-    }
-}
-
-impl Persist for VmmCounters {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.to_nested);
-        e.u64(self.to_shadow);
-        e.u64(self.unsyncs);
-        e.u64(self.resyncs);
-        e.u64(self.shadow_leaves_built);
-        e.u64(self.ctx_cache_hits);
-        e.u64(self.gpt_writes_total);
-        e.u64(self.gpt_writes_direct);
-        e.u64(self.storm_fallbacks);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(VmmCounters {
-            to_nested: d.u64()?,
-            to_shadow: d.u64()?,
-            unsyncs: d.u64()?,
-            resyncs: d.u64()?,
-            shadow_leaves_built: d.u64()?,
-            ctx_cache_hits: d.u64()?,
-            gpt_writes_total: d.u64()?,
-            gpt_writes_direct: d.u64()?,
-            storm_fallbacks: d.u64()?,
-        })
+agile_types::record! {
+    counters;
+    /// Event counters beyond VMtraps, used by the experiment reports.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct VmmCounters {
+        /// Guest page-table subtrees moved from shadow to nested mode.
+        pub to_nested: u64,
+        /// Guest page-table pages moved from nested back to shadow mode.
+        pub to_shadow: u64,
+        /// Leaf guest-table pages unsynced (KVM-style).
+        pub unsyncs: u64,
+        /// Unsynced pages re-protected at flush/context-switch points.
+        pub resyncs: u64,
+        /// Shadow leaf entries constructed (lazy or eager).
+        pub shadow_leaves_built: u64,
+        /// Context switches absorbed by the hardware pointer cache (HW opt 2).
+        pub ctx_cache_hits: u64,
+        /// Guest page-table writes observed, total.
+        pub gpt_writes_total: u64,
+        /// Guest page-table writes that were direct (no VMM intervention).
+        pub gpt_writes_direct: u64,
+        /// Whole-process fallbacks to nested mode under trap-storm pressure
+        /// (the agile policy's hysteresis degradation path).
+        pub storm_fallbacks: u64,
     }
 }
 
@@ -1179,8 +1137,6 @@ impl Vmm {
         while let Some(p) = stack.pop() {
             let host = self.gmap.resolve(p.raw());
             let Some(tp) = mem.table(host) else { continue };
-            let level = Level::L4; // placeholder; we use table_gframes to filter
-            let _ = level;
             for (_, pte) in tp.present_entries() {
                 if pte.is_huge() {
                     continue;

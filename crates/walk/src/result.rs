@@ -1,6 +1,6 @@
 //! Walk outcomes, classification, and counters.
 
-use agile_types::{CodecError, Dec, Enc, HostFrame, PageSize, Persist};
+use agile_types::{HostFrame, PageSize};
 
 /// The register state a walk starts from: what the OS or VMM programs
 /// into the page-table pointers for the current process (the paper's
@@ -119,26 +119,29 @@ pub struct WalkOk {
     pub resumed_from_pwc: bool,
 }
 
-/// Accumulated walk counters, kept by the caller across walks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalkStats {
-    /// Walks started (counted on entry, before the outcome is known). Every
-    /// attempt terminates exactly once, so `attempts == walks +
-    /// faulted_walks` is a cross-site conservation identity the verify
-    /// layer checks.
-    pub attempts: u64,
-    /// Completed walks.
-    pub walks: u64,
-    /// Walks that ended in a fault (their references still count).
-    pub faulted_walks: u64,
-    /// Total memory references.
-    pub memory_refs: u64,
-    /// References to shadow (or native) table entries.
-    pub refs_shadow: u64,
-    /// References to guest page-table entries.
-    pub refs_guest: u64,
-    /// References to host page-table entries.
-    pub refs_host: u64,
+agile_types::record! {
+    counters;
+    /// Accumulated walk counters, kept by the caller across walks.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WalkStats {
+        /// Walks started (counted on entry, before the outcome is known). Every
+        /// attempt terminates exactly once, so `attempts == walks +
+        /// faulted_walks` is a cross-site conservation identity the verify
+        /// layer checks.
+        pub attempts: u64,
+        /// Completed walks.
+        pub walks: u64,
+        /// Walks that ended in a fault (their references still count).
+        pub faulted_walks: u64,
+        /// Total memory references.
+        pub memory_refs: u64,
+        /// References to shadow (or native) table entries.
+        pub refs_shadow: u64,
+        /// References to guest page-table entries.
+        pub refs_guest: u64,
+        /// References to host page-table entries.
+        pub refs_host: u64,
+    }
 }
 
 impl WalkStats {
@@ -150,54 +153,6 @@ impl WalkStats {
         } else {
             self.memory_refs as f64 / self.walks as f64
         }
-    }
-
-    /// Counters accumulated since the `earlier` snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &WalkStats) -> WalkStats {
-        WalkStats {
-            attempts: self.attempts - earlier.attempts,
-            walks: self.walks - earlier.walks,
-            faulted_walks: self.faulted_walks - earlier.faulted_walks,
-            memory_refs: self.memory_refs - earlier.memory_refs,
-            refs_shadow: self.refs_shadow - earlier.refs_shadow,
-            refs_guest: self.refs_guest - earlier.refs_guest,
-            refs_host: self.refs_host - earlier.refs_host,
-        }
-    }
-
-    /// Adds another stats block into this one.
-    pub fn merge(&mut self, other: &WalkStats) {
-        self.attempts += other.attempts;
-        self.walks += other.walks;
-        self.faulted_walks += other.faulted_walks;
-        self.memory_refs += other.memory_refs;
-        self.refs_shadow += other.refs_shadow;
-        self.refs_guest += other.refs_guest;
-        self.refs_host += other.refs_host;
-    }
-}
-
-impl Persist for WalkStats {
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.attempts);
-        e.u64(self.walks);
-        e.u64(self.faulted_walks);
-        e.u64(self.memory_refs);
-        e.u64(self.refs_shadow);
-        e.u64(self.refs_guest);
-        e.u64(self.refs_host);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(WalkStats {
-            attempts: d.u64()?,
-            walks: d.u64()?,
-            faulted_walks: d.u64()?,
-            memory_refs: d.u64()?,
-            refs_shadow: d.u64()?,
-            refs_guest: d.u64()?,
-            refs_host: d.u64()?,
-        })
     }
 }
 
@@ -245,20 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_and_avg() {
-        let mut a = WalkStats {
-            walks: 2,
-            memory_refs: 8,
+    fn stats_avg_refs() {
+        let a = WalkStats {
+            walks: 4,
+            memory_refs: 56,
             ..WalkStats::default()
         };
-        let b = WalkStats {
-            walks: 2,
-            memory_refs: 48,
-            refs_host: 40,
-            ..WalkStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.walks, 4);
         assert!((a.avg_refs() - 14.0).abs() < 1e-9);
         assert_eq!(WalkStats::default().avg_refs(), 0.0);
     }
