@@ -20,8 +20,9 @@ fn main() {
     let o = stats.overheads();
     println!("configuration : {}", sim.config.label());
     println!(
-        "accesses      : {} (measured after {} warm-up)",
-        stats.accesses, sim.warmup
+        "accesses      : {} ({})",
+        stats.accesses,
+        sim.measured_window()
     );
     println!(
         "TLB misses    : {} (MPKA {:.1})",

@@ -148,7 +148,8 @@ pub struct SimArgs {
     pub config: SystemConfig,
     /// The workload to run.
     pub spec: WorkloadSpec,
-    /// Accesses excluded from measurement at the start.
+    /// Data accesses excluded from measurement at the start, counting
+    /// the prefault sweep's; always below the run's total.
     pub warmup: u64,
     /// Write the run's artifact JSON here.
     pub json: Option<PathBuf>,
@@ -176,6 +177,8 @@ simulate — run a custom workload on the agile-paging simulator
   --no-pwc           disable page walk caches + nested TLB
   --no-prefault      skip the population sweep
   --warmup N         warm-up accesses excluded         (default accesses/4)
+                     (the prefault sweep counts toward
+                     them; must be below the run's total)
   --seed N           RNG seed                          (default 1)
   --json PATH        write the run artifact JSON here
 ";
@@ -222,9 +225,9 @@ simulate — run a custom workload on the agile-paging simulator
                 "--accesses" => accesses = parse_num(flag, value()?)?,
                 "--writes" => writes = parse_fraction(flag, value()?)?,
                 "--remap-every" => churn.remap_every = Some(parse_count(flag, value()?)?),
-                "--remap-pages" => remap_pages = parse_num(flag, value()?)?,
+                "--remap-pages" => remap_pages = parse_count(flag, value()?)?,
                 "--cow-every" => churn.cow_every = Some(parse_count(flag, value()?)?),
-                "--cow-pages" => cow_pages = parse_num(flag, value()?)?,
+                "--cow-pages" => cow_pages = parse_count(flag, value()?)?,
                 "--zone" => churn.churn_zone = parse_fraction(flag, value()?)?,
                 "--procs" => churn.processes = parse_count(flag, value()?)? as usize,
                 "--ctx-every" => churn.ctx_switch_every = Some(parse_count(flag, value()?)?),
@@ -266,12 +269,37 @@ simulate — run a custom workload on the agile-paging simulator
             prefault_writes: true,
             seed,
         };
+        // The machine counts the prefault sweep's accesses toward the
+        // warm-up, and a warm-up the run never reaches excludes nothing.
+        let sweep = if prefault {
+            (spec.churn.processes.max(1) as u64).saturating_mul(footprint / 4096)
+        } else {
+            0
+        };
+        let total = accesses.saturating_add(sweep);
+        let warmup = warmup.unwrap_or(accesses / 4);
+        if warmup > 0 && warmup >= total {
+            return Err(format!(
+                "--warmup: {warmup} is not below the run's {total} data accesses \
+                 ({accesses} plus a prefault sweep of {sweep})"
+            ));
+        }
         Ok(SimArgs {
             config,
             spec,
-            warmup: warmup.unwrap_or(accesses / 4),
+            warmup,
             json,
         })
+    }
+
+    /// Which accesses the run's statistics cover, for the report line.
+    #[must_use]
+    pub fn measured_window(&self) -> String {
+        match (self.warmup, self.spec.prefault) {
+            (0, _) => "measured from the first access".to_string(),
+            (w, true) => format!("measured after {w} warm-up accesses, prefault sweep included"),
+            (w, false) => format!("measured after {w} warm-up accesses"),
+        }
     }
 
     /// Writes the run artifact JSON when `--json` was given; a failed
@@ -447,6 +475,23 @@ mod tests {
     }
 
     #[test]
+    fn the_report_names_the_measured_window() {
+        let window = |words| parse(words).unwrap().measured_window();
+        assert_eq!(
+            window("--accesses 2000 --footprint-mb 4 --warmup 500"),
+            "measured after 500 warm-up accesses, prefault sweep included"
+        );
+        assert_eq!(
+            window("--accesses 2000 --no-prefault --warmup 500"),
+            "measured after 500 warm-up accesses"
+        );
+        assert_eq!(
+            window("--accesses 2000 --warmup 0"),
+            "measured from the first access"
+        );
+    }
+
+    #[test]
     fn pattern_variants_parse() {
         assert!(matches!(parse_pattern("uniform"), Ok(Pattern::Uniform)));
         assert!(matches!(parse_pattern("chase"), Ok(Pattern::PointerChase)));
@@ -485,6 +530,17 @@ mod tests {
             ("--cow-every 0", "--cow-every:"),
             ("--ctx-every 0", "--ctx-every:"),
             ("--procs 0", "--procs:"),
+            ("--remap-pages 0", "--remap-pages:"),
+            ("--cow-pages 0", "--cow-pages:"),
+            (
+                "--accesses 2000 --footprint-mb 4 --warmup 3024",
+                "--warmup:",
+            ),
+            ("--accesses 2000 --no-prefault --warmup 2000", "--warmup:"),
+            (
+                "--accesses 2000 --footprint-mb 4 --procs 2 --warmup 5000",
+                "--warmup:",
+            ),
         ] {
             let err = parse(words).unwrap_err();
             assert!(err.starts_with(flag), "{words}: {err}");
@@ -501,6 +557,12 @@ mod tests {
             "--remap-every 1",
             "--ctx-every 1",
             "--procs 1",
+            "--remap-pages 1",
+            "--cow-pages 1",
+            "--accesses 2000 --footprint-mb 4 --warmup 3023",
+            "--accesses 2000 --no-prefault --warmup 1999",
+            "--accesses 2000 --footprint-mb 4 --procs 2 --warmup 4047",
+            "--accesses 0 --no-prefault",
         ] {
             assert!(parse(words).is_ok(), "{words}");
         }

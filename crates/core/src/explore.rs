@@ -25,7 +25,12 @@
 //!
 //! The explorer is *stateless* in the model-checking sense: each schedule
 //! re-executes the workload from scratch under a [`Scheduler`] that
-//! replays a scripted choice prefix and defaults after it. Each distinct
+//! replays a scripted choice prefix and defaults after it. A run depends
+//! only on its script, so schedules run on every core: helper threads run
+//! the scripts waiting on the DFS stack ahead of time, and one committing
+//! thread takes their outcomes in the stack's order, owning the visited
+//! set, every count and every extension, so the report is the one a
+//! sequential search gives (see [`explore`]). Each distinct
 //! state is checked once: an event that ends inside the replayed prefix
 //! reproduces a state the parent schedule already checked and keyed —
 //! the same choices give the same state, the determinism the dedup key
@@ -45,10 +50,13 @@
 //! script replays through the same runner path to the identical findings.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
+use std::num::NonZero;
 use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 
 use crate::machine::Machine;
 use crate::runner::json::Json;
@@ -146,7 +154,9 @@ pub struct ExploreConfig {
     /// Maximum *branchable* choice points per schedule; points past the
     /// budget take their scripted/default value but spawn no extensions.
     pub fuel: usize,
-    /// Maximum schedules (workload re-executions) to run.
+    /// Maximum schedules (workload re-executions) to commit. Helpers may
+    /// have run a few more by the time the search stops; their outcomes
+    /// are discarded.
     pub max_schedules: u64,
     /// Maximum unique states to insert into the dedup set. Checked before
     /// each schedule, so the last schedule run can insert states past it.
@@ -264,7 +274,8 @@ impl CounterexampleTrace {
 /// What a bounded exploration covered and found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreReport {
-    /// Schedules executed (workload re-runs, shrinking excluded).
+    /// Schedules committed (workload re-runs; shrinking and the runs
+    /// discarded past a stop excluded).
     pub schedules: u64,
     /// Unique explored states (fresh state keys at event boundaries).
     pub states: u64,
@@ -535,8 +546,12 @@ struct RunOutcome {
 }
 
 /// How a run keys a checked state: the machine and its event cursor in,
-/// the visited-set key out.
-type Keyer<'a> = &'a mut dyn FnMut(&mut Machine, u64) -> u64;
+/// the visited-set key out. Every thread that runs schedules calls it.
+type Keyer<'a> = &'a (dyn Fn(&mut Machine, u64) -> u64 + Sync);
+
+/// A violating run the search stopped at: its chosen trail, and the
+/// violating event with its findings.
+type Violation = (Vec<u32>, (u64, Vec<String>));
 
 /// Executes `spec` on a fresh machine from `setup` under the scripted
 /// schedule, checking oracles and analyzer after every event that ends
@@ -616,7 +631,7 @@ fn shrink<F: Fn() -> Machine>(
             while cand.last() == Some(&0) {
                 cand.pop();
             }
-            if run_one(setup, spec, &cand, fuel, 0, &mut |_, _| 0)
+            if run_one(setup, spec, &cand, fuel, 0, &|_, _| 0)
                 .violation
                 .is_some()
             {
@@ -643,102 +658,288 @@ fn shrink<F: Fn() -> Machine>(
 /// same state. The first violating schedule is shrunk to a minimal
 /// [`CounterexampleTrace`] and the search stops. Everything is
 /// deterministic: the same inputs produce byte-identical reports.
-pub fn explore<F: Fn() -> Machine>(
+///
+/// Schedules run on every core. The search is a DFS over choice scripts
+/// kept on a stack, and the calling thread commits it: it pops the
+/// scripts in order, inserts each run's state keys into the visited set,
+/// counts the run and pushes its extensions. A run depends only on its
+/// script, never on what was visited before it, so helper threads run the
+/// top-most scripts still waiting on the stack and hand each outcome back
+/// under its script; the committing thread waits for a helper's outcome,
+/// or runs a script itself when no helper has started it. Every count,
+/// the extension order, both budgets and the counterexample therefore
+/// come out as a one-thread search gives them. That is why the helpers
+/// have no setting: there is one of them per core beyond the caller's
+/// ([`std::thread::available_parallelism`]), and the core count is only
+/// queried, and helpers only spawned, once a second script is waiting. A
+/// one-schedule exploration, or one on a one-core host, starts no thread.
+/// Runs a helper started past the point where the search stops are
+/// discarded. A panic in a helper's run is re-raised on the calling
+/// thread when its script is committed, and dropped if the search stops
+/// first. Every helper is stopped and joined before this returns, also
+/// when the calling thread unwinds. `setup` is `Sync` because helpers
+/// call it; shrinking runs on the calling thread alone.
+pub fn explore<F: Fn() -> Machine + Sync>(
     setup: F,
     spec: &WorkloadSpec,
     config: &ExploreConfig,
 ) -> ExploreReport {
-    explore_keyed(setup, spec, config, &mut |machine, events| {
-        machine.state_key(events)
-    })
+    explore_keyed(
+        setup,
+        spec,
+        config,
+        &|machine, events| machine.state_key(events),
+        None,
+    )
 }
 
 /// [`explore`] with the visited-set key of each checked state computed by
-/// `key` (the differential tests wrap [`Machine::state_key`]).
-fn explore_keyed<F: Fn() -> Machine>(
+/// `key` (the differential tests wrap [`Machine::state_key`]), on
+/// `workers` threads counting the committing one. `None` is [`explore`]'s
+/// one per core; tests pin it to show the report does not depend on it.
+fn explore_keyed<F: Fn() -> Machine + Sync>(
     setup: F,
     spec: &WorkloadSpec,
     config: &ExploreConfig,
     key: Keyer,
+    workers: Option<usize>,
 ) -> ExploreReport {
-    let mut stack: Vec<Vec<u32>> = vec![Vec::new()];
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut report = ExploreReport::default();
-    while let Some(script) = stack.pop() {
-        if report.schedules >= config.max_schedules || report.states >= config.max_states {
-            report.budget_exhausted = true;
-            break;
-        }
-        report.schedules += 1;
-        let run = run_one(&setup, spec, &script, config.fuel, script.len(), key);
-        report.choice_points += run.trail.len() as u64;
-        let fresh: Vec<bool> = run
-            .boundaries
-            .iter()
-            .map(|b| b.key.is_some_and(|k| visited.insert(k)))
-            .collect();
-        for &f in &fresh {
-            if f {
-                report.states += 1;
-            } else {
-                report.deduped += 1;
-            }
-        }
-        for entry in &run.trail {
-            if let ChoicePoint::FlushPick { remaining, .. } = entry.point {
-                report.pruned_commute += u64::from(remaining) - u64::from(entry.alternatives);
-            }
-            if entry.capped {
-                report.pruned_capped += u64::from(entry.alternatives) - 1;
-            }
-        }
-        if let Some((event, findings)) = run.violation {
-            let chosen: Vec<u32> = run.trail.iter().map(|t| t.chosen).collect();
-            let minimized = shrink(&setup, spec, config.fuel, chosen);
-            let rerun = run_one(&setup, spec, &minimized, config.fuel, 0, &mut |_, _| 0);
-            let (event, findings) = rerun.violation.unwrap_or((event, findings));
-            report.counterexample = Some(CounterexampleTrace {
-                choices: minimized,
-                config: setup().snapshot().config_label().to_string(),
-                event,
-                findings,
-                workload: spec.name.clone(),
-            });
-            break;
-        }
-        // Extend at every branchable choice point past the scripted
-        // prefix. Pushed deepest-first so the stack pops schedules in
-        // lexicographic order — pinned state counts depend on it.
-        let mut extensions: Vec<Vec<u32>> = Vec::new();
-        for (i, entry) in run.trail.iter().enumerate() {
-            if i < script.len() || entry.capped || entry.alternatives <= 1 {
-                continue;
-            }
-            // Dedup prune: if the state *entering* this choice's event
-            // was already visited via a different schedule (a boundary
-            // past this run's own divergence point that was not fresh),
-            // its whole subtree — including these alternatives — has
-            // been or will be explored from the first visit.
-            let converged = run
-                .boundaries
-                .iter()
-                .rposition(|b| b.trail_len <= i)
-                .is_some_and(|bi| run.boundaries[bi].trail_len >= script.len() && !fresh[bi]);
-            if converged {
-                report.pruned_dedup += u64::from(entry.alternatives) - 1;
-                continue;
-            }
-            for alt in 1..entry.alternatives {
-                let mut s: Vec<u32> = run.trail[..i].iter().map(|t| t.chosen).collect();
-                s.push(alt);
-                extensions.push(s);
-            }
-        }
-        while let Some(s) = extensions.pop() {
-            stack.push(s);
-        }
+    let run = |script: &[u32]| run_one(&setup, spec, script, config.fuel, script.len(), key);
+    let (mut report, violation) = search(run, config, workers);
+    if let Some((chosen, (event, findings))) = violation {
+        let minimized = shrink(&setup, spec, config.fuel, chosen);
+        let rerun = run_one(&setup, spec, &minimized, config.fuel, 0, &|_, _| 0);
+        let (event, findings) = rerun.violation.unwrap_or((event, findings));
+        report.counterexample = Some(CounterexampleTrace {
+            choices: minimized,
+            config: setup().snapshot().config_label().to_string(),
+            event,
+            findings,
+            workload: spec.name.clone(),
+        });
     }
     report
+}
+
+/// The DFS behind [`explore`], committed on the calling thread in stack
+/// order while helpers run waiting scripts ahead of their commit. Stops
+/// at a budget, or at the first violating run, which it returns for
+/// shrinking with the report's counterexample still unset. `run` runs
+/// the schedule of one choice script, on the calling thread and the
+/// helpers alike: [`run_one`] in production, a stub in the executor's
+/// tests. `workers` counts the calling thread; `None` queries the core
+/// count.
+fn search<R: Fn(&[u32]) -> RunOutcome + Sync>(
+    run: R,
+    config: &ExploreConfig,
+    workers: Option<usize>,
+) -> (ExploreReport, Option<Violation>) {
+    let exec = Executor {
+        run,
+        queue: Mutex::new(Queue {
+            stack: vec![Vec::new()],
+            ..Queue::default()
+        }),
+        pushed: Condvar::new(),
+        finished: Condvar::new(),
+    };
+    thread::scope(|scope| {
+        let _stop = StopHelpers(&exec);
+        let mut helpers_spawned = false;
+        let mut visited: HashSet<u64> = HashSet::new();
+        let mut report = ExploreReport::default();
+        while let Some((script, started)) = exec.pop() {
+            if report.schedules >= config.max_schedules || report.states >= config.max_states {
+                report.budget_exhausted = true;
+                break;
+            }
+            report.schedules += 1;
+            let run = if started {
+                exec.take(&script)
+            } else {
+                (exec.run)(&script)
+            };
+            report.choice_points += run.trail.len() as u64;
+            let fresh: Vec<bool> = run
+                .boundaries
+                .iter()
+                .map(|b| b.key.is_some_and(|k| visited.insert(k)))
+                .collect();
+            for &f in &fresh {
+                if f {
+                    report.states += 1;
+                } else {
+                    report.deduped += 1;
+                }
+            }
+            for entry in &run.trail {
+                if let ChoicePoint::FlushPick { remaining, .. } = entry.point {
+                    report.pruned_commute += u64::from(remaining) - u64::from(entry.alternatives);
+                }
+                if entry.capped {
+                    report.pruned_capped += u64::from(entry.alternatives) - 1;
+                }
+            }
+            if let Some(violation) = run.violation {
+                let chosen: Vec<u32> = run.trail.iter().map(|t| t.chosen).collect();
+                return (report, Some((chosen, violation)));
+            }
+            // Extend at every branchable choice point past the scripted
+            // prefix, in lexicographic order; the stack pops them in that
+            // order — pinned state counts depend on it.
+            let mut extensions: Vec<Vec<u32>> = Vec::new();
+            for (i, entry) in run.trail.iter().enumerate() {
+                if i < script.len() || entry.capped || entry.alternatives <= 1 {
+                    continue;
+                }
+                // Dedup prune: if the state *entering* this choice's event
+                // was already visited via a different schedule (a boundary
+                // past this run's own divergence point that was not fresh),
+                // its whole subtree — including these alternatives — has
+                // been or will be explored from the first visit.
+                let converged = run
+                    .boundaries
+                    .iter()
+                    .rposition(|b| b.trail_len <= i)
+                    .is_some_and(|bi| run.boundaries[bi].trail_len >= script.len() && !fresh[bi]);
+                if converged {
+                    report.pruned_dedup += u64::from(entry.alternatives) - 1;
+                    continue;
+                }
+                for alt in 1..entry.alternatives {
+                    let mut s: Vec<u32> = run.trail[..i].iter().map(|t| t.chosen).collect();
+                    s.push(alt);
+                    extensions.push(s);
+                }
+            }
+            let waiting = exec.push(extensions);
+            if !helpers_spawned && waiting >= 2 {
+                helpers_spawned = true;
+                let workers = workers
+                    .unwrap_or_else(|| thread::available_parallelism().map_or(1, NonZero::get));
+                for _ in 1..workers {
+                    // A helper the OS refuses to start leaves its share
+                    // of the runs to the committing thread.
+                    if thread::Builder::new()
+                        .spawn_scoped(scope, || exec.help())
+                        .is_err()
+                    {
+                        break;
+                    }
+                }
+            }
+        }
+        (report, None)
+    })
+}
+
+/// The DFS stack, shared by the committing thread and the helpers that
+/// run its waiting scripts ahead of their commit.
+struct Executor<R> {
+    run: R,
+    queue: Mutex<Queue>,
+    /// Wakes the helpers: scripts were pushed, or the search stopped.
+    pushed: Condvar,
+    /// Wakes the committing thread: a helper filed an outcome.
+    finished: Condvar,
+}
+
+#[derive(Default)]
+struct Queue {
+    /// Scripts not yet committed; the next to commit is last.
+    stack: Vec<Vec<u32>>,
+    /// The scripts a helper has started: `None` while it runs, then its
+    /// outcome or the panic that ended it, until the script is committed.
+    started: HashMap<Vec<u32>, Option<thread::Result<RunOutcome>>>,
+    /// The search is over; helpers exit.
+    stopped: bool,
+}
+
+impl<R> Executor<R> {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        // Runs, and their panics, happen outside the lock, and every update
+        // under it (one push, pop, insert or removal) leaves the queue
+        // valid. So a poisoned guard is sound to take, and taking it keeps
+        // the stop of an unwinding committer from panicking in `Drop`.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The committing thread's next script, and whether a helper started
+    /// it. Popped under the lock, so no helper starts it afterwards.
+    fn pop(&self) -> Option<(Vec<u32>, bool)> {
+        let mut queue = self.lock();
+        let script = queue.stack.pop()?;
+        let started = queue.started.contains_key(&script);
+        Some((script, started))
+    }
+
+    /// Pushes a run's extensions, first to commit last, and returns how
+    /// many scripts now wait.
+    fn push(&self, extensions: Vec<Vec<u32>>) -> usize {
+        let mut queue = self.lock();
+        queue.stack.extend(extensions.into_iter().rev());
+        self.pushed.notify_all();
+        queue.stack.len()
+    }
+
+    /// The outcome of a popped script that a helper started, once filed;
+    /// the helper's panic is re-raised here, as the script commits.
+    fn take(&self, script: &[u32]) -> RunOutcome {
+        let mut queue = self
+            .finished
+            .wait_while(self.lock(), |q| matches!(q.started.get(script), Some(None)))
+            .unwrap_or_else(PoisonError::into_inner);
+        let ran = queue
+            .started
+            .remove(script)
+            .flatten()
+            .expect("a started script stays filed until it commits");
+        drop(queue);
+        ran.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+}
+
+impl<R: Fn(&[u32]) -> RunOutcome> Executor<R> {
+    /// A helper: starts the top-most script nobody has started, runs it
+    /// outside the lock and files the outcome, until the search stops.
+    fn help(&self) {
+        let mut queue = self.lock();
+        loop {
+            if queue.stopped {
+                return;
+            }
+            let next = queue
+                .stack
+                .iter()
+                .rev()
+                .find(|s| !queue.started.contains_key(*s))
+                .cloned();
+            let Some(script) = next else {
+                queue = self
+                    .pushed
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            queue.started.insert(script.clone(), None);
+            drop(queue);
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| (self.run)(&script)));
+            queue = self.lock();
+            queue.started.insert(script, Some(ran));
+            self.finished.notify_one();
+        }
+    }
+}
+
+/// Stops and wakes the helpers when the search ends, also by unwinding,
+/// so the scope that joins them never waits on a parked helper.
+struct StopHelpers<'e, R>(&'e Executor<R>);
+
+impl<R> Drop for StopHelpers<'_, R> {
+    fn drop(&mut self) {
+        self.0.lock().stopped = true;
+        self.0.pushed.notify_all();
+    }
 }
 
 /// Replays a [`CounterexampleTrace`]'s choice script on a fresh machine
@@ -750,13 +951,12 @@ pub fn replay<F: Fn() -> Machine>(
     trace: &CounterexampleTrace,
 ) -> Option<(u64, Vec<String>)> {
     let fuel = trace.choices.len().max(1);
-    run_one(&setup, spec, &trace.choices, fuel, 0, &mut |_, _| 0).violation
+    run_one(&setup, spec, &trace.choices, fuel, 0, &|_, _| 0).violation
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn trace_json_round_trips_with_sorted_keys() {
@@ -818,20 +1018,27 @@ mod tests {
         }
     }
 
+    /// A machine set-up that helper threads can call too.
+    type Setup = Box<dyn Fn() -> Machine + Sync>;
+
+    /// A clean suite's machine: `t` with paranoia and the shootdown log.
+    fn clean_setup(t: agile_vmm::Technique) -> Setup {
+        Box::new(move || {
+            let mut m = Machine::new(crate::config::SystemConfig::new(t).with_paranoia(true));
+            m.enable_shootdown_log();
+            m
+        })
+    }
+
     /// The `mc` gate's seven suites: the five clean techniques, then the
     /// host-merge control and the re-planted missed-flush bug.
-    fn mc_suites() -> Vec<(String, Box<dyn Fn() -> Machine>)> {
+    fn mc_suites() -> Vec<(String, Setup)> {
         use crate::config::SystemConfig;
         use agile_vmm::{AgileOptions, Technique};
-        let mut suites: Vec<(String, Box<dyn Fn() -> Machine>)> = Vec::new();
-        for t in Technique::all() {
-            let setup = move || {
-                let mut m = Machine::new(SystemConfig::new(t).with_paranoia(true));
-                m.enable_shootdown_log();
-                m
-            };
-            suites.push((t.label().to_string(), Box::new(setup)));
-        }
+        let mut suites: Vec<(String, Setup)> = Technique::all()
+            .into_iter()
+            .map(|t| (t.label().to_string(), clean_setup(t)))
+            .collect();
         for (name, suppress) in [("control", false), ("replant", true)] {
             let setup = move || {
                 let mut plan = crate::chaos::FaultPlan::new(0x4A11)
@@ -851,22 +1058,34 @@ mod tests {
         suites
     }
 
+    /// The event cursor plus a 128-bit fingerprint of a snapshot's
+    /// payload-bearing bytes.
+    type ByteClass = (u64, usize, u64, u64);
+
+    /// What the differential keyer saw, shared by every thread that runs
+    /// schedules.
+    #[derive(Default)]
+    struct KeyLog {
+        checked: u64,
+        /// States whose cached key differed from a fresh one.
+        stale: Vec<String>,
+        /// One key for two byte classes, or two keys for one.
+        split: Vec<String>,
+        class_of: HashMap<u64, ByteClass>,
+        key_of: HashMap<ByteClass, u64>,
+    }
+
     #[test]
     fn cached_keys_equal_fresh_keys_and_snapshot_byte_classes() {
         let config = ExploreConfig::default();
-        let (mut checked, mut stale) = (0u64, Vec::new());
+        let mut all = KeyLog::default();
         for (name, setup) in mc_suites() {
-            // Snapshot-byte class of each key, and key of each class; the
-            // class is the event cursor plus a 128-bit fingerprint of the
-            // payload-bearing bytes.
-            let mut class_of: HashMap<u64, (u64, usize, u64, u64)> = HashMap::new();
-            let mut key_of: HashMap<(u64, usize, u64, u64), u64> = HashMap::new();
-            let report = explore_keyed(setup, &mc_spec(), &config, &mut |m, events| {
+            // Speculative runs past the budget are keyed too. A finding is
+            // logged, not asserted, so none is lost with a discarded run.
+            let log = Mutex::new(KeyLog::default());
+            let keyer = |m: &mut Machine, events: u64| {
                 let key = m.state_key(events);
-                checked += 1;
-                if key != m.state_key_uncached(events) {
-                    stale.push(format!("{name} event {events}"));
-                }
+                let fresh = m.state_key_uncached(events);
                 let bytes = m.snapshot().to_bytes();
                 let mut h = DefaultHasher::new();
                 h.write(&bytes);
@@ -876,26 +1095,36 @@ mod tests {
                     crate::snapshot::digest(&bytes),
                     h.finish(),
                 );
-                assert_eq!(
-                    *class_of.entry(key).or_insert(class),
-                    class,
-                    "{name}: one key, two states"
-                );
-                assert_eq!(
-                    *key_of.entry(class).or_insert(key),
-                    key,
-                    "{name}: one state, two keys"
-                );
+                let mut log = log.lock().expect("nothing panics holding the log");
+                log.checked += 1;
+                if key != fresh {
+                    log.stale.push(format!("{name} event {events}"));
+                }
+                if *log.class_of.entry(key).or_insert(class) != class {
+                    log.split
+                        .push(format!("{name} event {events}: one key, two states"));
+                }
+                if *log.key_of.entry(class).or_insert(key) != key {
+                    log.split
+                        .push(format!("{name} event {events}: one state, two keys"));
+                }
                 key
-            });
+            };
+            let report = explore_keyed(setup, &mc_spec(), &config, &keyer, None);
             assert!(report.states > 0, "{name}: nothing explored");
+            let log = log.into_inner().expect("nothing panics holding the log");
+            all.checked += log.checked;
+            all.stale.extend(log.stale);
+            all.split.extend(log.split);
         }
+        let checked = all.checked;
         assert!(
-            stale.is_empty(),
+            all.stale.is_empty(),
             "{} of {checked} checked states had a stale cached key, first {:?}",
-            stale.len(),
-            stale.first()
+            all.stale.len(),
+            all.stale.first()
         );
+        assert!(all.split.is_empty(), "{:?}", all.split);
         assert!(checked > 7_000, "only {checked} states checked");
     }
 
@@ -914,8 +1143,8 @@ mod tests {
                 m.enable_shootdown_log();
                 m
             };
-            let mut key = |m: &mut Machine, events| m.state_key(events);
-            let root = run_one(&setup, &spec, &[], fuel, 0, &mut key);
+            let key = |m: &mut Machine, events| m.state_key(events);
+            let root = run_one(&setup, &spec, &[], fuel, 0, &key);
             assert!(root.violation.is_none());
             let root_keys: HashSet<u64> = root.boundaries.iter().filter_map(|b| b.key).collect();
             let (mut skipped, mut checked) = (0, 0);
@@ -925,8 +1154,8 @@ mod tests {
                 }
                 let mut script: Vec<u32> = root.trail[..i].iter().map(|e| e.chosen).collect();
                 script.push(1);
-                let fast = run_one(&setup, &spec, &script, fuel, script.len(), &mut key);
-                let full = run_one(&setup, &spec, &script, fuel, 0, &mut key);
+                let fast = run_one(&setup, &spec, &script, fuel, script.len(), &key);
+                let full = run_one(&setup, &spec, &script, fuel, 0, &key);
                 assert!(fast.violation.is_none() && full.violation.is_none());
                 assert_eq!(fast.boundaries.len(), full.boundaries.len());
                 for (event, (f, b)) in fast.boundaries.iter().zip(&full.boundaries).enumerate() {
@@ -946,5 +1175,165 @@ mod tests {
             }
             assert!(skipped > 0 && checked > 0, "{}: vacuous", t.label());
         }
+    }
+
+    /// Explores `setup` at 1, 2 and 4 workers and checks that the three
+    /// reports render the same bytes. Returns the report and how many
+    /// states a thread other than the committing one keyed.
+    fn same_at_any_worker_count(
+        name: &str,
+        setup: &Setup,
+        spec: &WorkloadSpec,
+        config: &ExploreConfig,
+    ) -> (ExploreReport, u64) {
+        let committer = thread::current().id();
+        let off_committer = std::sync::atomic::AtomicU64::new(0);
+        let keyer = |m: &mut Machine, events: u64| {
+            if thread::current().id() != committer {
+                off_committer.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            m.state_key(events)
+        };
+        let reports: Vec<ExploreReport> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| explore_keyed(setup, spec, config, &keyer, Some(workers)))
+            .collect();
+        for (workers, report) in [2, 4].into_iter().zip(&reports[1..]) {
+            assert_eq!(
+                report.render_line(),
+                reports[0].render_line(),
+                "{name}: {workers} workers"
+            );
+            assert_eq!(
+                report.to_json().render(),
+                reports[0].to_json().render(),
+                "{name}: {workers} workers"
+            );
+        }
+        (reports[0].clone(), off_committer.into_inner())
+    }
+
+    #[test]
+    fn executor_reports_are_the_same_at_any_worker_count_on_the_mc_suites() {
+        use agile_vmm::{AgileOptions, Technique};
+        let mut suites: Vec<(String, Setup, WorkloadSpec)> = mc_suites()
+            .into_iter()
+            .map(|(name, setup)| (name, setup, mc_spec()))
+            .collect();
+        let mut seeded = mc_spec();
+        seeded.seed = 3;
+        suites.push((
+            "seeded-A".into(),
+            clean_setup(Technique::Agile(AgileOptions::default())),
+            seeded,
+        ));
+        let mut helped = 0;
+        for (name, setup, spec) in &suites {
+            let (report, off) =
+                same_at_any_worker_count(name, setup, spec, &ExploreConfig::default());
+            helped += off;
+            assert!(!report.budget_exhausted, "{name}: the gate budget cut it");
+            let found = report.counterexample.is_some();
+            assert_eq!(found, name == "replant", "{name}: {}", report.render_line());
+        }
+        assert!(helped > 0, "no helper ran a schedule: the test is vacuous");
+    }
+
+    #[test]
+    fn executor_reports_are_the_same_at_any_worker_count_past_a_budget() {
+        use agile_vmm::{AgileOptions, Technique};
+        let setup = clean_setup(Technique::Agile(AgileOptions::default()));
+        for (name, config) in [
+            (
+                "schedule budget",
+                ExploreConfig {
+                    max_schedules: 6,
+                    ..ExploreConfig::default()
+                },
+            ),
+            (
+                "state budget",
+                ExploreConfig {
+                    max_states: 700,
+                    ..ExploreConfig::default()
+                },
+            ),
+        ] {
+            let (report, _) = same_at_any_worker_count(name, &setup, &mc_spec(), &config);
+            assert!(report.budget_exhausted, "{name}: {}", report.render_line());
+        }
+    }
+
+    /// A stub run: the root passes one choice point of three alternatives,
+    /// so the search pushes the extensions `[1]` and `[2]`; each is a leaf.
+    fn stub_outcome(script: &[u32]) -> RunOutcome {
+        let chosen = script.first().copied().unwrap_or(0);
+        RunOutcome {
+            trail: vec![TrailEntry {
+                point: ChoicePoint::SwitchTiming,
+                alternatives: 3,
+                chosen,
+                capped: false,
+            }],
+            boundaries: vec![Boundary {
+                key: Some(u64::from(chosen)),
+                trail_len: 1,
+            }],
+            violation: None,
+        }
+    }
+
+    /// Searches the stub tree at three workers with a run of `[2]` that
+    /// panics. Runs `[1]` and `[2]` meet at a barrier, so `[2]` starts
+    /// before `[1]` ends: on a helper, since the committing thread runs
+    /// or waits for `[1]` until then. `[1]` violates if `violates`.
+    fn search_with_a_helper_panic(
+        config: &ExploreConfig,
+        violates: bool,
+    ) -> thread::Result<(ExploreReport, Option<Violation>)> {
+        let meet = std::sync::Barrier::new(2);
+        let run = |script: &[u32]| {
+            if !script.is_empty() {
+                meet.wait();
+            }
+            assert_ne!(script, [2], "the stub run of [2] fails");
+            let mut outcome = stub_outcome(script);
+            if violates && script == [1] {
+                outcome.violation = Some((1, vec!["stub finding".into()]));
+            }
+            outcome
+        };
+        panic::catch_unwind(AssertUnwindSafe(|| search(run, config, Some(3))))
+    }
+
+    #[test]
+    fn executor_reraises_a_helper_panic_when_its_script_commits() {
+        let payload = search_with_a_helper_panic(&ExploreConfig::default(), false)
+            .expect_err("the search commits [2]");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("an assertion's payload");
+        assert!(message.contains("the stub run of [2] fails"), "{message}");
+    }
+
+    #[test]
+    fn executor_drops_a_helper_panic_past_a_counterexample() {
+        let (report, violation) = search_with_a_helper_panic(&ExploreConfig::default(), true)
+            .expect("the search stops at [1]");
+        assert_eq!(violation.map(|(chosen, _)| chosen), Some(vec![1]));
+        assert_eq!(report.schedules, 2);
+    }
+
+    #[test]
+    fn executor_drops_a_helper_panic_past_a_budget() {
+        let config = ExploreConfig {
+            max_schedules: 2,
+            ..ExploreConfig::default()
+        };
+        let (report, violation) =
+            search_with_a_helper_panic(&config, false).expect("the budget stops before [2]");
+        assert!(violation.is_none());
+        assert!(report.budget_exhausted);
+        assert_eq!(report.schedules, 2);
     }
 }

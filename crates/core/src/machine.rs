@@ -1637,7 +1637,11 @@ impl Machine {
     /// coming back beside the statistics accumulated so far.
     ///
     /// The first `warmup_accesses` data accesses are excluded from the
-    /// statistics, as in [`Machine::run_spec_measured`]. With `resume`,
+    /// statistics, as in [`Machine::run_spec_measured`]. They are counted
+    /// as the machine performs them, so the prefault sweep's accesses
+    /// count toward the warm-up: fig5's warm-up covers its sweep by
+    /// design. A warm-up the run never reaches never opens the window, and
+    /// the statistics then cover the whole run. With `resume`,
     /// the machine must already hold that checkpoint's snapshot (see
     /// [`Machine::restore_from`]): the run regenerates and discards the
     /// events the checkpoint had consumed, takes its warm-up trigger

@@ -104,6 +104,11 @@ impl RunRequest {
     }
 
     /// Excludes the first `accesses` data accesses from measurement.
+    ///
+    /// The count includes the prefault sweep's accesses, as in
+    /// [`Machine::run`]: fig5's warm-up covers its sweep by design. A
+    /// warm-up the run never reaches excludes nothing, so the statistics
+    /// then cover every access.
     #[must_use]
     pub fn with_warmup(mut self, accesses: u64) -> Self {
         self.warmup = accesses;
