@@ -1036,6 +1036,16 @@ pub fn analyze(
     tlb: &TlbHierarchy,
     log: Option<&ShootdownLog>,
 ) -> LintReport {
+    let mut out = structural(mem, vmm, tlb);
+    if let Some(log) = log {
+        out.extend(detect_shootdown_races(log));
+    }
+    LintReport::from_diags(out)
+}
+
+/// Part A of [`analyze`]: the ownership, shadow-table, mode-partition and
+/// TLB-alias passes, unsorted.
+pub(crate) fn structural(mem: &PhysMem, vmm: &Vmm, tlb: &TlbHierarchy) -> Vec<LintDiag> {
     let mut out = Vec::new();
     let tables_intact = check_frame_ownership(mem, vmm, &mut out);
     // Per process; the two passes emit disjoint codes, so interleaving
@@ -1046,10 +1056,7 @@ pub fn analyze(
         check_mode_partition(mem, vmm, pid, &pages, &mut out);
     }
     check_tlb_aliases(tlb, &mut out);
-    if let Some(log) = log {
-        out.extend(detect_shootdown_races(log));
-    }
-    LintReport::from_diags(out)
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -1444,50 +1451,116 @@ impl ShootdownLog {
 /// the shootdown protocol finished — [`LintCode::MissedShootdownReuse`].
 /// Windows still open at the end of the log (no reuse observed) are
 /// reported as [`LintCode::ShootdownNeverApplied`].
+///
+/// The pass is a fold over the events in order, here from an empty
+/// state; [`crate::Machine::lint`] keeps its fold between calls and feeds
+/// it only the events logged since.
 #[must_use]
 pub fn detect_shootdown_races(log: &ShootdownLog) -> Vec<LintDiag> {
-    #[derive(Default)]
-    struct Batch {
-        pending: Vec<FlushScope>,
-        freed: Vec<(HostFrame, u64)>,
-    }
-    let mut batches: BTreeMap<u64, Batch> = BTreeMap::new();
-    let mut fired: HashSet<u64> = HashSet::new();
-    let mut out = Vec::new();
+    RaceFold::default().diags(log)
+}
 
-    for event in &log.events {
+/// [`detect_shootdown_races`] as a fold that a growing log can resume:
+/// the events folded so far, the batches they opened, the frames whose
+/// reuse already fired, and the reuse diagnostics found so far. A log
+/// shorter than the cursor is not the one folded, so the fold starts over.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RaceFold {
+    /// Events folded so far.
+    cursor: usize,
+    batches: BTreeMap<u64, Batch>,
+    /// Freed frames whose reuse was reported.
+    fired: HashSet<u64>,
+    /// The [`LintCode::MissedShootdownReuse`] diagnostics so far, in
+    /// event order.
+    reused: Vec<LintDiag>,
+}
+
+/// One drain batch's undelivered scopes and freed frames.
+#[derive(Debug, Clone, Default)]
+struct Batch {
+    pending: Vec<FlushScope>,
+    freed: Vec<(HostFrame, u64)>,
+}
+
+impl RaceFold {
+    /// The race diagnostics of `log`, folding only the events past the
+    /// cursor.
+    pub(crate) fn diags(&mut self, log: &ShootdownLog) -> Vec<LintDiag> {
+        if log.events.len() < self.cursor {
+            *self = RaceFold::default();
+        }
+        for event in &log.events[self.cursor..] {
+            self.step(event);
+        }
+        self.cursor = log.events.len();
+        let mut out = self.reused.clone();
+        for (id, batch) in &self.batches {
+            if batch.pending.is_empty() {
+                continue;
+            }
+            for (freed, freed_at) in &batch.freed {
+                if self.fired.contains(&freed.raw()) {
+                    continue;
+                }
+                out.push(
+                    LintDiag::new(
+                        LintCode::ShootdownNeverApplied,
+                        format!(
+                            "table frame freed at access {freed_at} (batch {id}); its covering \
+                             shootdown was still undelivered at pause"
+                        ),
+                    )
+                    .frame(*freed),
+                );
+            }
+        }
+        if log.truncated > 0 {
+            out.push(LintDiag::new(
+                LintCode::ShootdownNeverApplied,
+                format!(
+                    "shootdown event log truncated ({} events dropped): race analysis is \
+                     incomplete",
+                    log.truncated
+                ),
+            ));
+        }
+        out
+    }
+
+    fn step(&mut self, event: &ShootdownEvent) {
         match event {
             ShootdownEvent::Requested { .. } => {}
             ShootdownEvent::Dropped { batch, scope, .. }
             | ShootdownEvent::Deferred { batch, scope, .. } => {
-                batches.entry(*batch).or_default().pending.push(*scope);
+                self.batches.entry(*batch).or_default().pending.push(*scope);
             }
             ShootdownEvent::FrameFreed {
                 batch,
                 frame,
                 access,
             } => {
-                batches
+                self.batches
                     .entry(*batch)
                     .or_default()
                     .freed
                     .push((*frame, *access));
             }
             ShootdownEvent::Applied { scope, .. } => {
-                for batch in batches.values_mut() {
+                for batch in self.batches.values_mut() {
                     batch.pending.retain(|p| !scope.covers(p));
                 }
             }
             ShootdownEvent::FrameReused { access, frame } => {
-                for (id, batch) in &batches {
+                for (id, batch) in &self.batches {
                     if batch.pending.is_empty() {
                         continue;
                     }
                     for (freed, freed_at) in &batch.freed {
-                        if !fired.insert(freed.raw()) {
+                        if !self.fired.insert(freed.raw()) {
                             continue;
                         }
-                        out.push(
+                        self.reused.push(
                             LintDiag::new(
                                 LintCode::MissedShootdownReuse,
                                 format!(
@@ -1504,38 +1577,6 @@ pub fn detect_shootdown_races(log: &ShootdownLog) -> Vec<LintDiag> {
             }
         }
     }
-
-    for (id, batch) in &batches {
-        if batch.pending.is_empty() {
-            continue;
-        }
-        for (freed, freed_at) in &batch.freed {
-            if fired.contains(&freed.raw()) {
-                continue;
-            }
-            out.push(
-                LintDiag::new(
-                    LintCode::ShootdownNeverApplied,
-                    format!(
-                        "table frame freed at access {freed_at} (batch {id}); its covering \
-                         shootdown was still undelivered at pause"
-                    ),
-                )
-                .frame(*freed),
-            );
-        }
-    }
-
-    if log.truncated > 0 {
-        out.push(LintDiag::new(
-            LintCode::ShootdownNeverApplied,
-            format!(
-                "shootdown event log truncated ({} events dropped): race analysis is incomplete",
-                log.truncated
-            ),
-        ));
-    }
-    out
 }
 
 /// One VM's recorded shootdown protocol plus the frame span it owns on the
@@ -1711,6 +1752,36 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, LintCode::MissedShootdownReuse);
         assert_eq!(diags[0].frame, Some(HostFrame::new(7)));
+    }
+
+    #[test]
+    fn a_shorter_log_restarts_the_race_fold() {
+        let mut log = ShootdownLog::new();
+        log.push(ShootdownEvent::Dropped {
+            access: 10,
+            batch: 0,
+            scope: scope(1, 0x1000, 0x1000),
+        });
+        log.push(ShootdownEvent::FrameFreed {
+            access: 10,
+            batch: 0,
+            frame: HostFrame::new(7),
+        });
+        let restored = log.clone();
+        log.push(ShootdownEvent::FrameReused {
+            access: 12,
+            frame: HostFrame::new(9),
+        });
+        let mut fold = RaceFold::default();
+        assert_eq!(fold.diags(&log), detect_shootdown_races(&log));
+        assert_eq!(fold.diags(&log)[0].code, LintCode::MissedShootdownReuse);
+        // A restore to before the reuse: the window is open, not raced.
+        let diags = fold.diags(&restored);
+        assert_eq!(diags, detect_shootdown_races(&restored));
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, LintCode::ShootdownNeverApplied);
+        // Growing again folds only the new event.
+        assert_eq!(fold.diags(&log), detect_shootdown_races(&log));
     }
 
     #[test]

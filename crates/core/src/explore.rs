@@ -39,19 +39,20 @@
 //! payload plus the event cursor (`Machine::state_key`), so schedules
 //! that commute back into an already-seen state stop spawning extensions.
 //! The key never encodes the whole snapshot: it combines cached hashes of
-//! the snapshot's parts (table pages, cache sets, the guest memory map,
-//! the shootdown log), re-hashing a part only when its generation moved,
-//! so a state costs what its event changed. Identical-scope flush twins
-//! are never branched on at all — the sleep-set-style reduction argued
-//! sound in DESIGN §5j.
+//! the snapshot's parts (table pages, cache sets and slots, per-process
+//! states and VMAs, the guest memory map, the shootdown log), re-hashing
+//! a part only when its generation moved and skipping a structure whose
+//! group generation stands still, with a word-at-a-time hash; the
+//! analyzer's race pass likewise folds only the shootdown events logged
+//! since the last check. So a state costs about what its event changed.
+//! Identical-scope flush twins are never branched on at all — the
+//! sleep-set-style reduction argued sound in DESIGN §5j.
 //!
 //! On a violating state the failing schedule is shrunk to a minimal
 //! [`CounterexampleTrace`]: a byte-stable JSON artifact whose choice
 //! script replays through the same runner path to the identical findings.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hasher;
 use std::num::NonZero;
 use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
@@ -365,12 +366,14 @@ struct Boundary {
 /// The key hashes exactly the snapshot's payload bytes, split the way the
 /// machine saves them through a [`StateSink`]:
 ///
-/// - **parts**: each live table page, each set of every set-associative
-///   cache (TLB partitions, page-walk-cache skip tables, nested TLB,
-///   context-pointer cache) and the guest memory map. Each part hashes as
-///   `H(group, id, bytes)`, where the group is the structure's position
-///   in the save; the key takes their wrapping sum. A part whose `(id,
-///   generation)` matches the previous call's reuses its hash.
+/// - **parts**: each live table page, each set or slot of every
+///   set-associative cache (TLB partitions, page-walk-cache skip tables,
+///   nested TLB, context-pointer cache), the guest memory map, each
+///   process's VMAs and the measurement baseline. Each part hashes as
+///   `H(group, id, bytes)`, where the group is the structure's position in
+///   the save; the key takes their wrapping sum. A part whose `(id,
+///   generation)` matches the previous call's reuses its hash, and a group
+///   whose own generation matches skips its parts altogether.
 /// - **the log**: the shootdown log's events, folded in order into one
 ///   running hash from a cursor, since the log only grows.
 /// - **the fresh part**: everything else, each part's header and counts
@@ -382,7 +385,7 @@ struct Boundary {
 /// cache lives with its machine: a group is known by its position, which
 /// the machine's configuration fixes, and [`Machine::restore_from`]
 /// starts a fresh cache.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct PartHashes {
     /// Per group, in save order, as of the last call.
     groups: Vec<Group>,
@@ -390,16 +393,28 @@ pub(crate) struct PartHashes {
     scratch: Enc,
     /// Log items folded into `log_hash` so far.
     log_len: usize,
-    log_hash: DefaultHasher,
+    log_hash: u64,
+}
+
+impl Default for PartHashes {
+    fn default() -> Self {
+        PartHashes {
+            groups: Vec::new(),
+            fresh: Enc::new(),
+            scratch: Enc::new(),
+            log_len: 0,
+            log_hash: LOG_SEED,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
 struct Group {
-    /// The group's own generation, when its structure keeps one.
+    /// The group's generation at the last call; `None` before the first.
     generation: Option<(u64, u64)>,
     /// Wrapping sum of `parts`' hashes.
     sum: u64,
-    /// By ascending id.
+    /// By ascending id; a dense group's part `i` has id `i`.
     parts: Vec<PartHash>,
 }
 
@@ -408,6 +423,57 @@ struct PartHash {
     id: u64,
     generation: (u64, u64),
     hash: u64,
+}
+
+/// The running hash's start before any log item.
+const LOG_SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+/// Constants of the key hash, from the hexadecimal digits of pi and e.
+const K: [u64; 4] = [
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d1,
+    0x082e_fa98_ec4e_6c89,
+    0xb7e1_5162_8aed_2a6b,
+];
+
+/// The folded 128-bit product of `a` and `b`: each output bit depends on
+/// every input bit of both.
+#[inline]
+fn fold(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// Combines two hashes, order-sensitively.
+#[inline]
+fn mix(a: u64, b: u64) -> u64 {
+    fold(a ^ K[0], b ^ K[1])
+}
+
+/// The key's 64-bit hash of `bytes` under `seed`. It reads the bytes 32 at
+/// a time into two lanes, each folding a pair of little-endian words into
+/// its state through one 128-bit multiply, zero-pads the tail, and
+/// finishes with two more folds that take in both lanes and the length,
+/// so every output bit depends on every input bit. It is not keyed
+/// against adversaries: the explorer's inputs are its own states.
+fn key_hash(seed: u64, bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
+    let lanes = |(a, b): (u64, u64), block: &[u8]| {
+        (
+            fold(word(&block[..8]) ^ a, word(&block[8..16]) ^ K[3]),
+            fold(word(&block[16..24]) ^ b, word(&block[24..]) ^ K[2]),
+        )
+    };
+    let mut state = (seed ^ K[2], seed ^ K[3]);
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        state = lanes(state, block);
+    }
+    let tail = blocks.remainder();
+    let mut last = [0u8; 32];
+    last[..tail.len()].copy_from_slice(tail);
+    let (a, b) = lanes(state, &last);
+    mix(mix(a, b), bytes.len() as u64 ^ seed)
 }
 
 impl PartHashes {
@@ -422,13 +488,8 @@ impl PartHashes {
         };
         machine.save_to(&mut sink);
         sink.close();
-        let sum = sink.sum;
-        let mut h = DefaultHasher::new();
-        h.write(self.fresh.as_bytes());
-        h.write_u64(sum);
-        h.write_u64(self.log_hash.finish());
-        h.write_u64(events);
-        h.finish()
+        let seed = mix(mix(sink.sum, self.log_hash), events);
+        key_hash(seed, self.fresh.as_bytes())
     }
 }
 
@@ -463,12 +524,19 @@ impl KeySink<'_> {
     }
 }
 
+/// `H(group, id, bytes)` of one part whose bytes `encode` writes.
+fn part_hash(scratch: &mut Enc, g: usize, id: u64, encode: impl FnOnce(&mut Enc)) -> u64 {
+    scratch.clear();
+    encode(scratch);
+    key_hash(mix(g as u64, id), scratch.as_bytes())
+}
+
 impl StateSink for KeySink<'_> {
     fn enc(&mut self) -> &mut Enc {
         &mut self.cache.fresh
     }
 
-    fn group(&mut self, generation: Option<(u64, u64)>) -> bool {
+    fn group(&mut self, generation: (u64, u64)) -> bool {
         self.close();
         let g = self.open.map_or(0, |(g, _)| g + 1);
         let groups = &mut self.cache.groups;
@@ -476,8 +544,8 @@ impl StateSink for KeySink<'_> {
             groups.push(Group::default());
         }
         let group = &mut groups[g];
-        let rebuild = generation.is_none() || group.generation != generation;
-        group.generation = generation;
+        let rebuild = group.generation != Some(generation);
+        group.generation = Some(generation);
         self.open = Some((g, rebuild));
         self.at = 0;
         rebuild
@@ -503,16 +571,10 @@ impl StateSink for KeySink<'_> {
             Some(p) if p.id == id => Some(p.hash),
             _ => None,
         };
-        scratch.clear();
-        encode(scratch);
-        let mut h = DefaultHasher::new();
-        h.write_usize(g);
-        h.write_u64(id);
-        h.write(scratch.as_bytes());
         let part = PartHash {
             id,
             generation,
-            hash: h.finish(),
+            hash: part_hash(scratch, g, id, encode),
         };
         group.sum = group.sum.wrapping_add(part.hash);
         match old {
@@ -524,16 +586,56 @@ impl StateSink for KeySink<'_> {
         }
     }
 
+    fn dense(
+        &mut self,
+        len: usize,
+        generation: impl Fn(usize) -> (u64, u64),
+        mut encode: impl FnMut(usize, &mut Enc),
+    ) {
+        let Some((g, true)) = self.open else {
+            panic!("dense parts outside any open group");
+        };
+        self.at = len;
+        let PartHashes {
+            groups, scratch, ..
+        } = &mut *self.cache;
+        let group = &mut groups[g];
+        for i in 0..len {
+            let generation = generation(i);
+            if group
+                .parts
+                .get(i)
+                .is_some_and(|p| p.generation == generation)
+            {
+                continue;
+            }
+            let id = i as u64;
+            let part = PartHash {
+                id,
+                generation,
+                hash: part_hash(scratch, g, id, |e| encode(i, e)),
+            };
+            group.sum = group.sum.wrapping_add(part.hash);
+            match group.parts.get_mut(i) {
+                Some(old) => {
+                    group.sum = group.sum.wrapping_sub(old.hash);
+                    *old = part;
+                }
+                None => group.parts.push(part),
+            }
+        }
+    }
+
     fn append_only(&mut self, len: usize, mut encode: impl FnMut(usize, &mut Enc)) {
         let cache = &mut *self.cache;
         if len < cache.log_len {
             cache.log_len = 0;
-            cache.log_hash = DefaultHasher::new();
+            cache.log_hash = LOG_SEED;
         }
         for i in cache.log_len..len {
             cache.scratch.clear();
             encode(i, &mut cache.scratch);
-            cache.log_hash.write(cache.scratch.as_bytes());
+            cache.log_hash = mix(cache.log_hash, key_hash(i as u64, cache.scratch.as_bytes()));
         }
         cache.log_len = len;
     }
@@ -957,6 +1059,8 @@ pub fn replay<F: Fn() -> Machine>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::Hasher;
 
     #[test]
     fn trace_json_round_trips_with_sorted_keys() {
@@ -1075,6 +1179,51 @@ mod tests {
         key_of: HashMap<ByteClass, u64>,
     }
 
+    impl KeyLog {
+        /// Keys `m` after `events` events through its cache, and logs a
+        /// cached key that differs from a fresh one, and a key that two
+        /// snapshot byte classes share or a class that two keys split.
+        fn check(&mut self, name: &str, m: &mut Machine, events: u64) -> u64 {
+            let key = m.state_key(events);
+            let fresh = m.state_key_uncached(events);
+            let bytes = m.snapshot().to_bytes();
+            let mut h = DefaultHasher::new();
+            h.write(&bytes);
+            let class = (
+                events,
+                bytes.len(),
+                crate::snapshot::digest(&bytes),
+                h.finish(),
+            );
+            self.checked += 1;
+            if key != fresh {
+                self.stale.push(format!("{name} event {events}"));
+            }
+            if *self.class_of.entry(key).or_insert(class) != class {
+                self.split
+                    .push(format!("{name} event {events}: one key, two states"));
+            }
+            if *self.key_of.entry(class).or_insert(key) != key {
+                self.split
+                    .push(format!("{name} event {events}: one state, two keys"));
+            }
+            key
+        }
+
+        /// Asserts nothing was logged over more than `min` checked states.
+        fn assert_clean(&self, min: u64) {
+            let checked = self.checked;
+            assert!(
+                self.stale.is_empty(),
+                "{} of {checked} checked states had a stale cached key, first {:?}",
+                self.stale.len(),
+                self.stale.first()
+            );
+            assert!(self.split.is_empty(), "{:?}", self.split);
+            assert!(checked > min, "only {checked} states checked");
+        }
+    }
+
     #[test]
     fn cached_keys_equal_fresh_keys_and_snapshot_byte_classes() {
         let config = ExploreConfig::default();
@@ -1084,31 +1233,8 @@ mod tests {
             // logged, not asserted, so none is lost with a discarded run.
             let log = Mutex::new(KeyLog::default());
             let keyer = |m: &mut Machine, events: u64| {
-                let key = m.state_key(events);
-                let fresh = m.state_key_uncached(events);
-                let bytes = m.snapshot().to_bytes();
-                let mut h = DefaultHasher::new();
-                h.write(&bytes);
-                let class = (
-                    events,
-                    bytes.len(),
-                    crate::snapshot::digest(&bytes),
-                    h.finish(),
-                );
                 let mut log = log.lock().expect("nothing panics holding the log");
-                log.checked += 1;
-                if key != fresh {
-                    log.stale.push(format!("{name} event {events}"));
-                }
-                if *log.class_of.entry(key).or_insert(class) != class {
-                    log.split
-                        .push(format!("{name} event {events}: one key, two states"));
-                }
-                if *log.key_of.entry(class).or_insert(key) != key {
-                    log.split
-                        .push(format!("{name} event {events}: one state, two keys"));
-                }
-                key
+                log.check(&name, m, events)
             };
             let report = explore_keyed(setup, &mc_spec(), &config, &keyer, None);
             assert!(report.states > 0, "{name}: nothing explored");
@@ -1117,15 +1243,178 @@ mod tests {
             all.stale.extend(log.stale);
             all.split.extend(log.split);
         }
-        let checked = all.checked;
+        all.assert_clean(7_000);
+    }
+
+    /// Runs `spec` on `machine` (from `resume`, when given) and checks, at
+    /// every event boundary, that the race diagnostics of
+    /// [`Machine::lint`], which resumes its fold, equal a fold of the
+    /// whole log from scratch, in text and order. Returns how many race
+    /// diagnostics it compared.
+    fn lint_races_match_a_fold_from_scratch(
+        name: &str,
+        machine: &mut Machine,
+        spec: &WorkloadSpec,
+        resume: Option<&crate::snapshot::Checkpoint>,
+    ) -> usize {
+        use crate::analyze::{detect_shootdown_races, LintCode, LintReport};
+        let mut compared = 0;
+        let (_, mismatch) = machine.run(spec, 0, resume, |m, at| {
+            let linted: Vec<_> = m
+                .lint()
+                .diags
+                .into_iter()
+                .filter(|d| {
+                    matches!(
+                        d.code,
+                        LintCode::MissedShootdownReuse | LintCode::ShootdownNeverApplied
+                    )
+                })
+                .collect();
+            let scratch = detect_shootdown_races(m.shootdown_log().expect("the log is on"));
+            let folded = m.folded_races();
+            if folded != scratch || linted != LintReport::from_diags(scratch.clone()).diags {
+                return ControlFlow::Break(format!(
+                    "{name} event {}: folded {folded:?}, linted {linted:?}, from scratch \
+                     {scratch:?}",
+                    at.events
+                ));
+            }
+            compared += scratch.len();
+            ControlFlow::Continue(())
+        });
+        assert_eq!(mismatch, None);
+        compared
+    }
+
+    /// An agile machine under the chaos plan `plan`.
+    fn agile_under(plan: crate::chaos::FaultPlan) -> Machine {
+        use agile_vmm::{AgileOptions, Technique};
+        let cfg = crate::config::SystemConfig::new(Technique::Agile(AgileOptions::default()));
+        let mut m = Machine::new(cfg);
+        m.enable_chaos(plan);
+        m
+    }
+
+    #[test]
+    fn lint_race_fold_equals_a_fold_from_scratch() {
+        use crate::chaos::FaultPlan;
+        // The production schedules of the seven `mc` gate suites.
+        for (name, setup) in mc_suites() {
+            lint_races_match_a_fold_from_scratch(&name, &mut setup(), &mc_spec(), None);
+        }
+        // The deferred-shootdown set-up of the integration test
+        // `chaos_deferred_exploration_composes_and_heals`: COW-only churn.
+        let mut cow_only = mc_spec();
+        cow_only.seed = 19;
+        cow_only.churn.remap_every = None;
+        cow_only.churn.remap_pages = 0;
+        let mut deferred = agile_under(FaultPlan::new(0xDEFE).defer_shootdowns(200, 2));
+        lint_races_match_a_fold_from_scratch("deferred", &mut deferred, &cow_only, None);
+        // The `lint` gate's agile chaos run, cut to 600 accesses: dropped
+        // and deferred shootdowns under remaps, which free table pages
+        // inside the open windows. It reports races.
+        let windows = || {
+            agile_under(
+                FaultPlan::new(0x00C0_FFEE)
+                    .drop_shootdowns(250)
+                    .defer_shootdowns(250, 16),
+            )
+        };
+        let mut spec = mc_spec();
+        spec.footprint = 8 << 20;
+        spec.pattern = agile_workloads::Pattern::Uniform;
+        spec.write_fraction = 0.3;
+        spec.accesses = 600;
+        spec.accesses_per_tick = 150;
+        spec.churn = agile_workloads::ChurnSpec {
+            remap_every: Some(200),
+            remap_pages: 8,
+            cow_every: Some(350),
+            cow_pages: 8,
+            clock_scan_every: Some(500),
+            scan_pages: 16,
+            churn_zone: 0.25,
+            ctx_switch_every: Some(400),
+            processes: 2,
+        };
+        let raced = lint_races_match_a_fold_from_scratch("windows", &mut windows(), &spec, None);
         assert!(
-            all.stale.is_empty(),
-            "{} of {checked} checked states had a stale cached key, first {:?}",
-            all.stale.len(),
-            all.stale.first()
+            raced > 0,
+            "the remap run reported no race: the test is vacuous"
         );
-        assert!(all.split.is_empty(), "{:?}", all.split);
-        assert!(checked > 7_000, "only {checked} states checked");
+        // The same run restored mid-way onto a machine whose fold has seen
+        // the whole log, then resumed.
+        let mut checkpoints = Vec::new();
+        let mut m = windows();
+        m.run(&spec, 0, None, |m, at| {
+            if at.is_tick {
+                checkpoints.push(m.checkpoint(at));
+            }
+            ControlFlow::<()>::Continue(())
+        });
+        assert!(!m.lint().is_clean(), "the whole run reports its races");
+        let mid = &checkpoints[checkpoints.len() / 2];
+        m.restore_from(&mid.snapshot).expect("restores");
+        let restored = lint_races_match_a_fold_from_scratch("restored", &mut m, &spec, Some(mid));
+        assert!(restored > 0, "the restored run reported no race");
+    }
+
+    #[test]
+    fn cached_keys_follow_huge_pages_clock_scans_and_chaos() {
+        use agile_vmm::{AgileOptions, Technique};
+        let mut spec = mc_spec();
+        spec.name = "mc-thp".into();
+        spec.footprint = 4 << 20;
+        spec.accesses = 360;
+        spec.accesses_per_tick = 60;
+        spec.churn.clock_scan_every = Some(90);
+        spec.churn.scan_pages = 64;
+        spec.churn.remap_pages = 48;
+        spec.churn.cow_pages = 24;
+        let mut runs: Vec<(String, Machine)> = Technique::all()
+            .into_iter()
+            .map(|t| {
+                let cfg = crate::config::SystemConfig::new(t)
+                    .with_thp()
+                    .with_paranoia(true);
+                let mut m = Machine::new(cfg);
+                m.enable_shootdown_log();
+                (format!("thp {}", t.label()), m)
+            })
+            .collect();
+        let mut chaos = Machine::new(crate::config::SystemConfig::new(Technique::Agile(
+            AgileOptions::default(),
+        )));
+        chaos.enable_chaos(crate::chaos::FaultPlan::new(0x5EED).defer_shootdowns(300, 20));
+        runs.push(("chaos".into(), chaos));
+        let mut log = KeyLog::default();
+        for (name, mut machine) in runs {
+            let mut events = 0;
+            machine.run(&spec, 0, None, |m, at| {
+                events = at.events;
+                log.check(&name, m, events);
+                ControlFlow::<()>::Continue(())
+            });
+            // Then a 1 GiB page beside the workload's region, so the 1 GiB
+            // TLB partition fills too.
+            let (pid, gigantic) = (machine.current_pid(), 0x40_0000_0000);
+            machine.os_mut().mmap_sized(
+                pid,
+                gigantic,
+                1 << 30,
+                true,
+                agile_types::PageSize::Size1G,
+            );
+            // A fill, then hits: each moves the partition's one set.
+            for i in 0..3u64 {
+                let gva = gigantic + i * 0x1234_5000;
+                machine.touch(gva, i % 3 == 0).expect("mapped");
+                events += 1;
+                log.check(&name, &mut machine, events);
+            }
+        }
+        log.assert_clean(2_000);
     }
 
     #[test]

@@ -69,6 +69,9 @@ pub struct Machine {
     hot: HotCounters,
     procs: Vec<ProcessId>,
     baseline: Baseline,
+    /// Assignments to `baseline` so far, snapshot loads included: its
+    /// part generation in [`Machine::save_to`].
+    baseline_generation: u64,
     trace: Option<agile_trace::TraceLog>,
     violations: Vec<Violation>,
     chaos: Option<ChaosState>,
@@ -94,6 +97,9 @@ pub struct Machine {
     /// of simulated state, not state: excluded from snapshots and reset
     /// by [`Machine::restore_from`].
     key_parts: crate::explore::PartHashes,
+    /// The race pass of [`Machine::lint`], folded up to the log's last
+    /// linted event. A memo like `key_parts`, reset with it.
+    race_fold: analyze::RaceFold,
 }
 
 /// Where a [`Machine::run`] stands after one workload event: what the
@@ -212,6 +218,7 @@ impl Machine {
             hot: HotCounters::default(),
             procs: vec![first],
             baseline: Baseline::default(),
+            baseline_generation: 0,
             trace: None,
             violations: Vec::new(),
             chaos: None,
@@ -221,6 +228,7 @@ impl Machine {
             flush_stats: FlushApplyStats::default(),
             scheduler: None,
             key_parts: crate::explore::PartHashes::default(),
+            race_fold: analyze::RaceFold::default(),
         }
     }
 
@@ -269,7 +277,10 @@ impl Machine {
 
     /// Runs the whole-state static analyzer ([`crate::analyze`]) over the
     /// paused machine: the structural page-table passes, plus — when the
-    /// shootdown log is enabled — the protocol race detector.
+    /// shootdown log is enabled — the protocol race detector. The race
+    /// pass resumes the machine's fold over the log, so a call folds only
+    /// the events logged since the last; its diagnostics are those of
+    /// [`crate::analyze::detect_shootdown_races`] on the whole log.
     ///
     /// Not read-only: with the shootdown log enabled it first records any
     /// allocator reuse since the last access as a `FrameReused` event, and
@@ -279,29 +290,26 @@ impl Machine {
         // Observe any allocation since the last access before analyzing,
         // so a free-then-reuse race right at the end is not missed.
         self.note_frame_reuse();
-        let report = analyze::analyze(&self.mem, &self.vmm, &self.tlb, self.shootdown_log.as_ref());
+        let mut diags = analyze::structural(&self.mem, &self.vmm, &self.tlb);
+        if let Some(log) = self.shootdown_log.as_ref() {
+            diags.extend(self.race_fold.diags(log));
+        }
         // Transition-differ findings are recorded as violations when the
         // tick-boundary differ runs; surface them through the lint report
         // too so `lint()` alone proves transitions clean.
-        let transition: Vec<LintDiag> = self
-            .violations
-            .iter()
-            .filter(|v| v.site == ViolationSite::Transition)
-            .map(|v| {
-                let mut diag = LintDiag::new(LintCode::TransitionDiverged, v.detail.clone());
-                if let Some(gva) = v.gva {
-                    diag = diag.gva(gva);
-                }
-                diag
-            })
-            .collect();
-        if transition.is_empty() {
-            report
-        } else {
-            let mut diags = report.diags;
-            diags.extend(transition);
-            LintReport::from_diags(diags)
-        }
+        diags.extend(
+            self.violations
+                .iter()
+                .filter(|v| v.site == ViolationSite::Transition)
+                .map(|v| {
+                    let diag = LintDiag::new(LintCode::TransitionDiverged, v.detail.clone());
+                    match v.gva {
+                        Some(gva) => diag.gva(gva),
+                        None => diag,
+                    }
+                }),
+        );
+        LintReport::from_diags(diags)
     }
 
     fn log_shootdown(&mut self, event: ShootdownEvent) {
@@ -448,6 +456,7 @@ impl Machine {
     /// (warm-up exclusion). Hardware structures stay warm.
     pub fn begin_measurement(&mut self) {
         self.baseline = self.counters_now();
+        self.baseline_generation += 1;
     }
 
     fn counters_now(&self) -> Baseline {
@@ -1795,15 +1804,18 @@ impl Machine {
             ));
         }
         self.key_parts = crate::explore::PartHashes::default();
+        self.race_fold = analyze::RaceFold::default();
         let mut d = Dec::new(snap.payload());
         self.load_state(&mut d)?;
         d.finish()
     }
 
     /// Visited-state key of the machine after `events` workload events
-    /// (see [`crate::explore`]): equal keys mean equal snapshot bytes and
-    /// equal cursors. Built from the hashes of the snapshot's parts, each
-    /// re-hashed only when its generation moved since the last call.
+    /// (see [`crate::explore`](mod@crate::explore)): equal keys mean equal
+    /// snapshot bytes and equal cursors. Built from the hashes of the
+    /// snapshot's parts, each re-hashed only when its generation moved
+    /// since the last call, and a structure whose group generation stood
+    /// still is skipped whole.
     pub(crate) fn state_key(&mut self, events: u64) -> u64 {
         let mut parts = std::mem::take(&mut self.key_parts);
         let key = parts.key(self, events);
@@ -1818,16 +1830,27 @@ impl Machine {
         crate::explore::PartHashes::default().key(self, events)
     }
 
+    /// The race diagnostics of [`Machine::lint`]'s fold, in its order,
+    /// with no allocator observation first. The differential tests compare
+    /// them with a fold from scratch.
+    #[cfg(test)]
+    pub(crate) fn folded_races(&mut self) -> Vec<LintDiag> {
+        match self.shootdown_log.as_ref() {
+            Some(log) => self.race_fold.diags(log),
+            None => Vec::new(),
+        }
+    }
+
     /// Serializes all simulated state in declaration order through `s`
     /// (the snapshot passes its encoder; [`Machine::state_key`] a sink
     /// that hashes parts). The encoding is the deterministic codec of
-    /// [`agile_types::codec`]; control-plane state (the scheduler, test
+    /// `agile_types::codec`; control-plane state (the scheduler, test
     /// knobs) is deliberately excluded — it belongs to the caller, not the
     /// simulation.
     pub(crate) fn save_to<S: StateSink>(&self, s: &mut S) {
         self.mem.save_to(s);
         self.vmm.save_to(s);
-        self.os.save_state(s.enc());
+        self.os.save_to(s);
         self.tlb.save_to(s);
         self.pwc.save_to(s);
         self.ntlb.save_to(s);
@@ -1836,7 +1859,12 @@ impl Machine {
         self.kinds.save(e);
         self.hot.save(e);
         self.procs.save(e);
-        self.baseline.save(e);
+        let generation = (self.baseline_generation, 0);
+        if s.group(generation) {
+            let baseline = &self.baseline;
+            s.part(0, generation, |e| baseline.save(e));
+        }
+        let e = s.enc();
         e.bool(self.cfg.paranoia);
         match self.trace.as_ref() {
             Some(trace) => {
@@ -1880,6 +1908,7 @@ impl Machine {
         self.hot = HotCounters::load(d)?;
         self.procs = Vec::load(d)?;
         self.baseline = Baseline::load(d)?;
+        self.baseline_generation += 1;
         let paranoia = d.bool()?;
         if paranoia != self.cfg.paranoia {
             return d.fail(format!(

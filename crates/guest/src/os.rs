@@ -3,7 +3,8 @@
 use crate::vma::{Vma, VmaBacking};
 use agile_mem::PhysMem;
 use agile_types::{
-    AccessKind, CodecError, Dec, Enc, GuestFrame, Level, PageSize, Persist, ProcessId, PteFlags,
+    AccessKind, CodecError, Dec, GuestFrame, Level, PageSize, Persist, ProcessId, PteFlags,
+    StateSink,
 };
 use agile_vmm::Vmm;
 use std::collections::BTreeMap;
@@ -80,9 +81,12 @@ agile_types::record! {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ProcInfo {
     vmas: BTreeMap<u64, Vma>,
+    /// `GuestOs::vma_changes` at the last change to `vmas`: their part
+    /// generation in [`GuestOs::save_to`].
+    generation: u64,
 }
 
 impl ProcInfo {
@@ -107,6 +111,9 @@ pub struct GuestOs {
     stats: OsStats,
     shared_cow_frame: Option<GuestFrame>,
     free_frames: Vec<GuestFrame>,
+    /// Changes to any process's VMAs so far, spawns and snapshot loads
+    /// included.
+    vma_changes: u64,
 }
 
 impl GuestOs {
@@ -123,6 +130,7 @@ impl GuestOs {
             stats: OsStats::default(),
             shared_cow_frame: None,
             free_frames: Vec::new(),
+            vma_changes: 0,
         }
     }
 
@@ -167,7 +175,14 @@ impl GuestOs {
         let pid = ProcessId::new(self.next_pid);
         self.next_pid += 1;
         vmm.create_process(mem, pid);
-        self.procs.insert(pid, ProcInfo::default());
+        let generation = self.vma_change();
+        self.procs.insert(
+            pid,
+            ProcInfo {
+                vmas: BTreeMap::new(),
+                generation,
+            },
+        );
         pid
     }
 
@@ -189,8 +204,19 @@ impl GuestOs {
             .unwrap_or_default()
     }
 
+    /// Counts one VMA change and returns the count: a generation no
+    /// process has had.
+    fn vma_change(&mut self) -> u64 {
+        self.vma_changes += 1;
+        self.vma_changes
+    }
+
+    /// `pid`'s record, for a change to its VMAs: moves their generation.
     fn proc_mut(&mut self, pid: ProcessId) -> &mut ProcInfo {
-        self.procs.get_mut(&pid).expect("unknown process")
+        let generation = self.vma_change();
+        let proc = self.procs.get_mut(&pid).expect("unknown process");
+        proc.generation = generation;
+        proc
     }
 
     /// Registers an anonymous VMA; pages are allocated on first touch.
@@ -512,8 +538,9 @@ impl GuestOs {
                 va += PageSize::Size4K.bytes();
             }
         }
-        if let Some(p) = self.procs.get_mut(&pid) {
-            if let Some(v) = p.vmas.values_mut().find(|v| v.contains(start)) {
+        if self.procs.contains_key(&pid) {
+            let vmas = &mut self.proc_mut(pid).vmas;
+            if let Some(v) = vmas.values_mut().find(|v| v.contains(start)) {
                 v.backing = VmaBacking::Cow;
             }
         }
@@ -569,25 +596,34 @@ impl GuestOs {
         vmm.guest_context_switch(mem, to);
     }
 
-    /// Appends the OS's full dynamic state to `e`: per-process VMA lists
+    /// Appends the OS's full dynamic state to `s`: per-process VMA lists
     /// (processes sorted by pid, VMAs in start order), the pid cursor,
     /// counters, the shared COW frame, and the free list in exact LIFO
     /// order (reuse order is simulated state).
-    pub fn save_state(&self, e: &mut Enc) {
+    ///
+    /// Each process is one part, with its pid as id and the OS's VMA
+    /// change count at its last VMA change as generation; the count
+    /// itself is the group's.
+    pub fn save_to<S: StateSink>(&self, s: &mut S) {
+        let e = s.enc();
         e.u32(self.next_pid);
         e.bool(self.thp);
         self.stats.save(e);
         self.shared_cow_frame.save(e);
         self.free_frames.save(e);
         e.seq(self.procs.len());
-        for (pid, info) in &self.procs {
-            pid.save(e);
-            let vmas: Vec<Vma> = info.vmas.values().copied().collect();
-            vmas.save(e);
+        if s.group((self.vma_changes, 0)) {
+            for (pid, info) in &self.procs {
+                s.part(u64::from(pid.raw()), (info.generation, 0), |e| {
+                    pid.save(e);
+                    e.seq(info.vmas.len());
+                    info.vmas.values().for_each(|vma| vma.save(e));
+                });
+            }
         }
     }
 
-    /// Restores state captured by [`GuestOs::save_state`], replacing
+    /// Restores state captured by [`GuestOs::save_to`], replacing
     /// everything. The THP setting must match (it comes from the system
     /// configuration, not the snapshot).
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
@@ -604,7 +640,10 @@ impl GuestOs {
         for _ in 0..nprocs {
             let pid = ProcessId::load(d)?;
             let vmas = Vec::<Vma>::load(d)?;
-            let mut info = ProcInfo::default();
+            let mut info = ProcInfo {
+                vmas: BTreeMap::new(),
+                generation: self.vma_change(),
+            };
             for vma in vmas {
                 info.vmas.insert(vma.start, vma);
             }

@@ -143,6 +143,9 @@ pub struct PhysMem {
     /// generation, since a load rebuilds pages whose write counters can
     /// repeat earlier values.
     loads: u64,
+    /// Table-page writes, allocations and frees so far: with `loads`, the
+    /// generation of the table pages' group.
+    table_changes: u64,
 }
 
 /// Sentinel slot value: the frame is not (or no longer) a table page.
@@ -183,6 +186,7 @@ impl PhysMem {
             track_frees: false,
             freed_log: Vec::new(),
             loads: 0,
+            table_changes: 0,
         }
     }
 
@@ -346,6 +350,7 @@ impl PhysMem {
         };
         self.slots[off] = slot;
         self.live_tables += 1;
+        self.table_changes += 1;
         Some(f)
     }
 
@@ -382,6 +387,7 @@ impl PhysMem {
         self.free_slots
             .push(u32::try_from(slot).expect("table arena exceeds u32 slots"));
         self.live_tables -= 1;
+        self.table_changes += 1;
         self.freed_table_pages += 1;
         if self.track_frees {
             self.freed_log.push(frame);
@@ -439,6 +445,7 @@ impl PhysMem {
             Some(slot) => self.slab[slot].set_entry(index, pte),
             None => panic!("PTE write to non-table frame {frame}"),
         }
+        self.table_changes += 1;
     }
 
     /// Borrow of the table page at `frame`, if it is one.
@@ -511,6 +518,9 @@ impl PhysMem {
     ///
     /// Each live table page is one part, with its frame number as id and
     /// (its write counter, this memory's snapshot loads) as generation.
+    /// The pages' group has (table writes, allocations and frees over all
+    /// pages, snapshot loads) as generation, so a sink that saw no table
+    /// change skips the pages without visiting them.
     pub fn save_to<S: StateSink>(&self, s: &mut S) {
         let e = s.enc();
         self.owner.save(e);
@@ -523,7 +533,7 @@ impl PhysMem {
         e.bool(self.track_frees);
         self.freed_log.save(e);
         e.seq(self.live_tables);
-        if s.group(None) {
+        if s.group((self.table_changes, self.loads)) {
             for (frame, page) in self.table_pages() {
                 s.part(frame.raw(), (page.writes, self.loads), |e| {
                     e.u64(frame.raw());

@@ -1,6 +1,6 @@
 //! A generic set-associative cache with true-LRU replacement.
 
-use agile_types::{CodecError, Dec, Persist, StateSink};
+use agile_types::{CodecError, Dec, Enc, Persist, StateSink};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -46,6 +46,10 @@ impl CacheStats {
 /// instead of a scan of every way. The index is derived from the slots,
 /// never saved, and gives exactly the scan's answers.
 ///
+/// Each set also keeps the generation its saved bytes are keyed by (see
+/// [`SetAssocCache::save_to`]) beside its slot vector, which a probe
+/// reads anyway.
+///
 /// # Example
 ///
 /// ```
@@ -60,7 +64,7 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<K, V> {
-    sets: Vec<Vec<Slot<K, V>>>,
+    sets: Vec<Set<K, V>>,
     /// One index per set when `ways >= INDEXED_WAYS`, otherwise empty.
     indexes: Vec<SlotIndex<K>>,
     ways: usize,
@@ -68,10 +72,17 @@ pub struct SetAssocCache<K, V> {
     stats: CacheStats,
     /// Removal events so far, over all sets.
     removals: u64,
-    /// Per set, the value of `removals` at the set's last removal: with
-    /// the set's largest `last_use`, its part generation (see
-    /// [`SetAssocCache::save_to`]).
-    set_removals: Vec<u64>,
+    /// The stamp of the last hit or insert, over all sets.
+    touched: u64,
+}
+
+/// One set: its slots in insertion order, and its part generation.
+#[derive(Debug, Clone)]
+struct Set<K, V> {
+    slots: Vec<Slot<K, V>>,
+    /// The value of `removals` at the set's last removal, and the stamp of
+    /// its last hit or insert (see [`SetAssocCache::save_to`]).
+    generation: (u64, u64),
 }
 
 #[derive(Debug, Clone)]
@@ -79,6 +90,14 @@ struct Slot<K, V> {
     key: K,
     value: V,
     last_use: u64,
+}
+
+impl<K: Persist, V: Persist> Slot<K, V> {
+    fn save(&self, e: &mut Enc) {
+        self.key.save(e);
+        self.value.save(e);
+        e.u64(self.last_use);
+    }
 }
 
 /// Associativity from which a set keeps a [`SlotIndex`]: the nested TLB
@@ -296,14 +315,18 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have capacity");
         let indexed = if ways >= INDEXED_WAYS { sets } else { 0 };
+        let set = Set {
+            slots: Vec::with_capacity(ways),
+            generation: (0, 0),
+        };
         SetAssocCache {
-            sets: vec![Vec::with_capacity(ways); sets],
+            sets: vec![set; sets],
             indexes: vec![SlotIndex::new(ways); indexed],
             ways,
             stamp: 0,
             stats: CacheStats::default(),
             removals: 0,
-            set_removals: vec![0; sets],
+            touched: 0,
         }
     }
 
@@ -344,7 +367,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     fn position(&self, i: usize, key: &K) -> Option<usize> {
         match self.indexes.get(i) {
             Some(ix) => ix.get(key),
-            None => self.sets[i].iter().position(|s| s.key == *key),
+            None => self.sets[i].slots.iter().position(|s| s.key == *key),
         }
     }
 
@@ -361,7 +384,10 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
         if let Some(ix) = self.indexes.get_mut(i) {
             ix.touch(at);
         }
-        let slot = &mut self.sets[i][at];
+        self.touched = self.stamp;
+        let set = &mut self.sets[i];
+        set.generation.1 = self.stamp;
+        let slot = &mut set.slots[at];
         slot.last_use = self.stamp;
         self.stats.hits += 1;
         Some(slot.value.clone())
@@ -372,7 +398,8 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     #[must_use]
     pub fn peek(&self, set_index: usize, key: &K) -> Option<&V> {
         let i = self.set_of(set_index as u64);
-        self.position(i, key).map(|at| &self.sets[i][at].value)
+        self.position(i, key)
+            .map(|at| &self.sets[i].slots[at].value)
     }
 
     /// Inserts or updates `key`, evicting the LRU entry of a full set.
@@ -381,11 +408,13 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     pub fn insert(&mut self, set_index: usize, key: K, value: V) -> Option<(K, V)> {
         self.stamp += 1;
         let i = self.set_of(set_index as u64);
+        self.touched = self.stamp;
+        self.sets[i].generation.1 = self.stamp;
         if let Some(at) = self.position(i, &key) {
             if let Some(ix) = self.indexes.get_mut(i) {
                 ix.touch(at);
             }
-            let slot = &mut self.sets[i][at];
+            let slot = &mut self.sets[i].slots[at];
             slot.value = value;
             slot.last_use = self.stamp;
             return None;
@@ -396,7 +425,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
             last_use: self.stamp,
         };
         let index = self.indexes.get_mut(i);
-        let set = &mut self.sets[i];
+        let set = &mut self.sets[i].slots;
         if set.len() < self.ways {
             if let Some(ix) = index {
                 ix.push(slot.key.clone(), set.len());
@@ -424,11 +453,11 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
         let i = self.set_of(set_index as u64);
         let set = &mut self.sets[i];
         let at = match self.indexes.get_mut(i) {
-            Some(ix) => ix.remove(set, key)?,
-            None => set.iter().position(|s| s.key == *key)?,
+            Some(ix) => ix.remove(&set.slots, key)?,
+            None => set.slots.iter().position(|s| s.key == *key)?,
         };
-        let value = set.swap_remove(at).value;
-        note_removal(&mut self.removals, &mut self.set_removals[i]);
+        let value = set.slots.swap_remove(at).value;
+        note_removal(&mut self.removals, set);
         Some(value)
     }
 
@@ -449,9 +478,10 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     {
         let indexed = !self.indexes.is_empty();
         let mut removed = 0;
-        for (i, (set, at)) in self.sets.iter_mut().zip(&mut self.set_removals).enumerate() {
+        for (i, set) in self.sets.iter_mut().enumerate() {
             let before = removed;
             while let Some(pos) = set
+                .slots
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| pred(&s.key))
@@ -459,13 +489,13 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
                 .map(|(i, _)| i)
             {
                 if indexed {
-                    self.indexes[i].swap_remove(set, pos);
+                    self.indexes[i].swap_remove(&set.slots, pos);
                 }
-                set.swap_remove(pos);
+                set.slots.swap_remove(pos);
                 removed += 1;
             }
             if removed != before {
-                note_removal(&mut self.removals, at);
+                note_removal(&mut self.removals, set);
             }
         }
         removed
@@ -476,16 +506,16 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     pub fn invalidate_if(&mut self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {
         let indexed = !self.indexes.is_empty();
         let mut removed = 0;
-        for (i, (set, at)) in self.sets.iter_mut().zip(&mut self.set_removals).enumerate() {
-            let before = set.len();
+        for (i, set) in self.sets.iter_mut().enumerate() {
+            let before = set.slots.len();
             if indexed {
-                self.indexes[i].retain(set, &mut pred);
+                self.indexes[i].retain(&mut set.slots, &mut pred);
             } else {
-                set.retain(|s| !pred(&s.key, &s.value));
+                set.slots.retain(|s| !pred(&s.key, &s.value));
             }
-            if set.len() != before {
-                removed += before - set.len();
-                note_removal(&mut self.removals, at);
+            if set.slots.len() != before {
+                removed += before - set.slots.len();
+                note_removal(&mut self.removals, set);
             }
         }
         removed
@@ -493,10 +523,10 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
 
     /// Empties the cache (stats are kept).
     pub fn flush(&mut self) {
-        for (set, at) in self.sets.iter_mut().zip(&mut self.set_removals) {
-            if !set.is_empty() {
-                set.clear();
-                note_removal(&mut self.removals, at);
+        for set in &mut self.sets {
+            if !set.slots.is_empty() {
+                set.slots.clear();
+                note_removal(&mut self.removals, set);
             }
         }
         self.indexes.iter_mut().for_each(SlotIndex::clear);
@@ -505,7 +535,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     /// Current number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.sets.iter().map(|set| set.slots.len()).sum()
     }
 
     /// True if no entries are cached.
@@ -520,7 +550,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.sets
             .iter()
-            .flat_map(|set| set.iter().map(|s| (&s.key, &s.value)))
+            .flat_map(|set| set.slots.iter().map(|s| (&s.key, &s.value)))
     }
 
     /// Hit/miss/eviction counters.
@@ -535,10 +565,10 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
     }
 }
 
-/// Records a removal from one set, moving that set's part generation.
-fn note_removal(removals: &mut u64, set_removals: &mut u64) {
+/// Records a removal from `set`, moving its part generation.
+fn note_removal<K, V>(removals: &mut u64, set: &mut Set<K, V>) {
     *removals += 1;
-    *set_removals = *removals;
+    set.generation.0 = *removals;
 }
 
 impl<K: Eq + Hash + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
@@ -548,32 +578,50 @@ impl<K: Eq + Hash + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
     /// the simulated state (it breaks `min_by_key` ties on eviction), so
     /// it is preserved exactly rather than canonicalized.
     ///
-    /// Each set is one part, with its index as id. Its generation is the
-    /// pair (the set's last removal, its largest `last_use`). Every lookup
-    /// hit and every insert writes the cache's ever-growing stamp into the
-    /// slot it touches, which raises the set's largest `last_use`; every
-    /// other change to a set's slots is a removal, which moves the first
-    /// half. The group's generation is (stamp, removals): it moves with
-    /// any set.
+    /// The parts are dense ([`StateSink::dense`]), each with an O(1)
+    /// generation that a miss leaves alone:
+    ///
+    /// - A cache of one indexed set (the nested TLB, the page-walk
+    ///   caches, the context-pointer cache) is keyed per slot position,
+    ///   the set's length going with the header. A slot's generation is
+    ///   (the set's last removal, its `last_use`). A hit or an insert
+    ///   writes the cache's ever-growing stamp into the one slot it
+    ///   touches, and every other change to the slots is a removal
+    ///   (`swap_remove` moves slots between positions), so a hit rehashes
+    ///   one slot.
+    /// - Any other cache is keyed per set, with (the set's last removal,
+    ///   the stamp of its last hit or insert) as generation.
+    ///
+    /// The group's generation is (removals, the stamp of the last hit or
+    /// insert) over all sets. A restore counts as a removal from every
+    /// set, and the removal count only grows, so a generation never comes
+    /// back with other bytes.
     pub fn save_to<S: StateSink>(&self, s: &mut S) {
         let e = s.enc();
         e.u64(self.ways as u64);
         e.u64(self.stamp);
         self.stats.save(e);
         e.seq(self.sets.len());
-        if !s.group(Some((self.stamp, self.removals))) {
-            return;
-        }
-        for (i, (set, &removed)) in self.sets.iter().zip(&self.set_removals).enumerate() {
-            let newest = set.iter().map(|slot| slot.last_use).max().unwrap_or(0);
-            s.part(i as u64, (removed, newest), |e| {
-                e.seq(set.len());
-                for slot in set {
-                    slot.key.save(e);
-                    slot.value.save(e);
-                    e.u64(slot.last_use);
-                }
-            });
+        let sets = &self.sets;
+        if let ([set], false) = (&sets[..], self.indexes.is_empty()) {
+            let (slots, removed) = (&set.slots, set.generation.0);
+            s.enc().seq(slots.len());
+            if s.group((self.removals, self.touched)) {
+                s.dense(
+                    slots.len(),
+                    |at| (removed, slots[at].last_use),
+                    |at, e| slots[at].save(e),
+                );
+            }
+        } else if s.group((self.removals, self.touched)) {
+            s.dense(
+                sets.len(),
+                |i| sets[i].generation,
+                |i, e| {
+                    e.seq(sets[i].slots.len());
+                    sets[i].slots.iter().for_each(|slot| slot.save(e));
+                },
+            );
         }
     }
 
@@ -586,7 +634,7 @@ impl<K: Eq + Hash + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         let loaded = self.load_slots(d);
         for (ix, set) in self.indexes.iter_mut().zip(&self.sets) {
-            ix.rebuild(set);
+            ix.rebuild(&set.slots);
         }
         loaded
     }
@@ -603,11 +651,12 @@ impl<K: Eq + Hash + Clone + Persist, V: Clone + Persist> SetAssocCache<K, V> {
                 self.ways
             ));
         }
-        for at in &mut self.set_removals {
-            note_removal(&mut self.removals, at);
+        for set in &mut self.sets {
+            note_removal(&mut self.removals, set);
         }
         let mut stamps = Vec::with_capacity(self.ways);
         for set in &mut self.sets {
+            let set = &mut set.slots;
             let n = d.len_prefix()?;
             if n > self.ways {
                 return d.fail(format!("set holds {n} slots, ways is {}", self.ways));

@@ -259,7 +259,7 @@ type Key = (u32, u64);
 /// the inputs of both the snapshot bytes and the explorer's state key.
 struct Saved {
     enc: Enc,
-    groups: Vec<Option<(u64, u64)>>,
+    groups: Vec<(u64, u64)>,
     parts: Vec<(u64, (u64, u64))>,
 }
 
@@ -291,7 +291,7 @@ impl Saved {
 #[derive(PartialEq)]
 struct Record {
     bytes: Vec<u8>,
-    groups: Vec<Option<(u64, u64)>>,
+    groups: Vec<(u64, u64)>,
     parts: Vec<(u64, (u64, u64))>,
 }
 
@@ -299,13 +299,123 @@ impl StateSink for Saved {
     fn enc(&mut self) -> &mut Enc {
         &mut self.enc
     }
-    fn group(&mut self, generation: Option<(u64, u64)>) -> bool {
+    fn group(&mut self, generation: (u64, u64)) -> bool {
         self.groups.push(generation);
         true
     }
     fn part(&mut self, id: u64, generation: (u64, u64), encode: impl FnOnce(&mut Enc)) {
         self.parts.push((id, generation));
         encode(&mut self.enc);
+    }
+    fn dense(
+        &mut self,
+        len: usize,
+        generation: impl Fn(usize) -> (u64, u64),
+        mut encode: impl FnMut(usize, &mut Enc),
+    ) {
+        for i in 0..len {
+            self.parts.push((i as u64, generation(i)));
+            encode(i, &mut self.enc);
+        }
+    }
+    fn append_only(&mut self, len: usize, mut encode: impl FnMut(usize, &mut Enc)) {
+        for i in 0..len {
+            encode(i, &mut self.enc);
+        }
+    }
+}
+
+/// Bytes kept with the generation they were saved at.
+type Kept = ((u64, u64), Vec<u8>);
+
+/// A sink that, like the explorer's state key, keeps each group and part
+/// it saw with its generation, skips a group or re-encodes a part only
+/// when its generation moved, and rebuilds the saved bytes from what it
+/// kept. Kept parts are never dropped, so a generation that comes back
+/// with other bytes shows as a difference from a fresh save.
+#[derive(Default)]
+struct CachingSink {
+    /// The bytes saved so far, up to the last part.
+    out: Vec<u8>,
+    /// Bytes written outside parts since the last part.
+    enc: Enc,
+    /// Groups opened in the current save.
+    group: usize,
+    /// By group and id.
+    kept: HashMap<(usize, u64), Kept>,
+    /// Per group, its parts' bytes as last rebuilt.
+    groups: HashMap<usize, Kept>,
+    /// Groups and parts taken from what was kept, over all saves.
+    reused: u64,
+}
+
+impl CachingSink {
+    /// The bytes of `cache` saved through the kept parts.
+    fn save(&mut self, cache: &SetAssocCache<Key, u64>) -> Vec<u8> {
+        self.group = 0;
+        cache.save_to(self);
+        self.flush();
+        std::mem::take(&mut self.out)
+    }
+
+    fn flush(&mut self) {
+        self.out.extend_from_slice(self.enc.as_bytes());
+        self.enc.clear();
+    }
+
+    fn keep(&mut self, id: u64, generation: (u64, u64), encode: impl FnOnce(&mut Enc)) {
+        self.flush();
+        let key = (self.group, id);
+        match self.kept.get(&key) {
+            Some((kept, bytes)) if *kept == generation => {
+                self.reused += 1;
+                self.out.extend_from_slice(bytes);
+            }
+            _ => {
+                let mut e = Enc::new();
+                encode(&mut e);
+                let bytes = e.into_bytes();
+                self.out.extend_from_slice(&bytes);
+                self.kept.insert(key, (generation, bytes));
+            }
+        }
+        let bytes = &self.kept[&key].1;
+        let group = self.groups.get_mut(&self.group).expect("parts in a group");
+        group.1.extend_from_slice(bytes);
+    }
+}
+
+impl StateSink for CachingSink {
+    fn enc(&mut self) -> &mut Enc {
+        &mut self.enc
+    }
+    fn group(&mut self, generation: (u64, u64)) -> bool {
+        self.flush();
+        self.group += 1;
+        match self.groups.get(&self.group) {
+            Some((kept, bytes)) if *kept == generation => {
+                self.reused += 1;
+                self.out.extend_from_slice(bytes);
+                false
+            }
+            _ => {
+                self.groups.insert(self.group, (generation, Vec::new()));
+                true
+            }
+        }
+    }
+    fn part(&mut self, id: u64, generation: (u64, u64), encode: impl FnOnce(&mut Enc)) {
+        self.keep(id, generation, encode);
+    }
+    fn dense(
+        &mut self,
+        len: usize,
+        generation: impl Fn(usize) -> (u64, u64),
+        mut encode: impl FnMut(usize, &mut Enc),
+    ) {
+        for i in 0..len {
+            self.keep(i as u64, generation(i), |e| encode(i, e));
+        }
     }
     fn append_only(&mut self, len: usize, mut encode: impl FnMut(usize, &mut Enc)) {
         for i in 0..len {
@@ -317,6 +427,10 @@ impl StateSink for Saved {
 /// The linear-scan LRU cache every set ran before large sets were
 /// indexed: find by scanning the set, evict the first slot with the
 /// smallest stamp, remove by `swap_remove`, predicate removal by `retain`.
+/// Its generations follow the rule `SetAssocCache::save_to` states: the
+/// group's is (removals, stamp of the last hit or insert), and its parts'
+/// are per set (last removal, stamp of the set's last hit or insert), or,
+/// for one set of at least 16 ways, per slot (last removal, `last_use`).
 #[derive(Clone)]
 struct ScanModel {
     sets: Vec<Vec<(Key, u64, u64)>>,
@@ -325,7 +439,14 @@ struct ScanModel {
     stats: CacheStats,
     removals: u64,
     set_removals: Vec<u64>,
+    /// Per set, the stamp of its last hit or insert.
+    set_touches: Vec<u64>,
+    /// The stamp of the last hit or insert.
+    touched: u64,
 }
+
+/// Associativity from which a lone set is keyed per slot.
+const SLOT_KEYED_WAYS: usize = 16;
 
 impl ScanModel {
     fn new(sets: usize, ways: usize) -> Self {
@@ -336,6 +457,8 @@ impl ScanModel {
             stats: CacheStats::default(),
             removals: 0,
             set_removals: vec![0; sets],
+            set_touches: vec![0; sets],
+            touched: 0,
         }
     }
 
@@ -350,6 +473,8 @@ impl ScanModel {
         match self.sets[set % n].iter_mut().find(|s| s.0 == *key) {
             Some(slot) => {
                 slot.2 = self.stamp;
+                self.set_touches[set % n] = self.stamp;
+                self.touched = self.stamp;
                 self.stats.hits += 1;
                 Some(slot.1)
             }
@@ -368,6 +493,8 @@ impl ScanModel {
     fn insert(&mut self, set: usize, key: Key, value: u64) -> Option<(Key, u64)> {
         self.stamp += 1;
         let n = self.sets.len();
+        self.set_touches[set % n] = self.stamp;
+        self.touched = self.stamp;
         let set = &mut self.sets[set % n];
         if let Some(slot) = set.iter_mut().find(|s| s.0 == key) {
             *slot = (key, value, self.stamp);
@@ -448,17 +575,32 @@ impl ScanModel {
         s.enc.u64(self.stamp);
         self.stats.save(&mut s.enc);
         s.enc.seq(self.sets.len());
-        s.group(Some((self.stamp, self.removals)));
-        for (i, set) in self.sets.iter().enumerate() {
-            let newest = set.iter().map(|slot| slot.2).max().unwrap_or(0);
-            s.part(i as u64, (self.set_removals[i], newest), |e| {
-                e.seq(set.len());
-                for slot in set {
-                    slot.0.save(e);
-                    slot.1.save(e);
-                    e.u64(slot.2);
-                }
-            });
+        let save = |slot: &(Key, u64, u64), e: &mut Enc| {
+            slot.0.save(e);
+            slot.1.save(e);
+            e.u64(slot.2);
+        };
+        let slot_keyed = self.sets.len() == 1 && self.ways >= SLOT_KEYED_WAYS;
+        if slot_keyed {
+            s.enc.seq(self.sets[0].len());
+        }
+        s.group((self.removals, self.touched));
+        if slot_keyed {
+            let set = &self.sets[0];
+            s.dense(
+                set.len(),
+                |at| (self.set_removals[0], set[at].2),
+                |at, e| save(&set[at], e),
+            );
+        } else {
+            s.dense(
+                self.sets.len(),
+                |i| (self.set_removals[i], self.set_touches[i]),
+                |i, e| {
+                    e.seq(self.sets[i].len());
+                    self.sets[i].iter().for_each(|slot| save(slot, e));
+                },
+            );
         }
         s
     }
@@ -485,15 +627,18 @@ fn differential_geometries() -> Vec<(usize, usize)> {
 /// The cache equals the scan model op by op: return values, evicted
 /// pairs, counters, `iter()` order, saved bytes and part generations,
 /// through seeded mixes of every operation, snapshot round trips
-/// included.
+/// included. A sink that keeps parts by generation rebuilds the fresh
+/// save's bytes after every op, so no generation stands still while its
+/// part's bytes move.
 #[test]
 fn cache_matches_the_linear_scan_model() {
     for (g, (sets, ways)) in differential_geometries().into_iter().enumerate() {
-        let mut evictions = 0;
+        let (mut evictions, mut reused) = (0, 0);
         for case in 0..CASES / 4 {
             let mut rng = SplitMix64::new(SplitMix64::derive(0x71b_0010 + g as u64, case));
             let mut cache: SetAssocCache<Key, u64> = SetAssocCache::new(sets, ways);
             let mut model = ScanModel::new(sets, ways);
+            let mut caching = CachingSink::default();
             // Enough distinct keys to fill every set and evict.
             let keys = (sets * ways * 2 + 3) as u64;
             let key = |rng: &mut SplitMix64| (rng.below(2) as u32, rng.below(keys));
@@ -553,9 +698,15 @@ fn cache_matches_the_linear_scan_model() {
                     92..=99 => {
                         let bytes = Saved::of(&cache).record().bytes;
                         if rng.next_bool(0.5) {
+                            // A new cache is a new machine's, whose key
+                            // starts from nothing kept.
                             cache = SetAssocCache::new(sets, ways);
                             model.removals = 0;
                             model.set_removals = vec![0; sets];
+                            model.set_touches = vec![0; sets];
+                            model.touched = 0;
+                            reused += caching.reused;
+                            caching = CachingSink::default();
                         }
                         cache.load_state(&mut Dec::new(&bytes)).expect("round trip");
                         model.reload();
@@ -565,16 +716,26 @@ fn cache_matches_the_linear_scan_model() {
                 assert_eq!(cache.len(), model.entries().len(), "{ctx}");
                 let live: Vec<(Key, u64)> = cache.iter().map(|(k, v)| (*k, *v)).collect();
                 assert_eq!(live, model.entries(), "{ctx}");
+                let fresh = Saved::of(&cache).record();
                 assert!(
-                    Saved::of(&cache).record() == model.saved().record(),
+                    fresh == model.saved().record(),
                     "{ctx}: saved state differs"
+                );
+                assert!(
+                    caching.save(&cache) == fresh.bytes,
+                    "{ctx}: kept parts differ from a fresh save"
                 );
             }
             evictions += cache.stats().evictions;
+            reused += caching.reused;
         }
         assert!(
             evictions > 1_000,
             "{sets}x{ways}: too few evictions to test: {evictions}"
+        );
+        assert!(
+            reused > 1_000,
+            "{sets}x{ways}: too few kept parts reused to test: {reused}"
         );
     }
 }

@@ -128,21 +128,25 @@ impl Enc {
     }
 
     /// Appends one raw byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a bool as one byte (0/1).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
@@ -165,6 +169,7 @@ impl Enc {
     }
 
     /// Appends a `u64` sequence-length prefix (callers then save each item).
+    #[inline]
     pub fn seq(&mut self, len: usize) {
         self.u64(len as u64);
     }
@@ -173,29 +178,44 @@ impl Enc {
 /// A consumer of saved state that may keep a structure's parts apart.
 ///
 /// A structure made of many small, separately changing parts (table pages,
-/// cache sets) saves itself through a sink: everything outside its parts
-/// goes to [`StateSink::enc`], and each part through [`StateSink::part`]
-/// with a generation that moves whenever the part's bytes could. [`Enc`]
-/// writes every part inline, so saving through it yields the snapshot
-/// bytes. A sink that hashes parts separately may reuse a part's hash
-/// while its generation stands still; the bounded explorer's visited-state
-/// key does (`agile_core::explore`).
+/// cache sets and slots, process records) saves itself through a sink:
+/// everything outside its parts goes to [`StateSink::enc`], and each part
+/// through [`StateSink::part`] or [`StateSink::dense`] with a generation
+/// that moves whenever the part's bytes could. [`Enc`] writes every part
+/// inline, so saving through it yields the snapshot bytes. A sink that
+/// hashes parts separately may reuse a part's hash while its generation
+/// stands still; the bounded explorer's visited-state key does
+/// (`agile_core::explore`).
 pub trait StateSink {
     /// The encoder for everything outside the parts.
     fn enc(&mut self) -> &mut Enc;
 
     /// Opens a group: the parts that follow, up to the next group, belong
-    /// to one structure and come in ascending `id` order. A structure
-    /// opens its group at the same point of every save. A `generation`,
-    /// when given, moves whenever any of the group's parts could change:
-    /// a sink that already holds the group at that generation returns
-    /// `false`, and the caller skips the parts. Without one, or on
-    /// `true`, the caller saves every part.
-    fn group(&mut self, generation: Option<(u64, u64)>) -> bool;
+    /// to one structure and come in ascending `id` order, through
+    /// [`StateSink::part`] calls or one [`StateSink::dense`] call. A
+    /// structure opens its group at the same point of every save, with a
+    /// `generation` that moves whenever any of the group's parts could
+    /// change or a part could appear or vanish: a sink that already holds
+    /// the group at that generation returns `false`, and the caller skips
+    /// the parts. On `true`, the caller saves every part.
+    fn group(&mut self, generation: (u64, u64)) -> bool;
 
     /// One part of the open group; `encode` writes its bytes. Within a
     /// group, equal `id` and `generation` mean equal bytes.
     fn part(&mut self, id: u64, generation: (u64, u64), encode: impl FnOnce(&mut Enc));
+
+    /// All parts of the open group at once, with ids `0..len`: part `i`
+    /// has generation `generation(i)`, and `encode(i, e)` writes its
+    /// bytes. Equal id and generation mean equal bytes, so a sink that
+    /// already holds part `i` at `generation(i)` skips it without an
+    /// `encode` call. `generation` must cost O(1): a sink may ask it for
+    /// every part on every save.
+    fn dense(
+        &mut self,
+        len: usize,
+        generation: impl Fn(usize) -> (u64, u64),
+        encode: impl FnMut(usize, &mut Enc),
+    );
 
     /// An append-only sequence of `len` items; `encode(i, e)` writes item
     /// `i`. Saved items never change, so a sink may consume only the
@@ -208,13 +228,24 @@ impl StateSink for Enc {
         self
     }
 
-    fn group(&mut self, _generation: Option<(u64, u64)>) -> bool {
+    fn group(&mut self, _generation: (u64, u64)) -> bool {
         true
     }
 
     #[inline]
     fn part(&mut self, _id: u64, _generation: (u64, u64), encode: impl FnOnce(&mut Enc)) {
         encode(self);
+    }
+
+    fn dense(
+        &mut self,
+        len: usize,
+        _generation: impl Fn(usize) -> (u64, u64),
+        mut encode: impl FnMut(usize, &mut Enc),
+    ) {
+        for i in 0..len {
+            encode(i, self);
+        }
     }
 
     fn append_only(&mut self, len: usize, mut encode: impl FnMut(usize, &mut Enc)) {

@@ -1,7 +1,7 @@
 //! Per-process virtualization state tracked by the VMM.
 
 use agile_mem::RadixTable;
-use agile_types::{CodecError, Dec, Enc, GuestFrame, HostFrame, Level, Persist};
+use agile_types::{CodecError, Dec, Enc, GuestFrame, HostFrame, Level, Persist, ProcessId};
 use agile_walk::AgileCr3;
 use std::collections::BTreeMap;
 
@@ -80,6 +80,63 @@ impl ProcState {
     /// The guest page-table root as a guest frame (`gptr`).
     pub fn gptr(&self) -> GuestFrame {
         GuestFrame::new(self.gpt.root_raw())
+    }
+}
+
+/// The per-process states by pid, each with its part generation in
+/// `Vmm::save_to`. [`Procs::get_mut`] and [`Procs::insert`] are the only
+/// ways to change a state, and each counts one change and stamps the state
+/// with the count, so a state's bytes move only with its generation.
+#[derive(Debug, Default)]
+pub(crate) struct Procs {
+    map: BTreeMap<ProcessId, (ProcState, u64)>,
+    /// Changes so far, over all states.
+    changes: u64,
+}
+
+impl Procs {
+    pub fn get(&self, pid: &ProcessId) -> Option<&ProcState> {
+        self.map.get(pid).map(|(proc, _)| proc)
+    }
+
+    /// `pid`'s state, for a change: moves its generation.
+    pub fn get_mut(&mut self, pid: &ProcessId) -> Option<&mut ProcState> {
+        self.changes += 1;
+        let (proc, generation) = self.map.get_mut(pid)?;
+        *generation = self.changes;
+        Some(proc)
+    }
+
+    pub fn insert(&mut self, pid: ProcessId, proc: ProcState) {
+        self.changes += 1;
+        self.map.insert(pid, (proc, self.changes));
+    }
+
+    pub fn clear(&mut self) {
+        self.changes += 1;
+        self.map.clear();
+    }
+
+    pub fn contains_key(&self, pid: &ProcessId) -> bool {
+        self.map.contains_key(pid)
+    }
+
+    pub fn keys(&self) -> impl Iterator<Item = &ProcessId> {
+        self.map.keys()
+    }
+
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Every state with its pid and generation, by pid.
+    pub fn iter(&self) -> impl Iterator<Item = (&ProcessId, &ProcState, u64)> {
+        self.map.iter().map(|(pid, (proc, g))| (pid, proc, *g))
+    }
+
+    /// Changes so far: the generation of the states' group.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 }
 

@@ -2,7 +2,7 @@
 //! management, and fault handling.
 
 use crate::config::{NestedToShadowPolicy, Technique};
-use crate::proc::{GptPageInfo, GptPageMode, HwRoots, ProcState};
+use crate::proc::{GptPageInfo, GptPageMode, HwRoots, ProcState, Procs};
 use crate::shsp::{ShspController, ShspMode};
 use crate::traps::{VmtrapCosts, VmtrapKind, VmtrapStats};
 use agile_mem::{GuestMemMap, HostSpace, PhysMem, RadixTable, TableSpace};
@@ -122,7 +122,7 @@ pub struct Vmm {
     costs: VmtrapCosts,
     gmap: GuestMemMap,
     hpt: RadixTable,
-    procs: BTreeMap<ProcessId, ProcState>,
+    procs: Procs,
     traps: VmtrapStats,
     counters: VmmCounters,
     ctx_cache: Option<SetAssocCache<u64, u64>>,
@@ -172,7 +172,7 @@ impl Vmm {
             costs: technique.trap_costs(),
             gmap: GuestMemMap::new(),
             hpt,
-            procs: BTreeMap::new(),
+            procs: Procs::default(),
             traps: VmtrapStats::default(),
             counters: VmmCounters::default(),
             ctx_cache,
@@ -1942,22 +1942,30 @@ impl Vmm {
     /// it instead.
     ///
     /// The guest memory map is one part, with the map's mutation counter
-    /// as generation, and the context-pointer cache's sets are parts.
+    /// as generation. Each process's paging state is a part, with its pid
+    /// as id and its `Procs` generation, and the context-pointer cache's
+    /// sets or slots are parts.
     pub fn save_to<S: StateSink>(&self, s: &mut S) {
-        if s.group(None) {
-            s.part(0, (self.gmap.generation(), 0), |e| self.gmap.save_state(e));
+        let generation = (self.gmap.generation(), 0);
+        if s.group(generation) {
+            s.part(0, generation, |e| self.gmap.save_state(e));
         }
         let e = s.enc();
         e.u64(self.hpt.root_raw());
         e.seq(self.procs.len());
-        for (pid, proc) in &self.procs {
-            pid.save(e);
-            e.u64(proc.gpt.root_raw());
-            proc.spt.map(|t| t.root_raw()).save(e);
-            save_sorted_map(e, &proc.pages);
-            e.bool(proc.full_nested);
-            e.bool(proc.root_nested);
+        if s.group((self.procs.changes(), 0)) {
+            for (pid, proc, generation) in self.procs.iter() {
+                s.part(u64::from(pid.raw()), (generation, 0), |e| {
+                    pid.save(e);
+                    e.u64(proc.gpt.root_raw());
+                    proc.spt.map(|t| t.root_raw()).save(e);
+                    save_sorted_map(e, &proc.pages);
+                    e.bool(proc.full_nested);
+                    e.bool(proc.root_nested);
+                });
+            }
         }
+        let e = s.enc();
         self.traps.save(e);
         self.counters.save(e);
         match self.ctx_cache.as_ref() {
