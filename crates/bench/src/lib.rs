@@ -276,6 +276,23 @@ simulate — run a custom workload on the agile-paging simulator
         } else {
             0
         };
+        if accesses == 0 {
+            return Err("--accesses: 0 is not a run (at least 1 data access)".to_string());
+        }
+        // A churn window never spans more than the zone; a larger count
+        // would run as the zone's.
+        let zone = spec.churn_zone_pages();
+        for (flag, every, pages) in [
+            ("--remap-pages", spec.churn.remap_every, remap_pages),
+            ("--cow-pages", spec.churn.cow_every, cow_pages),
+        ] {
+            if every.is_some() && pages > zone {
+                return Err(format!(
+                    "{flag}: {pages} is more than the churn zone's {zone} pages \
+                     (--zone of the footprint)"
+                ));
+            }
+        }
         let total = accesses.saturating_add(sweep);
         let warmup = warmup.unwrap_or(accesses / 4);
         if warmup > 0 && warmup >= total {
@@ -532,6 +549,24 @@ mod tests {
             ("--procs 0", "--procs:"),
             ("--remap-pages 0", "--remap-pages:"),
             ("--cow-pages 0", "--cow-pages:"),
+            ("--accesses 0", "--accesses:"),
+            ("--accesses 0 --no-prefault", "--accesses:"),
+            (
+                "--footprint-mb 4 --remap-every 10 --remap-pages 103",
+                "--remap-pages:",
+            ),
+            (
+                "--footprint-mb 4 --remap-every 10 --remap-pages 100000",
+                "--remap-pages:",
+            ),
+            (
+                "--footprint-mb 4 --cow-every 10 --cow-pages 103",
+                "--cow-pages:",
+            ),
+            (
+                "--footprint-mb 4 --zone 0 --cow-every 10 --cow-pages 2",
+                "--cow-pages:",
+            ),
             (
                 "--accesses 2000 --footprint-mb 4 --warmup 3024",
                 "--warmup:",
@@ -562,7 +597,13 @@ mod tests {
             "--accesses 2000 --footprint-mb 4 --warmup 3023",
             "--accesses 2000 --no-prefault --warmup 1999",
             "--accesses 2000 --footprint-mb 4 --procs 2 --warmup 4047",
-            "--accesses 0 --no-prefault",
+            "--accesses 1 --no-prefault",
+            "--footprint-mb 4 --remap-every 10 --remap-pages 102",
+            "--footprint-mb 4 --cow-every 10 --cow-pages 102",
+            "--footprint-mb 4 --zone 0 --cow-every 10 --cow-pages 1",
+            // Without its period the count is never used.
+            "--footprint-mb 4 --remap-pages 100000",
+            "--footprint-mb 4 --cow-pages 100000",
         ] {
             assert!(parse(words).is_ok(), "{words}");
         }

@@ -44,7 +44,7 @@ mod radix;
 mod space;
 
 pub use guestmap::GuestMemMap;
-pub use phys::{PhysMem, TablePage, VM_FRAME_SPAN};
+pub use phys::{entry_indices, EntryBits, PhysMem, TablePage, ALL_ENTRIES, VM_FRAME_SPAN};
 pub use pool::FramePool;
 pub use radix::{MapError, RadixTable};
 pub use space::{HostSpace, TableSpace};

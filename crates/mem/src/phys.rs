@@ -7,15 +7,42 @@ use agile_types::{CodecError, Dec, HostFrame, Persist, Pte, StateSink, VmId, ENT
 /// a multi-VM host and ownership is recoverable from the number alone.
 pub const VM_FRAME_SPAN: u64 = 1 << 32;
 
+/// One bit per entry of a table page: bit `i % 64` of word `i / 64`
+/// stands for entry `i`.
+pub type EntryBits = [u64; ENTRIES_PER_TABLE / 64];
+
+/// Every entry of a table page.
+pub const ALL_ENTRIES: EntryBits = [u64::MAX; ENTRIES_PER_TABLE / 64];
+
+/// The entries whose bits are set in `bits`, in ascending index order.
+pub fn entry_indices(bits: EntryBits) -> impl Iterator<Item = usize> {
+    bits.into_iter().enumerate().flat_map(|(w, word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(i)
+        })
+    })
+}
+
 /// One 4 KiB page-table page: 512 PTEs, exactly as hardware would see it,
-/// plus a bitmap of which of them are present and a write counter.
+/// plus bitmaps of which of them are present and which were written, and
+/// a write counter.
 #[derive(Clone)]
 pub struct TablePage {
     entries: [Pte; ENTRIES_PER_TABLE],
-    /// Bit `i % 64` of word `i / 64` is set iff `entries[i]` is present.
-    /// [`TablePage::set_entry`] is the only writer of `entries` and keeps
-    /// it in step, so present-entry walks never scan empty slots.
-    present: [u64; ENTRIES_PER_TABLE / 64],
+    /// The present entries. [`TablePage::set_entry`] is the only writer of
+    /// `entries` and keeps it in step, so present-entry walks never scan
+    /// empty slots.
+    present: EntryBits,
+    /// The entries written since the last [`PhysMem::take_written`] of
+    /// this page, present or not. Host-side bookkeeping for the shadow
+    /// reconcile: it is never saved, keyed or printed.
+    written: EntryBits,
     /// Entry writes so far. [`TablePage::set_entry`], the only writer,
     /// bumps it, so the page's bytes change only when it moves: the page's
     /// part generation in [`PhysMem::save_to`].
@@ -29,6 +56,7 @@ impl TablePage {
         TablePage {
             entries: [Pte::empty(); ENTRIES_PER_TABLE],
             present: [0; ENTRIES_PER_TABLE / 64],
+            written: [0; ENTRIES_PER_TABLE / 64],
             writes: 0,
         }
     }
@@ -57,6 +85,7 @@ impl TablePage {
         } else {
             self.present[index / 64] &= !bit;
         }
+        self.written[index / 64] |= bit;
         self.writes += 1;
     }
 
@@ -66,19 +95,15 @@ impl TablePage {
         self.present.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The present entries' bits.
+    #[must_use]
+    pub fn present_bits(&self) -> EntryBits {
+        self.present
+    }
+
     /// Iterator over `(index, pte)` for present entries, in index order.
     pub fn present_entries(&self) -> impl Iterator<Item = (usize, Pte)> + '_ {
-        self.present.iter().enumerate().flat_map(move |(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some((i, self.entries[i]))
-            })
-        })
+        entry_indices(self.present).map(|i| (i, self.entries[i]))
     }
 }
 
@@ -448,6 +473,30 @@ impl PhysMem {
         self.table_changes += 1;
     }
 
+    /// The entries of the table page at `frame` written since the last
+    /// call (every write counts, even one that stores the value already
+    /// there), and clears them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is not a live table page.
+    pub fn take_written(&mut self, frame: HostFrame) -> EntryBits {
+        match self.slot_of(frame) {
+            Some(slot) => std::mem::take(&mut self.slab[slot].written),
+            None => panic!("written bits of non-table frame {frame}"),
+        }
+    }
+
+    /// Marks every entry of every table page written, so the next
+    /// [`PhysMem::take_written`] of each page returns all 512 entries. For
+    /// a change that alters what entries derive from without writing them
+    /// (a host-table remap under shadow entries).
+    pub fn mark_all_written(&mut self) {
+        for page in &mut self.slab {
+            page.written = ALL_ENTRIES;
+        }
+    }
+
     /// Borrow of the table page at `frame`, if it is one.
     #[inline]
     #[must_use]
@@ -549,7 +598,8 @@ impl PhysMem {
 
     /// Restores state captured by [`PhysMem::save_to`] onto this
     /// memory, replacing everything. The owner VM must match — snapshots
-    /// restore onto a machine built for the same VM.
+    /// restore onto a machine built for the same VM. Written bits are not
+    /// saved: every loaded entry counts as written.
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         let owner = VmId::load(d)?;
         if owner != self.owner {
@@ -813,6 +863,86 @@ mod tests {
         // The freed frame stays dead even though its slot is live again.
         assert!(!mem.is_table(a));
         assert!(mem.try_read_pte(a, 17).is_none());
+    }
+
+    fn bits_of(indices: &[usize]) -> EntryBits {
+        let mut bits = [0; ENTRIES_PER_TABLE / 64];
+        for &i in indices {
+            bits[i / 64] |= 1 << (i % 64);
+        }
+        bits
+    }
+
+    #[test]
+    fn every_write_marks_its_entry_and_take_clears_the_marks() {
+        let mut mem = PhysMem::new();
+        let t = mem.alloc_table_page();
+        assert_eq!(mem.take_written(t), bits_of(&[]), "a fresh page");
+        mem.write_pte(t, 3, Pte::leaf(0x42, true, false));
+        mem.write_pte(t, 200, Pte::leaf(0x43, false, false));
+        mem.write_pte(t, 200, Pte::empty()); // a clear is a write too
+        mem.write_pte(t, 511, Pte::empty()); // so is storing what was there
+        let want = bits_of(&[3, 200, 511]);
+        assert_eq!(entry_indices(want).collect::<Vec<_>>(), vec![3, 200, 511]);
+        assert_eq!(mem.take_written(t), want);
+        assert_eq!(mem.take_written(t), bits_of(&[]), "take clears");
+        mem.write_pte(t, 64, Pte::leaf(0x44, true, false));
+        assert_eq!(mem.take_written(t), bits_of(&[64]), "only the new write");
+        assert_eq!(mem.table(t).unwrap().present_bits(), bits_of(&[3, 64]));
+    }
+
+    #[test]
+    fn mark_all_written_marks_every_entry_of_every_page() {
+        let mut mem = PhysMem::new();
+        let (a, b) = (mem.alloc_table_page(), mem.alloc_table_page());
+        mem.write_pte(a, 9, Pte::leaf(0x42, true, false));
+        mem.mark_all_written();
+        for t in [a, b] {
+            assert_eq!(mem.take_written(t), ALL_ENTRIES);
+        }
+        assert_eq!(mem.read_pte(a, 9), Pte::leaf(0x42, true, false));
+    }
+
+    #[test]
+    fn load_state_marks_every_loaded_entry_written() {
+        let mut mem = PhysMem::new();
+        let t = mem.alloc_table_page();
+        for i in [0, 77, 511] {
+            mem.write_pte(t, i, Pte::leaf(0x100 + i as u64, true, false));
+        }
+        mem.write_pte(t, 5, Pte::empty());
+        mem.take_written(t);
+        let mut e = Enc::new();
+        mem.save_to(&mut e);
+        let bytes = e.into_bytes();
+        let mut back = PhysMem::new();
+        back.load_state(&mut Dec::new(&bytes)).expect("round trip");
+        // The bits are not saved; the restored page counts its present
+        // entries as written, and the saved bytes do not depend on them.
+        assert_eq!(back.take_written(t), bits_of(&[0, 77, 511]));
+        let mut again = Enc::new();
+        back.save_to(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn reused_arena_slot_comes_back_with_no_written_bits() {
+        let mut mem = PhysMem::new();
+        let a = mem.alloc_table_page();
+        mem.write_pte(a, 17, Pte::leaf(0x42, true, false));
+        mem.mark_all_written();
+        mem.free_table_page(a);
+        let b = mem.alloc_table_page();
+        assert_eq!(mem.take_written(b), bits_of(&[]));
+        assert_eq!(mem.table(b).unwrap().present_bits(), bits_of(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "written bits of non-table frame")]
+    fn written_bits_of_a_data_frame_panic() {
+        let mut mem = PhysMem::new();
+        let d = mem.alloc_frame();
+        mem.take_written(d);
     }
 
     #[test]

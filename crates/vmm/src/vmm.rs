@@ -5,7 +5,9 @@ use crate::config::{NestedToShadowPolicy, Technique};
 use crate::proc::{GptPageInfo, GptPageMode, HwRoots, ProcState, Procs};
 use crate::shsp::{ShspController, ShspMode};
 use crate::traps::{VmtrapCosts, VmtrapKind, VmtrapStats};
-use agile_mem::{GuestMemMap, HostSpace, PhysMem, RadixTable, TableSpace};
+use agile_mem::{
+    entry_indices, GuestMemMap, HostSpace, PhysMem, RadixTable, TableSpace, ALL_ENTRIES,
+};
 use agile_tlb::SetAssocCache;
 use agile_types::{
     load_map_entries, save_sorted_map, AccessKind, Asid, CodecError, Dec, Enc, Fault, FaultCause,
@@ -80,6 +82,29 @@ pub enum FaultOutcome {
     /// The fault is genuine from the guest's point of view; the guest OS
     /// page-fault handler must run with the given (guest-visible) fault.
     ReflectToGuest(Fault),
+}
+
+/// The flags, beyond present and user, of the 4 KiB shadow leaf built
+/// from guest leaf `g` over a host mapping that is writable iff `host_w`:
+/// accessed, and writable when both tables allow writes and either the
+/// guest D bit is set or hardware keeps the A/D bits (without them, the
+/// first write must trap so the VMM can set D).
+fn shadow_leaf_flags(g: Pte, host_w: bool, hw_ad: bool) -> PteFlags {
+    let writable = host_w && g.is_writable() && (hw_ad || g.flags().contains(PteFlags::DIRTY));
+    if writable {
+        PteFlags::ACCESSED | PteFlags::WRITABLE
+    } else {
+        PteFlags::ACCESSED
+    }
+}
+
+/// The shadow leaf a reconcile writes for guest leaf `g`, whose frame the
+/// host table maps to `backing` (writable iff `host_w`).
+fn reconciled_leaf(g: Pte, backing: HostFrame, host_w: bool, hw_ad: bool) -> Pte {
+    Pte::new(
+        backing.raw(),
+        PteFlags::PRESENT | PteFlags::USER | shadow_leaf_flags(g, host_w, hw_ad),
+    )
 }
 
 agile_types::record! {
@@ -935,16 +960,23 @@ impl Vmm {
         }
     }
 
+    /// `gframe`'s host mapping, if the host page table has one: its 4 KiB
+    /// host frame, the leaf size, and whether it is writable.
+    fn hpt_mapped(&self, mem: &PhysMem, gframe: GuestFrame) -> Option<(HostFrame, PageSize, bool)> {
+        let (pte, level) = self.hpt.lookup(mem, &HostSpace, gframe.base().raw())?;
+        let size = pte.leaf_size(level).expect("leaf");
+        let off = gframe.raw() % size.base_pages();
+        Some((pte.host_frame().add(off), size, pte.is_writable()))
+    }
+
     /// Ensures `gframe` is mapped in the host page table (mapping the whole
     /// huge run when the backing allows), returning the leaf size used.
     /// Does *not* charge a trap — callers do, at the right granularity.
     fn hpt_ensure(&mut self, mem: &mut PhysMem, gframe: GuestFrame) -> (HostFrame, PageSize, bool) {
-        let gpa = gframe.base();
-        if let Some((pte, level)) = self.hpt.lookup(mem, &HostSpace, gpa.raw()) {
-            let size = pte.leaf_size(level).expect("leaf");
-            let off = gframe.raw() % size.base_pages();
-            return (pte.host_frame().add(off), size, pte.is_writable());
+        if let Some(mapped) = self.hpt_mapped(mem, gframe) {
+            return mapped;
         }
+        let gpa = gframe.base();
         let backing = self
             .gmap
             .backing(gframe)
@@ -1288,6 +1320,9 @@ impl Vmm {
 
     /// Builds shadow leaves for every present guest entry of one leaf-level
     /// guest table page (batched fill used by [`Vmm::convert_to_shadow`]).
+    /// The guest L1 page is found once and only its present entries are
+    /// visited, in index order: the loop edits the shadow and host tables,
+    /// never the guest's, so the page and its present set stay put.
     fn eager_shadow_region(&mut self, mem: &mut PhysMem, pid: ProcessId, page: GuestFrame) {
         let Some(info) = self.proc(pid).pages.get(&page).copied() else {
             return;
@@ -1295,23 +1330,27 @@ impl Vmm {
         let Some(spt) = self.proc(pid).spt else {
             return;
         };
+        if let Some(i) = self
+            .procs
+            .get_mut(&pid)
+            .and_then(|p| p.pages.get_mut(&page))
+        {
+            i.shadowed = true;
+        }
+        let Some(guest) = self
+            .proc(pid)
+            .gpt
+            .table_frame(mem, &self.gmap, info.va_base, Level::L1)
+            .map(|g| self.gmap.resolve(g))
+        else {
+            return;
+        };
+        let present = mem.table(guest).expect("guest table page").present_bits();
         let hw_ad = self.technique.hw_ad_bits();
-        for i in 0..agile_types::ENTRIES_PER_TABLE as u64 {
-            let va = info.va_base + i * PageSize::Size4K.bytes();
-            let Some(g) = self.proc(pid).gpt.entry(mem, &self.gmap, va, Level::L1) else {
-                continue;
-            };
-            if !g.is_present() {
-                continue;
-            }
-            let gframe = GuestFrame::new(g.frame_raw());
-            let (backing, _, host_w) = self.hpt_ensure(mem, gframe);
-            let writable =
-                host_w && g.is_writable() && (hw_ad || g.flags().contains(PteFlags::DIRTY));
-            let mut flags = PteFlags::ACCESSED;
-            if writable {
-                flags |= PteFlags::WRITABLE;
-            }
+        for i in entry_indices(present) {
+            let va = info.va_base + i as u64 * PageSize::Size4K.bytes();
+            let g = mem.read_pte(guest, i);
+            let (backing, _, host_w) = self.hpt_ensure(mem, GuestFrame::new(g.frame_raw()));
             for size in PageSize::ALL {
                 spt.unmap(mem, &HostSpace, va, size);
             }
@@ -1322,19 +1361,12 @@ impl Vmm {
                     va,
                     backing.raw(),
                     PageSize::Size4K,
-                    flags,
+                    shadow_leaf_flags(g, host_w, hw_ad),
                 )
                 .is_ok()
             {
                 self.counters.shadow_leaves_built += 1;
             }
-        }
-        if let Some(i) = self
-            .procs
-            .get_mut(&pid)
-            .and_then(|p| p.pages.get_mut(&page))
-        {
-            i.shadowed = true;
         }
     }
 
@@ -1368,19 +1400,7 @@ impl Vmm {
                 reclaimed += 1;
             }
             // Remap the guest frame onto the shared copy, read-only.
-            self.hpt
-                .unmap(mem, &HostSpace, gframe.base().raw(), PageSize::Size4K);
-            self.hpt
-                .map(
-                    mem,
-                    &mut HostSpace,
-                    gframe.base().raw(),
-                    target.raw(),
-                    PageSize::Size4K,
-                    PteFlags::empty(),
-                )
-                .expect("host share map");
-            self.pending_flushes.push(FlushRequest::NtlbFrame(gframe));
+            self.host_remap(mem, gframe, target, PteFlags::empty());
             // Drop the shadow leaf so it rebuilds against the shared,
             // read-only host mapping.
             self.drop_shadow_leaf(mem, pid, *gva);
@@ -1395,19 +1415,35 @@ impl Vmm {
             .gmap
             .backing(gframe)
             .unwrap_or_else(|| panic!("guest frame {gframe} not backed"));
-        self.hpt
-            .unmap(mem, &HostSpace, gframe.base().raw(), PageSize::Size4K);
+        self.host_remap(mem, gframe, backing, PteFlags::WRITABLE);
+    }
+
+    /// Maps `gframe` onto `target` in the host table (one 4 KiB entry with
+    /// `flags`) and requests its nested-TLB shootdown. Shadow entries that
+    /// derive from the old mapping are not written by this, wherever they
+    /// are, so every table page is marked written: each page's next
+    /// reconcile ([`Vmm::reconcile_page`]) visits all its entries.
+    fn host_remap(
+        &mut self,
+        mem: &mut PhysMem,
+        gframe: GuestFrame,
+        target: HostFrame,
+        flags: PteFlags,
+    ) {
+        let gpa = gframe.base().raw();
+        self.hpt.unmap(mem, &HostSpace, gpa, PageSize::Size4K);
         self.hpt
             .map(
                 mem,
                 &mut HostSpace,
-                gframe.base().raw(),
-                backing.raw(),
+                gpa,
+                target.raw(),
                 PageSize::Size4K,
-                PteFlags::WRITABLE,
+                flags,
             )
-            .expect("host cow break map");
+            .expect("host remap");
         self.pending_flushes.push(FlushRequest::NtlbFrame(gframe));
+        mem.mark_all_written();
     }
 
     // ------------------------------------------------------------------
@@ -1660,9 +1696,14 @@ impl Vmm {
     /// Rewrites the shadow leaf entries derived from one (leaf-level) guest
     /// table page so they match the guest table again. The shadow and
     /// guest L1 table pages covering the page's 2 MiB are found once, and
-    /// only present shadow entries are visited, by index: nothing here
-    /// edits either table's interior path ([`Vmm::hpt_ensure`] edits only
-    /// the host table), so both pages stay put for the whole loop.
+    /// only present shadow entries written since the page's last
+    /// reconcile, on either side, are visited, by index. An entry written
+    /// on neither side already holds what the rebuild would write: the
+    /// last reconcile wrote it from the same guest entry, and only
+    /// [`Vmm::host_remap`], which marks every entry written, changes the
+    /// host mapping it derives from (DESIGN.md §5h). Nothing here edits
+    /// either table's interior path ([`Vmm::hpt_ensure`] edits only the
+    /// host table), so both pages stay put for the whole loop.
     fn reconcile_page(&mut self, mem: &mut PhysMem, pid: ProcessId, page: GuestFrame) {
         let Some(info) = self.proc(pid).pages.get(&page).copied() else {
             return;
@@ -1673,7 +1714,6 @@ impl Vmm {
         let Some(spt) = self.proc(pid).spt else {
             return;
         };
-        let hw_ad = self.technique.hw_ad_bits();
         if let Some(shadow) = spt.table_frame(mem, &HostSpace, info.va_base, Level::L1) {
             let shadow = HostFrame::new(shadow);
             let guest = self
@@ -1681,29 +1721,68 @@ impl Vmm {
                 .gpt
                 .table_frame(mem, &self.gmap, info.va_base, Level::L1)
                 .map(|g| self.gmap.resolve(g));
-            for i in 0..agile_types::ENTRIES_PER_TABLE {
-                if !mem.read_pte(shadow, i).is_present() {
-                    continue;
-                }
+            let present = mem.table(shadow).expect("shadow table page").present_bits();
+            let mut visit = mem.take_written(shadow);
+            // No guest page: every present shadow entry is stale.
+            let guest_written = guest.map_or(ALL_ENTRIES, |g| mem.take_written(g));
+            for ((v, p), g) in visit.iter_mut().zip(present).zip(guest_written) {
+                *v = (*v | g) & p;
+            }
+            #[cfg(debug_assertions)]
+            self.check_unvisited(mem, shadow, guest, present, visit);
+            let hw_ad = self.technique.hw_ad_bits();
+            for i in entry_indices(visit) {
                 let g = guest.map_or(Pte::empty(), |g| mem.read_pte(g, i));
                 let gframe = GuestFrame::new(g.frame_raw());
                 let rebuilt = if g.is_present() && self.gmap.backing(gframe).is_some() {
                     let (backing, _, host_w) = self.hpt_ensure(mem, gframe);
-                    let writable =
-                        host_w && g.is_writable() && (hw_ad || g.flags().contains(PteFlags::DIRTY));
-                    let mut flags = PteFlags::PRESENT | PteFlags::USER | PteFlags::ACCESSED;
-                    if writable {
-                        flags |= PteFlags::WRITABLE;
-                    }
-                    Pte::new(backing.raw(), flags)
+                    reconciled_leaf(g, backing, host_w, hw_ad)
                 } else {
                     // Gone from the guest table, or backed by no frame.
                     Pte::empty()
                 };
                 mem.write_pte(shadow, i, rebuilt);
             }
+            // The rebuild's own writes are not changes for the next one.
+            mem.take_written(shadow);
         }
         self.flush_range(pid, info.va_base, Level::L2);
+    }
+
+    /// The debug-build check behind [`Vmm::reconcile_page`]'s skip: every
+    /// present shadow entry outside `visit` equals the leaf a rebuild would
+    /// write, and that rebuild finds its host mapping, so a skipped entry
+    /// skips neither a change nor a host-table allocation.
+    #[cfg(debug_assertions)]
+    fn check_unvisited(
+        &self,
+        mem: &PhysMem,
+        shadow: HostFrame,
+        guest: Option<HostFrame>,
+        present: agile_mem::EntryBits,
+        visit: agile_mem::EntryBits,
+    ) {
+        let mut skipped = present;
+        for (s, v) in skipped.iter_mut().zip(visit) {
+            *s &= !v;
+        }
+        for i in entry_indices(skipped) {
+            let g = guest.map_or(Pte::empty(), |g| mem.read_pte(g, i));
+            let gframe = GuestFrame::new(g.frame_raw());
+            let want = if g.is_present() && self.gmap.backing(gframe).is_some() {
+                let (backing, _, host_w) = self.hpt_mapped(mem, gframe).unwrap_or_else(|| {
+                    panic!("skipped shadow entry {i} of {shadow}: {gframe} has no host mapping")
+                });
+                reconciled_leaf(g, backing, host_w, self.technique.hw_ad_bits())
+            } else {
+                Pte::empty()
+            };
+            assert_eq!(
+                mem.read_pte(shadow, i),
+                want,
+                "skipped shadow entry {i} of {shadow} is stale"
+            );
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2081,5 +2160,240 @@ impl Vmm {
         self.storm_hold_until = d.u64()?;
         self.write_trace = Option::load(d)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use agile_mem::EntryBits;
+
+    /// The 2 MiB region of the one leaf guest table page the tests edit.
+    const BASE: u64 = 0x40_0000;
+    /// The page whose `gpt_update`s unsync the leaf table page.
+    const TRIGGER: u64 = 0;
+    /// The page whose shadow leaf a soft error flips.
+    const SHADOW: u64 = 1;
+    /// The page faulted in by a read, so its shadow leaf starts read-only.
+    const GUEST: u64 = 2;
+    /// Two pages mapping one guest frame, both faulted in by writes.
+    const SHARED: u64 = 3;
+    const ALIAS: u64 = 4;
+    const PAGES: u64 = 8;
+
+    fn gva(page: u64) -> u64 {
+        BASE + page * PageSize::Size4K.bytes()
+    }
+
+    fn shadow_leaf(mem: &PhysMem, vmm: &Vmm, pid: ProcessId, page: u64) -> Pte {
+        let spt = vmm.proc(pid).spt.expect("shadow table");
+        spt.entry(mem, &HostSpace, gva(page), Level::L1)
+            .expect("shadow L1 page")
+    }
+
+    fn table_pages(mem: &PhysMem, vmm: &Vmm, pid: ProcessId) -> (HostFrame, HostFrame) {
+        let proc = vmm.proc(pid);
+        let shadow = proc.spt.expect("shadow table");
+        let shadow = shadow.table_frame(mem, &HostSpace, BASE, Level::L1);
+        let guest = proc.gpt.table_frame(mem, &vmm.gmap, BASE, Level::L1);
+        (
+            HostFrame::new(shadow.expect("shadow L1 page")),
+            vmm.gmap.resolve(guest.expect("guest L1 page")),
+        )
+    }
+
+    /// A shadow-paging VMM (no hardware A/D bits) with one process whose
+    /// leaf guest table page maps eight writable pages, `ALIAS` onto
+    /// `SHARED`'s guest frame. Every page has a shadow leaf. The page was
+    /// unsynced and reconciled once, and is unsynced again: the next
+    /// guest flush reconciles it.
+    fn rig() -> (PhysMem, Vmm, ProcessId) {
+        let mut mem = PhysMem::new();
+        let mut vmm = Vmm::new(&mut mem, Technique::Shadow);
+        let pid = ProcessId::new(1);
+        vmm.create_process(&mut mem, pid);
+        let mut frames = Vec::new();
+        for page in 0..PAGES {
+            let g = match page {
+                ALIAS => frames[SHARED as usize],
+                _ => vmm.alloc_guest_frame(&mut mem),
+            };
+            frames.push(g);
+            vmm.gpt_map(
+                &mut mem,
+                pid,
+                gva(page),
+                g,
+                PageSize::Size4K,
+                PteFlags::WRITABLE,
+            );
+        }
+        for page in 0..PAGES {
+            let access = match page {
+                GUEST => AccessKind::Read,
+                _ => AccessKind::Write,
+            };
+            let fault = Fault::ShadowPageFault {
+                gva: GuestVirtAddr::new(gva(page)),
+                level: Level::L1,
+                access,
+                cause: FaultCause::NotPresent,
+            };
+            assert_eq!(vmm.handle_fault(&mut mem, pid, fault), FaultOutcome::Fixed);
+        }
+        for _ in 0..2 {
+            let unsyncs = vmm.counters.unsyncs;
+            vmm.gpt_update(&mut mem, pid, gva(TRIGGER), Level::L1, |p| {
+                p.without_flags(PteFlags::ACCESSED)
+            });
+            assert_eq!(vmm.counters.unsyncs, unsyncs + 1, "the update unsyncs");
+            if vmm.counters.resyncs == 0 {
+                vmm.guest_tlb_flush(&mut mem, pid);
+            }
+        }
+        (mem, vmm, pid)
+    }
+
+    fn state_bytes(mem: &PhysMem, vmm: &Vmm) -> Vec<u8> {
+        let mut e = Enc::new();
+        mem.save_to(&mut e);
+        vmm.save_to(&mut e);
+        e.into_bytes()
+    }
+
+    /// Applies `change` to a fresh rig, then flushes, once as is and once
+    /// with every entry marked written first, which makes the reconcile
+    /// the full rebuild. Asserts both end in the same bytes, and returns
+    /// `page`'s shadow leaf before and after the flush.
+    fn reconcile_after(
+        change: impl Fn(&mut PhysMem, &mut Vmm, ProcessId),
+        page: u64,
+    ) -> (Pte, Pte) {
+        let run = |full: bool| {
+            let (mut mem, mut vmm, pid) = rig();
+            change(&mut mem, &mut vmm, pid);
+            let before = shadow_leaf(&mem, &vmm, pid, page);
+            if full {
+                mem.mark_all_written();
+            }
+            let resyncs = vmm.counters.resyncs;
+            vmm.guest_tlb_flush(&mut mem, pid);
+            assert_eq!(vmm.counters.resyncs, resyncs + 1, "the flush reconciles");
+            let after = shadow_leaf(&mem, &vmm, pid, page);
+            // The reconcile took both pages' written bits and left none.
+            let (shadow, guest) = table_pages(&mem, &vmm, pid);
+            assert_eq!(mem.take_written(shadow), EntryBits::default());
+            assert_eq!(mem.take_written(guest), EntryBits::default());
+            (state_bytes(&mem, &vmm), before, after)
+        };
+        let (full, ..) = run(true);
+        let (bytes, before, after) = run(false);
+        assert!(bytes == full, "the reconcile differs from the full rebuild");
+        (before, after)
+    }
+
+    #[test]
+    fn a_written_shadow_entry_alone_is_reconciled() {
+        let (before, after) = reconcile_after(
+            |mem, vmm, pid| {
+                let flipped = vmm.chaos_corrupt_shadow_leaf(mem, pid, gva(SHADOW), 12);
+                assert_eq!(flipped, Some(Level::L1));
+            },
+            SHADOW,
+        );
+        assert_eq!(before.frame_raw() ^ after.frame_raw(), 1, "the flip healed");
+    }
+
+    #[test]
+    fn a_guest_entry_written_behind_the_interception_alone_is_reconciled() {
+        let (before, after) = reconcile_after(
+            |mem, vmm, pid| {
+                let writes = vmm.counters.gpt_writes_total;
+                vmm.set_guest_ad_bits(mem, pid, gva(GUEST), true);
+                assert_eq!(vmm.counters.gpt_writes_total, writes, "no interception");
+            },
+            GUEST,
+        );
+        assert!(
+            !before.is_writable(),
+            "read-faulted leaf waits for the D bit"
+        );
+        assert!(
+            after.is_writable(),
+            "the guest D bit reached the shadow leaf"
+        );
+    }
+
+    #[test]
+    fn a_host_remap_alone_is_reconciled() {
+        let (before, after) = reconcile_after(
+            |mem, vmm, pid| {
+                vmm.host_share(mem, pid, &[gva(SHARED)]);
+            },
+            ALIAS,
+        );
+        assert!(
+            before.is_writable(),
+            "the alias still writes the old mapping"
+        );
+        assert!(!after.is_writable(), "the shared frame is read-only");
+    }
+
+    /// A sink that keeps each saved table page's write counter, which
+    /// [`PhysMem::save_to`] passes as the first half of the page's part
+    /// generation.
+    struct PageWrites {
+        enc: Enc,
+        writes: BTreeMap<u64, u64>,
+    }
+
+    impl StateSink for PageWrites {
+        fn enc(&mut self) -> &mut Enc {
+            &mut self.enc
+        }
+        fn group(&mut self, _: (u64, u64)) -> bool {
+            true
+        }
+        fn part(&mut self, id: u64, generation: (u64, u64), _: impl FnOnce(&mut Enc)) {
+            self.writes.insert(id, generation.0);
+        }
+        fn dense(
+            &mut self,
+            _: usize,
+            _: impl Fn(usize) -> (u64, u64),
+            _: impl FnMut(usize, &mut Enc),
+        ) {
+        }
+        fn append_only(&mut self, _: usize, _: impl FnMut(usize, &mut Enc)) {}
+    }
+
+    fn page_writes(mem: &PhysMem, frame: HostFrame) -> u64 {
+        let mut sink = PageWrites {
+            enc: Enc::new(),
+            writes: BTreeMap::new(),
+        };
+        mem.save_to(&mut sink);
+        sink.writes[&frame.raw()]
+    }
+
+    #[test]
+    fn a_flush_with_nothing_changed_rewrites_no_entry() {
+        let (before, after) = reconcile_after(|_, _, _| {}, GUEST);
+        assert_eq!(before, after);
+        for full in [false, true] {
+            let (mut mem, mut vmm, pid) = rig();
+            let (shadow, _) = table_pages(&mem, &vmm, pid);
+            let present = mem.table(shadow).unwrap().present_count() as u64;
+            assert_eq!(present, PAGES - 1, "every page but the trigger");
+            if full {
+                mem.mark_all_written();
+            }
+            let writes = page_writes(&mem, shadow);
+            vmm.guest_tlb_flush(&mut mem, pid);
+            // Only the trigger's entries were written since the last
+            // reconcile, and its shadow leaf is gone: nothing to rebuild.
+            let rebuilt = if full { present } else { 0 };
+            assert_eq!(page_writes(&mem, shadow), writes + rebuilt);
+        }
     }
 }

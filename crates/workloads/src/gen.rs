@@ -108,8 +108,7 @@ impl Workload {
     /// not the hottest-for-access ones).
     fn next_window(&mut self, pages: u64) -> (u64, u64) {
         let total = self.spec.pages();
-        let zone =
-            ((total as f64 * self.spec.churn.churn_zone.clamp(0.0, 1.0)) as u64).clamp(1, total);
+        let zone = self.spec.churn_zone_pages();
         let zone_base = total - zone;
         let pages = pages.clamp(1, zone);
         let start_page = zone_base + (self.chunk_cursor as u64 * pages) % zone;

@@ -93,6 +93,15 @@ impl WorkloadSpec {
         (self.footprint / 4096).max(1)
     }
 
+    /// Pages in the churn zone, the tail of the footprint in which churn
+    /// windows rotate: `churn_zone` of the footprint, at least one page.
+    /// A window never spans more.
+    #[must_use]
+    pub fn churn_zone_pages(&self) -> u64 {
+        let total = self.pages();
+        ((total as f64 * self.churn.churn_zone.clamp(0.0, 1.0)) as u64).clamp(1, total)
+    }
+
     /// Returns a copy scaled to `accesses` total accesses (ticks and churn
     /// periods keep their relative cadence).
     #[must_use]
