@@ -17,7 +17,7 @@ fn main() {
                     r.workload == wl.name()
                         && r.config == format!("{}:A", if thp { "2M" } else { "4K" })
                 })
-                .map(|r| r.total());
+                .map(|r| r.total);
             if let (Some(best), Some(agile)) = (best, agile) {
                 improvements.push(((1.0 + best) / (1.0 + agile) - 1.0) * 100.0);
                 println!(

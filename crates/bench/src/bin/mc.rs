@@ -19,7 +19,7 @@
 
 use agile_core::{
     explore, AgileOptions, ChurnSpec, ExploreConfig, ExploreReport, FaultPlan, Json, Machine,
-    Pattern, ScenarioKind, SystemConfig, Technique, WorkloadSpec,
+    Pattern, ScenarioKind, SystemConfig, Technique, ToJson, WorkloadSpec,
 };
 use std::process::ExitCode;
 

@@ -109,12 +109,16 @@ fn load_jobs(doc: &Json) -> Result<(PlanOptions, Vec<RunRequest>), String> {
             opts.timeout = Some(Duration::from_millis(ms));
         }
         if let Some(n) = o.get("retries").and_then(Json::as_u64) {
-            opts.retries = n as u32;
+            opts.retries = u32::try_from(n)
+                .map_err(|_| format!("\"retries\": {n} is more than {}", u32::MAX))?;
         }
         if let Some(base) = o.get("seed_base").and_then(Json::as_u64) {
             opts.seed_base = Some(base);
         }
         if let Some(ticks) = o.get("checkpoint_ticks").and_then(Json::as_u64) {
+            if ticks == 0 {
+                return Err("\"checkpoint_ticks\": must be at least 1, got 0".into());
+            }
             opts = opts.checkpoint_every(ticks);
         }
     }
@@ -321,6 +325,37 @@ mod tests {
         assert_eq!(
             load("hyper").map(|_| ()),
             Err("job 0: unknown technique hyper".to_string())
+        );
+    }
+
+    /// The options a job file with `options` loads, or the error.
+    fn load_options(options: &str) -> Result<PlanOptions, String> {
+        let doc =
+            Json::parse(&format!(r#"{{"options": {options}, "jobs": []}}"#)).expect("valid JSON");
+        load_jobs(&doc).map(|(opts, _)| opts)
+    }
+
+    #[test]
+    fn retries_past_u32_are_an_error_naming_the_key() {
+        assert_eq!(
+            load_options(r#"{"retries": 4294967295}"#).map(|o| o.retries),
+            Ok(u32::MAX)
+        );
+        assert_eq!(
+            load_options(r#"{"retries": 4294967296}"#).map(|o| o.retries),
+            Err("\"retries\": 4294967296 is more than 4294967295".to_string())
+        );
+    }
+
+    #[test]
+    fn zero_checkpoint_ticks_are_an_error_naming_the_key() {
+        assert_eq!(
+            load_options(r#"{"checkpoint_ticks": 1}"#).map(|o| o.checkpoint_interval),
+            Ok(Some(1))
+        );
+        assert_eq!(
+            load_options(r#"{"checkpoint_ticks": 0}"#).map(|o| o.checkpoint_interval),
+            Err("\"checkpoint_ticks\": must be at least 1, got 0".to_string())
         );
     }
 }

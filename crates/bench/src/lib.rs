@@ -17,7 +17,7 @@
 
 pub mod gates;
 
-use agile_core::experiments::{ExperimentRun, JsonRow};
+use agile_core::experiments::ExperimentRun;
 use agile_core::{AgileOptions, ChurnSpec, Pattern, SystemConfig, Technique, WorkloadSpec};
 use std::path::PathBuf;
 
@@ -106,7 +106,7 @@ common flags (every experiment binary):
     /// Prints the experiment's text table and writes the JSON/CSV
     /// artifacts that `--json`/`--csv` asked for; a failed write aborts
     /// the process with exit code 1 and an error naming the path.
-    pub fn finish<R: JsonRow>(&self, run: &ExperimentRun<R>) {
+    pub fn finish<R: agile_core::ToJson>(&self, run: &ExperimentRun<R>) {
         println!("{}", run.text);
         let json = self
             .json
@@ -278,6 +278,16 @@ simulate — run a custom workload on the agile-paging simulator
         };
         if accesses == 0 {
             return Err("--accesses: 0 is not a run (at least 1 data access)".to_string());
+        }
+        // The zone runs as at least one page, so a zone that holds none
+        // would churn a page it was not given.
+        let pages = spec.pages();
+        let churny = spec.churn.remap_every.is_some() || spec.churn.cow_every.is_some();
+        if churny && pages as f64 * spec.churn.churn_zone < 1.0 {
+            return Err(format!(
+                "--zone: {} of the footprint's {pages} pages holds no page",
+                spec.churn.churn_zone
+            ));
         }
         // A churn window never spans more than the zone; a larger count
         // would run as the zone's.
@@ -565,8 +575,17 @@ mod tests {
             ),
             (
                 "--footprint-mb 4 --zone 0 --cow-every 10 --cow-pages 2",
-                "--cow-pages:",
+                "--zone:",
             ),
+            (
+                "--footprint-mb 4 --zone 0 --cow-every 10 --cow-pages 1",
+                "--zone:",
+            ),
+            (
+                "--footprint-mb 4 --zone 0.0005 --cow-every 10 --cow-pages 1",
+                "--zone:",
+            ),
+            ("--zone 0 --remap-every 10", "--zone:"),
             (
                 "--accesses 2000 --footprint-mb 4 --warmup 3024",
                 "--warmup:",
@@ -600,7 +619,7 @@ mod tests {
             "--accesses 1 --no-prefault",
             "--footprint-mb 4 --remap-every 10 --remap-pages 102",
             "--footprint-mb 4 --cow-every 10 --cow-pages 102",
-            "--footprint-mb 4 --zone 0 --cow-every 10 --cow-pages 1",
+            "--footprint-mb 4 --zone 0.001 --cow-every 10 --cow-pages 1",
             // Without its period the count is never used.
             "--footprint-mb 4 --remap-pages 100000",
             "--footprint-mb 4 --cow-pages 100000",

@@ -1,6 +1,7 @@
 //! Whole-system configuration.
 
 use agile_tlb::PwcConfig;
+use agile_types::{Json, ToJson};
 use agile_vmm::Technique;
 
 /// Cycles charged per guest/shadow page-walk memory reference that misses
@@ -96,6 +97,26 @@ impl SystemConfig {
             if self.thp { "2M" } else { "4K" },
             self.technique.label()
         )
+    }
+}
+
+/// The configuration echo of every run artifact: the stored fields plus
+/// the label and the fixed reference costs.
+impl ToJson for SystemConfig {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("label", Json::Str(self.label())),
+            ("technique", Json::Str(self.technique.label().into())),
+            ("thp", Json::Bool(self.thp)),
+            ("pwc", Json::Bool(self.pwc.enabled)),
+            ("walk_ref_cycles", Json::UInt(WALK_REF_CYCLES)),
+            ("host_ref_cycles", Json::UInt(HOST_REF_CYCLES)),
+            (
+                "base_cycles_per_access",
+                Json::UInt(self.base_cycles_per_access),
+            ),
+            ("paranoia", Json::Bool(self.paranoia)),
+        ])
     }
 }
 

@@ -2,10 +2,10 @@
 //! optional hardware optimizations (Section IV), the nested⇒shadow policy
 //! choice (Section III-C), and the page walk caches (Section III-A).
 
-use super::{ExperimentRun, JsonRow};
+use super::ExperimentRun;
 use crate::config::SystemConfig;
 use crate::report::{pct, Table};
-use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::runner::{Json, RunOutcome, RunRequest, ToJson};
 use crate::service::{PlanOptions, Service};
 use agile_vmm::{AgileOptions, NestedToShadowPolicy, Technique, VmtrapKind};
 use agile_workloads::{profile, ChurnSpec, Pattern, Profile, WorkloadSpec};
@@ -25,7 +25,8 @@ pub struct AblateRow {
     pub extras: Vec<(String, f64)>,
 }
 
-impl JsonRow for AblateRow {
+/// The extras are keyed by their column names.
+impl ToJson for AblateRow {
     fn to_json(&self) -> Json {
         let extras = self
             .extras

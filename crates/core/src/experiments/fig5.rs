@@ -1,52 +1,33 @@
 //! Figure 5: execution-time overheads (page walks + VMM interventions)
 //! for every workload under 4K/2M × {Base, Nested, Shadow, Agile}.
 
-use super::{ExperimentRun, JsonRow};
+use super::ExperimentRun;
 use crate::config::SystemConfig;
 use crate::report::{pct, Table};
-use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::runner::{RunOutcome, RunRequest};
 use crate::service::{PlanOptions, Service};
-use crate::stats::RunStats;
 use agile_vmm::Technique;
 use agile_workloads::{profile, Profile};
 
-/// One Figure 5 bar: a workload × configuration pair.
-#[derive(Debug, Clone)]
-pub struct Fig5Row {
-    /// Workload name.
-    pub workload: String,
-    /// Configuration label ("4K:B" … "2M:A").
-    pub config: String,
-    /// Page-walk overhead fraction (bottom bar segment).
-    pub page_walk: f64,
-    /// VMM-intervention overhead fraction (top dashed segment).
-    pub vmm: f64,
-    /// Full run statistics.
-    pub stats: RunStats,
-}
-
-impl Fig5Row {
-    /// Combined overhead.
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.page_walk + self.vmm
-    }
-}
-
-impl JsonRow for Fig5Row {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("workload", Json::Str(self.workload.clone())),
-            ("config", Json::Str(self.config.clone())),
-            ("page_walk", Json::Num(self.page_walk)),
-            ("vmm", Json::Num(self.vmm)),
-            ("total", Json::Num(self.total())),
-            (
-                "avg_refs_per_miss",
-                Json::Num(self.stats.avg_refs_per_miss()),
-            ),
-            ("mpka", Json::Num(self.stats.mpka())),
-        ])
+agile_types::record! {
+    json;
+    /// One Figure 5 bar: a workload × configuration pair.
+    #[derive(Debug, Clone)]
+    pub struct Fig5Row {
+        /// Workload name.
+        pub workload: String,
+        /// Configuration label ("4K:B" … "2M:A").
+        pub config: String,
+        /// Page-walk overhead fraction (bottom bar segment).
+        pub page_walk: f64,
+        /// VMM-intervention overhead fraction (top dashed segment).
+        pub vmm: f64,
+        /// Combined overhead.
+        pub total: f64,
+        /// Average memory references per completed TLB-miss walk.
+        pub avg_refs_per_miss: f64,
+        /// TLB misses per thousand accesses.
+        pub mpka: f64,
     }
 }
 
@@ -95,7 +76,9 @@ pub fn fig5(
                 config: a.config.label(),
                 page_walk: o.page_walk,
                 vmm: o.vmm,
-                stats: a.stats.clone(),
+                total: o.total(),
+                avg_refs_per_miss: a.stats.avg_refs_per_miss(),
+                mpka: a.stats.mpka(),
             }
         })
         .collect::<Vec<_>>();
@@ -123,9 +106,9 @@ fn render(rows: &[Fig5Row], accesses: u64) -> String {
             r.config.clone(),
             pct(r.page_walk),
             pct(r.vmm),
-            pct(r.total()),
-            format!("{:.2}", r.stats.avg_refs_per_miss()),
-            format!("{:.1}", r.stats.mpka()),
+            pct(r.total),
+            format!("{:.2}", r.avg_refs_per_miss),
+            format!("{:.1}", r.mpka),
         ]);
     }
     format!(
@@ -143,7 +126,7 @@ pub fn best_of_constituents(rows: &[Fig5Row], workload: &str, thp: bool) -> Opti
     let pick = |tech: &str| {
         rows.iter()
             .find(|r| r.workload == workload && r.config == format!("{prefix}:{tech}"))
-            .map(Fig5Row::total)
+            .map(|r| r.total)
     };
     match (pick("N"), pick("S")) {
         (Some(n), Some(s)) => Some(n.min(s)),
@@ -165,7 +148,7 @@ mod tests {
         assert!(run.text.contains("4K:B"));
         assert!(run.text.contains("2M:A"));
         for r in &run.rows {
-            assert!(r.total() >= 0.0);
+            assert!(r.total >= 0.0);
         }
     }
 
@@ -173,18 +156,8 @@ mod tests {
     fn best_of_constituents_picks_minimum() {
         let run = fig5(3_000, Some(&[Profile::Mcf]), 1);
         let best = best_of_constituents(&run.rows, "mcf", false).unwrap();
-        let nested = run
-            .rows
-            .iter()
-            .find(|r| r.config == "4K:N")
-            .unwrap()
-            .total();
-        let shadow = run
-            .rows
-            .iter()
-            .find(|r| r.config == "4K:S")
-            .unwrap()
-            .total();
+        let nested = run.rows.iter().find(|r| r.config == "4K:N").unwrap().total;
+        let shadow = run.rows.iter().find(|r| r.config == "4K:S").unwrap().total;
         assert!((best - nested.min(shadow)).abs() < 1e-12);
     }
 }

@@ -25,20 +25,14 @@ pub use table6::{table6, Table6Row};
 pub use twostep::{twostep, TwoStepRow};
 pub use vmtraps::{vmtrap_costs, VmtrapRow};
 
-use crate::runner::{Json, RunArtifact};
+use crate::runner::{Json, RunArtifact, ToJson};
 
 /// Schema tag embedded in every serialized experiment.
 pub const EXPERIMENT_SCHEMA: &str = "agile-paging/experiment/v1";
 
-/// A row type that knows its flat JSON form (one object per row; nested
-/// objects become dotted columns in CSV output).
-pub trait JsonRow {
-    /// This row as a JSON object.
-    fn to_json(&self) -> Json;
-}
-
 /// The full result of one experiment: human-readable text, typed rows,
-/// and the raw run artifacts behind them.
+/// and the raw run artifacts behind them. Each row renders as one JSON
+/// object ([`ToJson`]); nested objects become dotted columns in CSV.
 #[derive(Debug, Clone)]
 pub struct ExperimentRun<R> {
     /// Stable experiment name (the stem of its record under `results/`).
@@ -52,13 +46,7 @@ pub struct ExperimentRun<R> {
     pub artifacts: Vec<RunArtifact>,
 }
 
-impl<R: JsonRow> ExperimentRun<R> {
-    /// The rows as a JSON array.
-    #[must_use]
-    pub fn rows_json(&self) -> Json {
-        Json::Arr(self.rows.iter().map(JsonRow::to_json).collect())
-    }
-
+impl<R: ToJson> ExperimentRun<R> {
     /// Full JSON document: schema, name, rows, and per-run artifacts.
     ///
     /// Artifacts are rendered via [`RunArtifact::deterministic_json`] (no
@@ -70,7 +58,7 @@ impl<R: JsonRow> ExperimentRun<R> {
         Json::obj(vec![
             ("schema", Json::Str(EXPERIMENT_SCHEMA.into())),
             ("name", Json::Str(self.name.into())),
-            ("rows", self.rows_json()),
+            ("rows", self.rows.to_json()),
             (
                 "runs",
                 Json::Arr(
@@ -86,7 +74,7 @@ impl<R: JsonRow> ExperimentRun<R> {
     /// The rows flattened to CSV (dotted columns for nested objects).
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let rows: Vec<Json> = self.rows.iter().map(JsonRow::to_json).collect();
-        crate::runner::to_csv(&rows)
+        let rows: Vec<Json> = self.rows.iter().map(ToJson::to_json).collect();
+        agile_types::to_csv(&rows)
     }
 }

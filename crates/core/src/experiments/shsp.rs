@@ -7,39 +7,29 @@
 //! latency everywhere or pay wholesale shadow rebuilds, while agile paging
 //! nests only the churning subtree.
 
-use super::{ExperimentRun, JsonRow};
+use super::ExperimentRun;
 use crate::config::SystemConfig;
 use crate::report::{pct, Table};
-use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::runner::{RunOutcome, RunRequest};
 use crate::service::{PlanOptions, Service};
-use crate::stats::RunStats;
 use agile_vmm::{AgileOptions, ShspOptions, Technique};
 use agile_workloads::{ChurnSpec, Pattern, WorkloadSpec};
 
-/// One technique's result on the phase workload.
-#[derive(Debug, Clone)]
-pub struct ShspRow {
-    /// Technique label.
-    pub technique: String,
-    /// Total overhead fraction.
-    pub total_overhead: f64,
-    /// Full stats.
-    pub stats: RunStats,
-}
-
-impl JsonRow for ShspRow {
-    fn to_json(&self) -> Json {
-        let o = self.stats.overheads();
-        Json::obj(vec![
-            ("technique", Json::Str(self.technique.clone())),
-            ("page_walk", Json::Num(o.page_walk)),
-            ("vmm", Json::Num(o.vmm)),
-            ("total", Json::Num(self.total_overhead)),
-            (
-                "avg_refs_per_miss",
-                Json::Num(self.stats.avg_refs_per_miss()),
-            ),
-        ])
+agile_types::record! {
+    json;
+    /// One technique's result on the phase workload.
+    #[derive(Debug, Clone)]
+    pub struct ShspRow {
+        /// Technique label.
+        pub technique: String,
+        /// Page-walk overhead fraction.
+        pub page_walk: f64,
+        /// VMM-intervention overhead fraction.
+        pub vmm: f64,
+        /// Total overhead fraction.
+        pub total_overhead: f64 as "total",
+        /// Average memory references per completed TLB-miss walk.
+        pub avg_refs_per_miss: f64,
     }
 }
 
@@ -89,10 +79,15 @@ pub fn shsp_compare(accesses: u64, threads: usize) -> ExperimentRun<ShspRow> {
     let rows: Vec<ShspRow> = techniques
         .iter()
         .zip(&artifacts)
-        .map(|((name, _), a)| ShspRow {
-            technique: (*name).to_string(),
-            total_overhead: a.stats.overheads().total(),
-            stats: a.stats.clone(),
+        .map(|((name, _), a)| {
+            let o = a.stats.overheads();
+            ShspRow {
+                technique: (*name).to_string(),
+                page_walk: o.page_walk,
+                vmm: o.vmm,
+                total_overhead: o.total(),
+                avg_refs_per_miss: a.stats.avg_refs_per_miss(),
+            }
         })
         .collect();
     ExperimentRun {
@@ -112,13 +107,12 @@ fn render(rows: &[ShspRow], accesses: u64) -> String {
         "avg refs/miss".into(),
     ]);
     for r in rows {
-        let o = r.stats.overheads();
         table.row(vec![
             r.technique.clone(),
-            pct(o.page_walk),
-            pct(o.vmm),
+            pct(r.page_walk),
+            pct(r.vmm),
             pct(r.total_overhead),
-            format!("{:.2}", r.stats.avg_refs_per_miss()),
+            format!("{:.2}", r.avg_refs_per_miss),
         ]);
     }
     format!(

@@ -5,26 +5,29 @@
 //! the "page table updates fast/slow" row comes from counting VMtraps on an
 //! update-heavy probe.
 
-use super::{ExperimentRun, JsonRow};
+use super::ExperimentRun;
 use crate::config::SystemConfig;
 use crate::report::Table;
-use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::runner::{RunOutcome, RunRequest};
 use crate::service::{PlanOptions, Service};
 use agile_vmm::{AgileOptions, Technique, VmtrapKind};
 use agile_workloads::{ChurnSpec, Pattern, WorkloadSpec};
 
-/// One technique's measured Table I column.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Technique display name ("Base Native" … "Agile Paging").
-    pub technique: String,
-    /// Maximum memory references on a TLB miss (from the most expensive
-    /// observed walk kind).
-    pub max_refs: u32,
-    /// Average memory references per TLB miss.
-    pub avg_refs: f64,
-    /// VMM cycles of page-table maintenance per guest page-table update.
-    pub cycles_per_update: f64,
+agile_types::record! {
+    json;
+    /// One technique's measured Table I column.
+    #[derive(Debug, Clone)]
+    pub struct Table1Row {
+        /// Technique display name ("Base Native" … "Agile Paging").
+        pub technique: String,
+        /// Maximum memory references on a TLB miss (from the most expensive
+        /// observed walk kind).
+        pub max_refs: u32,
+        /// Average memory references per TLB miss.
+        pub avg_refs: f64,
+        /// VMM cycles of page-table maintenance per guest page-table update.
+        pub cycles_per_update: f64,
+    }
 }
 
 impl Table1Row {
@@ -39,17 +42,6 @@ impl Table1Row {
                 self.cycles_per_update
             )
         }
-    }
-}
-
-impl JsonRow for Table1Row {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("technique", Json::Str(self.technique.clone())),
-            ("max_refs", Json::UInt(u64::from(self.max_refs))),
-            ("avg_refs", Json::Num(self.avg_refs)),
-            ("cycles_per_update", Json::Num(self.cycles_per_update)),
-        ])
     }
 }
 

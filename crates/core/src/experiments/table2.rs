@@ -5,9 +5,8 @@
 //! (walk caches off, 4 KiB pages), reproducing the paper's 4 / 8 / 12 / 16
 //! / 20 / 24 ladder.
 
-use super::{ExperimentRun, JsonRow};
+use super::ExperimentRun;
 use crate::report::Table;
-use crate::runner::Json;
 use agile_mem::{GuestMemMap, HostSpace, PhysMem, RadixTable, TableSpace};
 use agile_tlb::{NestedTlb, PageWalkCaches, PwcConfig};
 use agile_types::{
@@ -15,30 +14,21 @@ use agile_types::{
 };
 use agile_walk::{AgileCr3, WalkHw, WalkStats};
 
-/// One measured walk configuration.
-#[derive(Debug, Clone)]
-pub struct Table2Row {
-    /// Paper's label for the degree of nesting.
-    pub label: String,
-    /// Measured total memory references.
-    pub refs: u32,
-    /// Measured shadow-table references.
-    pub shadow_refs: u64,
-    /// Measured guest-table references.
-    pub guest_refs: u64,
-    /// Measured host-table references.
-    pub host_refs: u64,
-}
-
-impl JsonRow for Table2Row {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("label", Json::Str(self.label.clone())),
-            ("refs", Json::UInt(u64::from(self.refs))),
-            ("shadow_refs", Json::UInt(self.shadow_refs)),
-            ("guest_refs", Json::UInt(self.guest_refs)),
-            ("host_refs", Json::UInt(self.host_refs)),
-        ])
+agile_types::record! {
+    json;
+    /// One measured walk configuration.
+    #[derive(Debug, Clone)]
+    pub struct Table2Row {
+        /// Paper's label for the degree of nesting.
+        pub label: String,
+        /// Measured total memory references.
+        pub refs: u32,
+        /// Measured shadow-table references.
+        pub shadow_refs: u64,
+        /// Measured guest-table references.
+        pub guest_refs: u64,
+        /// Measured host-table references.
+        pub host_refs: u64,
     }
 }
 

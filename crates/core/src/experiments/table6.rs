@@ -1,10 +1,10 @@
 //! Table VI: percentage of TLB misses served by each agile-paging mode
 //! (4 KiB pages, no page walk caches).
 
-use super::{ExperimentRun, JsonRow};
+use super::ExperimentRun;
 use crate::config::SystemConfig;
 use crate::report::Table;
-use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::runner::{Json, RunOutcome, RunRequest, ToJson};
 use crate::service::{PlanOptions, Service};
 use crate::stats::KindCounts;
 use agile_vmm::{AgileOptions, Technique};
@@ -22,7 +22,8 @@ pub struct Table6Row {
     pub avg_refs: f64,
 }
 
-impl JsonRow for Table6Row {
+/// The fractions are keyed by Table VI column label.
+impl ToJson for Table6Row {
     fn to_json(&self) -> Json {
         let modes = KindCounts::TABLE6_ORDER
             .iter()

@@ -9,39 +9,30 @@
 //! the authors could not: run the projection *and* the real thing, and
 //! compare.
 
-use super::{ExperimentRun, JsonRow};
+use super::ExperimentRun;
 use crate::config::SystemConfig;
 use crate::report::{pct, Table};
-use crate::runner::{Json, RunArtifact, RunOutcome, RunRequest};
+use crate::runner::{RunArtifact, RunOutcome, RunRequest};
 use crate::service::{PlanOptions, Service};
 use agile_trace::{LinearModel, Step1Analysis, Step2Analysis};
 use agile_vmm::{AgileOptions, Technique};
 use agile_workloads::{profile, Profile, WorkloadSpec};
 
-/// One workload's projection vs. direct simulation.
-#[derive(Debug, Clone)]
-pub struct TwoStepRow {
-    /// Workload name.
-    pub workload: String,
-    /// Fraction of VMM interventions eliminated (step 1's `F_V`).
-    pub fv: f64,
-    /// Fraction of misses served fully in shadow mode (1 − Σ `F_Ni`).
-    pub shadow_fraction: f64,
-    /// The model's projected total overhead for agile paging.
-    pub projected_overhead: f64,
-    /// Directly simulated agile overhead.
-    pub simulated_overhead: f64,
-}
-
-impl JsonRow for TwoStepRow {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("workload", Json::Str(self.workload.clone())),
-            ("fv", Json::Num(self.fv)),
-            ("shadow_fraction", Json::Num(self.shadow_fraction)),
-            ("projected_overhead", Json::Num(self.projected_overhead)),
-            ("simulated_overhead", Json::Num(self.simulated_overhead)),
-        ])
+agile_types::record! {
+    json;
+    /// One workload's projection vs. direct simulation.
+    #[derive(Debug, Clone)]
+    pub struct TwoStepRow {
+        /// Workload name.
+        pub workload: String,
+        /// Fraction of VMM interventions eliminated (step 1's `F_V`).
+        pub fv: f64,
+        /// Fraction of misses served fully in shadow mode (1 − Σ `F_Ni`).
+        pub shadow_fraction: f64,
+        /// The model's projected total overhead for agile paging.
+        pub projected_overhead: f64,
+        /// Directly simulated agile overhead.
+        pub simulated_overhead: f64,
     }
 }
 

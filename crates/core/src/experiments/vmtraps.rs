@@ -6,38 +6,29 @@
 //! latencies — the analogue of the paper measuring its platform's VMexit
 //! costs before plugging them into the linear model.
 
-use super::{ExperimentRun, JsonRow};
+use super::ExperimentRun;
 use crate::config::SystemConfig;
 use crate::report::Table;
-use crate::runner::{Json, RunOutcome, RunRequest};
+use crate::runner::{RunOutcome, RunRequest};
 use crate::service::{PlanOptions, Service};
 use agile_vmm::{Technique, VmtrapKind};
 use agile_workloads::micro_benches;
 
-/// One microbenchmark result.
-#[derive(Debug, Clone)]
-pub struct VmtrapRow {
-    /// Microbenchmark name.
-    pub micro: String,
-    /// Dominant trap kind observed.
-    pub dominant: VmtrapKind,
-    /// Traps of the dominant kind.
-    pub count: u64,
-    /// Measured cycles per dominant trap.
-    pub cycles_each: f64,
-    /// Total VMM cycles across all trap kinds.
-    pub total_vmm_cycles: u64,
-}
-
-impl JsonRow for VmtrapRow {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("micro", Json::Str(self.micro.clone())),
-            ("dominant", Json::Str(self.dominant.label().into())),
-            ("count", Json::UInt(self.count)),
-            ("cycles_each", Json::Num(self.cycles_each)),
-            ("total_vmm_cycles", Json::UInt(self.total_vmm_cycles)),
-        ])
+agile_types::record! {
+    json;
+    /// One microbenchmark result.
+    #[derive(Debug, Clone)]
+    pub struct VmtrapRow {
+        /// Microbenchmark name.
+        pub micro: String,
+        /// Dominant trap kind observed.
+        pub dominant: VmtrapKind,
+        /// Traps of the dominant kind.
+        pub count: u64,
+        /// Measured cycles per dominant trap.
+        pub cycles_each: f64,
+        /// Total VMM cycles across all trap kinds.
+        pub total_vmm_cycles: u64,
     }
 }
 

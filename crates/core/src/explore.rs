@@ -60,9 +60,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use crate::machine::Machine;
-use crate::runner::json::Json;
 use crate::snapshot::machine_findings;
-use agile_types::{Enc, StateSink};
+use agile_types::{Enc, Json, StateSink, ToJson};
 use agile_workloads::WorkloadSpec;
 
 /// One concurrency decision point reached during a run. The machine
@@ -174,55 +173,35 @@ impl Default for ExploreConfig {
     }
 }
 
-/// A minimized, replayable schedule that drives the machine into a
-/// violating state — the explorer's counterexample artifact.
-///
-/// The JSON rendering ([`CounterexampleTrace::to_json`]) has a stable
-/// sorted-key schema and round-trips through
-/// [`CounterexampleTrace::from_json`], so the artifact can be stored,
-/// byte-compared across runs, and replayed later with [`replay`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterexampleTrace {
-    /// Non-default choice script: the value fed to choice point `i`
-    /// (points past the end take alternative 0). Minimal in the sense
-    /// that flipping any single entry back to 0 loses the violation.
-    pub choices: Vec<u32>,
-    /// Configuration label of the violating machine.
-    pub config: String,
-    /// 1-based workload event at which the findings surfaced.
-    pub event: u64,
-    /// The findings at the violating state, one per line, exactly as
-    /// [`replay`] reproduces them.
-    pub findings: Vec<String>,
-    /// Workload name the schedule ran.
-    pub workload: String,
+agile_types::record! {
+    json;
+    /// A minimized, replayable schedule that drives the machine into a
+    /// violating state — the explorer's counterexample artifact.
+    ///
+    /// The JSON rendering ([`ToJson`]) is the fields in declaration order,
+    /// which is sorted-key order, and round-trips through
+    /// [`CounterexampleTrace::from_json`], so the artifact can be stored,
+    /// byte-compared across runs, and replayed later with [`replay`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CounterexampleTrace {
+        /// Non-default choice script: the value fed to choice point `i`
+        /// (points past the end take alternative 0). Minimal in the sense
+        /// that flipping any single entry back to 0 loses the violation.
+        pub choices: Vec<u32>,
+        /// Configuration label of the violating machine.
+        pub config: String,
+        /// 1-based workload event at which the findings surfaced.
+        pub event: u64,
+        /// The findings at the violating state, one per line, exactly as
+        /// [`replay`] reproduces them.
+        pub findings: Vec<String>,
+        /// Workload name the schedule ran.
+        pub workload: String,
+    }
 }
 
 impl CounterexampleTrace {
-    /// The trace as a stable sorted-key JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "choices",
-                Json::Arr(
-                    self.choices
-                        .iter()
-                        .map(|&c| Json::UInt(u64::from(c)))
-                        .collect(),
-                ),
-            ),
-            ("config", Json::Str(self.config.clone())),
-            ("event", Json::UInt(self.event)),
-            (
-                "findings",
-                Json::Arr(self.findings.iter().cloned().map(Json::Str).collect()),
-            ),
-            ("workload", Json::Str(self.workload.clone())),
-        ])
-    }
-
-    /// Parses a trace rendered by [`CounterexampleTrace::to_json`].
+    /// Parses a trace rendered by its [`ToJson`] impl.
     ///
     /// # Errors
     ///
@@ -329,18 +308,15 @@ impl ExploreReport {
         )
     }
 
-    /// The report as a stable sorted-key JSON object.
+    /// The report as a stable sorted-key JSON object. Written out rather
+    /// than derived: its keys are sorted, while its fields are grouped by
+    /// meaning.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("budget_exhausted", Json::Bool(self.budget_exhausted)),
             ("choice_points", Json::UInt(self.choice_points)),
-            (
-                "counterexample",
-                self.counterexample
-                    .as_ref()
-                    .map_or(Json::Null, CounterexampleTrace::to_json),
-            ),
+            ("counterexample", self.counterexample.to_json()),
             ("deduped", Json::UInt(self.deduped)),
             ("pruned_capped", Json::UInt(self.pruned_capped)),
             ("pruned_commute", Json::UInt(self.pruned_commute)),

@@ -66,7 +66,7 @@ pub use host::{Host, HostConfig, MigrationOutcome};
 pub use machine::{AccessError, Boundary, Machine};
 pub use profile::{FlushApplyStats, HotPathProfile};
 pub use report::Table;
-pub use runner::{Json, RecoveryControls, RunArtifact, RunOutcome, RunRequest};
+pub use runner::{Json, RecoveryControls, RunArtifact, RunOutcome, RunRequest, ToJson};
 pub use service::{
     CancelToken, JobId, JobState, JobStatus, PlanOptions, Service, ServiceMetrics, StopCause,
 };

@@ -40,19 +40,15 @@
 //! assert!(artifacts[0].stats.tlb.misses > 0);
 //! ```
 
-pub mod json;
-
-pub use json::{to_csv, Json};
+pub use agile_types::{Json, ToJson};
 
 use crate::chaos::{DegradationEvent, FaultPlan};
-use crate::config::{SystemConfig, HOST_REF_CYCLES, WALK_REF_CYCLES};
+use crate::config::SystemConfig;
 use crate::machine::Machine;
 use crate::service::{CancelToken, StopCause};
 use crate::snapshot::{Checkpoint, CheckpointSlot, WorkerKill};
-use crate::stats::{KindCounts, RunStats};
+use crate::stats::RunStats;
 use agile_trace::TraceLog;
-use agile_vmm::VmtrapKind;
-use agile_walk::WalkKind;
 use agile_workloads::WorkloadSpec;
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -323,8 +319,8 @@ impl RunArtifact {
             ("workload", Json::Str(self.workload.clone())),
             ("seed", Json::UInt(self.seed)),
             ("warmup", Json::UInt(self.warmup)),
-            ("config", config_json(&self.config)),
-            ("stats", stats_json(&self.stats)),
+            ("config", self.config.to_json()),
+            ("stats", self.stats.to_json()),
             (
                 "degradation",
                 Json::Arr(
@@ -350,128 +346,6 @@ impl RunArtifact {
     pub fn fingerprint(&self) -> String {
         self.deterministic_json().render()
     }
-}
-
-/// JSON echo of a [`SystemConfig`].
-#[must_use]
-pub fn config_json(cfg: &SystemConfig) -> Json {
-    Json::obj(vec![
-        ("label", Json::Str(cfg.label())),
-        ("technique", Json::Str(cfg.technique.label().into())),
-        ("thp", Json::Bool(cfg.thp)),
-        ("pwc", Json::Bool(cfg.pwc.enabled)),
-        ("walk_ref_cycles", Json::UInt(WALK_REF_CYCLES)),
-        ("host_ref_cycles", Json::UInt(HOST_REF_CYCLES)),
-        (
-            "base_cycles_per_access",
-            Json::UInt(cfg.base_cycles_per_access),
-        ),
-        ("paranoia", Json::Bool(cfg.paranoia)),
-    ])
-}
-
-/// JSON form of a full [`RunStats`], including the derived Figure 5
-/// overhead split.
-#[must_use]
-pub fn stats_json(stats: &RunStats) -> Json {
-    let o = stats.overheads();
-    let kinds = KindCounts::TABLE6_ORDER
-        .iter()
-        .chain([&WalkKind::Native])
-        .map(|kind| {
-            (
-                kind.table6_label().to_string(),
-                Json::obj(vec![
-                    ("walks", Json::UInt(stats.kinds.count(*kind))),
-                    ("refs", Json::UInt(stats.kinds.refs(*kind))),
-                ]),
-            )
-        })
-        .collect();
-    let traps = VmtrapKind::ALL
-        .into_iter()
-        .filter(|k| stats.traps.count(*k) > 0)
-        .map(|k| {
-            (
-                k.label().to_string(),
-                Json::obj(vec![
-                    ("count", Json::UInt(stats.traps.count(k))),
-                    ("cycles", Json::UInt(stats.traps.cycles(k))),
-                ]),
-            )
-        })
-        .collect();
-    Json::obj(vec![
-        ("accesses", Json::UInt(stats.accesses)),
-        ("ideal_cycles", Json::UInt(stats.ideal_cycles)),
-        ("walk_cycles", Json::UInt(stats.walk_cycles)),
-        ("ad_walks", Json::UInt(stats.ad_walks)),
-        (
-            "tlb",
-            Json::obj(vec![
-                ("lookups", Json::UInt(stats.tlb.lookups)),
-                ("l1_hits", Json::UInt(stats.tlb.l1_hits)),
-                ("l2_hits", Json::UInt(stats.tlb.l2_hits)),
-                ("misses", Json::UInt(stats.tlb.misses)),
-                ("fills", Json::UInt(stats.tlb.fills)),
-                ("invalidations", Json::UInt(stats.tlb.invalidations)),
-            ]),
-        ),
-        (
-            "walks",
-            Json::obj(vec![
-                ("attempts", Json::UInt(stats.walks.attempts)),
-                ("completed", Json::UInt(stats.walks.walks)),
-                ("faulted", Json::UInt(stats.walks.faulted_walks)),
-                ("memory_refs", Json::UInt(stats.walks.memory_refs)),
-                ("refs_shadow", Json::UInt(stats.walks.refs_shadow)),
-                ("refs_guest", Json::UInt(stats.walks.refs_guest)),
-                ("refs_host", Json::UInt(stats.walks.refs_host)),
-            ]),
-        ),
-        ("kinds", Json::Obj(kinds)),
-        ("traps", Json::Obj(traps)),
-        (
-            "os",
-            Json::obj(vec![
-                ("minor_faults", Json::UInt(stats.os.minor_faults)),
-                ("cow_breaks", Json::UInt(stats.os.cow_breaks)),
-                ("pages_mapped", Json::UInt(stats.os.pages_mapped)),
-                ("huge_mappings", Json::UInt(stats.os.huge_mappings)),
-                ("pages_unmapped", Json::UInt(stats.os.pages_unmapped)),
-                ("clock_scans", Json::UInt(stats.os.clock_scans)),
-                ("pages_reclaimed", Json::UInt(stats.os.pages_reclaimed)),
-                ("cow_marked", Json::UInt(stats.os.cow_marked)),
-            ]),
-        ),
-        (
-            "vmm",
-            Json::obj(vec![
-                ("to_nested", Json::UInt(stats.vmm.to_nested)),
-                ("to_shadow", Json::UInt(stats.vmm.to_shadow)),
-                ("unsyncs", Json::UInt(stats.vmm.unsyncs)),
-                ("resyncs", Json::UInt(stats.vmm.resyncs)),
-                (
-                    "shadow_leaves_built",
-                    Json::UInt(stats.vmm.shadow_leaves_built),
-                ),
-                ("ctx_cache_hits", Json::UInt(stats.vmm.ctx_cache_hits)),
-                ("gpt_writes_total", Json::UInt(stats.vmm.gpt_writes_total)),
-                ("gpt_writes_direct", Json::UInt(stats.vmm.gpt_writes_direct)),
-                ("storm_fallbacks", Json::UInt(stats.vmm.storm_fallbacks)),
-            ]),
-        ),
-        (
-            "derived",
-            Json::obj(vec![
-                ("page_walk_overhead", Json::Num(o.page_walk)),
-                ("vmm_overhead", Json::Num(o.vmm)),
-                ("total_overhead", Json::Num(o.total())),
-                ("mpka", Json::Num(stats.mpka())),
-                ("avg_refs_per_miss", Json::Num(stats.avg_refs_per_miss())),
-            ]),
-        ),
-    ])
 }
 
 /// The terminal result of one service job: one request of a

@@ -2,7 +2,8 @@
 
 use agile_guest::OsStats;
 use agile_tlb::TlbStats;
-use agile_vmm::{VmmCounters, VmtrapStats};
+use agile_types::{Json, ToJson};
+use agile_vmm::{VmmCounters, VmtrapKind, VmtrapStats};
 use agile_walk::{WalkKind, WalkStats};
 
 agile_types::record! {
@@ -180,6 +181,63 @@ impl RunStats {
         } else {
             self.tlb.misses as f64 * 1000.0 / self.accesses as f64
         }
+    }
+}
+
+/// The counter blocks render as their declarations say; the walk-kind and
+/// trap tables are keyed by label, and `derived` adds the Figure 5
+/// overhead split.
+impl ToJson for RunStats {
+    fn to_json(&self) -> Json {
+        let o = self.overheads();
+        let kinds = KindCounts::TABLE6_ORDER
+            .iter()
+            .chain([&WalkKind::Native])
+            .map(|kind| {
+                (
+                    kind.table6_label().to_string(),
+                    Json::obj(vec![
+                        ("walks", Json::UInt(self.kinds.count(*kind))),
+                        ("refs", Json::UInt(self.kinds.refs(*kind))),
+                    ]),
+                )
+            })
+            .collect();
+        let traps = VmtrapKind::ALL
+            .into_iter()
+            .filter(|k| self.traps.count(*k) > 0)
+            .map(|k| {
+                (
+                    k.label().to_string(),
+                    Json::obj(vec![
+                        ("count", Json::UInt(self.traps.count(k))),
+                        ("cycles", Json::UInt(self.traps.cycles(k))),
+                    ]),
+                )
+            })
+            .collect();
+        Json::obj(vec![
+            ("accesses", Json::UInt(self.accesses)),
+            ("ideal_cycles", Json::UInt(self.ideal_cycles)),
+            ("walk_cycles", Json::UInt(self.walk_cycles)),
+            ("ad_walks", Json::UInt(self.ad_walks)),
+            ("tlb", self.tlb.to_json()),
+            ("walks", self.walks.to_json()),
+            ("kinds", Json::Obj(kinds)),
+            ("traps", Json::Obj(traps)),
+            ("os", self.os.to_json()),
+            ("vmm", self.vmm.to_json()),
+            (
+                "derived",
+                Json::obj(vec![
+                    ("page_walk_overhead", Json::Num(o.page_walk)),
+                    ("vmm_overhead", Json::Num(o.vmm)),
+                    ("total_overhead", Json::Num(o.total())),
+                    ("mpka", Json::Num(self.mpka())),
+                    ("avg_refs_per_miss", Json::Num(self.avg_refs_per_miss())),
+                ]),
+            ),
+        ])
     }
 }
 

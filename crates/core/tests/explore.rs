@@ -23,7 +23,7 @@
 use agile_core::{
     bisect_violation, bisect_violation_with, explore, replay, AgileOptions, Checkpoint,
     ChoicePoint, ChurnSpec, CounterexampleTrace, ExploreConfig, FaultPlan, Machine, Pattern,
-    ScenarioKind, Scheduler, SystemConfig, Technique, WorkloadSpec,
+    ScenarioKind, Scheduler, SystemConfig, Technique, ToJson, WorkloadSpec,
 };
 use std::collections::VecDeque;
 use std::ops::ControlFlow;

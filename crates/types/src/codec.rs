@@ -29,7 +29,9 @@
 //! derives [`Counters::since`] for blocks of monotone event counters; a
 //! counters block may hold `u64`s, `[u64; N]` arrays and other counters
 //! blocks. Reordering a record's fields moves its bytes, and with them
-//! every snapshot that holds it.
+//! every snapshot that holds it. The same declaration gives a counters
+//! block, or an output-only `json;` record, its JSON form (`ToJson`), so
+//! each printed field is named once.
 //!
 //! Three kinds of encoding stay hand-written: enums (a tag byte, then the
 //! variant's fields), append-only logs whose sinks may skip items already
@@ -396,10 +398,15 @@ pub trait Persist: Sized {
 /// visibility), together with a [`Persist`] impl that calls each field's
 /// `save` and `load` in declaration order. Prefixed with `counters;`, the
 /// struct is a block of monotone counters and also gets a [`Counters`]
-/// impl whose `since` differences every field.
+/// impl whose `since` differences every field, and a
+/// [`ToJson`](crate::ToJson) impl: an object of the fields in declaration
+/// order. Prefixed with `json;`, the struct is output only and gets the
+/// `ToJson` impl alone, with no [`Persist`]. In those two forms a field
+/// may end with `as "key"`, its JSON key (the field name otherwise); the
+/// key changes no encoding.
 ///
 /// ```
-/// use agile_types::{Counters, Dec, Enc, Persist};
+/// use agile_types::{Counters, Dec, Enc, Persist, ToJson};
 ///
 /// agile_types::record! {
 ///     counters;
@@ -407,7 +414,7 @@ pub trait Persist: Sized {
 ///     #[derive(Debug, Default, PartialEq, Eq)]
 ///     pub struct WayStats {
 ///         /// Lookups that hit.
-///         pub hits: u64,
+///         pub hits: u64 as "hit",
 ///         /// Misses, by way.
 ///         pub misses: [u64; 2],
 ///     }
@@ -422,6 +429,18 @@ pub trait Persist: Sized {
 /// let bytes = e.into_bytes();
 /// assert_eq!(bytes.len(), 3 * 8);
 /// assert_eq!(WayStats::load(&mut Dec::new(&bytes)), Ok(now));
+///
+/// agile_types::record! {
+///     json;
+///     pub struct Row {
+///         pub name: String,
+///         pub stats: WayStats as "ways",
+///     }
+/// }
+///
+/// let row = Row { name: "l1".into(), stats: then };
+/// let text = r#"{"name":"l1","ways":{"hit":1,"misses":[1,1]}}"#;
+/// assert_eq!(row.to_json().render(), text);
 /// ```
 #[macro_export]
 macro_rules! record {
@@ -429,7 +448,7 @@ macro_rules! record {
         counters;
         $(#[$meta:meta])*
         $vis:vis struct $name:ident {
-            $($(#[$field_meta:meta])* $field_vis:vis $field:ident : $ty:ty),* $(,)?
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident : $ty:ty $(as $key:literal)?),* $(,)?
         }
     ) => {
         $crate::record! {
@@ -446,7 +465,35 @@ macro_rules! record {
                 }
             }
         }
+
+        $crate::record!(@to_json $name { $($field $($key)?),* });
     };
+    (
+        json;
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident : $ty:ty $(as $key:literal)?),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty,)*
+        }
+
+        $crate::record!(@to_json $name { $($field $($key)?),* });
+    };
+    (@to_json $name:ident { $($field:ident $($key:literal)?),* }) => {
+        impl $crate::ToJson for $name {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::obj(::std::vec![$((
+                    $crate::record!(@key $field $($key)?),
+                    $crate::ToJson::to_json(&self.$field),
+                ),)*])
+            }
+        }
+    };
+    (@key $field:ident) => { ::core::stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
     (
         $(#[$meta:meta])*
         $vis:vis struct $name:ident {
@@ -966,6 +1013,89 @@ mod tests {
             },
         };
         assert_eq!(now.since(&earlier), expected);
+    }
+
+    crate::record! {
+        counters;
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct KeyedBlock {
+            total: u64 as "sum",
+            kinds: [u64; 3],
+            leaf: Leaf as "inner",
+        }
+    }
+
+    crate::record! {
+        json;
+        struct Row {
+            name: String as "label",
+            ratio: f64,
+            present: Option<u64>,
+            absent: Option<u64>,
+            list: Vec<u32>,
+            block: Block,
+        }
+    }
+
+    const LEAF: Leaf = Leaf {
+        hits: 4,
+        ways: [3, 2],
+    };
+
+    #[test]
+    fn records_render_their_fields_in_declaration_order_under_their_keys() {
+        use crate::ToJson;
+        let block = Block {
+            total: 10,
+            kinds: [5, 6, 7],
+            leaf: LEAF,
+        };
+        assert_eq!(
+            block.to_json().render(),
+            r#"{"total":10,"kinds":[5,6,7],"leaf":{"hits":4,"ways":[3,2]}}"#
+        );
+        let keyed = KeyedBlock {
+            total: 10,
+            kinds: [5, 6, 7],
+            leaf: LEAF,
+        };
+        assert_eq!(
+            keyed.to_json().render(),
+            r#"{"sum":10,"kinds":[5,6,7],"inner":{"hits":4,"ways":[3,2]}}"#
+        );
+        let row = Row {
+            name: "r".into(),
+            ratio: 0.5,
+            present: Some(3),
+            absent: None,
+            list: vec![1, 2],
+            block,
+        };
+        assert_eq!(
+            row.to_json().render(),
+            r#"{"label":"r","ratio":0.5,"present":3,"absent":null,"list":[1,2],"#.to_string()
+                + r#""block":{"total":10,"kinds":[5,6,7],"leaf":{"hits":4,"ways":[3,2]}}}"#
+        );
+    }
+
+    #[test]
+    fn json_keys_change_no_persist_bytes() {
+        let plain = Block {
+            total: 10,
+            kinds: [5, 6, 7],
+            leaf: LEAF,
+        };
+        let keyed = KeyedBlock {
+            total: 10,
+            kinds: [5, 6, 7],
+            leaf: LEAF,
+        };
+        let (mut a, mut b) = (Enc::new(), Enc::new());
+        plain.save(&mut a);
+        keyed.save(&mut b);
+        let bytes = b.into_bytes();
+        assert_eq!(bytes, a.into_bytes());
+        assert_eq!(KeyedBlock::load(&mut Dec::new(&bytes)), Ok(keyed));
     }
 
     #[test]

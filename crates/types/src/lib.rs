@@ -2,7 +2,9 @@
 //!
 //! This crate defines the address-space newtypes, page sizes, page-table
 //! levels, page-table entry (PTE) encoding, and fault types shared by every
-//! other crate in the workspace. It deliberately has no dependencies.
+//! other crate in the workspace, plus two serializations, the snapshot codec
+//! ([`Persist`]) and JSON ([`Json`], [`ToJson`]), which [`record!`] derives
+//! from one struct declaration. It deliberately has no dependencies.
 //!
 //! The simulated architecture is an x86-64-style 4-level radix page table:
 //! 48-bit virtual addresses, 9 index bits per level, 4 KiB base pages, and
@@ -32,6 +34,7 @@ mod addr;
 mod codec;
 mod error;
 mod ids;
+mod json;
 mod level;
 mod page;
 mod pte;
@@ -44,6 +47,7 @@ pub use codec::{
 };
 pub use error::{Fault, FaultCause};
 pub use ids::{Asid, ProcessId, VmId};
+pub use json::{to_csv, Json, ToJson};
 pub use level::Level;
 pub use page::PageSize;
 pub use pte::{Pte, PteFlags};

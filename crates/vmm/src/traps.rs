@@ -73,6 +73,13 @@ impl std::fmt::Display for VmtrapKind {
     }
 }
 
+/// Rendered as its label.
+impl agile_types::ToJson for VmtrapKind {
+    fn to_json(&self) -> agile_types::Json {
+        agile_types::Json::Str(self.label().into())
+    }
+}
+
 /// Cycle cost of each trap kind: the paper defines VMtrap latency as "the
 /// cycles required for a VMexit trap and its return plus the work done by
 /// the VMM in response" and measures costs in the 1000s of cycles with

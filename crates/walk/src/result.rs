@@ -130,9 +130,9 @@ agile_types::record! {
         /// layer checks.
         pub attempts: u64,
         /// Completed walks.
-        pub walks: u64,
+        pub walks: u64 as "completed",
         /// Walks that ended in a fault (their references still count).
-        pub faulted_walks: u64,
+        pub faulted_walks: u64 as "faulted",
         /// Total memory references.
         pub memory_refs: u64,
         /// References to shadow (or native) table entries.
