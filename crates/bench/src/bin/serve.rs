@@ -9,7 +9,7 @@
 //! documents. The `gates` binary pins the document of
 //! `crates/bench/jobs/serve-smoke.json` at 1, 2 and 8 shards.
 
-use agile_bench::write_artifact;
+use agile_bench::{check_run_window, write_artifact};
 use agile_core::service::{JobState, PlanOptions, Service};
 use agile_core::{profile, Json, Profile, RunOutcome, RunRequest, SystemConfig, Technique};
 use std::path::PathBuf;
@@ -42,8 +42,9 @@ job file schema:
         \"label\": \"nested-astar\",   // optional; defaults to technique-profile-N
         \"technique\": \"nested\",     // native|nested|shadow|agile|shsp
         \"profile\": \"astar\",        // memcached|canneal|astar|gcc|graph500|mcf|tigr|dedup
-        \"accesses\": 4000,
-        \"warmup\": 500,             // optional, default accesses/4
+        \"accesses\": 4000,           // at least 1
+        \"warmup\": 500,             // optional, default accesses/4; below the
+                                   // accesses plus the profile's prefault sweep
         \"seed\": 7                  // optional; else the seed_base stream
       }
     ]
@@ -157,7 +158,13 @@ fn load_jobs(doc: &Json) -> Result<(PlanOptions, Vec<RunRequest>), String> {
                 .to_string(),
             None => format!("{}-{}-{i}", technique.name(), prof.name()),
         };
-        let mut request = RunRequest::new(SystemConfig::new(technique), profile(prof, accesses))
+        let spec = profile(prof, accesses);
+        let names = (
+            format!("job {i}: \"accesses\""),
+            format!("job {i}: \"warmup\""),
+        );
+        check_run_window(&spec, warmup, (&names.0, &names.1))?;
+        let mut request = RunRequest::new(SystemConfig::new(technique), spec)
             .with_warmup(warmup)
             .with_label(label);
         if let Some(seed) = job.get("seed") {
@@ -326,6 +333,44 @@ mod tests {
             load("hyper").map(|_| ()),
             Err("job 0: unknown technique hyper".to_string())
         );
+    }
+
+    /// The requests a one-job file with these job fields loads, or the
+    /// error.
+    fn load_job(fields: &str) -> Result<Vec<RunRequest>, String> {
+        let doc = Json::parse(&format!(
+            r#"{{"jobs": [{{"technique": "agile", "profile": "mcf", {fields}}}]}}"#
+        ))
+        .expect("valid JSON");
+        load_jobs(&doc).map(|(_, requests)| requests)
+    }
+
+    #[test]
+    fn a_job_of_no_access_is_an_error_naming_the_key() {
+        assert!(load_job(r#""accesses": 1"#).is_ok());
+        let err = load_job(r#""accesses": 0"#).map(|_| ()).unwrap_err();
+        assert!(
+            err.starts_with("job 0: \"accesses\": 0 is not a run"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_warmup_the_run_never_reaches_is_an_error_naming_the_key() {
+        // mcf prefaults its 20,480 pages, which count toward the warm-up.
+        assert!(load_job(r#""accesses": 1000, "warmup": 21479"#).is_ok());
+        assert!(load_job(r#""accesses": 1000, "warmup": 0"#).is_ok());
+        for warmup in [21_480, 5_000_000] {
+            let fields = format!(r#""accesses": 1000, "warmup": {warmup}"#);
+            let err = load_job(&fields).map(|_| ()).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "job 0: \"warmup\": {warmup} is not below the run's 21480 data accesses \
+                     (1000 plus a prefault sweep of 20480)"
+                )
+            );
+        }
     }
 
     /// The options a job file with `options` loads, or the error.

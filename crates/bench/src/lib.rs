@@ -140,6 +140,44 @@ pub fn write_artifact(path: &PathBuf, contents: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks that a run of `spec` with `warmup` warm-up accesses is one: at
+/// least one data access, and a warm-up below the run's total, which
+/// counts the prefault sweep (the machine counts its accesses toward the
+/// warm-up, and a warm-up the run never reaches excludes nothing while
+/// the artifact still reports it). The error names the flag or key that
+/// set the value: `names` is (accesses, warm-up). `simulate` and `serve`
+/// job files share this rule.
+///
+/// # Errors
+///
+/// Returns the message naming the offending value.
+pub fn check_run_window(
+    spec: &WorkloadSpec,
+    warmup: u64,
+    names: (&str, &str),
+) -> Result<(), String> {
+    let (accesses_name, warmup_name) = names;
+    let accesses = spec.accesses;
+    if accesses == 0 {
+        return Err(format!(
+            "{accesses_name}: 0 is not a run (at least 1 data access)"
+        ));
+    }
+    let sweep = if spec.prefault {
+        (spec.churn.processes.max(1) as u64).saturating_mul(spec.footprint / 4096)
+    } else {
+        0
+    };
+    let total = accesses.saturating_add(sweep);
+    if warmup > 0 && warmup >= total {
+        return Err(format!(
+            "{warmup_name}: {warmup} is not below the run's {total} data accesses \
+             ({accesses} plus a prefault sweep of {sweep})"
+        ));
+    }
+    Ok(())
+}
+
 /// Parsed arguments for the `simulate` binary: a custom workload and
 /// system configuration assembled from flags.
 #[derive(Debug, Clone)]
@@ -269,16 +307,8 @@ simulate — run a custom workload on the agile-paging simulator
             prefault_writes: true,
             seed,
         };
-        // The machine counts the prefault sweep's accesses toward the
-        // warm-up, and a warm-up the run never reaches excludes nothing.
-        let sweep = if prefault {
-            (spec.churn.processes.max(1) as u64).saturating_mul(footprint / 4096)
-        } else {
-            0
-        };
-        if accesses == 0 {
-            return Err("--accesses: 0 is not a run (at least 1 data access)".to_string());
-        }
+        let warmup = warmup.unwrap_or(accesses / 4);
+        check_run_window(&spec, warmup, ("--accesses", "--warmup"))?;
         // The zone runs as at least one page, so a zone that holds none
         // would churn a page it was not given.
         let pages = spec.pages();
@@ -302,14 +332,6 @@ simulate — run a custom workload on the agile-paging simulator
                      (--zone of the footprint)"
                 ));
             }
-        }
-        let total = accesses.saturating_add(sweep);
-        let warmup = warmup.unwrap_or(accesses / 4);
-        if warmup > 0 && warmup >= total {
-            return Err(format!(
-                "--warmup: {warmup} is not below the run's {total} data accesses \
-                 ({accesses} plus a prefault sweep of {sweep})"
-            ));
         }
         Ok(SimArgs {
             config,

@@ -65,11 +65,11 @@
 
 use crate::runner::Json;
 use crate::verify;
-use agile_mem::PhysMem;
-use agile_tlb::TlbHierarchy;
+use agile_mem::{entry_indices, EntryBits, PhysMem, TablePage, ALL_ENTRIES};
+use agile_tlb::{TlbHierarchy, TlbStamps};
 use agile_types::{
     CodecError, Dec, Enc, GuestFrame, GuestVirtAddr, HostFrame, Level, Persist, ProcessId, Pte,
-    PteFlags, StateSink, VmId,
+    PteFlags, StateSink, VmId, ENTRIES_PER_TABLE,
 };
 use agile_vmm::{FlushRequest, GptPageInfo, GptPageMode, Technique, Vmm};
 use std::collections::{BTreeMap, HashSet};
@@ -413,15 +413,15 @@ impl LintReport {
 // Part A: structural page-table analyzer
 // ---------------------------------------------------------------------
 
-/// Walks a host-space radix tree from `root`, visiting every table page and
-/// every present entry. Does not descend through leaves or switching
-/// entries (a switching entry's target belongs to the guest, not this
-/// tree). Dangling interior pointers are reported through `on_dangling`.
+/// Walks a host-space radix tree from `root`, visiting every table page
+/// with its level and the first address it covers. Does not descend
+/// through leaves or switching entries (a switching entry's target belongs
+/// to the guest, not this tree). Dangling interior pointers are reported
+/// through `on_dangling`.
 fn walk_host_tree(
     mem: &PhysMem,
     root: HostFrame,
-    on_page: &mut dyn FnMut(HostFrame, Level),
-    on_entry: &mut dyn FnMut(u64, Level, Pte),
+    on_page: &mut dyn FnMut(HostFrame, Level, u64),
     on_dangling: &mut dyn FnMut(u64, Level, HostFrame),
 ) {
     let mut stack = vec![(root, Level::top(), 0u64)];
@@ -429,11 +429,10 @@ fn walk_host_tree(
         if !mem.is_table(frame) {
             continue; // reported by the caller at the referencing entry
         }
-        on_page(frame, level);
+        on_page(frame, level, base);
         let page = mem.table(frame).expect("checked above");
         for (index, pte) in page.present_entries() {
             let va = base + index as u64 * level.span_bytes();
-            on_entry(va, level, pte);
             if pte.is_leaf_at(level) || pte.is_switching() {
                 continue;
             }
@@ -447,12 +446,13 @@ fn walk_host_tree(
     }
 }
 
-/// Walks a guest radix tree (pages live in guest frames) from `root`.
+/// Walks a guest radix tree (pages live in guest frames) from `root`,
+/// visiting every page's host backing with its level and first gVA.
 fn walk_guest_tree(
     mem: &PhysMem,
     vmm: &Vmm,
     root: GuestFrame,
-    on_page: &mut dyn FnMut(GuestFrame, Level),
+    on_page: &mut dyn FnMut(HostFrame, Level, u64),
     on_dangling: &mut dyn FnMut(u64, Level, GuestFrame),
 ) {
     let mut stack = vec![(root, Level::top(), 0u64)];
@@ -463,7 +463,7 @@ fn walk_guest_tree(
         let Some(page) = mem.table(backing) else {
             continue;
         };
-        on_page(gframe, level);
+        on_page(backing, level, base);
         for (index, pte) in page.present_entries() {
             let va = base + index as u64 * level.span_bytes();
             if pte.is_leaf_at(level) {
@@ -501,12 +501,43 @@ impl std::fmt::Display for Owner {
     }
 }
 
+/// Which radix tree an ownership walk visited a table page in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tree {
+    /// The host (EPT) tree.
+    Host,
+    /// One process's shadow tree.
+    Shadow(ProcessId),
+    /// One process's guest tree (the page backs a guest table page).
+    Guest(ProcessId),
+}
+
+/// One table page as an ownership walk visited it: the tree, the level
+/// of its entries, and the first address it covers (a gVA, or a gPA in
+/// the host tree).
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    frame: HostFrame,
+    tree: Tree,
+    level: Level,
+    base: u64,
+}
+
+impl Visit {
+    /// The addresses the page covers, `[start, end)`.
+    fn range(&self) -> (u64, u64) {
+        let span = ENTRIES_PER_TABLE as u64 * self.level.span_bytes();
+        (self.base, self.base + span)
+    }
+}
+
 /// Frame-ownership pass: every live table page must have exactly one owner.
 ///
 /// Claims are recorded as `(frame, owner)` in claim order and matched
 /// against the frame-ordered live table pages after a stable sort, so the
 /// text of a [`LintCode::MultiOwnedFrame`] diagnostic is rendered only
-/// when one fires, with its owners in claim order.
+/// when one fires, with its owners in claim order. Every page the walks
+/// visit is appended to `visits`, in walk order.
 ///
 /// Returns whether the table graph is *structurally intact* (no dangling
 /// pointers, no unbacked guest tables). The truth-comparison passes walk
@@ -514,15 +545,30 @@ impl std::fmt::Display for Owner {
 /// dereference of freed table memory as a fatal bug — so they only run on
 /// an intact graph; on a broken one, the structural diagnostics emitted
 /// here already pinpoint the breakage.
-fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> bool {
+fn check_frame_ownership(
+    mem: &PhysMem,
+    vmm: &Vmm,
+    visits: &mut Vec<Visit>,
+    out: &mut Vec<LintDiag>,
+) -> bool {
     let mut claims: Vec<(u64, Owner)> = Vec::with_capacity(mem.table_page_count());
     let mut claim = |frame: HostFrame, owner: Owner| claims.push((frame.raw(), owner));
+    let mut visit = |frame, tree, level, base| {
+        visits.push(Visit {
+            frame,
+            tree,
+            level,
+            base,
+        });
+    };
 
     walk_host_tree(
         mem,
         vmm.hptr(),
-        &mut |frame, _| claim(frame, Owner::Host),
-        &mut |_, _, _| {},
+        &mut |frame, level, base| {
+            claim(frame, Owner::Host);
+            visit(frame, Tree::Host, level, base);
+        },
         &mut |gpa, level, child| {
             out.push(
                 LintDiag::new(
@@ -540,8 +586,10 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
             walk_host_tree(
                 mem,
                 sptr,
-                &mut |frame, _| claim(frame, Owner::Shadow(pid)),
-                &mut |_, _, _| {},
+                &mut |frame, level, base| {
+                    claim(frame, Owner::Shadow(pid));
+                    visit(frame, Tree::Shadow(pid), level, base);
+                },
                 &mut |va, level, child| {
                     out.push(
                         LintDiag::new(
@@ -557,20 +605,26 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
             );
         }
         if let Some(root) = vmm.gpt_root(pid) {
-            walk_guest_tree(mem, vmm, root, &mut |_, _| {}, &mut |va, level, child| {
-                out.push(
-                    LintDiag::new(
-                        LintCode::DanglingTablePointer,
-                        format!(
-                            "guest table entry points at guest frame {child} with no live \
+            walk_guest_tree(
+                mem,
+                vmm,
+                root,
+                &mut |backing, level, base| visit(backing, Tree::Guest(pid), level, base),
+                &mut |va, level, child| {
+                    out.push(
+                        LintDiag::new(
+                            LintCode::DanglingTablePointer,
+                            format!(
+                                "guest table entry points at guest frame {child} with no live \
                                  table backing"
-                        ),
-                    )
-                    .pid(pid)
-                    .gva(va)
-                    .level(level),
-                );
-            });
+                            ),
+                        )
+                        .pid(pid)
+                        .gva(va)
+                        .level(level),
+                    );
+                },
+            );
         }
     }
 
@@ -676,24 +730,40 @@ fn guest_path(
     (unsynced, None)
 }
 
+/// Which entries of one visited shadow page the shadow-table pass checks.
+#[derive(Debug, Clone, Copy)]
+enum Pick<'r> {
+    /// Every present entry.
+    All,
+    /// The entries with these indices, and the leaves whose gVA lies in
+    /// one of these `[start, end)` ranges.
+    Some(EntryBits, &'r [(u64, u64)]),
+    /// None.
+    Skip,
+}
+
 /// Shadow-table sweep of one process: permission monotonicity, frame
 /// agreement, A/D consistency, huge/4K alias spans, and switching-bit
-/// well-formedness. `pages` is the process's sorted page metadata.
+/// well-formedness. `proc` is what the pass reads of the process: its
+/// roots, modes and sorted page metadata.
+///
+/// It checks the shadow pages the ownership pass's walk of the process's
+/// shadow tree visited (`visits`, in walk order), and `pick` says which
+/// entries of each; every entry of every page is the whole sweep.
 ///
 /// `tables_intact` gates the truth comparisons (reference translation,
 /// page-mode probes): they dereference table pages through the infallible
 /// simulator read paths and must not run over a structurally broken graph.
-fn check_shadow_tables(
+fn check_shadow_tables<'r>(
     mem: &PhysMem,
     vmm: &Vmm,
-    pid: ProcessId,
-    pages: &[(GuestFrame, GptPageInfo)],
+    proc: &ProcView,
     tables_intact: bool,
+    visits: &[Visit],
+    pick: &dyn Fn(&Visit) -> Pick<'r>,
     out: &mut Vec<LintDiag>,
 ) {
-    let Some(sptr) = vmm.spt_root(pid) else {
-        return;
-    };
+    let (pid, pages) = (proc.pid, &proc.pages[..]);
     let technique = vmm.technique();
     let agile = matches!(technique, Technique::Agile(_));
     let hw_ad = technique.hw_ad_bits();
@@ -703,13 +773,13 @@ fn check_shadow_tables(
     // table entirely, so residual shadow content is stale-but-inert:
     // skip truth comparisons, but still flag switching entries where
     // the mode forbids them.
-    let inert = vmm.full_nested(pid) || vmm.root_nested(pid);
-    let root = vmm.gpt_root(pid);
+    let inert = proc.full_nested || proc.root_nested;
+    let root = proc.gpt_root;
 
-    walk_host_tree(
+    for_each_picked(
         mem,
-        sptr,
-        &mut |_, _| {},
+        visits.iter().filter(|v| v.tree == Tree::Shadow(pid)),
+        pick,
         &mut |va, level, pte| {
             if pte.is_switching() {
                 check_switching_entry(mem, vmm, pid, va, level, pte, agile, inert, pages, out);
@@ -820,8 +890,35 @@ fn check_shadow_tables(
                 }
             }
         },
-        &mut |_, _, _| {}, // dangling pointers reported by the ownership pass
     );
+}
+
+/// Calls `on_entry` with each present entry of the `visits`' pages that
+/// `pick` selects, as (address, level, entry).
+fn for_each_picked<'v, 'r>(
+    mem: &PhysMem,
+    visits: impl Iterator<Item = &'v Visit>,
+    pick: &dyn Fn(&Visit) -> Pick<'r>,
+    on_entry: &mut dyn FnMut(u64, Level, Pte),
+) {
+    for visit in visits {
+        let (entries, ranges) = match pick(visit) {
+            Pick::All => (ALL_ENTRIES, &[][..]),
+            Pick::Some(entries, ranges) => (entries, ranges),
+            Pick::Skip => continue,
+        };
+        let page = mem
+            .table(visit.frame)
+            .expect("visited table pages are live");
+        for (index, pte) in page.present_entries() {
+            let va = visit.base + index as u64 * visit.level.span_bytes();
+            let picked = entries[index / 64] >> (index % 64) & 1 != 0
+                || (!pte.is_switching() && ranges.iter().any(|&(s, e)| (s..e).contains(&va)));
+            if picked {
+                on_entry(va, visit.level, pte);
+            }
+        }
+    }
 }
 
 /// Validates one switching entry (see module docs for the invariant set).
@@ -927,15 +1024,17 @@ fn check_switching_entry(
 }
 
 /// Guest-side image of the Figure 3 partition for one process: below a
-/// nested-mode page, every page must be nested. `pages` is the process's
-/// sorted page metadata.
+/// nested-mode page, every page must be nested. `proc` holds the
+/// process's sorted page metadata; `pick` says which pages to check by
+/// their host backing (every page is the whole pass).
 fn check_mode_partition(
     mem: &PhysMem,
     vmm: &Vmm,
-    pid: ProcessId,
-    pages: &[(GuestFrame, GptPageInfo)],
+    proc: &ProcView,
+    pick: &dyn Fn(HostFrame) -> bool,
     out: &mut Vec<LintDiag>,
 ) {
+    let (pid, pages) = (proc.pid, &proc.pages[..]);
     for (gframe, info) in pages {
         if info.mode != GptPageMode::Nested || info.level == Level::leaf() {
             continue;
@@ -943,6 +1042,9 @@ fn check_mode_partition(
         let Some(backing) = vmm.backing(*gframe) else {
             continue; // reported as UnbackedGuestTable
         };
+        if !pick(backing) {
+            continue;
+        }
         let Some(page) = mem.table(backing) else {
             continue;
         };
@@ -976,13 +1078,31 @@ fn check_mode_partition(
 
 /// TLB overlap pass: two entries of one address space covering the same
 /// gVA must agree on the translation of the overlap.
-fn check_tlb_aliases(tlb: &TlbHierarchy, out: &mut Vec<LintDiag>) {
+///
+/// With `since`, the TLB's stamps at a call whose entries all agreed, it
+/// sweeps only the entries hit or inserted since then and the entries
+/// overlapping them: every other pair was swept at that call.
+fn check_tlb_aliases(tlb: &TlbHierarchy, since: Option<&TlbStamps>, out: &mut Vec<LintDiag>) {
+    let mut entries = Vec::new();
+    match since {
+        None => tlb.for_each_entry(|entry| entries.push(entry)),
+        Some(since) => {
+            let mut touched = Vec::new();
+            tlb.for_each_entry_touched_since(since, |entry| touched.push(entry));
+            // A translation cached in two structures is probed once.
+            touched.sort_unstable_by_key(|&(asid, va, e)| (asid.raw(), va.raw(), e.size));
+            touched.dedup();
+            for (asid, va, e) in touched {
+                tlb.for_each_overlapping(asid, va.raw(), e.size.bytes(), |entry| {
+                    entries.push(entry);
+                });
+            }
+        }
+    }
     // Sorted on every field, so the copies of a translation cached in two
     // structures sit together and `dedup` drops the repeats. Entries that
     // agree on (asid, gVA, size, frame) yield the same findings in either
     // order.
-    let mut entries = Vec::new();
-    tlb.for_each_entry(|entry| entries.push(entry));
     entries.sort_unstable_by_key(|(asid, va, e)| {
         (
             asid.raw(),
@@ -1044,19 +1164,448 @@ pub fn analyze(
 }
 
 /// Part A of [`analyze`]: the ownership, shadow-table, mode-partition and
-/// TLB-alias passes, unsorted.
+/// TLB-alias passes, unsorted. A call on an empty [`StructuralCache`]:
+/// every pass visits everything.
 pub(crate) fn structural(mem: &PhysMem, vmm: &Vmm, tlb: &TlbHierarchy) -> Vec<LintDiag> {
-    let mut out = Vec::new();
-    let tables_intact = check_frame_ownership(mem, vmm, &mut out);
-    // Per process; the two passes emit disjoint codes, so interleaving
-    // them by process leaves the canonical order unchanged.
-    for pid in vmm.processes() {
-        let pages = vmm.gpt_pages(pid);
-        check_shadow_tables(mem, vmm, pid, &pages, tables_intact, &mut out);
-        check_mode_partition(mem, vmm, pid, &pages, &mut out);
+    StructuralCache::default().diags(mem, vmm, tlb)
+}
+
+/// Part A kept between calls, as [`crate::Machine::lint`] keeps it: after
+/// a call whose Part A result was clean, the next call revisits only what
+/// moved since.
+///
+/// It is keyed by the generations the state key relies on: each table
+/// page's write counter with [`PhysMem`]'s loads, and the process states'
+/// generations. Each written page's present entries are compared with
+/// their copy from the last call, less the accessed bit, which no pass
+/// reads; the TLB's LRU stamps name the entries hit or inserted since.
+/// What a pass reads without a generation (the host-table root, each
+/// process's roots, modes and guest table pages' levels and modes) is
+/// compared by value. What moved decides what the passes visit, never
+/// what they report:
+///
+/// - The ownership pass reruns only when a table page was allocated or
+///   freed, a root or the process set moved, or a pointer (non-leaf)
+///   entry changed. Otherwise the tables have the shape the last call
+///   walked, so its visits still place every page.
+/// - The shadow-table pass rechecks a process's changed shadow entries
+///   and its leaves whose guest path reads a changed guest entry, or
+///   whose guest leaf maps a gPA whose host entry changed; the
+///   mode-partition pass rechecks the nested pages whose backing was
+///   written. Both recheck a process whole when its modes or page
+///   metadata moved.
+/// - The TLB-alias pass sweeps the entries hit or inserted since and the
+///   entries overlapping them.
+///
+/// The guest memory map is no key: while no table page is allocated or
+/// freed it only backs fresh guest frames, and a clean call read no
+/// fresh frame's backing (a missing backing on a checked path is a
+/// finding). Every input an unvisited item reads is unchanged, and it was
+/// clean at the last call, so it still is. An empty cache (the first
+/// call, a call after a result that was not clean, a restore) visits
+/// everything.
+#[derive(Debug, Default)]
+pub(crate) struct StructuralCache {
+    /// Whether the memo describes the state at the last call, whose
+    /// result was clean. The memo is empty when it does not.
+    clean: bool,
+    /// [`PhysMem::table_generation`] at the last call.
+    tables: (u64, u64),
+    /// Live table pages and table pages ever freed, at the last call:
+    /// between snapshot loads both stand still only when no page was
+    /// allocated or freed.
+    live: (usize, u64),
+    /// The host-table root at the last call.
+    hptr: HostFrame,
+    /// [`Vmm::process_changes`] at the last refresh of `procs`.
+    process_changes: u64,
+    /// What the passes read of each process, by pid.
+    procs: Vec<ProcView>,
+    /// Every live table page, in frame order.
+    pages: Vec<PageMemo>,
+    /// The ownership walks' visits of the last call, in walk order.
+    visits: Vec<Visit>,
+    /// The TLB's stamps at the last call.
+    tlb: TlbStamps,
+    /// How often each pass narrowed its visit.
+    stats: StructuralStats,
+}
+
+/// How often a [`StructuralCache`] narrowed each pass's visit.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StructuralStats {
+    /// Calls on an empty cache.
+    pub fresh: u64,
+    /// Calls that skipped the ownership pass.
+    pub ownership_skipped: u64,
+    /// Calls whose shadow-table pass rechecked no process whole.
+    pub shadow_narrowed: u64,
+    /// Calls whose mode-partition pass rechecked no process whole.
+    pub mode_narrowed: u64,
+    /// Calls whose TLB-alias pass swept only the entries touched since
+    /// and their overlaps.
+    pub tlb_narrowed: u64,
+}
+
+/// What Part A reads of one process's paging state.
+#[derive(Debug)]
+struct ProcView {
+    pid: ProcessId,
+    /// The state's part generation when read.
+    generation: u64,
+    spt_root: Option<HostFrame>,
+    gpt_root: Option<GuestFrame>,
+    full_nested: bool,
+    root_nested: bool,
+    /// [`Vmm::gpt_pages`].
+    pages: Vec<(GuestFrame, GptPageInfo)>,
+    /// Whether the modes or page metadata moved at the last refresh.
+    moved: bool,
+}
+
+impl ProcView {
+    fn read(vmm: &Vmm, pid: ProcessId, generation: u64) -> Self {
+        ProcView {
+            pid,
+            generation,
+            spt_root: vmm.spt_root(pid),
+            gpt_root: vmm.gpt_root(pid),
+            full_nested: vmm.full_nested(pid),
+            root_nested: vmm.root_nested(pid),
+            pages: vmm.gpt_pages(pid),
+            moved: true,
+        }
     }
-    check_tlb_aliases(tlb, &mut out);
-    out
+
+    /// Whether the passes read the same modes and page metadata in both
+    /// (a page's write count and shadowed flag are not read).
+    fn same_modes(&self, other: &ProcView) -> bool {
+        let read = |(g, i): &(GuestFrame, GptPageInfo)| (*g, i.level, i.va_base, i.mode);
+        (self.full_nested, self.root_nested) == (other.full_nested, other.root_nested)
+            && self.pages.iter().map(read).eq(other.pages.iter().map(read))
+    }
+}
+
+/// One live table page at the last call: its write counter, the levels
+/// the ownership walks visited it at (bit `n` for level `n`), and its
+/// [`read_entries`].
+#[derive(Debug)]
+struct PageMemo {
+    frame: HostFrame,
+    writes: u64,
+    levels: u8,
+    entries: Vec<(u16, u64)>,
+}
+
+/// An entry as the passes read it: raw, less the accessed bit.
+fn read_bits(pte: Pte) -> u64 {
+    pte.raw() & !PteFlags::ACCESSED.bits()
+}
+
+/// `page`'s present entries by index, each as [`read_bits`].
+fn read_entries(page: &TablePage) -> impl Iterator<Item = (u16, u64)> + '_ {
+    page.present_entries()
+        .map(|(i, pte)| (i as u16, read_bits(pte)))
+}
+
+/// The entries of `page` whose [`read_entries`] value differs from
+/// `before`, its value at an earlier call, and whether one of them is or
+/// was a pointer (not a leaf) at one of `levels`. Brings `before` up to
+/// date.
+fn changed_entries(
+    page: &TablePage,
+    levels: u8,
+    before: &mut Vec<(u16, u64)>,
+) -> (EntryBits, bool) {
+    let (mut changed, mut pointer) = (EntryBits::default(), false);
+    let mut mark = |i: usize, raw: u64| {
+        changed[i / 64] |= 1 << (i % 64);
+        let pte = Pte::from_raw(raw);
+        pointer |= Level::top()
+            .walk_order()
+            .any(|l| levels & (1 << l.number()) != 0 && !pte.is_leaf_at(l));
+    };
+    // Both sides are in index order: one merge.
+    let mut old = before
+        .iter()
+        .map(|&(i, raw)| (usize::from(i), raw))
+        .peekable();
+    for (i, pte) in page.present_entries() {
+        while let Some((j, raw)) = old.next_if(|&(j, _)| j < i) {
+            mark(j, raw);
+        }
+        let now = read_bits(pte);
+        match old.next_if(|&(j, _)| j == i) {
+            Some((_, raw)) if raw == now => {}
+            Some((_, raw)) => {
+                mark(i, raw);
+                mark(i, now);
+            }
+            None => mark(i, now),
+        }
+    }
+    old.for_each(|(j, raw)| mark(j, raw));
+    if changed != EntryBits::default() {
+        before.clear();
+        before.extend(read_entries(page));
+    }
+    (changed, pointer)
+}
+
+/// What moved since a [`StructuralCache`]'s last call, while the tables
+/// kept their shape.
+#[derive(Debug, Default)]
+struct Moved {
+    /// The table pages with changed entries, in frame order, with the
+    /// changed entries' indices.
+    pages: Vec<(HostFrame, EntryBits)>,
+}
+
+impl Moved {
+    /// The changed entries of the page at `frame`, if any.
+    fn entries(&self, frame: HostFrame) -> Option<EntryBits> {
+        let at = self.pages.binary_search_by_key(&frame, |&(f, _)| f).ok()?;
+        Some(self.pages[at].1)
+    }
+
+    /// The address ranges of the changed entries of the pages `visits`
+    /// place in `tree`.
+    fn ranges(&self, visits: &[Visit], tree: Tree) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for visit in visits.iter().filter(|v| v.tree == tree) {
+            let Some(entries) = self.entries(visit.frame) else {
+                continue;
+            };
+            let span = visit.level.span_bytes();
+            out.extend(entry_indices(entries).map(|i| {
+                let start = visit.base + i as u64 * span;
+                (start, start + span)
+            }));
+        }
+        out
+    }
+}
+
+/// Appends the gVA ranges of `pid`'s guest leaves, in the guest table
+/// pages its walk visited, that map part of one of the gPA ranges `gpas`.
+/// A shadow leaf's reference translation reads the host entries of the
+/// gPAs its guest leaf maps, so the leaves whose reads changed lie in
+/// them.
+fn guest_leaves_over(
+    mem: &PhysMem,
+    visits: &[Visit],
+    pid: ProcessId,
+    gpas: &[(u64, u64)],
+    out: &mut Vec<(u64, u64)>,
+) {
+    for visit in visits.iter().filter(|v| v.tree == Tree::Guest(pid)) {
+        let page = mem
+            .table(visit.frame)
+            .expect("visited table pages are live");
+        let span = visit.level.span_bytes();
+        for (index, pte) in page.present_entries() {
+            if !pte.is_leaf_at(visit.level) {
+                continue;
+            }
+            let gpa = GuestFrame::new(pte.frame_raw()).base().raw();
+            if gpas
+                .iter()
+                .any(|&(start, end)| start < gpa + span && gpa < end)
+            {
+                let va = visit.base + index as u64 * span;
+                out.push((va, va + span));
+            }
+        }
+    }
+}
+
+impl StructuralCache {
+    /// Part A over the paused state, revisiting only what moved since the
+    /// last call when its result was clean: the diagnostics of
+    /// [`structural`], unsorted, in the same order.
+    pub(crate) fn diags(&mut self, mem: &PhysMem, vmm: &Vmm, tlb: &TlbHierarchy) -> Vec<LintDiag> {
+        let was_clean = self.clean;
+        self.stats.fresh += u64::from(!was_clean);
+        let mut out = Vec::new();
+        let roots_moved = self.refresh_procs(vmm);
+        let moved = if roots_moved {
+            None
+        } else {
+            self.moved(mem, vmm)
+        };
+        let (visits, intact) = match moved {
+            Some(_) => {
+                self.stats.ownership_skipped += 1;
+                (std::mem::take(&mut self.visits), true)
+            }
+            None => {
+                let mut visits = Vec::new();
+                let intact = check_frame_ownership(mem, vmm, &mut visits, &mut out);
+                (visits, intact)
+            }
+        };
+        let host = moved
+            .as_ref()
+            .map(|m| m.ranges(&visits, Tree::Host))
+            .unwrap_or_default();
+        let (mut shadow_narrowed, mut mode_narrowed) = (moved.is_some(), moved.is_some());
+        // Per process; the two passes emit disjoint codes, so interleaving
+        // them by process leaves the canonical order unchanged.
+        for proc in &self.procs {
+            let pid = proc.pid;
+            let Some(moved) = moved.as_ref().filter(|_| !proc.moved) else {
+                (shadow_narrowed, mode_narrowed) = (false, false);
+                let all = |_: &Visit| Pick::All;
+                check_shadow_tables(mem, vmm, proc, intact, &visits, &all, &mut out);
+                check_mode_partition(mem, vmm, proc, &|_| true, &mut out);
+                continue;
+            };
+            if moved.pages.is_empty() {
+                continue;
+            }
+            // The leaves whose guest path reads a changed guest entry, or
+            // whose guest leaf maps a gPA whose host entry changed.
+            let mut leaves = moved.ranges(&visits, Tree::Guest(pid));
+            if !host.is_empty() {
+                guest_leaves_over(mem, &visits, pid, &host, &mut leaves);
+            }
+            let pick = |v: &Visit| {
+                let entries = moved.entries(v.frame).unwrap_or_default();
+                let (start, end) = v.range();
+                if entries != EntryBits::default()
+                    || leaves.iter().any(|&(s, e)| s < end && start < e)
+                {
+                    Pick::Some(entries, &leaves)
+                } else {
+                    Pick::Skip
+                }
+            };
+            check_shadow_tables(mem, vmm, proc, intact, &visits, &pick, &mut out);
+            let written = |backing| moved.entries(backing).is_some();
+            check_mode_partition(mem, vmm, proc, &written, &mut out);
+        }
+        self.stats.shadow_narrowed += u64::from(shadow_narrowed);
+        self.stats.mode_narrowed += u64::from(mode_narrowed);
+        self.stats.tlb_narrowed += u64::from(was_clean);
+        check_tlb_aliases(tlb, was_clean.then_some(&self.tlb), &mut out);
+        if !out.is_empty() {
+            *self = StructuralCache {
+                stats: self.stats,
+                ..StructuralCache::default()
+            };
+            return out;
+        }
+        if moved.is_none() {
+            self.pages = page_memos(mem, &visits);
+        }
+        self.visits = visits;
+        self.clean = true;
+        self.tables = mem.table_generation();
+        self.live = (mem.table_page_count(), mem.freed_table_page_count());
+        self.hptr = vmm.hptr();
+        self.tlb = tlb.stamps();
+        out
+    }
+
+    /// How often each pass narrowed its visit so far.
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> StructuralStats {
+        self.stats
+    }
+
+    /// Brings `procs` up to date, re-reading the processes whose part
+    /// generation moved and marking those whose modes or page metadata
+    /// moved. Returns whether the memo was empty, or the process set or a
+    /// root moved.
+    fn refresh_procs(&mut self, vmm: &Vmm) -> bool {
+        let changes = vmm.process_changes();
+        if self.clean && changes == self.process_changes {
+            self.procs.iter_mut().for_each(|p| p.moved = false);
+            return false;
+        }
+        self.process_changes = changes;
+        let mut old = std::mem::take(&mut self.procs).into_iter();
+        let mut roots_moved = !self.clean;
+        for (pid, generation) in vmm.process_generations() {
+            let view = match old.next() {
+                Some(mut view) if view.pid == pid && view.generation == generation => {
+                    view.moved = false;
+                    view
+                }
+                Some(view) if view.pid == pid => {
+                    let mut fresh = ProcView::read(vmm, pid, generation);
+                    roots_moved |=
+                        (fresh.spt_root, fresh.gpt_root) != (view.spt_root, view.gpt_root);
+                    fresh.moved = !fresh.same_modes(&view);
+                    fresh
+                }
+                _ => {
+                    roots_moved = true;
+                    ProcView::read(vmm, pid, generation)
+                }
+            };
+            self.procs.push(view);
+        }
+        roots_moved | old.next().is_some()
+    }
+
+    /// What moved since the last call, when no page was allocated or
+    /// freed, the host-table root stood still, and no pointer entry
+    /// changed. `None` (visit everything) otherwise.
+    fn moved(&mut self, mem: &PhysMem, vmm: &Vmm) -> Option<Moved> {
+        let tables = mem.table_generation();
+        let live = (mem.table_page_count(), mem.freed_table_page_count());
+        if !self.clean || tables.1 != self.tables.1 || live != self.live || vmm.hptr() != self.hptr
+        {
+            return None;
+        }
+        let mut moved = Moved::default();
+        if tables == self.tables {
+            return Some(moved);
+        }
+        for memo in &mut self.pages {
+            let page = mem
+                .table(memo.frame)
+                .expect("no table page was allocated or freed");
+            if page.writes() == memo.writes {
+                continue;
+            }
+            memo.writes = page.writes();
+            let (entries, pointer) = changed_entries(page, memo.levels, &mut memo.entries);
+            if pointer {
+                return None;
+            }
+            if entries != EntryBits::default() {
+                moved.pages.push((memo.frame, entries));
+            }
+        }
+        Some(moved)
+    }
+}
+
+/// A [`PageMemo`] of every live table page, from the ownership walks'
+/// `visits`.
+fn page_memos(mem: &PhysMem, visits: &[Visit]) -> Vec<PageMemo> {
+    let mut levels: Vec<(HostFrame, u8)> = visits
+        .iter()
+        .map(|v| (v.frame, 1 << v.level.number()))
+        .collect();
+    levels.sort_unstable();
+    let mut levels = levels.into_iter().peekable();
+    mem.table_pages()
+        .map(|(frame, page)| {
+            let mut mask = 0;
+            while let Some((_, level)) = levels.next_if(|&(f, _)| f == frame) {
+                mask |= level;
+            }
+            PageMemo {
+                frame,
+                writes: page.writes(),
+                levels: mask,
+                entries: read_entries(page).collect(),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------

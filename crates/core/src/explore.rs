@@ -1336,6 +1336,379 @@ mod tests {
         assert!(restored > 0, "the restored run reported no race");
     }
 
+    /// What the lint differential saw: states compared, diagnostics seen,
+    /// the narrowing counts of the machines it checked, and mismatches.
+    #[derive(Default)]
+    struct LintLog {
+        checked: u64,
+        diags: u64,
+        stats: crate::analyze::StructuralStats,
+        mismatches: Vec<String>,
+    }
+
+    impl LintLog {
+        /// Lints `m` through its cache and logs a report whose structural
+        /// and race diagnostics differ, in text or order, from
+        /// [`crate::analyze::analyze`] of the same state from scratch.
+        fn check(&mut self, name: &str, m: &mut Machine, events: u64) {
+            use crate::analyze::{analyze, LintCode};
+            let mut linted = m.lint();
+            linted
+                .diags
+                .retain(|d| d.code != LintCode::TransitionDiverged);
+            let scratch = analyze(m.mem(), m.vmm(), m.tlb(), m.shootdown_log());
+            self.checked += 1;
+            self.diags += scratch.diags.len() as u64;
+            if linted != scratch && self.mismatches.len() < 8 {
+                self.mismatches.push(format!(
+                    "{name} event {events}: linted\n{}\nfrom scratch\n{}",
+                    linted.render(),
+                    scratch.render()
+                ));
+            }
+        }
+
+        /// Lints `m` at every event boundary of `spec` (from `resume`, when
+        /// given), then adds its narrowing counts.
+        fn run(
+            &mut self,
+            name: &str,
+            m: &mut Machine,
+            spec: &WorkloadSpec,
+            resume: Option<&crate::snapshot::Checkpoint>,
+        ) {
+            m.run(spec, 0, resume, |m, at| {
+                self.check(name, m, at.events);
+                ControlFlow::<()>::Continue(())
+            });
+            self.add(m);
+        }
+
+        /// Adds `m`'s narrowing counts.
+        fn add(&mut self, m: &Machine) {
+            let (a, b) = (&mut self.stats, m.structural_stats());
+            a.fresh += b.fresh;
+            a.ownership_skipped += b.ownership_skipped;
+            a.shadow_narrowed += b.shadow_narrowed;
+            a.mode_narrowed += b.mode_narrowed;
+            a.tlb_narrowed += b.tlb_narrowed;
+        }
+
+        /// Asserts no mismatch over more than `min` states, and that each
+        /// pass narrowed its visit at some call.
+        fn assert_clean(&self, min: u64) {
+            assert!(
+                self.mismatches.is_empty(),
+                "{}",
+                self.mismatches.join("\n\n")
+            );
+            assert!(self.checked > min, "only {} states checked", self.checked);
+            let s = self.stats;
+            let narrowed = [
+                s.ownership_skipped,
+                s.shadow_narrowed,
+                s.mode_narrowed,
+                s.tlb_narrowed,
+            ];
+            assert!(
+                narrowed.iter().all(|&n| n > 0),
+                "a pass never narrowed its visit, the test is vacuous: {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lint_cache_equals_a_lint_from_scratch_on_the_mc_suites() {
+        use crate::analyze::analyze;
+        let mut log = LintLog::default();
+        // The production schedules, linted and compared at every event.
+        for (name, setup) in mc_suites() {
+            log.run(&name, &mut setup(), &mc_spec(), None);
+        }
+        log.assert_clean(1_000);
+        // The explored schedules: every checked state linted clean through
+        // the machine's cache (a finding would have ended the run), so an
+        // analysis from scratch must be clean too.
+        let config = ExploreConfig::default();
+        let dirty = Mutex::new(Vec::new());
+        let checked = std::sync::atomic::AtomicU64::new(0);
+        for (name, setup) in mc_suites() {
+            let keyer = |m: &mut Machine, events: u64| {
+                let scratch = analyze(m.mem(), m.vmm(), m.tlb(), m.shootdown_log());
+                checked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if !scratch.is_clean() {
+                    let mut dirty = dirty.lock().expect("nothing panics holding the list");
+                    dirty.push(format!("{name} event {events}:\n{}", scratch.render()));
+                }
+                m.state_key(events)
+            };
+            let report = explore_keyed(setup, &mc_spec(), &config, &keyer, None);
+            assert_eq!(
+                report.counterexample.is_some(),
+                name == "replant",
+                "{name}: only the re-planted bug is found"
+            );
+        }
+        let dirty = dirty.into_inner().expect("nothing panics holding the list");
+        assert!(dirty.is_empty(), "{}", dirty.join("\n"));
+        assert!(checked.into_inner() > 7_000, "explored states");
+    }
+
+    /// The `lint` gate's workload, cut to `accesses` accesses.
+    fn lint_gate_spec(label: &str, accesses: u64) -> WorkloadSpec {
+        let mut spec = mc_spec();
+        spec.name = format!("lint-{label}");
+        spec.footprint = 8 << 20;
+        spec.pattern = agile_workloads::Pattern::Uniform;
+        spec.write_fraction = 0.3;
+        spec.accesses = accesses;
+        spec.accesses_per_tick = (accesses / 4).max(1);
+        spec.churn = agile_workloads::ChurnSpec {
+            remap_every: Some(200),
+            remap_pages: 8,
+            cow_every: Some(350),
+            cow_pages: 8,
+            clock_scan_every: Some(500),
+            scan_pages: 16,
+            churn_zone: 0.25,
+            ctx_switch_every: Some(400),
+            processes: 2,
+        };
+        spec
+    }
+
+    /// The `lint` gate's fault matrix: dropped and deferred shootdowns, a
+    /// shadow and a guest PTE corruption, and a trap storm.
+    fn lint_gate_faults() -> crate::chaos::FaultPlan {
+        use crate::chaos::{FaultPlan, ScenarioKind};
+        let base = WorkloadSpec::REGION_BASE;
+        FaultPlan::new(0xC0FFEE)
+            .drop_shootdowns(250)
+            .defer_shootdowns(250, 16)
+            .scenario(
+                300,
+                ScenarioKind::CorruptShadowPte {
+                    gva: base + 0x2000,
+                    bit: 12,
+                },
+            )
+            .scenario(700, ScenarioKind::CorruptGuestPte { gva: base + 0x4000 })
+            .scenario(
+                1_100,
+                ScenarioKind::TrapStorm {
+                    base,
+                    pages: 4,
+                    writes_per_page: 8,
+                },
+            )
+    }
+
+    #[test]
+    fn lint_cache_equals_a_lint_from_scratch_under_chaos_and_huge_pages() {
+        use agile_vmm::Technique;
+        let mut log = LintLog::default();
+        // The `lint` gate's clean and chaos phases, cut to 1,200 accesses
+        // (past the trap storm at 1,100).
+        for t in Technique::all() {
+            let spec = lint_gate_spec(t.label(), 1_200);
+            let mut clean = Machine::new(crate::config::SystemConfig::new(t));
+            clean.enable_shootdown_log();
+            log.run(&format!("clean {}", t.label()), &mut clean, &spec, None);
+            let mut chaos = Machine::new(crate::config::SystemConfig::new(t));
+            chaos.enable_chaos(lint_gate_faults());
+            log.run(&format!("chaos {}", t.label()), &mut chaos, &spec, None);
+        }
+        assert!(log.diags > 0, "no chaos state reported anything");
+        // A 4 MiB THP spec with clock scans, remaps and COW, so 2 MiB TLB
+        // entries overlap 4 KiB ones, then a 1 GiB page's fill and hits.
+        let mut spec = mc_spec();
+        spec.name = "mc-thp".into();
+        spec.footprint = 4 << 20;
+        spec.accesses = 360;
+        spec.accesses_per_tick = 60;
+        spec.churn.clock_scan_every = Some(90);
+        spec.churn.scan_pages = 64;
+        spec.churn.remap_pages = 48;
+        spec.churn.cow_pages = 24;
+        for t in Technique::all() {
+            let name = format!("thp {}", t.label());
+            let cfg = crate::config::SystemConfig::new(t)
+                .with_thp()
+                .with_paranoia(true);
+            let mut m = Machine::new(cfg);
+            m.enable_shootdown_log();
+            log.run(&name, &mut m, &spec, None);
+            let (pid, gigantic) = (m.current_pid(), 0x40_0000_0000);
+            m.os_mut()
+                .mmap_sized(pid, gigantic, 1 << 30, true, agile_types::PageSize::Size1G);
+            for i in 0..3u64 {
+                m.touch(gigantic + i * 0x1234_5000, i % 3 == 0)
+                    .expect("mapped");
+                log.check(&name, &mut m, spec.accesses + i);
+            }
+        }
+        // The chaos agile run restored mid-way onto the machine that ran it
+        // through: the restore empties the cache, and the resumed run
+        // narrows again from there.
+        let spec = lint_gate_spec("restored", 1_200);
+        let agile = || {
+            let cfg = crate::config::SystemConfig::new(Technique::Agile(
+                agile_vmm::AgileOptions::default(),
+            ));
+            let mut m = Machine::new(cfg);
+            m.enable_chaos(lint_gate_faults());
+            m
+        };
+        let mut checkpoints = Vec::new();
+        let mut m = agile();
+        m.run(&spec, 0, None, |m, at| {
+            let _ = m.lint();
+            if at.is_tick {
+                checkpoints.push(m.checkpoint(at));
+            }
+            ControlFlow::<()>::Continue(())
+        });
+        let mid = &checkpoints[checkpoints.len() / 2];
+        m.restore_from(&mid.snapshot).expect("restores");
+        assert_eq!(
+            m.structural_stats(),
+            crate::analyze::StructuralStats::default(),
+            "a restore empties the lint cache"
+        );
+        log.run("restored", &mut m, &spec, Some(mid));
+        log.assert_clean(9_000);
+    }
+
+    /// The table frame, index and entry at `level` on `va`'s walk through
+    /// the host-space tree from `root`.
+    fn entry_on_path(
+        m: &Machine,
+        root: agile_types::HostFrame,
+        va: u64,
+        level: agile_types::Level,
+    ) -> (agile_types::HostFrame, usize, agile_types::Pte) {
+        let va = agile_types::GuestVirtAddr::new(va);
+        let mut frame = root;
+        for l in agile_types::Level::top().walk_order() {
+            let pte = m.mem().read_pte(frame, va.index(l));
+            assert!(pte.is_present(), "{va:?} is mapped at {l:?}");
+            if l == level {
+                return (frame, va.index(l), pte);
+            }
+            frame = pte.host_frame();
+        }
+        unreachable!("every level is on the walk");
+    }
+
+    #[test]
+    fn lint_cache_sees_faults_planted_after_a_clean_call() {
+        use agile_types::{Asid, PageSize, Pte};
+        let mut log = LintLog::default();
+        let mut found = 0;
+        // Each fault is planted behind the simulator's back on a shadow
+        // machine paused at a tick (flushes drained) after a clean lint,
+        // and checked.
+        let mut plant = |name: &str, f: &dyn Fn(&mut Machine)| {
+            let mut m = Machine::new(
+                crate::config::SystemConfig::new(agile_vmm::Technique::Shadow).with_paranoia(true),
+            );
+            m.enable_shootdown_log();
+            let (_, paused) = m.run(&mc_spec(), 0, None, |m, at| {
+                log.check(name, m, at.events);
+                match at.is_tick && at.ticks == 3 {
+                    true => ControlFlow::Break(at.events),
+                    false => ControlFlow::Continue(()),
+                }
+            });
+            let events = paused.expect("the run reaches its third tick");
+            assert!(m.lint().is_clean(), "{name}: the run pauses clean");
+            f(&mut m);
+            let before = log.diags;
+            log.check(name, &mut m, events);
+            log.add(&m);
+            found += usize::from(log.diags > before);
+        };
+        let va = WorkloadSpec::REGION_BASE;
+        let pid = |m: &Machine| m.current_pid();
+        // A process and 4 KiB page whose shadow leaf is built and whose
+        // guest path is synced, so the leaf is checked against the truth.
+        let synced = |m: &Machine| {
+            let synced = |pid, va| {
+                agile_types::Level::top().walk_order().all(|l| {
+                    m.vmm().page_mode(m.mem(), pid, va, l) == Some(agile_vmm::GptPageMode::Synced)
+                })
+            };
+            let shadowed = |pid, va| {
+                let root = m.vmm().spt_root(pid).expect("shadow root");
+                let va = agile_types::GuestVirtAddr::new(va);
+                let leaf = agile_types::Level::top()
+                    .walk_order()
+                    .try_fold(root, |frame, l| {
+                        let pte = m.mem().read_pte(frame, va.index(l));
+                        pte.is_present().then(|| pte.host_frame())
+                    });
+                leaf.is_some()
+            };
+            m.vmm()
+                .processes()
+                .into_iter()
+                .flat_map(|pid| {
+                    m.mapped_leaves(pid)
+                        .into_iter()
+                        .map(move |(va, _)| (pid, va))
+                })
+                .find(|&(pid, va)| synced(pid, va) && shadowed(pid, va))
+                .expect("a synced, shadowed page")
+        };
+        // A shadow leaf's frame flips.
+        plant("shadow leaf", &|m| {
+            let (pid, va) = synced(m);
+            let root = m.vmm().spt_root(pid).expect("shadow root");
+            let (frame, index, pte) = entry_on_path(m, root, va, agile_types::Level::L1);
+            m.plant_pte(frame, index, Pte::from_raw(pte.raw() ^ (1 << 12)));
+        });
+        // The guest leaf behind it flips instead: the shadow leaf no longer
+        // matches the guest∘host composition.
+        plant("guest leaf", &|m| {
+            let (pid, va) = synced(m);
+            let root = m.vmm().gpt_root(pid).expect("guest root");
+            let root = m.vmm().backing(root).expect("backed");
+            let va = agile_types::GuestVirtAddr::new(va);
+            let mut frame = root;
+            for l in agile_types::Level::top().walk_order() {
+                let pte = m.mem().read_pte(frame, va.index(l));
+                if l == agile_types::Level::L1 {
+                    m.plant_pte(frame, va.index(l), Pte::from_raw(pte.raw() ^ (1 << 12)));
+                    return;
+                }
+                let child = agile_types::GuestFrame::new(pte.frame_raw());
+                frame = m.vmm().backing(child).expect("backed");
+            }
+        });
+        // A 2 MiB TLB entry over the region's 4 KiB ones, to other frames.
+        plant("tlb alias", &|m| {
+            let asid = Asid::from(pid(m));
+            let entry =
+                agile_tlb::TlbEntry::new(agile_types::HostFrame::new(7), PageSize::Size2M, false);
+            m.plant_tlb_entry(asid, va & !(PageSize::Size2M.bytes() - 1), entry);
+        });
+        // A shadow L2 pointer re-aimed at another live table page: that
+        // page gets two owners and the old child none.
+        plant("pointer", &|m| {
+            let root = m.vmm().spt_root(pid(m)).expect("shadow root");
+            let (frame, index, pte) = entry_on_path(m, root, va, agile_types::Level::L2);
+            let other = m
+                .mem()
+                .table_frames()
+                .into_iter()
+                .find(|&f| f != pte.host_frame() && f != frame)
+                .expect("another table page");
+            m.plant_pte(frame, index, Pte::table(other));
+        });
+        assert_eq!(found, 4, "every planted fault is reported");
+        log.assert_clean(100);
+    }
+
     #[test]
     fn cached_keys_follow_huge_pages_clock_scans_and_chaos() {
         use agile_vmm::{AgileOptions, Technique};

@@ -100,6 +100,10 @@ pub struct Machine {
     /// The race pass of [`Machine::lint`], folded up to the log's last
     /// linted event. A memo like `key_parts`, reset with it.
     race_fold: analyze::RaceFold,
+    /// Part A of [`Machine::lint`] as its last call left it, so a call
+    /// after a clean one revisits only what moved. A memo like
+    /// `key_parts`, reset with it.
+    structural: analyze::StructuralCache,
 }
 
 /// Where a [`Machine::run`] stands after one workload event: what the
@@ -229,6 +233,7 @@ impl Machine {
             scheduler: None,
             key_parts: crate::explore::PartHashes::default(),
             race_fold: analyze::RaceFold::default(),
+            structural: analyze::StructuralCache::default(),
         }
     }
 
@@ -277,10 +282,12 @@ impl Machine {
 
     /// Runs the whole-state static analyzer ([`crate::analyze`]) over the
     /// paused machine: the structural page-table passes, plus — when the
-    /// shootdown log is enabled — the protocol race detector. The race
-    /// pass resumes the machine's fold over the log, so a call folds only
-    /// the events logged since the last; its diagnostics are those of
-    /// [`crate::analyze::detect_shootdown_races`] on the whole log.
+    /// shootdown log is enabled — the protocol race detector. After a call
+    /// whose structural result was clean, the structural passes revisit
+    /// only what moved since; the race pass resumes the machine's fold
+    /// over the log, so a call folds only the events logged since the
+    /// last. Its diagnostics are those of [`crate::analyze::analyze`] on
+    /// the whole state and log.
     ///
     /// Not read-only: with the shootdown log enabled it first records any
     /// allocator reuse since the last access as a `FrameReused` event, and
@@ -290,7 +297,7 @@ impl Machine {
         // Observe any allocation since the last access before analyzing,
         // so a free-then-reuse race right at the end is not missed.
         self.note_frame_reuse();
-        let mut diags = analyze::structural(&self.mem, &self.vmm, &self.tlb);
+        let mut diags = self.structural.diags(&self.mem, &self.vmm, &self.tlb);
         if let Some(log) = self.shootdown_log.as_ref() {
             diags.extend(self.race_fold.diags(log));
         }
@@ -1805,6 +1812,7 @@ impl Machine {
         }
         self.key_parts = crate::explore::PartHashes::default();
         self.race_fold = analyze::RaceFold::default();
+        self.structural = analyze::StructuralCache::default();
         let mut d = Dec::new(snap.payload());
         self.load_state(&mut d)?;
         d.finish()
@@ -1839,6 +1847,20 @@ impl Machine {
             Some(log) => self.race_fold.diags(log),
             None => Vec::new(),
         }
+    }
+
+    /// How often [`Machine::lint`]'s structural passes narrowed their
+    /// visit since the machine was built or restored.
+    #[cfg(test)]
+    pub(crate) fn structural_stats(&self) -> analyze::StructuralStats {
+        self.structural.stats()
+    }
+
+    /// Test hook: writes `pte` at `index` of the table page at `frame`
+    /// behind the VMM's back, as a stray store would.
+    #[cfg(test)]
+    pub(crate) fn plant_pte(&mut self, frame: HostFrame, index: usize, pte: agile_types::Pte) {
+        self.mem.write_pte(frame, index, pte);
     }
 
     /// Serializes all simulated state in declaration order through `s`

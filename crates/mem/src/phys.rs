@@ -89,6 +89,12 @@ impl TablePage {
         self.writes += 1;
     }
 
+    /// Entry writes so far: the page's bytes change only when this moves.
+    #[must_use]
+    pub fn writes(&self) -> u64 {
+        self.writes
+    }
+
     /// Number of present entries.
     #[must_use]
     pub fn present_count(&self) -> usize {
@@ -515,6 +521,16 @@ impl PhysMem {
     #[must_use]
     pub fn table_page_count(&self) -> usize {
         self.live_tables
+    }
+
+    /// (Table-page writes, allocations and frees so far; snapshot loads so
+    /// far): the generation of the table pages' group in
+    /// [`PhysMem::save_to`]. While it stands still no table page changed,
+    /// and a page whose [`TablePage::writes`] and loads stand still kept
+    /// its bytes.
+    #[must_use]
+    pub fn table_generation(&self) -> (u64, u64) {
+        (self.table_changes, self.loads)
     }
 
     /// Every live page-table frame, sorted by frame number. The slot index

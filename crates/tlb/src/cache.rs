@@ -553,6 +553,36 @@ impl<K: Eq + Hash + Clone, V: Clone> SetAssocCache<K, V> {
             .flat_map(|set| set.slots.iter().map(|s| (&s.key, &s.value)))
     }
 
+    /// The stamp so far: every later hit or insert leaves its slot's LRU
+    /// stamp past it, until a snapshot load moves the stamp back.
+    #[must_use]
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Calls `f` on every live `(key, value)` pair hit or inserted since
+    /// the cache's [`SetAssocCache::stamp`] read `since`, taken after the
+    /// last snapshot load. Every other live pair was cached, unchanged,
+    /// at `since`: a removal changes no pair it leaves. Read-only; it
+    /// visits only the sets whose generation moved past `since`.
+    pub(crate) fn for_each_touched_since(&self, since: u64, mut f: impl FnMut(&K, &V)) {
+        if self.touched <= since {
+            return;
+        }
+        for set in self.sets.iter().filter(|set| set.generation.1 > since) {
+            for slot in set.slots.iter().filter(|slot| slot.last_use > since) {
+                f(&slot.key, &slot.value);
+            }
+        }
+    }
+
+    /// Calls `f` on every live `(key, value)` pair of the set `index`
+    /// selects (as [`SetAssocCache::lookup`] selects it). Read-only.
+    pub(crate) fn for_each_in_set(&self, index: u64, mut f: impl FnMut(&K, &V)) {
+        let set = &self.sets[self.set_of(index)];
+        set.slots.iter().for_each(|s| f(&s.key, &s.value));
+    }
+
     /// Hit/miss/eviction counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {

@@ -39,4 +39,4 @@ pub use cache::{CacheStats, SetAssocCache};
 pub use config::{PwcConfig, SizedTlbConfig, TlbConfig};
 pub use ntlb::{NestedTlb, NtlbEntry};
 pub use pwc::{PageWalkCaches, PwcEntry, PwcTableKind};
-pub use tlb::{TlbEntry, TlbHierarchy, TlbStats};
+pub use tlb::{TlbEntry, TlbHierarchy, TlbStamps, TlbStats, TLB_PARTITIONS};

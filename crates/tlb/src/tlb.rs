@@ -179,6 +179,15 @@ impl SizedTlb {
     }
 }
 
+/// Number of page-size partitions of a [`TlbHierarchy`]: L1-D 4 KiB,
+/// 2 MiB and 1 GiB, L1-I 4 KiB and 2 MiB, L2 4 KiB and 2 MiB.
+pub const TLB_PARTITIONS: usize = 7;
+
+/// One LRU stamp per partition of a [`TlbHierarchy`] (its stamp so far:
+/// every later hit or insert stamps its slot past it), in
+/// [`TlbHierarchy::for_each_entry`]'s order.
+pub type TlbStamps = [u64; TLB_PARTITIONS];
+
 /// The full per-core TLB hierarchy of Table III.
 ///
 /// Lookup order: the L1 structure matching the access kind (D-TLB for
@@ -373,13 +382,81 @@ impl TlbHierarchy {
     /// `(asid, page-aligned gVA, entry)`, structure by structure: a
     /// translation cached in two structures comes twice. Read-only.
     pub fn for_each_entry(&self, mut f: impl FnMut((Asid, GuestVirtAddr, TlbEntry))) {
-        for t in self.l1d.iter().chain(self.l1i.iter()).chain(self.l2.iter()) {
+        for t in self.partitions() {
             let Some(cache) = t.cache.as_ref() else {
                 continue;
             };
             cache.iter().for_each(|(&(asid, vpn), &entry)| {
                 f((asid, GuestVirtAddr::new(vpn << t.size.shift()), entry));
             });
+        }
+    }
+
+    /// The partitions, structure by structure, disabled ones included.
+    fn partitions(&self) -> impl Iterator<Item = &SizedTlb> {
+        self.l1d.iter().chain(self.l1i.iter()).chain(self.l2.iter())
+    }
+
+    /// Every partition's LRU stamp so far, structure by structure (0 for a
+    /// disabled one).
+    #[must_use]
+    pub fn stamps(&self) -> TlbStamps {
+        let mut out = [0; TLB_PARTITIONS];
+        for (slot, t) in out.iter_mut().zip(self.partitions()) {
+            *slot = t.cache.as_ref().map_or(0, SetAssocCache::stamp);
+        }
+        out
+    }
+
+    /// [`TlbHierarchy::for_each_entry`] restricted to the entries hit or
+    /// inserted since `since`, [`TlbHierarchy::stamps`] taken after the
+    /// last snapshot load, which can move the stamps back. Every other
+    /// entry was cached, unchanged, at `since`: a removal changes no
+    /// entry it leaves. It visits only the sets hit or filled since.
+    pub fn for_each_entry_touched_since(
+        &self,
+        since: &TlbStamps,
+        mut f: impl FnMut((Asid, GuestVirtAddr, TlbEntry)),
+    ) {
+        for (t, &since) in self.partitions().zip(since) {
+            let Some(cache) = t.cache.as_ref() else {
+                continue;
+            };
+            cache.for_each_touched_since(since, |&(asid, vpn), &entry| {
+                f((asid, GuestVirtAddr::new(vpn << t.size.shift()), entry));
+            });
+        }
+    }
+
+    /// Calls `f` on every entry of every structure that translates part
+    /// of `asid`'s range `[va, va + bytes)`, probing only the sets that
+    /// can hold one: a set per page when the range spans fewer pages of
+    /// a partition's size than the partition has sets, otherwise every
+    /// set. `bytes` must be positive. Read-only.
+    pub fn for_each_overlapping(
+        &self,
+        asid: Asid,
+        va: u64,
+        bytes: u64,
+        mut f: impl FnMut((Asid, GuestVirtAddr, TlbEntry)),
+    ) {
+        for t in self.partitions() {
+            let Some(cache) = t.cache.as_ref() else {
+                continue;
+            };
+            let shift = t.size.shift();
+            let (first, last) = (va >> shift, (va + (bytes - 1)) >> shift);
+            let mut hit = |&(a, vpn): &Key, &entry: &TlbEntry| {
+                if a == asid && (first..=last).contains(&vpn) {
+                    f((a, GuestVirtAddr::new(vpn << shift), entry));
+                }
+            };
+            if last - first < cache.set_count() as u64 {
+                // Consecutive pages fall in distinct sets.
+                (first..=last).for_each(|vpn| cache.for_each_in_set(vpn, &mut hit));
+            } else {
+                cache.iter().for_each(|(key, entry)| hit(key, entry));
+            }
         }
     }
 

@@ -161,8 +161,9 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error,
-    /// or of the first array or object nested deeper than 128 levels.
+    /// Returns a message with the byte offset of the first syntax error
+    /// (an unescaped U+0000 to U+001F inside a string is one), or of the
+    /// first array or object nested deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
@@ -381,13 +382,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            // RFC 8259 admits U+0000 to U+001F in a string only escaped.
+            Some(&b) if b < 0x20 => {
+                return Err(format!(
+                    "raw control character U+{b:04X} in a string at byte {pos}"
+                ));
+            }
             Some(_) => {
-                // Copy the run up to the next quote or backslash in one
-                // piece. Both are ASCII, so the run ends on a character
-                // boundary, and each byte is validated once.
+                // Copy the run up to the next quote, backslash or control
+                // character in one piece. All are ASCII, so the run ends on
+                // a character boundary, and each byte is validated once.
                 let end = bytes[*pos..]
                     .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                     .map_or(bytes.len(), |n| *pos + n);
                 let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| "invalid UTF-8 in string")?;
@@ -652,6 +659,24 @@ mod tests {
         // Truncated and non-hex escapes.
         assert!(Json::parse("\"\\u00\"").is_err());
         assert!(Json::parse("\"\\uzzzz\"").is_err());
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected_with_position() {
+        // A label holding a raw tab and a raw U+0001, which RFC 8259
+        // admits only escaped: the first one is named with its offset.
+        let err = Json::parse("{\"label\":\"a\tb\u{1}c\"}").unwrap_err();
+        assert!(err.contains("U+0009") && err.contains("byte 11"), "{err}");
+        let err = Json::parse("\"ab\u{1}c\"").unwrap_err();
+        assert!(err.contains("U+0001") && err.contains("byte 3"), "{err}");
+        assert!(Json::parse("\"\u{0}\"").is_err());
+        assert!(Json::parse("\"\u{1f}\"").is_err());
+        // The renderer escapes every control character, so the same label
+        // still round-trips.
+        let label = Json::obj(vec![("label", Json::Str("a\tb\u{1}c".into()))]);
+        assert_eq!(Json::parse(&label.render()), Ok(label));
+        // Whitespace between tokens is not inside a string.
+        assert!(Json::parse("{\"a\":\t1,\n\"b\":\r2}").is_ok());
     }
 
     #[test]

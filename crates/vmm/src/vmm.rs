@@ -353,6 +353,22 @@ impl Vmm {
         self.procs.keys().copied().collect()
     }
 
+    /// Changes to any process's paging state so far: the generation of
+    /// the states' group in [`Vmm::save_to`].
+    #[must_use]
+    pub fn process_changes(&self) -> u64 {
+        self.procs.changes()
+    }
+
+    /// Every tracked process with its paging state's part generation in
+    /// [`Vmm::save_to`], sorted by id: while it stands still, the state
+    /// ([`Vmm::gpt_pages`], roots and modes) is unchanged.
+    pub fn process_generations(&self) -> impl Iterator<Item = (ProcessId, u64)> + '_ {
+        self.procs
+            .iter()
+            .map(|(pid, _, generation)| (*pid, generation))
+    }
+
     /// Guest frame of `pid`'s guest page-table root (`gptr`), when the
     /// process is known. Read-only.
     #[must_use]
